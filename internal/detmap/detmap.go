@@ -20,7 +20,6 @@ import (
 // an O(n log n) sort.
 func SortedKeys[M ~map[K]V, K cmp.Ordered, V any](m M) []K {
 	keys := make([]K, 0, len(m))
-	//lrlint:ignore scan-complexity trip count belongs to the caller's map; each call site is classified where the map is ranged
 	for k := range m {
 		keys = append(keys, k)
 	}

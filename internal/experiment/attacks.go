@@ -60,7 +60,7 @@ func AttackResilience(params image.Params, imageSize, receivers int, lossP float
 			ExtraNodes: 1,
 			Seed:       seed,
 		}
-		e, err := build(s)
+		e, err := Build(s)
 		if err != nil {
 			return report, err
 		}
@@ -125,13 +125,13 @@ func runSigFlood(params image.Params, imageSize, receivers int, lossP float64, s
 		ExtraNodes: 1,
 		Seed:       seed,
 	}
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		return Result{}, 0, err
 	}
 	attackerID := packet.NodeID(receivers + 1)
 	var key puzzle.Key
-	pparams := puzzle.Params{Strength: s.withDefaults().PuzzleStrength}
+	pparams := puzzle.Params{Strength: e.scenario.PuzzleStrength}
 	if solve {
 		// The released chain key is public knowledge once dissemination
 		// begins; rebuild the experiment's chain to obtain it.
@@ -166,7 +166,7 @@ func runDoR(params image.Params, imageSize, receivers int, lossP float64, seed i
 		Dissem:     cfg,
 		Seed:       seed,
 	}
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		return 0, err
 	}

@@ -107,7 +107,7 @@ func TestCrashMidPageRecovery(t *testing.T) {
 		Receivers: 2,
 		Seed:      11,
 	}
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,24 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"testing"
 
-	"lrseluge/internal/packet"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
 )
 
 // traceRun executes a multihop scenario and returns the run metrics together
-// with a hash over the complete transmission trace: for every packet, in
-// global transmission order, the virtual timestamp, the sender, and the
-// exact wire bytes.
-func traceRun(t *testing.T, s Scenario) (Result, [sha256.Size]byte) {
+// with a hash over the complete transmission trace (Env.TraceHash).
+func traceRun(t *testing.T, s Scenario) (Result, string) {
 	t.Helper()
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	h := sha256.New()
-	var hdr [10]byte
-	e.nw.SetTxObserver(func(at sim.Time, from packet.NodeID, p packet.Packet) {
-		binary.BigEndian.PutUint64(hdr[0:8], uint64(at))
-		binary.BigEndian.PutUint16(hdr[8:10], uint16(from))
-		h.Write(hdr[:])
-		h.Write(p.Marshal())
-	})
+	hash := e.TraceHash()
 	res := e.run()
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return res, sum
+	return res, hash()
 }
 
 // multihopScenario is a small instance of the paper's multihop evaluation:
@@ -66,13 +52,29 @@ func TestSameSeedReproducible(t *testing.T) {
 		t.Errorf("same seed produced different metrics:\n run1: %+v\n run2: %+v", res1, res2)
 	}
 	if trace1 != trace2 {
-		t.Errorf("same seed produced different packet traces: %x vs %x", trace1, trace2)
+		t.Errorf("same seed produced different packet traces: %s vs %s", trace1, trace2)
 	}
 	if res1.Completed != res1.Nodes {
 		t.Errorf("scenario did not complete: %d/%d nodes", res1.Completed, res1.Nodes)
 	}
 	if !res1.ImagesOK {
 		t.Error("reassembled images differ from original")
+	}
+}
+
+// TestQueueKindsAgree pins that the event-queue choice never changes a run:
+// the calendar queue must reproduce the heap's metrics and trace exactly.
+func TestQueueKindsAgree(t *testing.T) {
+	heap := multihopScenario(42)
+	cal := multihopScenario(42)
+	cal.Queue = sim.CalendarQueue
+	res1, trace1 := traceRun(t, heap)
+	res2, trace2 := traceRun(t, cal)
+	if res1 != res2 {
+		t.Errorf("queue kinds produced different metrics:\n heap:     %+v\n calendar: %+v", res1, res2)
+	}
+	if trace1 != trace2 {
+		t.Errorf("queue kinds produced different packet traces: %s vs %s", trace1, trace2)
 	}
 }
 

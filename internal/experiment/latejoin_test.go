@@ -28,7 +28,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		ExtraNodes: 1, // reserve a slot for the late joiner
 		Seed:       17,
 	}
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	lateID := packet.NodeID(4)
-	node, err := dissem.NewNode(lateID, e.nw, s.withDefaults().Dissem, h, h.NewPolicy(), 999)
+	node, err := dissem.NewNode(lateID, e.nw, e.scenario.Dissem, h, h.NewPolicy(), 999)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,9 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 
 	"lrseluge/internal/core"
@@ -17,6 +20,7 @@ import (
 	"lrseluge/internal/harness"
 	"lrseluge/internal/image"
 	"lrseluge/internal/metrics"
+	"lrseluge/internal/obs"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/rateless"
@@ -113,7 +117,8 @@ type Scenario struct {
 	LossP       float64
 
 	// Radio and Dissem tune the physical layer and protocol timers; zero
-	// values mean defaults.
+	// values mean defaults. A non-zero value is used as given, so start a
+	// variation from radio.DefaultConfig / dissem.DefaultConfig.
 	Radio  radio.Config
 	Dissem dissem.Config
 
@@ -154,6 +159,15 @@ type Scenario struct {
 	// Horizon caps virtual time; runs not finished by then report partial
 	// completion. Default 4 simulated hours.
 	Horizon sim.Time
+
+	// Queue selects the event-queue implementation. Both kinds pop events
+	// in the same order, so the choice never changes run bytes.
+	Queue sim.QueueKind
+
+	// Obs, when non-nil, installs wall-time phase timers through the
+	// engine, radio, crypto and codec layers. Measurements never feed back
+	// into the simulation, so same-seed runs stay byte-identical either way.
+	Obs *obs.Timers
 }
 
 // Result carries the metrics the paper reports for a run.
@@ -203,9 +217,10 @@ type reassembler interface {
 	ReassembledImage(size int) ([]byte, error)
 }
 
-// env is a fully-wired simulation ready to run; attack experiments extend it
-// with adversaries before running.
-type env struct {
+// Env is a fully-wired simulation ready to run; attack experiments extend it
+// with adversaries before running, and the large-scale runner drives it in
+// progress slices.
+type Env struct {
 	scenario    Scenario
 	eng         *sim.Engine
 	col         *metrics.Collector
@@ -223,8 +238,10 @@ type env struct {
 	faultEng *fault.Engine
 }
 
-func (s *Scenario) withDefaults() Scenario {
-	out := *s
+// WithDefaults returns s with every zero-valued optional field replaced by
+// its default, the form Build runs.
+func (s Scenario) WithDefaults() Scenario {
+	out := s
 	if out.ImageSize == 0 {
 		out.ImageSize = 20 * 1024
 	}
@@ -237,7 +254,7 @@ func (s *Scenario) withDefaults() Scenario {
 	if out.Radio == (radio.Config{}) {
 		out.Radio = radio.DefaultConfig()
 	}
-	if out.Dissem.Trickle.IMin == 0 {
+	if out.Dissem == (dissem.Config{}) {
 		out.Dissem = dissem.DefaultConfig()
 	}
 	if out.PuzzleStrength == 0 {
@@ -249,9 +266,9 @@ func (s *Scenario) withDefaults() Scenario {
 	return out
 }
 
-// build wires the full simulation for a scenario.
-func build(s Scenario) (*env, error) {
-	s = s.withDefaults()
+// Build wires the full simulation for a scenario.
+func Build(s Scenario) (*Env, error) {
+	s = s.WithDefaults()
 	imgData := s.Image
 	if imgData == nil {
 		imgData = image.Random(s.ImageSize, s.Seed^0x1337)
@@ -276,12 +293,14 @@ func build(s Scenario) (*env, error) {
 		}
 	}
 
-	eng := sim.New()
+	eng := sim.NewWithQueue(s.Queue)
+	eng.SetObs(s.Obs)
 	col := metrics.New()
 	nw, err := radio.New(eng, graph, loss, s.Radio, col, s.Seed^0x5eed)
 	if err != nil {
 		return nil, err
 	}
+	nw.SetObs(s.Obs)
 	if s.Trace != nil {
 		// Install before node construction: dissem nodes capture the
 		// network's tracer when they are built.
@@ -292,7 +311,7 @@ func build(s Scenario) (*env, error) {
 		nw.SetTracer(tr)
 	}
 
-	e := &env{
+	e := &Env{
 		scenario:  s,
 		eng:       eng,
 		col:       col,
@@ -329,6 +348,7 @@ func build(s Scenario) (*env, error) {
 			Commitment: chain.Commitment(),
 			Puzzle:     pparams,
 			Col:        col,
+			Obs:        s.Obs,
 		}
 	}
 
@@ -502,8 +522,8 @@ func SchedulerAblation(params image.Params, imageSize, receivers int, p float64,
 	return out, nil
 }
 
-func (e *env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dissem.TxPolicy) error {
-	node, err := dissem.NewNode(id, e.nw, e.scenario.withDefaults().Dissem, handler, policy, e.scenario.Seed^(int64(id)*0x9e3779b9+1))
+func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dissem.TxPolicy) error {
+	node, err := dissem.NewNode(id, e.nw, e.scenario.Dissem, handler, policy, e.scenario.Seed^(int64(id)*0x9e3779b9+1))
 	if err != nil {
 		return err
 	}
@@ -521,14 +541,66 @@ func (e *env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dis
 	return nil
 }
 
-// run starts all nodes, executes to completion or horizon, and collects the
-// result.
-func (e *env) run() Result {
-	s := e.scenario.withDefaults()
+// Engine returns the simulation engine.
+func (e *Env) Engine() *sim.Engine { return e.eng }
+
+// Collector returns the run's metrics collector.
+func (e *Env) Collector() *metrics.Collector { return e.col }
+
+// TraceHash hashes every transmission from now on, in global transmission
+// order: the big-endian u64 virtual time, the big-endian u16 sender, then the
+// packet's wire bytes. The returned function yields the hex sha256 of the
+// trace so far. Trace hashes are the byte-identity referee across queue
+// kinds, obs settings and code changes, so this layout must not change.
+func (e *Env) TraceHash() func() string {
+	h := sha256.New()
+	var hdr [10]byte
+	e.nw.SetTxObserver(func(at sim.Time, from packet.NodeID, p packet.Packet) {
+		binary.BigEndian.PutUint64(hdr[0:8], uint64(at))
+		binary.BigEndian.PutUint16(hdr[8:10], uint16(from))
+		h.Write(hdr[:])
+		h.Write(p.Marshal())
+	})
+	return func() string { return hex.EncodeToString(h.Sum(nil)) }
+}
+
+// Drive starts every node and runs the engine in slices of virtual time,
+// calling onSlice (when non-nil) with the engine clock after each slice. It
+// returns once every node has completed, the scenario horizon is reached, or
+// the event queue is empty. A non-positive slice runs the whole horizon as
+// one slice.
+func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
 	for _, n := range e.nodes {
 		n.Start()
 	}
-	e.eng.Run(s.Horizon)
+	horizon := e.scenario.Horizon
+	if slice <= 0 {
+		slice = horizon
+	}
+	for next := slice; ; next += slice {
+		if next > horizon {
+			next = horizon
+		}
+		now := e.eng.Run(next)
+		if onSlice != nil {
+			onSlice(now)
+		}
+		// Break on the slice bound, not the engine clock: Run returns the
+		// time of the last executed event, which sits strictly below the
+		// horizon whenever no event lands exactly on it (e.g. an isolated
+		// node keeps the network from completing and the run must end at
+		// the horizon).
+		if e.completed == len(e.nodes) || next >= horizon || e.eng.Pending() == 0 {
+			return
+		}
+	}
+}
+
+// run drives the scenario to completion or horizon in one slice and collects
+// the result.
+func (e *Env) run() Result {
+	s := e.scenario
+	e.Drive(s.Horizon, nil)
 
 	res := Result{
 		Protocol:         s.Protocol,
@@ -571,7 +643,7 @@ func (e *env) run() Result {
 // run (the metrics of a run whose trace was silently truncated would be
 // unverifiable against the trace).
 func Run(s Scenario) (Result, error) {
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"lrseluge/internal/dissem"
 	"lrseluge/internal/image"
 	"lrseluge/internal/sim"
 )
@@ -119,5 +120,22 @@ func TestHorizonCapsRuntime(t *testing.T) {
 	}
 	if res.Latency > 5*sim.Second {
 		t.Fatalf("latency %v exceeds horizon", res.Latency)
+	}
+}
+
+// TestPartialDissemConfigRejected pins that defaults fill only a zero-valued
+// Dissem: a partly set config reaches dissem's validation and fails the run
+// instead of being silently replaced by the defaults.
+func TestPartialDissemConfigRejected(t *testing.T) {
+	_, err := Run(Scenario{
+		Protocol:  LRSeluge,
+		ImageSize: 2048,
+		Params:    smallParams(),
+		Receivers: 2,
+		Dissem:    dissem.Config{CompactRNG: true},
+		Seed:      7,
+	})
+	if err == nil {
+		t.Fatal("Run accepted a Dissem config with only CompactRNG set")
 	}
 }

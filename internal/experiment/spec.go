@@ -127,7 +127,7 @@ func DecodeSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// Normalize applies the same defaults Scenario.withDefaults would and
+// Normalize applies the same defaults Scenario.WithDefaults would and
 // validates every field, returning the fully-explicit spec. Two specs that
 // normalize equal describe the same experiment and hash to the same key.
 func (s Spec) Normalize() (Spec, error) {

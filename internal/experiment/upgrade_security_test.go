@@ -29,7 +29,7 @@ func TestForgedUpgradeCannotWipeNodes(t *testing.T) {
 		ExtraNodes: 1,
 		Seed:       37,
 	}
-	e, err := build(s)
+	e, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestForgedUpgradeCannotWipeNodes(t *testing.T) {
 // must not change any node's state (upgrades require a verified signature).
 func TestForgedVersionAdvHarmless(t *testing.T) {
 	params := image.Params{PacketPayload: 72, K: 8, N: 12}
-	e, err := build(Scenario{
+	e, err := Build(Scenario{
 		Protocol:  LRSeluge,
 		ImageSize: 1024,
 		Params:    params,
@@ -118,7 +118,7 @@ func TestForgedVersionAdvHarmless(t *testing.T) {
 			}
 		})
 	}
-	e.eng.Run(e.scenario.withDefaults().Horizon)
+	e.eng.Run(e.scenario.Horizon)
 	for i, n := range e.nodes {
 		if !n.Completed() {
 			t.Fatalf("node %d failed to complete under forged version advs", i)

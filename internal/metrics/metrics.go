@@ -20,30 +20,26 @@ type Collector struct {
 	txBytes map[packet.Type]int64
 	rxCount map[packet.Type]int64
 
-	perNodeTx     map[packet.NodeID]int64
 	dataTxByUnit  map[int]int64
 	dataTxByIndex map[[2]int]int64 // (unit, index) -> transmissions
 
-	completion map[packet.NodeID]sim.Time
-
-	// Dense mode (NewDense): node-indexed slices replace the per-node maps
-	// when ids are dense in [0, n). ~16 B/node instead of two map entries,
-	// which matters at 100k nodes. denseDone uses -1 as the "not completed"
-	// sentinel; latency and the completion count are maintained incrementally
-	// so reporting never rescans the slices.
-	denseTx   []int64
-	denseDone []sim.Time
-	nDone     int
-	maxDone   sim.Time
+	// Per-node state is node-indexed, grown on first use of an id: ~16 B per
+	// node instead of map entries, which matters at 100k nodes. Time slices
+	// hold t+1, so zero means "never". The completion count and latency are
+	// maintained incrementally so reporting never rescans the slices.
+	nodeTx  []int64
+	done    []sim.Time
+	nDone   int
+	maxDone sim.Time
 
 	// Fault-injection counters (see internal/fault).
 	crashes       int64
 	reboots       int64
-	crashLostPkts int64                      // packets of in-progress units lost to crashes (RAM wiped)
-	refetched     int64                      // packets re-fetched for crash-interrupted units after reboot
-	downtime      sim.Time                   // sum of closed crash->reboot windows
-	lastCrash     map[packet.NodeID]sim.Time // open crash windows
-	lastReboot    map[packet.NodeID]sim.Time // most recent reboot per node
+	crashLostPkts int64      // packets of in-progress units lost to crashes (RAM wiped)
+	refetched     int64      // packets re-fetched for crash-interrupted units after reboot
+	downtime      sim.Time   // sum of closed crash->reboot windows
+	lastCrash     []sim.Time // start of each node's open crash window
+	lastReboot    []sim.Time // most recent reboot per node
 
 	// Security counters.
 	authDrops        int64 // packets dropped by per-packet authentication
@@ -60,40 +56,33 @@ func New() *Collector {
 		txCount:       make(map[packet.Type]int64),
 		txBytes:       make(map[packet.Type]int64),
 		rxCount:       make(map[packet.Type]int64),
-		perNodeTx:     make(map[packet.NodeID]int64),
 		dataTxByUnit:  make(map[int]int64),
 		dataTxByIndex: make(map[[2]int]int64),
-		completion:    make(map[packet.NodeID]sim.Time),
-		lastCrash:     make(map[packet.NodeID]sim.Time),
-		lastReboot:    make(map[packet.NodeID]sim.Time),
 	}
 }
 
-// NewDense returns a collector whose per-node state is node-indexed slices
-// rather than maps, for runs whose node ids are dense in [0, n). Every
-// counter and query behaves identically to New; only the memory layout (and
-// therefore the feasible network size) changes.
-func NewDense(n int) *Collector {
-	c := New()
-	c.perNodeTx = nil
-	c.completion = nil
-	c.denseTx = make([]int64, n)
-	c.denseDone = make([]sim.Time, n)
-	for i := range c.denseDone {
-		c.denseDone[i] = -1
+// grow returns s extended with zeros so that index id is valid.
+func grow[T int64 | sim.Time](s []T, id packet.NodeID) []T {
+	if int(id) >= len(s) {
+		s = append(s, make([]T, int(id)+1-len(s))...)
 	}
-	return c
+	return s
+}
+
+// valueAt returns s[id], or zero when s does not reach id.
+func valueAt[T int64 | sim.Time](s []T, id packet.NodeID) T {
+	if int(id) < len(s) {
+		return s[id]
+	}
+	return 0
 }
 
 // RecordTx accounts one transmission of p by node from.
 func (c *Collector) RecordTx(from packet.NodeID, p packet.Packet) {
 	c.txCount[p.Kind()]++
 	c.txBytes[p.Kind()] += int64(p.WireSize())
-	if c.denseTx != nil {
-		c.denseTx[from]++
-	} else {
-		c.perNodeTx[from]++
-	}
+	c.nodeTx = grow(c.nodeTx, from)
+	c.nodeTx[from]++
 	if d, ok := p.(*packet.Data); ok {
 		c.dataTxByUnit[int(d.Unit)]++
 		c.dataTxByIndex[[2]int{int(d.Unit), int(d.Index)}]++
@@ -151,18 +140,13 @@ func (c *Collector) RecordPuzzleReject() { c.puzzleRejects++ }
 // RecordCompletion notes that node finished receiving the image at time t.
 // Only the first completion per node is kept.
 func (c *Collector) RecordCompletion(node packet.NodeID, t sim.Time) {
-	if c.denseDone != nil {
-		if c.denseDone[node] < 0 {
-			c.denseDone[node] = t
-			c.nDone++
-			if t > c.maxDone {
-				c.maxDone = t
-			}
+	c.done = grow(c.done, node)
+	if c.done[node] == 0 {
+		c.done[node] = t + 1
+		c.nDone++
+		if t > c.maxDone {
+			c.maxDone = t
 		}
-		return
-	}
-	if _, ok := c.completion[node]; !ok {
-		c.completion[node] = t
 	}
 }
 
@@ -172,18 +156,20 @@ func (c *Collector) RecordCompletion(node packet.NodeID, t sim.Time) {
 func (c *Collector) RecordCrash(node packet.NodeID, t sim.Time, lostPkts int) {
 	c.crashes++
 	c.crashLostPkts += int64(lostPkts)
-	c.lastCrash[node] = t
+	c.lastCrash = grow(c.lastCrash, node)
+	c.lastCrash[node] = t + 1
 }
 
 // RecordReboot notes that node powered back on at time t, closing its
 // downtime window.
 func (c *Collector) RecordReboot(node packet.NodeID, t sim.Time) {
 	c.reboots++
-	if at, ok := c.lastCrash[node]; ok {
-		c.downtime += t - at
-		delete(c.lastCrash, node)
+	if down := valueAt(c.lastCrash, node); down > 0 {
+		c.downtime += t - (down - 1)
+		c.lastCrash[node] = 0
 	}
-	c.lastReboot[node] = t
+	c.lastReboot = grow(c.lastReboot, node)
+	c.lastReboot[node] = t + 1
 }
 
 // RecordRefetch accounts one packet re-fetched after a reboot for the unit a
@@ -214,19 +200,10 @@ func (c *Collector) TotalDowntime() sim.Time { return c.downtime }
 func (c *Collector) MeanRecoveryLatencySec() float64 {
 	var sum sim.Time
 	var n int
-	for node, rebootAt := range c.lastReboot {
-		// Inlined completion lookup: the map-range body stays call-free so
-		// the order-insensitivity proof covers this summation directly.
-		var done sim.Time = -1
-		if c.denseDone != nil {
-			if int(node) < len(c.denseDone) {
-				done = c.denseDone[node]
-			}
-		} else if t, ok := c.completion[node]; ok {
-			done = t
-		}
-		if done >= rebootAt {
-			sum += done - rebootAt
+	for node, reboot := range c.lastReboot {
+		// Both slices hold t+1, so the offsets cancel.
+		if done := valueAt(c.done, packet.NodeID(node)); reboot > 0 && done >= reboot {
+			sum += done - reboot
 			n++
 		}
 	}
@@ -268,49 +245,23 @@ func (c *Collector) TotalPackets() int64 {
 // NodeTx returns the number of transmissions node id made, used by the
 // denial-of-receipt experiment to measure victim load.
 func (c *Collector) NodeTx(id packet.NodeID) int64 {
-	if c.denseTx != nil {
-		if int(id) < len(c.denseTx) {
-			return c.denseTx[id]
-		}
-		return 0
-	}
-	return c.perNodeTx[id]
+	return valueAt(c.nodeTx, id)
 }
 
 // Completions returns how many nodes have completed.
-func (c *Collector) Completions() int {
-	if c.denseDone != nil {
-		return c.nDone
-	}
-	return len(c.completion)
-}
+func (c *Collector) Completions() int { return c.nDone }
 
 // CompletionTime returns when node finished, if it did.
 func (c *Collector) CompletionTime(node packet.NodeID) (sim.Time, bool) {
-	if c.denseDone != nil {
-		if int(node) < len(c.denseDone) && c.denseDone[node] >= 0 {
-			return c.denseDone[node], true
-		}
-		return 0, false
+	if t := valueAt(c.done, node); t > 0 {
+		return t - 1, true
 	}
-	t, ok := c.completion[node]
-	return t, ok
+	return 0, false
 }
 
 // Latency returns the overall dissemination latency: the maximum completion
 // time over all completed nodes.
-func (c *Collector) Latency() sim.Time {
-	if c.denseDone != nil {
-		return c.maxDone
-	}
-	var max sim.Time
-	for _, t := range c.completion {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (c *Collector) Latency() sim.Time { return c.maxDone }
 
 // AuthDrops returns the count of authentication rejections.
 func (c *Collector) AuthDrops() int64 { return c.authDrops }
@@ -343,10 +294,11 @@ func (c *Collector) String() string {
 	if c.crashes > 0 || c.reboots > 0 || c.faultDrops > 0 {
 		fmt.Fprintf(&sb, "; faults[crashes %d reboots %d lost_pkts %d refetched %d fault_drops %d downtime %v",
 			c.crashes, c.reboots, c.crashLostPkts, c.refetched, c.faultDrops, c.downtime)
-		if len(c.lastCrash) > 0 {
-			sb.WriteString(" still_down")
-			for _, node := range detmap.SortedKeys(c.lastCrash) {
-				fmt.Fprintf(&sb, " %d", node)
+		label := " still_down"
+		for node, down := range c.lastCrash {
+			if down > 0 {
+				fmt.Fprintf(&sb, "%s %d", label, node)
+				label = ""
 			}
 		}
 		sb.WriteString("]")

@@ -1,36 +1,25 @@
 // Package scale runs LR-Seluge dissemination on large random-disk networks
 // (up to 100k nodes) and reports engine throughput and memory figures.
 //
-// It is the benchmark surface behind cmd/lrscale and BENCH_scale.json: a
-// thin, allocation-conscious wiring of the same components the experiment
-// harness uses (core handlers, the greedy scheduler, the radio layer), but
-// with the compact large-run choices turned on — dense node-indexed metrics
-// (metrics.NewDense), 8-byte SplitMix RNG state per node
-// (dissem.Config.CompactRNG), and a selectable event-queue implementation
+// It is the benchmark surface behind cmd/lrscale and BENCH_scale.json. A run
+// is an ordinary experiment.Scenario on a topo.Disk graph with the compact
+// large-run choices turned on — 8-byte SplitMix RNG state per node
+// (dissem.Config.CompactRNG) and a selectable event-queue implementation
 // (sim.QueueKind), so heap-vs-calendar runs can be compared for both speed
-// and byte identity.
+// and byte identity — driven by the experiment builder's sliced run loop.
+// This package adds only the progress, sampling and report layer on top.
 package scale
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"lrseluge/internal/core"
-	"lrseluge/internal/crypt/puzzle"
-	"lrseluge/internal/crypt/sign"
-	"lrseluge/internal/dissem"
-	"lrseluge/internal/image"
-	"lrseluge/internal/metrics"
+	"lrseluge/internal/experiment"
 	"lrseluge/internal/obs"
-	"lrseluge/internal/packet"
-	"lrseluge/internal/radio"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
 )
@@ -46,13 +35,14 @@ type Config struct {
 	// ImageKB is the image size in KiB. Zero means 8.
 	ImageKB int
 	// Seed derives every random stream in the run (topology, radio, image,
-	// per-node RNGs) exactly as the experiment harness does.
+	// key material, per-node RNGs).
 	Seed int64
 	// Queue selects the event-queue implementation.
 	Queue sim.QueueKind
 	// LossP, when positive, applies a Bernoulli loss with that probability.
 	LossP float64
-	// Horizon bounds virtual time. Zero means 4 simulated hours.
+	// Horizon bounds virtual time. Zero means the experiment default of 4
+	// simulated hours.
 	Horizon sim.Time
 	// CompactRNG backs per-node RNGs with 8-byte SplitMix64 state instead
 	// of math/rand's ~4.9 KB default. The stream differs from the default,
@@ -128,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.ImageKB == 0 {
 		c.ImageKB = 8
 	}
-	if c.Horizon == 0 {
-		c.Horizon = 4 * 3600 * sim.Second
-	}
 	if c.SliceEvery == 0 {
 		c.SliceEvery = 60 * sim.Second
 	}
@@ -150,106 +137,29 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-
-	eng := sim.NewWithQueue(cfg.Queue)
-	eng.SetObs(cfg.Obs)
-	col := metrics.NewDense(cfg.Nodes)
-	var loss radio.LossModel = radio.NoLoss{}
-	if cfg.LossP > 0 {
-		loss = radio.Bernoulli{P: cfg.LossP}
-	}
-	nw, err := radio.New(eng, graph, loss, radio.DefaultConfig(), col, cfg.Seed^0x5eed)
+	sc := experiment.Scenario{
+		Protocol:  experiment.LRSeluge,
+		Graph:     graph,
+		ImageSize: cfg.ImageKB * 1024,
+		LossP:     cfg.LossP,
+		Horizon:   cfg.Horizon,
+		Seed:      cfg.Seed,
+		Queue:     cfg.Queue,
+		Obs:       cfg.Obs,
+	}.WithDefaults()
+	sc.Dissem.CompactRNG = cfg.CompactRNG
+	env, err := experiment.Build(sc)
 	if err != nil {
 		return Report{}, err
 	}
-	nw.SetObs(cfg.Obs)
-
-	var hasher interface{ Sum([]byte) []byte }
+	var traceHash func() string
 	if cfg.TraceHash {
-		h := sha256.New()
-		var hdr [10]byte
-		nw.SetTxObserver(func(at sim.Time, from packet.NodeID, p packet.Packet) {
-			binary.BigEndian.PutUint64(hdr[0:8], uint64(at))
-			binary.BigEndian.PutUint16(hdr[8:10], uint16(from))
-			h.Write(hdr[:])
-			h.Write(p.Marshal())
-		})
-		hasher = h
+		traceHash = env.TraceHash()
 	}
-
-	// Security material, seeded exactly as the experiment harness seeds it.
-	keyPair, err := sign.GenerateDeterministic(cfg.Seed ^ 0xec)
-	if err != nil {
-		return Report{}, err
-	}
-	chain, err := puzzle.NewChain([]byte("lrseluge-experiment"), 8)
-	if err != nil {
-		return Report{}, err
-	}
-	pparams := puzzle.Params{Strength: 8}
-	newSigCtx := func() *dissem.SigContext {
-		return &dissem.SigContext{
-			Pub:        keyPair.Public(),
-			Commitment: chain.Commitment(),
-			Puzzle:     pparams,
-			Col:        col,
-			Obs:        cfg.Obs,
-		}
-	}
-
-	const version = 1
-	params := image.DefaultParams()
-	obj, err := core.Build(core.BuildInput{
-		Version: version,
-		Image:   image.Random(cfg.ImageKB*1024, cfg.Seed^0x1337),
-		Params:  params,
-		Key:     keyPair,
-		Chain:   chain,
-		Puzzle:  pparams,
-	})
-	if err != nil {
-		return Report{}, err
-	}
-
-	dcfg := dissem.DefaultConfig()
-	dcfg.CompactRNG = cfg.CompactRNG
-	completed := 0
-	allDone := false
-	nodes := make([]*dissem.Node, 0, cfg.Nodes)
-	for id := 0; id < cfg.Nodes; id++ {
-		var h *core.Handler
-		if id == 0 {
-			h = core.Preload(obj, newSigCtx())
-		} else {
-			h, err = core.NewHandler(version, params, newSigCtx())
-			if err != nil {
-				return Report{}, err
-			}
-		}
-		node, err := dissem.NewNode(packet.NodeID(id), nw, dcfg, h, h.NewPolicy(), cfg.Seed^(int64(id)*0x9e3779b9+1))
-		if err != nil {
-			return Report{}, err
-		}
-		node.SetOnComplete(func(packet.NodeID, sim.Time) {
-			completed++
-			if completed == cfg.Nodes {
-				allDone = true
-				eng.Stop()
-			}
-		})
-		nodes = append(nodes, node)
-	}
-
-	for _, n := range nodes {
-		n.Start()
-	}
+	eng, col := env.Engine(), env.Collector()
 
 	start := time.Now()
-	for next := cfg.SliceEvery; ; next += cfg.SliceEvery {
-		if next > cfg.Horizon {
-			next = cfg.Horizon
-		}
-		now := eng.Run(next)
+	env.Drive(cfg.SliceEvery, func(now sim.Time) {
 		if cfg.Progress != nil {
 			cfg.Progress(Snapshot{
 				Now:         now,
@@ -267,15 +177,7 @@ func Run(cfg Config) (Report, error) {
 			})
 			cfg.Board.Publish(snap)
 		}
-		// Break on the slice bound, not the engine clock: Run returns the
-		// time of the last executed event, which sits strictly below the
-		// horizon whenever no event lands exactly on it (e.g. an isolated
-		// node keeps the network from completing and the run must end at
-		// the horizon).
-		if allDone || next >= cfg.Horizon || eng.Pending() == 0 {
-			break
-		}
-	}
+	})
 	wall := time.Since(start)
 
 	rep := Report{
@@ -294,8 +196,8 @@ func Run(cfg Config) (Report, error) {
 	if secs := wall.Seconds(); secs > 0 {
 		rep.EventsPerSec = float64(rep.Events) / secs
 	}
-	if hasher != nil {
-		rep.TraceHash = hex.EncodeToString(hasher.Sum(nil))
+	if traceHash != nil {
+		rep.TraceHash = traceHash()
 	}
 	if cfg.Obs != nil {
 		table := cfg.Obs.Table(int64(wall))

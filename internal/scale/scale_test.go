@@ -47,6 +47,24 @@ func TestHeapCalendarByteIdentity(t *testing.T) {
 	}
 }
 
+// baseTraceHash is baseConfig's transmission-trace hash, recorded when scale
+// still wired its own copy of the run. Unlike the heap-vs-calendar
+// comparison, a constant catches wiring or seed drift that moves both
+// queues together.
+const baseTraceHash = "b1265e271ecdb17bc050dce8008ca2325aba045db3a426cb8653bddb2032a1fa"
+
+func TestTraceHashGolden(t *testing.T) {
+	for _, q := range []sim.QueueKind{sim.HeapQueue, sim.CalendarQueue} {
+		rep, err := Run(baseConfig(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TraceHash != baseTraceHash {
+			t.Errorf("%s queue: trace hash %s, want %s", q, rep.TraceHash, baseTraceHash)
+		}
+	}
+}
+
 func TestRunCompletesAllNodes(t *testing.T) {
 	rep, err := Run(baseConfig(sim.CalendarQueue))
 	if err != nil {

@@ -22,12 +22,13 @@
 # seeded run under the heap and calendar event queues must produce identical
 # transmission-trace hashes and metrics) and an n=10k benchmark rerun whose
 # events/sec must not regress below half the committed BENCH_scale.json
-# figure. The observability gates: lrscale -obsbench (BENCH_obs.json) must
-# keep the nil-timer (disabled) overhead under 1% and the fully-instrumented
-# (enabled) overhead under 10%, attribute at least 80% of wall time to the
-# instrumented subsystems, and leave same-seed trace hashes byte-identical
-# with obs on; internal/obs runs under -race with the other
-# concurrency-sensitive packages.
+# figure and whose events and total_bytes must equal the committed row. The
+# observability gates: lrscale -obsbench (BENCH_obs.json) must reproduce the
+# committed trace_hash, keep the nil-timer (disabled) overhead under 1% and
+# the fully-instrumented (enabled) overhead under 10%, attribute at least
+# 80% of wall time to the instrumented subsystems, and leave same-seed trace
+# hashes byte-identical with obs on; internal/obs runs under -race with the
+# other concurrency-sensitive packages.
 # Run from anywhere inside the repository; exits non-zero on the first failure.
 set -eu
 
@@ -191,19 +192,41 @@ awk -v r="$ratio" -v id="$ident" 'BEGIN {
 echo "==> lrscale identity smoke (heap vs calendar queue, byte-identical run)"
 go run ./cmd/lrscale -identity
 
-echo "==> lrscale n=10k regression gate (events/sec >= half the committed figure)"
+echo "==> lrscale n=10k regression gate (events/sec >= half the committed figure; events and total_bytes equal to the committed row)"
 prev_eps=$(sed -n 's/.*"events_per_sec_10k": \([0-9.eE+-]*\),*/\1/p' BENCH_scale.json 2>/dev/null || true)
+# row10k FILE FIELD prints FIELD of the "nodes": 10000 row.
+row10k() {
+    awk -v field="\"$2\":" '$1 == "\"nodes\":" { row = ($2 == "10000,") }
+        row && $1 == field { sub(/,$/, "", $2); print $2 }' "$1"
+}
+prev_events=$(row10k BENCH_scale.json events)
+prev_bytes=$(row10k BENCH_scale.json total_bytes)
 go run ./cmd/lrscale -nodes 10000 -q -o "$tmpdir/scale.json"
 new_eps=$(sed -n 's/.*"events_per_sec_10k": \([0-9.eE+-]*\),*/\1/p' "$tmpdir/scale.json")
-awk -v prev="$prev_eps" -v new="$new_eps" 'BEGIN {
+new_events=$(row10k "$tmpdir/scale.json" events)
+new_bytes=$(row10k "$tmpdir/scale.json" total_bytes)
+awk -v prev="$prev_eps" -v new="$new_eps" \
+    -v pe="$prev_events" -v ne="$new_events" -v pb="$prev_bytes" -v nb="$new_bytes" 'BEGIN {
     if (new == "" || new + 0 <= 0) { print "scale gate: missing events_per_sec_10k"; exit 1 }
     if (prev != "" && new + 0 < (prev + 0) / 2) {
         print "scale gate: events/sec regressed to " new " vs committed " prev; exit 1
     }
+    if (pe == "" || pb == "") { print "scale gate: committed n=10000 row missing events/total_bytes"; exit 1 }
+    if (ne != pe || nb != pb) {
+        print "scale gate: n=10000 run drifted: events " ne " total_bytes " nb " vs committed " pe " " pb; exit 1
+    }
 }'
 
 echo "==> lrscale obsbench (obs overhead -> BENCH_obs.json: disabled < 1%, enabled < 10%, coverage >= 80%)"
+# Remember the committed trace hash before the bench overwrites it: the
+# seeded run must reproduce it byte for byte.
+prev_obs_hash=$(sed -n 's/.*"trace_hash": "\([0-9a-f]*\)".*/\1/p' BENCH_obs.json 2>/dev/null || true)
 go run ./cmd/lrscale -obsbench -obsbench-o BENCH_obs.json
+new_obs_hash=$(sed -n 's/.*"trace_hash": "\([0-9a-f]*\)".*/\1/p' BENCH_obs.json)
+if [ -z "$prev_obs_hash" ] || [ "$new_obs_hash" != "$prev_obs_hash" ]; then
+    echo "obs gate: trace_hash $new_obs_hash differs from committed $prev_obs_hash" >&2
+    exit 1
+fi
 dfrac=$(sed -n 's/.*"disabled_overhead_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
 efrac=$(sed -n 's/.*"enabled_overhead_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
 cfrac=$(sed -n 's/.*"covered_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
