@@ -18,7 +18,7 @@
 // instead of the human-readable lines; scripts/check.sh diffs it against a
 // committed golden so the clean state is pinned byte-for-byte. -rules
 // restricts the run to a comma-separated subset of the catalog. -selfbench
-// times the load, the serial-vs-parallel analysis, and each pass in
+// times the load, interleaved parallel and serial analyses, and each pass in
 // isolation, and writes the result to the given JSON file (wall-clock use is
 // fine here: lrlint is tooling, not simulation, and lives outside
 // internal/).
@@ -32,7 +32,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,6 +40,7 @@ import (
 	"strings"
 	"time"
 
+	"lrseluge/internal/bench"
 	"lrseluge/internal/lint"
 )
 
@@ -111,12 +111,10 @@ func run(args []string) (int, error) {
 		cfg.TrimPrefix = wd
 	}
 
-	analyzeStart := time.Now()
 	diags := lint.Run(pkgs, cfg)
-	analyzeDur := time.Since(analyzeStart)
 
 	if *selfbench != "" {
-		if err := writeSelfbench(*selfbench, modPath, pkgs, cfg, loadDur, analyzeDur, len(diags)); err != nil {
+		if err := writeSelfbench(*selfbench, modPath, pkgs, cfg, loadDur, len(diags)); err != nil {
 			return 0, err
 		}
 	}
@@ -181,34 +179,35 @@ func knownRule(name string) bool {
 }
 
 // selfbenchReport is the BENCH_lint.json schema: module-scale numbers, the
-// serial-vs-parallel analysis comparison that justifies the concurrent
-// driver, per-pass wall times, and the total gate cost (load + analyze) that
-// scripts/check.sh guards against regression.
+// parallel-vs-serial analysis comparison that justifies the concurrent
+// driver, per-pass wall times, and the total gate cost (load + parallel
+// analysis median) that scripts/check.sh guards against regression.
 type selfbenchReport struct {
-	Module            string             `json:"module"`
-	Packages          int                `json:"packages"`
-	Findings          int                `json:"findings"`
-	Workers           int                `json:"workers"`
-	LoadMs            float64            `json:"load_ms"`
-	AnalyzeParallelMs float64            `json:"analyze_parallel_ms"`
-	AnalyzeSerialMs   float64            `json:"analyze_serial_ms"`
-	Speedup           float64            `json:"speedup"`
-	GateTotalMs       float64            `json:"gate_total_ms"`
-	PassMs            map[string]float64 `json:"pass_ms"`
+	Module   string `json:"module"`
+	Packages int    `json:"packages"`
+	Findings int    `json:"findings"`
+	bench.Header
+	Parallel    bench.Side         `json:"parallel"`
+	Serial      bench.Side         `json:"serial"`
+	LoadMs      float64            `json:"load_ms"`
+	Speedup     float64            `json:"speedup"`
+	GateTotalMs float64            `json:"gate_total_ms"`
+	PassMs      map[string]float64 `json:"pass_ms"`
 }
 
-// writeSelfbench re-runs the analysis one package at a time to get the
-// serial baseline, times each pass in isolation via the Rules filter, and
-// records everything.
-func writeSelfbench(path, modPath string, pkgs []*lint.Package, cfg lint.Config, loadDur, parallelDur time.Duration, findings int) error {
-	serialStart := time.Now()
-	for _, pkg := range pkgs {
-		lint.Run([]*lint.Package{pkg}, cfg)
+// writeSelfbench times interleaved parallel and serial (GOMAXPROCS 1) runs
+// of the same analysis, which must report the same findings, times each
+// pass in isolation via the Rules filter, and records everything.
+func writeSelfbench(path, modPath string, pkgs []*lint.Package, cfg lint.Config, loadDur time.Duration, findings int) error {
+	analyze := func() (string, error) {
+		return fmt.Sprint(lint.Run(pkgs, cfg)), nil
 	}
-	serialDur := time.Since(serialStart)
-	speedup := 0.0
-	if parallelDur > 0 {
-		speedup = float64(serialDur) / float64(parallelDur)
+	res, err := bench.AB(analyze, func() (string, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return analyze()
+	})
+	if err != nil {
+		return fmt.Errorf("selfbench: %w", err)
 	}
 
 	ruleSet := cfg.Rules
@@ -224,23 +223,19 @@ func writeSelfbench(path, modPath string, pkgs []*lint.Package, cfg lint.Config,
 		passMs[rule] = float64(time.Since(start).Microseconds()) / 1000
 	}
 
-	rep := selfbenchReport{
-		Module:            modPath,
-		Packages:          len(pkgs),
-		Findings:          findings,
-		Workers:           runtime.GOMAXPROCS(0),
-		LoadMs:            float64(loadDur.Microseconds()) / 1000,
-		AnalyzeParallelMs: float64(parallelDur.Microseconds()) / 1000,
-		AnalyzeSerialMs:   float64(serialDur.Microseconds()) / 1000,
-		Speedup:           speedup,
-		GateTotalMs:       float64((loadDur + parallelDur).Microseconds()) / 1000,
-		PassMs:            passMs,
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	loadMs := float64(loadDur.Microseconds()) / 1000
+	return bench.WriteJSON(path, selfbenchReport{
+		Module:      modPath,
+		Packages:    len(pkgs),
+		Findings:    findings,
+		Header:      res.Header,
+		Parallel:    res.A,
+		Serial:      res.B,
+		LoadMs:      loadMs,
+		Speedup:     res.B.MedianSec / res.A.MedianSec,
+		GateTotalMs: loadMs + 1000*res.A.MedianSec,
+		PassMs:      passMs,
+	})
 }
 
 // findModuleRoot walks up from dir to the nearest go.mod.

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"lrseluge/internal/bench"
 	"lrseluge/internal/obs"
 	"lrseluge/internal/scale"
 	"lrseluge/internal/sim"
@@ -60,7 +60,6 @@ func main() {
 		httpAddr  = flag.String("http", "", "serve live pprof//metrics//progress on this address while runs execute")
 		obsbench  = flag.Bool("obsbench", false, "measure obs overhead (disabled + enabled) and exit")
 		obsbOut   = flag.String("obsbench-o", "BENCH_obs.json", "output path for -obsbench")
-		obsbNodes = flag.Int("obsbench-nodes", 2000, "network size for -obsbench")
 	)
 	flag.Parse()
 
@@ -72,7 +71,7 @@ func main() {
 		return
 	}
 	if *obsbench {
-		if err := runObsbench(*obsbNodes, *kb, *seed, *degree, *obsbOut, *quiet); err != nil {
+		if err := runObsbench(*kb, *seed, *degree, *obsbOut, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, "lrscale:", err)
 			os.Exit(1)
 		}
@@ -175,12 +174,7 @@ func main() {
 				os.Exit(1)
 			}
 			if *obsDir != "" {
-				data, err := json.MarshalIndent(rep.Obs, "", "  ")
-				if err == nil {
-					data = append(data, '\n')
-					err = os.WriteFile(filepath.Join(*obsDir, fmt.Sprintf("n%d.attr.json", n)), data, 0o644)
-				}
-				if err != nil {
+				if err := bench.WriteJSON(filepath.Join(*obsDir, fmt.Sprintf("n%d.attr.json", n)), rep.Obs); err != nil {
 					fmt.Fprintln(os.Stderr, "lrscale: attribution:", err)
 					os.Exit(1)
 				}
@@ -192,13 +186,7 @@ func main() {
 		}
 	}
 
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lrscale:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
+	if err := bench.WriteJSON(*out, bf); err != nil {
 		fmt.Fprintln(os.Stderr, "lrscale:", err)
 		os.Exit(1)
 	}

@@ -1,143 +1,109 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"time"
 
+	"lrseluge/internal/bench"
 	"lrseluge/internal/obs"
 	"lrseluge/internal/scale"
 	"lrseluge/internal/sim"
 )
 
+// obsBenchNodes is the network size -obsbench measures at.
+const obsBenchNodes = 2000
+
 // obsBenchReport is the BENCH_obs.json schema. Mirrors BENCH_trace.json's
-// methodology: enabled overhead from paired timed runs, disabled overhead
-// from a nil-receiver microbenchmark scaled by the run's region count.
+// methodology: enabled overhead from interleaved obs-off/obs-on runs,
+// disabled overhead from a nil-receiver microbenchmark scaled by the run's
+// region count.
 type obsBenchReport struct {
 	Nodes   int   `json:"nodes"`
 	ImageKB int   `json:"image_kb"`
 	Seed    int64 `json:"seed"`
+	bench.Header
 
-	// BaseWallMS is the faster of two obs-off runs; ObsWallMS the faster of
-	// two obs-on runs of the same seeded configuration.
-	BaseWallMS int64 `json:"base_wall_ms"`
-	ObsWallMS  int64 `json:"obs_wall_ms"`
-	// EnabledOverheadFrac is ObsWall/BaseWall - 1 (clamped at 0).
+	// ObsOff and ObsOn time whole scale.Run calls of the same seeded
+	// configuration without and with phase timers.
+	ObsOff bench.Side `json:"obs_off"`
+	ObsOn  bench.Side `json:"obs_on"`
+	// EnabledOverheadFrac is the obs-on median over the obs-off median, - 1;
+	// NoiseFrac is the obs-off side's IQR/median.
 	EnabledOverheadFrac float64 `json:"enabled_overhead_frac"`
+	NoiseFrac           float64 `json:"noise_frac"`
 
-	// Regions is the number of phase regions the obs-on run opened;
+	// Regions is the number of phase regions an obs-on run opens;
 	// NilPairNS is the measured cost of one disabled Start/End pair.
-	// DisabledOverheadFrac = Regions * NilPairNS / BaseWallNS.
+	// DisabledOverheadFrac = Regions * NilPairNS / obs-off median.
 	Regions              uint64  `json:"regions"`
 	NilPairNS            float64 `json:"nil_pair_ns"`
 	DisabledOverheadFrac float64 `json:"disabled_overhead_frac"`
 
-	// CoveredFrac is the obs-on run's attribution coverage: the fraction of
-	// wall time the instrumented subsystems account for.
+	// CoveredFrac is the last obs-on run's attribution coverage: the
+	// fraction of wall time the instrumented subsystems account for.
 	CoveredFrac float64 `json:"covered_frac"`
 
 	// TraceIdentical pins the determinism contract: every run above hashed
-	// its transmission trace and all hashes matched.
+	// its transmission trace to TraceHash.
 	TraceIdentical bool   `json:"trace_identical"`
 	TraceHash      string `json:"trace_hash"`
 }
 
 // runObsbench measures obs instrumentation overhead and writes BENCH_obs.json.
-func runObsbench(nodes, kb int, seed int64, degree float64, out string, quiet bool) error {
-	mk := func(withObs bool) scale.Config {
-		cfg := scale.Config{
-			Nodes:        nodes,
-			TargetDegree: degree,
-			ImageKB:      kb,
-			Seed:         seed,
-			Queue:        sim.CalendarQueue,
-			CompactRNG:   true,
-			TraceHash:    true,
-		}
-		if withObs {
-			cfg.Obs = obs.NewTimers()
-		}
-		return cfg
-	}
-
-	rep := obsBenchReport{Nodes: nodes, ImageKB: kb, Seed: seed, TraceIdentical: true}
-
-	var baseWall, obsWall int64
+func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) error {
 	var attr *obs.Attribution
-	for pass := 0; pass < 4; pass++ {
-		withObs := pass >= 2
-		r, err := scale.Run(mk(withObs))
-		if err != nil {
-			return err
-		}
-		if rep.TraceHash == "" {
-			rep.TraceHash = r.TraceHash
-		} else if r.TraceHash != rep.TraceHash {
-			rep.TraceIdentical = false
-		}
-		if withObs {
-			if obsWall == 0 || r.WallMS < obsWall {
-				obsWall = r.WallMS
+	pass := func(withObs bool) bench.Func {
+		return func() (string, error) {
+			cfg := scale.Config{
+				Nodes:        obsBenchNodes,
+				TargetDegree: degree,
+				ImageKB:      kb,
+				Seed:         seed,
+				Queue:        sim.CalendarQueue,
+				CompactRNG:   true,
+				TraceHash:    true,
+			}
+			if withObs {
+				cfg.Obs = obs.NewTimers()
+			}
+			r, err := scale.Run(cfg)
+			if withObs {
 				attr = r.Obs
 			}
-		} else {
-			if baseWall == 0 || r.WallMS < baseWall {
-				baseWall = r.WallMS
-			}
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "lrscale: obsbench pass %d obs=%v wall=%dms hash=%s\n",
-				pass+1, withObs, r.WallMS, r.TraceHash[:16])
+			return r.TraceHash, err
 		}
 	}
-	rep.BaseWallMS = baseWall
-	rep.ObsWallMS = obsWall
-	if baseWall > 0 && obsWall > baseWall {
-		rep.EnabledOverheadFrac = float64(obsWall)/float64(baseWall) - 1
-	}
-	if attr != nil {
-		rep.CoveredFrac = attr.CoveredFrac
-		var n uint64
-		for _, row := range attr.Phases {
-			n += row.Calls
-		}
-		rep.Regions = n
-	}
-	rep.NilPairNS = nilPairNS()
-	if baseWall > 0 {
-		rep.DisabledOverheadFrac = float64(rep.Regions) * rep.NilPairNS / (float64(baseWall) * 1e6)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
+	res, err := bench.AB(pass(false), pass(true))
 	if err != nil {
-		return err
+		return fmt.Errorf("obsbench: %w", err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
+	rep := obsBenchReport{
+		Nodes:               obsBenchNodes,
+		ImageKB:             kb,
+		Seed:                seed,
+		Header:              res.Header,
+		ObsOff:              res.A,
+		ObsOn:               res.B,
+		EnabledOverheadFrac: res.B.MedianSec/res.A.MedianSec - 1,
+		NoiseFrac:           res.A.IQRSec / res.A.MedianSec,
+		CoveredFrac:         attr.CoveredFrac,
+		TraceIdentical:      true,
+		TraceHash:           res.Digest,
 	}
-	if !rep.TraceIdentical {
-		return fmt.Errorf("obsbench: trace hash diverged across obs on/off runs (determinism contract broken)")
+	for _, row := range attr.Phases {
+		rep.Regions += row.Calls
 	}
+	rep.NilPairNS = bench.NsPerOp(func(n int) {
+		var nilTimers *obs.Timers
+		for i := 0; i < n; i++ {
+			nilTimers.Start(obs.PhaseDispatch)
+			nilTimers.End(obs.PhaseDispatch)
+		}
+	})
+	rep.DisabledOverheadFrac = float64(rep.Regions) * rep.NilPairNS / (res.A.MedianSec * 1e9)
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %.2f%%, disabled %.4f%% (%d regions at %.1fns/pair), covered %.1f%% -> %s\n",
-			100*rep.EnabledOverheadFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, 100*rep.CoveredFrac, out)
+		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.1f%% -> %s\n",
+			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, 100*rep.CoveredFrac, out)
 	}
-	return nil
-}
-
-// nilPairNS measures the cost of one disabled (nil-receiver) Start/End pair
-// the same way lrsweep's tracebench measures nil tracer calls.
-//
-//lrlint:effects(wallclock) microbenchmark: wall time is the measurement itself
-func nilPairNS() float64 {
-	var nilTimers *obs.Timers
-	const iters = 20_000_000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		nilTimers.Start(obs.PhaseDispatch)
-		nilTimers.End(obs.PhaseDispatch)
-	}
-	return float64(time.Since(start).Nanoseconds()) / iters
+	return bench.WriteJSON(out, rep)
 }

@@ -18,7 +18,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,13 +27,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"lrseluge/internal/bench"
 	"lrseluge/internal/runstore"
 	"lrseluge/internal/served"
 )
@@ -257,130 +261,119 @@ func runSmoke(dir string, workers int, maxBytes int64, codeVersion string) error
 // servedBenchReport is the schema of the -selfbench JSON artifact
 // (BENCH_served.json in check.sh).
 type servedBenchReport struct {
-	Cores             int `json:"cores"`
+	bench.Header
 	Clients           int `json:"clients"`
 	RequestsPerClient int `json:"requests_per_client"`
 
-	// ColdMissSec is the first-request latency: full simulation plus store
-	// write. Hit latencies cover the cached path under concurrency.
-	ColdMissSec float64 `json:"cold_miss_sec"`
-	HitMeanSec  float64 `json:"hit_mean_sec"`
-	HitP50Sec   float64 `json:"hit_p50_sec"`
-	HitP99Sec   float64 `json:"hit_p99_sec"`
-	HitMaxSec   float64 `json:"hit_max_sec"`
-	// HitThroughputRPS is hits served per wall-clock second across clients.
+	// ColdMiss times the first POST to a server over a fresh store: full
+	// simulation plus store write. Hammer times one round of concurrent
+	// hits against a warm server.
+	ColdMiss bench.Side `json:"cold_miss"`
+	Hammer   bench.Side `json:"hammer"`
+	// Hit quantiles are read off the per-request latencies pooled over
+	// every hammer round.
+	HitP50Sec float64 `json:"hit_p50_sec"`
+	HitP99Sec float64 `json:"hit_p99_sec"`
+	HitMaxSec float64 `json:"hit_max_sec"`
+	// HitThroughputRPS is hits served per hammer wall-clock second.
 	HitThroughputRPS float64 `json:"hit_throughput_rps"`
 	// ColdToHitP99 is the economics headline: how many times faster the
-	// cached path is than recomputing (cold_miss_sec / hit_p99_sec).
+	// cached path is than recomputing (cold-miss median / hit p99).
 	ColdToHitP99 float64 `json:"cold_to_hit_p99"`
-	// Identical is true when every hit body matched the cold body byte for
-	// byte.
+	// Identical is true when every cold and hit body matched byte for byte.
 	Identical bool `json:"identical"`
 }
 
 // runSelfbench measures the cold-miss vs cache-hit latency split over real
-// loopback HTTP: one cold POST computes and stores the spec, then concurrent
-// clients hammer the hit path.
+// loopback HTTP, interleaving cold POSTs (each to its own server over a
+// fresh store) with rounds of concurrent clients hammering a warm server.
 func runSelfbench(path, dir string, workers int, maxBytes int64, codeVersion string) error {
-	base, stop, err := startEphemeral(dir, workers, maxBytes, codeVersion)
-	if err != nil {
-		return err
-	}
-	defer stop()
 	client := &http.Client{Timeout: 120 * time.Second}
-
-	start := time.Now()
-	cold, disp, _, err := postRun(client, base, benchSpec)
+	// bases[0] is the warm server; bases[1:] serve one cold POST each. All
+	// start up front so server start-up stays off the clock.
+	bases := make([]string, bench.Pairs+1)
+	for i := range bases {
+		base, stop, err := startEphemeral(filepath.Join(dir, strconv.Itoa(i)), workers, maxBytes, codeVersion)
+		if err != nil {
+			return err
+		}
+		defer stop()
+		bases[i] = base
+	}
+	post := func(base, want string) ([]byte, error) {
+		body, disp, _, err := postRun(client, base, benchSpec)
+		if err == nil && disp != want {
+			err = fmt.Errorf("POST disposition %q, want %s", disp, want)
+		}
+		return body, err
+	}
+	warm, err := post(bases[0], "miss")
 	if err != nil {
 		return err
 	}
-	coldSec := time.Since(start).Seconds()
-	if disp != "miss" {
-		return fmt.Errorf("cold POST disposition %q, want miss (store dir not fresh?)", disp)
-	}
+	warmDigest := fmt.Sprintf("%x", sha256.Sum256(warm))
 
-	clients := runtime.NumCPU()
-	if clients > 8 {
-		clients = 8
+	colds := 0
+	coldMiss := func() (string, error) {
+		colds++
+		body, err := post(bases[colds], "miss")
+		return fmt.Sprintf("%x", sha256.Sum256(body)), err
 	}
-	if clients < 2 {
-		clients = 2
-	}
+	clients := min(max(runtime.NumCPU(), 2), 8)
 	const perClient = 50
-	lats := make([][]float64, clients)
-	identical := true
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	hammerStart := time.Now()
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mine := make([]float64, 0, perClient)
-			for j := 0; j < perClient; j++ {
-				t0 := time.Now()
-				body, disp, _, err := postRun(client, base, benchSpec)
-				sec := time.Since(t0).Seconds()
-				if err != nil || disp != "hit" || !bytes.Equal(body, cold) {
+	var (
+		mu       sync.Mutex
+		lats     []float64
+		firstErr error
+	)
+	hammer := func() (string, error) {
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < perClient; j++ {
+					t0 := time.Now()
+					body, err := post(bases[0], "hit")
+					sec := time.Since(t0).Seconds()
+					if err == nil && !bytes.Equal(body, warm) {
+						err = errors.New("hit body differs from the cold body")
+					}
 					mu.Lock()
-					identical = false
+					lats = append(lats, sec)
+					if firstErr == nil {
+						firstErr = err
+					}
 					mu.Unlock()
-					return
+					if err != nil {
+						return
+					}
 				}
-				mine = append(mine, sec)
-			}
-			mu.Lock()
-			lats[i] = mine
-			mu.Unlock()
-		}(i)
+			}()
+		}
+		wg.Wait()
+		return warmDigest, firstErr
 	}
-	wg.Wait()
-	hammerSec := time.Since(hammerStart).Seconds()
 
-	var all []float64
-	for _, l := range lats {
-		all = append(all, l...)
+	res, err := bench.AB(coldMiss, hammer)
+	if err != nil {
+		return fmt.Errorf("selfbench: %w", err)
 	}
-	if len(all) != clients*perClient || !identical {
-		return fmt.Errorf("hit hammer failed: %d/%d hits, identical=%v", len(all), clients*perClient, identical)
-	}
-	sort.Float64s(all)
-	mean := 0.0
-	for _, v := range all {
-		mean += v
-	}
-	mean /= float64(len(all))
+	sort.Float64s(lats)
 	rep := servedBenchReport{
-		Cores:             runtime.NumCPU(),
+		Header:            res.Header,
 		Clients:           clients,
 		RequestsPerClient: perClient,
-		ColdMissSec:       coldSec,
-		HitMeanSec:        mean,
-		HitP50Sec:         percentile(all, 0.50),
-		HitP99Sec:         percentile(all, 0.99),
-		HitMaxSec:         all[len(all)-1],
-		HitThroughputRPS:  float64(len(all)) / hammerSec,
-		ColdToHitP99:      coldSec / percentile(all, 0.99),
-		Identical:         identical,
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
+		ColdMiss:          res.A,
+		Hammer:            res.B,
+		HitP50Sec:         bench.Quantile(lats, 0.50),
+		HitP99Sec:         bench.Quantile(lats, 0.99),
+		HitMaxSec:         lats[len(lats)-1],
+		HitThroughputRPS:  float64(clients*perClient) / res.B.MedianSec,
+		ColdToHitP99:      res.A.MedianSec / bench.Quantile(lats, 0.99),
+		Identical:         true,
 	}
 	fmt.Fprintf(os.Stderr, "lrserved: selfbench: cold miss %.3fs, hit p50 %.2fms p99 %.2fms (%.0f rps, %d clients), cold/hit-p99 %.0fx -> %s\n",
-		coldSec, 1e3*rep.HitP50Sec, 1e3*rep.HitP99Sec, rep.HitThroughputRPS, clients, rep.ColdToHitP99, path)
-	return nil
-}
-
-// percentile reads the q-quantile from sorted data by nearest-rank.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
+		res.A.MedianSec, 1e3*rep.HitP50Sec, 1e3*rep.HitP99Sec, rep.HitThroughputRPS, clients, rep.ColdToHitP99, path)
+	return bench.WriteJSON(path, rep)
 }

@@ -39,6 +39,7 @@ import (
 	"strings"
 	"time"
 
+	"lrseluge/internal/bench"
 	"lrseluge/internal/experiment"
 	"lrseluge/internal/harness"
 	"lrseluge/internal/obs"
@@ -63,10 +64,10 @@ func run() int {
 		out        = flag.String("o", "", "JSONL output path ('' or '-' = stdout)")
 		csvPath    = flag.String("csv", "", "also write a CSV table to this path")
 		progress   = flag.Bool("progress", false, "report per-run progress on stderr")
-		selfbench  = flag.String("selfbench", "", "benchmark mode: run the sweep serially then with -parallel workers, verify byte-identical JSONL, write timings to this JSON file")
+		selfbench  = flag.String("selfbench", "", "benchmark mode: time interleaved serial and -parallel passes of the sweep, verify byte-identical JSONL, write timings to this JSON file")
 		traceDir   = flag.String("trace-dir", "", "write one JSONL protocol trace per run into this directory (analyze with lrtrace)")
 		flightDir  = flag.String("flight-dir", "", "keep a bounded flight record per run; when a run panics or times out, dump its last trace events and state into this directory")
-		tracebench = flag.String("tracebench", "", "benchmark mode: run the sweep untraced twice then traced, verify identical metrics, write tracer-overhead timings to this JSON file")
+		tracebench = flag.String("tracebench", "", "benchmark mode: time interleaved untraced and traced passes of the sweep, verify identical metrics, write tracer-overhead timings to this JSON file")
 		storeDir   = flag.String("store", "", "incremental mode: consult this run-store directory per cell, compute only the misses, and emit one JSONL line per cell (see lrserved)")
 		codeVer    = flag.String("code-version", "dev", "code-version stamp mixed into store keys (with -store)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -414,92 +415,65 @@ func effectiveWorkers(parallel, jobs int) int {
 
 // benchReport is the schema of the -selfbench JSON artifact.
 type benchReport struct {
-	Sweep          string  `json:"sweep"`
-	Jobs           int     `json:"jobs"`
-	RunsPerEntry   int     `json:"runs_per_entry"`
-	Cores          int     `json:"cores"`
-	Workers        int     `json:"workers"`
-	SerialSec      float64 `json:"serial_sec"`
-	ParallelSec    float64 `json:"parallel_sec"`
-	Speedup        float64 `json:"speedup"`
-	SerialSHA256   string  `json:"serial_sha256"`
-	ParallelSHA256 string  `json:"parallel_sha256"`
-	Identical      bool    `json:"identical"`
-
-	// Completion-latency summary over the sweep's runs (virtual seconds),
-	// so the bench artifact doubles as a coarse regression check on the
-	// simulated protocol, not just on harness wall-clock.
-	LatencyMeanSec float64 `json:"latency_mean_sec"`
-	LatencyMinSec  float64 `json:"latency_min_sec"`
-	LatencyMaxSec  float64 `json:"latency_max_sec"`
+	Sweep        string `json:"sweep"`
+	Jobs         int    `json:"jobs"`
+	RunsPerEntry int    `json:"runs_per_entry"`
+	Workers      int    `json:"workers"`
+	bench.Header
+	Serial   bench.Side `json:"serial"`
+	Parallel bench.Side `json:"parallel"`
+	// Speedup is the serial median over the parallel median.
+	Speedup float64 `json:"speedup"`
+	// SHA256 is the JSONL digest every serial and parallel pass reproduced.
+	SHA256 string `json:"sha256"`
 }
 
-// runSelfbench executes the sweep twice — 1 worker, then `parallel` workers
-// (default GOMAXPROCS) — hashing the JSONL each produces, and records
-// wall-clock timings plus the byte-identity verdict.
+// sweepPass returns a bench.Func running the sweep once through runFn on
+// the given worker count; its digest is the SHA-256 of the JSONL records.
+func sweepPass(jobs []harness.Job, runFn harness.RunFunc, workers int, timeout time.Duration) bench.Func {
+	return func() (string, error) {
+		h := sha256.New()
+		recs, err := harness.Run(jobs, runFn, harness.Config{Workers: workers, Timeout: timeout}, harness.NewJSONLSink(h))
+		if err != nil {
+			return "", err
+		}
+		for _, r := range recs {
+			if r.Failed() {
+				return "", fmt.Errorf("%s failed: %s", r.Job.Name, r.Err)
+			}
+		}
+		return fmt.Sprintf("%x", h.Sum(nil)), nil
+	}
+}
+
+// runSelfbench times interleaved serial (1 worker) and parallel (`parallel`
+// workers, default GOMAXPROCS) passes of the sweep, each of which must
+// produce byte-identical JSONL.
 func runSelfbench(path, sweep string, entries []experiment.GridEntry, parallel int, timeout time.Duration) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("sweep %q has no entries", sweep)
 	}
-	once := func(workers int) (float64, string, []harness.Record, error) {
-		h := sha256.New()
-		sink := harness.NewJSONLSink(h)
-		start := time.Now()
-		recs, err := harness.Run(sweepJobs(sweep, entries), experiment.GridRunFunc,
-			harness.Config{Workers: workers, Timeout: timeout}, sink)
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			return 0, "", nil, err
-		}
-		for _, r := range recs {
-			if r.Failed() {
-				return 0, "", nil, fmt.Errorf("%s failed: %s", r.Job.Name, r.Err)
-			}
-		}
-		return elapsed, fmt.Sprintf("%x", h.Sum(nil)), recs, nil
-	}
-
 	jobs := sweepJobs(sweep, entries)
 	workers := effectiveWorkers(parallel, len(jobs))
-	serialSec, serialSum, _, err := once(1)
+	res, err := bench.AB(sweepPass(jobs, experiment.GridRunFunc, 1, timeout),
+		sweepPass(jobs, experiment.GridRunFunc, workers, timeout))
 	if err != nil {
-		return err
+		return fmt.Errorf("selfbench: %w", err)
 	}
-	parallelSec, parallelSum, recs, err := once(workers)
-	if err != nil {
-		return err
-	}
-	latMean, latMin, latMax := latencySummary(recs)
 	rep := benchReport{
-		Sweep:          sweep,
-		Jobs:           len(jobs),
-		RunsPerEntry:   entries[0].Runs,
-		Cores:          runtime.NumCPU(),
-		Workers:        workers,
-		SerialSec:      serialSec,
-		ParallelSec:    parallelSec,
-		Speedup:        serialSec / parallelSec,
-		SerialSHA256:   serialSum,
-		ParallelSHA256: parallelSum,
-		Identical:      serialSum == parallelSum,
-		LatencyMeanSec: latMean,
-		LatencyMinSec:  latMin,
-		LatencyMaxSec:  latMax,
+		Sweep:        sweep,
+		Jobs:         len(jobs),
+		RunsPerEntry: entries[0].Runs,
+		Workers:      workers,
+		Header:       res.Header,
+		Serial:       res.A,
+		Parallel:     res.B,
+		Speedup:      res.A.MedianSec / res.B.MedianSec,
+		SHA256:       res.Digest,
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "lrsweep: selfbench %s: serial %.2fs, %d-worker %.2fs (%.2fx), identical=%v -> %s\n",
-		sweep, serialSec, workers, parallelSec, rep.Speedup, rep.Identical, path)
-	if !rep.Identical {
-		return fmt.Errorf("selfbench: serial and parallel JSONL differ (%s vs %s)", serialSum, parallelSum)
-	}
-	return nil
+	fmt.Fprintf(os.Stderr, "lrsweep: selfbench %s: serial %.2fs, %d-worker %.2fs (%.2fx, medians of %d) -> %s\n",
+		sweep, res.A.MedianSec, workers, res.B.MedianSec, rep.Speedup, bench.Pairs, path)
+	return bench.WriteJSON(path, rep)
 }
 
 // traceBenchReport is the schema of the -tracebench JSON artifact
@@ -507,17 +481,17 @@ func runSelfbench(path, sweep string, entries []experiment.GridEntry, parallel i
 type traceBenchReport struct {
 	Sweep string `json:"sweep"`
 	Jobs  int    `json:"jobs"`
-	Cores int    `json:"cores"`
+	bench.Header
 
-	// Two serial untraced passes bound the wall-clock noise floor, then one
-	// serial traced pass (counting sink) measures the tracer's full cost:
-	// event construction + emission, no I/O.
-	UntracedSec  [2]float64 `json:"untraced_sec"`
-	TracedSec    float64    `json:"traced_sec"`
-	NoiseFrac    float64    `json:"noise_frac"`
-	EventsTotal  uint64     `json:"events_total"`
-	EventsPerSec float64    `json:"events_per_sec"`
-	// TracedOverheadFrac is tracer-on vs tracer-off: traced/min(untraced)-1.
+	// Serial untraced and traced (counting sink: event construction and
+	// emission, no I/O) passes, interleaved.
+	Untraced bench.Side `json:"untraced"`
+	Traced   bench.Side `json:"traced"`
+	// NoiseFrac is the untraced side's IQR/median: an overhead below it is
+	// indistinguishable from run-to-run noise.
+	NoiseFrac   float64 `json:"noise_frac"`
+	EventsTotal uint64  `json:"events_total"`
+	// TracedOverheadFrac is the traced median over the untraced median, - 1.
 	TracedOverheadFrac float64 `json:"traced_overhead_frac"`
 
 	// DisabledNsPerSite is the measured cost of one nil-tracer call (the
@@ -527,119 +501,51 @@ type traceBenchReport struct {
 	DisabledNsPerSite    float64 `json:"disabled_ns_per_site"`
 	DisabledOverheadFrac float64 `json:"disabled_overhead_frac"`
 
-	// MetricsIdentical is true when all three passes produced byte-identical
-	// metrics JSONL: tracing must never change simulation results.
-	MetricsIdentical bool `json:"metrics_identical"`
+	// MetricsSHA256 is the metrics JSONL digest every pass, traced or not,
+	// reproduced: tracing must never change simulation results.
+	MetricsSHA256 string `json:"metrics_sha256"`
 }
 
-// runTracebench measures the tracer's overhead on a real sweep: two serial
-// untraced passes, one serial traced pass, and a nil-call microbenchmark,
-// verifying along the way that tracing leaves the metrics byte-identical.
+// runTracebench measures the tracer's overhead on a real sweep from
+// interleaved serial untraced and traced passes plus a nil-call
+// microbenchmark, verifying that tracing leaves the metrics byte-identical.
 func runTracebench(path, sweep string, entries []experiment.GridEntry, timeout time.Duration) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("sweep %q has no entries", sweep)
 	}
 	jobs := sweepJobs(sweep, entries)
-	once := func(runFn harness.RunFunc) (float64, string, error) {
-		h := sha256.New()
-		sink := harness.NewJSONLSink(h)
-		start := time.Now()
-		recs, err := harness.Run(jobs, runFn, harness.Config{Workers: 1, Timeout: timeout}, sink)
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			return 0, "", err
-		}
-		for _, r := range recs {
-			if r.Failed() {
-				return 0, "", fmt.Errorf("%s failed: %s", r.Job.Name, r.Err)
-			}
-		}
-		return elapsed, fmt.Sprintf("%x", h.Sum(nil)), nil
-	}
-
-	u1, sum1, err := once(experiment.GridRunFunc)
-	if err != nil {
-		return err
-	}
-	u2, sum2, err := once(experiment.GridRunFunc)
-	if err != nil {
-		return err
-	}
-	var events uint64
+	var events uint64 // summed over all Pairs traced passes
 	traced := experiment.TracedRunFunc(func(harness.Job) (trace.Sink, func() error, error) {
 		c := &trace.Count{}
 		// Serial pass (workers=1): the close funcs never run concurrently.
 		return c, func() error { events += c.Total(); return nil }, nil
 	})
-	t, sum3, err := once(traced)
+	res, err := bench.AB(sweepPass(jobs, experiment.GridRunFunc, 1, timeout), sweepPass(jobs, traced, 1, timeout))
 	if err != nil {
-		return err
+		return fmt.Errorf("tracebench: %w", err)
 	}
-
-	minU := u1
-	if u2 < minU {
-		minU = u2
-	}
-	nilNs := nilCallNs()
+	events /= bench.Pairs
+	nilNs := bench.NsPerOp(func(n int) {
+		var tr *trace.Tracer
+		for i := 0; i < n; i++ {
+			tr.Fault("", i, i, 0)
+		}
+	})
 	rep := traceBenchReport{
 		Sweep:                sweep,
 		Jobs:                 len(jobs),
-		Cores:                runtime.NumCPU(),
-		UntracedSec:          [2]float64{u1, u2},
-		TracedSec:            t,
-		NoiseFrac:            (u1 + u2 - 2*minU) / minU,
+		Header:               res.Header,
+		Untraced:             res.A,
+		Traced:               res.B,
+		NoiseFrac:            res.A.IQRSec / res.A.MedianSec,
 		EventsTotal:          events,
-		EventsPerSec:         float64(events) / t,
-		TracedOverheadFrac:   t/minU - 1,
+		TracedOverheadFrac:   res.B.MedianSec/res.A.MedianSec - 1,
 		DisabledNsPerSite:    nilNs,
-		DisabledOverheadFrac: nilNs * float64(events) / (minU * 1e9),
-		MetricsIdentical:     sum1 == sum2 && sum2 == sum3,
+		DisabledOverheadFrac: nilNs * float64(events) / (res.A.MedianSec * 1e9),
+		MetricsSHA256:        res.Digest,
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "lrsweep: tracebench %s: untraced %.2fs/%.2fs, traced %.2fs (+%.1f%%), %d events (%.0f/s), disabled site %.2fns (%.4f%% of run), identical=%v -> %s\n",
-		sweep, u1, u2, t, 100*rep.TracedOverheadFrac, events, rep.EventsPerSec,
-		nilNs, 100*rep.DisabledOverheadFrac, rep.MetricsIdentical, path)
-	if !rep.MetricsIdentical {
-		return fmt.Errorf("tracebench: tracing changed the metrics JSONL (%s / %s / %s)", sum1, sum2, sum3)
-	}
-	return nil
-}
-
-// nilCallNs times one disabled-tracer call: the per-site cost instrumented
-// protocol code pays when tracing is off.
-func nilCallNs() float64 {
-	var tr *trace.Tracer
-	const iters = 20_000_000
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		tr.Fault("", i, i, 0)
-	}
-	return float64(time.Since(start).Nanoseconds()) / iters
-}
-
-// latencySummary reduces the per-run completion latencies to mean/min/max
-// virtual seconds.
-func latencySummary(recs []harness.Record) (mean, min, max float64) {
-	if len(recs) == 0 {
-		return 0, 0, 0
-	}
-	sum := 0.0
-	for i, r := range recs {
-		v := r.Metric(experiment.MetricLatencySec)
-		sum += v
-		if i == 0 || v < min {
-			min = v
-		}
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return sum / float64(len(recs)), min, max
+	fmt.Fprintf(os.Stderr, "lrsweep: tracebench %s: untraced %.3fs, traced %.3fs (%+.1f%%, noise %.1f%%), %d events, disabled site %.2fns (%.4f%% of run) -> %s\n",
+		sweep, res.A.MedianSec, res.B.MedianSec, 100*rep.TracedOverheadFrac, 100*rep.NoiseFrac, events,
+		nilNs, 100*rep.DisabledOverheadFrac, path)
+	return bench.WriteJSON(path, rep)
 }

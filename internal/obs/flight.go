@@ -6,6 +6,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"lrseluge/internal/ring"
 )
 
 // FlightRecorder keeps a bounded ring of recent record lines (typically
@@ -16,23 +18,16 @@ import (
 // it from its supervisor goroutine while a timed-out job's abandoned
 // goroutine may still be appending lines.
 type FlightRecorder struct {
-	mu      sync.Mutex
-	cap     int
-	lines   [][]byte
-	start   int
-	n       int
-	dropped uint64
-	state   map[string]string
-	path    string
+	mu    sync.Mutex
+	lines ring.Buffer[[]byte]
+	state map[string]string
+	path  string
 }
 
 // NewFlightRecorder returns a recorder retaining the most recent cap lines
 // (minimum 1).
 func NewFlightRecorder(cap int) *FlightRecorder {
-	if cap < 1 {
-		cap = 1
-	}
-	return &FlightRecorder{cap: cap, lines: make([][]byte, cap), state: make(map[string]string)}
+	return &FlightRecorder{lines: ring.New[[]byte](cap), state: make(map[string]string)}
 }
 
 // RecordLine appends one record, evicting the oldest when full. The line is
@@ -44,14 +39,7 @@ func (f *FlightRecorder) RecordLine(line []byte) {
 	cp := make([]byte, len(line))
 	copy(cp, line)
 	f.mu.Lock()
-	if f.n == f.cap {
-		f.lines[f.start] = cp
-		f.start = (f.start + 1) % f.cap
-		f.dropped++
-	} else {
-		f.lines[(f.start+f.n)%f.cap] = cp
-		f.n++
-	}
+	f.lines.Push(cp)
 	f.mu.Unlock()
 }
 
@@ -83,7 +71,7 @@ func (f *FlightRecorder) Len() int {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.n
+	return f.lines.Len()
 }
 
 // Dropped reports how many lines were evicted from the ring.
@@ -93,7 +81,7 @@ func (f *FlightRecorder) Dropped() uint64 {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.dropped
+	return f.lines.Dropped()
 }
 
 // WriteDump renders the dump — a header with the reason, the sorted state
@@ -120,11 +108,10 @@ func (f *FlightRecorder) WriteDump(w io.Writer, reason string) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "--- last %d events (%d dropped) ---\n", f.n, f.dropped); err != nil {
+	if _, err := fmt.Fprintf(w, "--- last %d events (%d dropped) ---\n", f.lines.Len(), f.lines.Dropped()); err != nil {
 		return err
 	}
-	for i := 0; i < f.n; i++ {
-		line := f.lines[(f.start+i)%f.cap]
+	for _, line := range f.lines.Slice() {
 		if _, err := w.Write(line); err != nil {
 			return err
 		}

@@ -106,26 +106,26 @@ func ReadRuntime() RuntimeStats {
 // lrserved_runtime_heap_bytes). The rendering is append-only: callers tack
 // it onto an existing exposition without disturbing earlier series.
 func (r RuntimeStats) WriteProm(w io.Writer, prefix string) {
-	counters := []struct {
-		name string
-		val  uint64
-	}{
-		{prefix + "_runtime_total_alloc_bytes", r.TotalAllocBytes},
-		{prefix + "_runtime_gc_cycles_total", r.GCCycles},
-		{prefix + "_runtime_gc_pause_ns_total", r.GCPauseNS},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.val)
-	}
-	gauges := []struct {
-		name string
-		val  uint64
-	}{
-		{prefix + "_runtime_heap_bytes", r.HeapBytes},
-		{prefix + "_runtime_goroutines", uint64(r.Goroutines)},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.val)
+	WritePromSeries(w, "counter",
+		PromSeries{prefix + "_runtime_total_alloc_bytes", int64(r.TotalAllocBytes)},
+		PromSeries{prefix + "_runtime_gc_cycles_total", int64(r.GCCycles)},
+		PromSeries{prefix + "_runtime_gc_pause_ns_total", int64(r.GCPauseNS)})
+	WritePromSeries(w, "gauge",
+		PromSeries{prefix + "_runtime_heap_bytes", int64(r.HeapBytes)},
+		PromSeries{prefix + "_runtime_goroutines", int64(r.Goroutines)})
+}
+
+// PromSeries is one unlabeled Prometheus series and its value.
+type PromSeries struct {
+	Name string
+	Val  int64
+}
+
+// WritePromSeries renders each series as a "# TYPE name typ" line followed
+// by its sample, in the order given; typ is "counter" or "gauge".
+func WritePromSeries(w io.Writer, typ string, series ...PromSeries) {
+	for _, s := range series {
+		fmt.Fprintf(w, "# TYPE %s %s\n%s %d\n", s.Name, typ, s.Name, s.Val)
 	}
 }
 

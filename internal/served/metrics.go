@@ -239,33 +239,19 @@ func (m *Metrics) writeProm(w io.Writer, store runstore.Stats) {
 		fmt.Fprintf(w, "lrserved_request_seconds_count{endpoint=%q} %d\n", name, ep.lat.total)
 	}
 
-	counters := []struct {
-		name string
-		val  int64
-	}{
-		{"lrserved_cache_hits_total", m.hits},
-		{"lrserved_cache_misses_total", m.misses},
-		{"lrserved_cache_coalesced_total", m.coalesced},
-		{"lrserved_runs_computed_total", m.computes},
-		{"lrserved_store_puts_total", store.Puts},
-		{"lrserved_store_evictions_total", store.Evictions},
-		{"lrserved_store_corrupt_total", store.Corrupt},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.val)
-	}
-	gauges := []struct {
-		name string
-		val  int64
-	}{
-		{"lrserved_inflight_requests", m.inflight},
-		{"lrserved_store_entries", int64(store.Entries)},
-		{"lrserved_store_bytes", store.Bytes},
-		{"lrserved_store_max_bytes", store.MaxBytes},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", g.name, g.name, g.val)
-	}
+	obs.WritePromSeries(w, "counter",
+		obs.PromSeries{Name: "lrserved_cache_hits_total", Val: m.hits},
+		obs.PromSeries{Name: "lrserved_cache_misses_total", Val: m.misses},
+		obs.PromSeries{Name: "lrserved_cache_coalesced_total", Val: m.coalesced},
+		obs.PromSeries{Name: "lrserved_runs_computed_total", Val: m.computes},
+		obs.PromSeries{Name: "lrserved_store_puts_total", Val: store.Puts},
+		obs.PromSeries{Name: "lrserved_store_evictions_total", Val: store.Evictions},
+		obs.PromSeries{Name: "lrserved_store_corrupt_total", Val: store.Corrupt})
+	obs.WritePromSeries(w, "gauge",
+		obs.PromSeries{Name: "lrserved_inflight_requests", Val: m.inflight},
+		obs.PromSeries{Name: "lrserved_store_entries", Val: int64(store.Entries)},
+		obs.PromSeries{Name: "lrserved_store_bytes", Val: store.Bytes},
+		obs.PromSeries{Name: "lrserved_store_max_bytes", Val: store.MaxBytes})
 
 	// Process-level runtime health (heap, GC, goroutines), appended last so
 	// every series above keeps its exact bytes and order.

@@ -3,55 +3,36 @@ package trace
 import (
 	"bufio"
 	"io"
+
+	"lrseluge/internal/ring"
 )
 
 // Ring is a bounded in-memory sink keeping the most recent events:
 // drop-oldest on overflow, with a counter of what was lost. Useful for
 // post-mortem inspection in tests and for tools that only need the tail.
 type Ring struct {
-	buf     []Event
-	start   int // index of the oldest retained event
-	n       int // retained count
-	dropped uint64
+	buf ring.Buffer[Event]
 }
 
 // NewRing returns a ring retaining at most capacity events (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Event, capacity)}
+	return &Ring{ring.New[Event](capacity)}
 }
 
 // Emit implements Sink, evicting the oldest event when full.
-func (r *Ring) Emit(e Event) {
-	if r.n == len(r.buf) {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
-		return
-	}
-	r.buf[(r.start+r.n)%len(r.buf)] = e
-	r.n++
-}
+func (r *Ring) Emit(e Event) { r.buf.Push(e) }
 
 // Flush implements Sink; a ring has nothing to flush.
 func (r *Ring) Flush() error { return nil }
 
 // Len returns the number of retained events.
-func (r *Ring) Len() int { return r.n }
+func (r *Ring) Len() int { return r.buf.Len() }
 
 // Dropped returns how many events were evicted to make room.
-func (r *Ring) Dropped() uint64 { return r.dropped }
+func (r *Ring) Dropped() uint64 { return r.buf.Dropped() }
 
 // Events returns the retained events, oldest first, as a fresh slice.
-func (r *Ring) Events() []Event {
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
-}
+func (r *Ring) Events() []Event { return r.buf.Slice() }
 
 // JSONLSink streams events as JSONL (see encode.go for the schema). The
 // byte stream is a deterministic function of the event sequence, so

@@ -28,7 +28,9 @@
 # the fully-instrumented (enabled) overhead under 10%, attribute at least
 # 80% of wall time to the instrumented subsystems, and leave same-seed trace
 # hashes byte-identical with obs on; internal/obs runs under -race with the
-# other concurrency-sensitive packages.
+# other concurrency-sensitive packages. The self-bench timings behind these
+# gates are medians over internal/bench's interleaved A/B pairs (DESIGN.md
+# §16), and every BENCH field is read through the field helper below.
 # Run from anywhere inside the repository; exits non-zero on the first failure.
 set -eu
 
@@ -48,12 +50,18 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# field FILE NAME prints the value of the first "NAME": line in FILE (a
+# number, boolean or string, quotes dropped); empty when there is none.
+field() {
+    sed -n "s/.*\"$2\": \"*\([^\",]*\)\"*,*\$/\1/p" "$1" | head -n 1
+}
+
 echo "==> lrlint -json artifact vs golden (baseline-filtered, selfbench -> BENCH_lint.json, SARIF smoke)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 # Remember the committed gate cost before the selfbench overwrites it; the
 # regression gate below compares the fresh run against it.
-prev_gate_ms=$(sed -n 's/.*"gate_total_ms": \([0-9.eE+-]*\),*/\1/p' BENCH_lint.json 2>/dev/null || true)
+prev_gate_ms=$(field BENCH_lint.json gate_total_ms 2>/dev/null || true)
 # `|| true`: when findings exist the diff below fails with the findings
 # visible in context, which is a more useful gate report than the bare exit.
 go run ./cmd/lrlint -json -unused-ignores -baseline lint-baseline.json \
@@ -69,7 +77,7 @@ grep -q '"id": "effect-purity"' "$tmpdir/lint.sarif"
 grep -q '"id": "scan-complexity"' "$tmpdir/lint.sarif"
 
 echo "==> lrlint selfbench regression gate (gate_total_ms < 2x committed)"
-new_gate_ms=$(sed -n 's/.*"gate_total_ms": \([0-9.eE+-]*\),*/\1/p' BENCH_lint.json)
+new_gate_ms=$(field BENCH_lint.json gate_total_ms)
 grep -q '"alloc-hotpath"' BENCH_lint.json  # pass_ms must carry the new passes
 awk -v prev="$prev_gate_ms" -v new="$new_gate_ms" 'BEGIN {
     if (new == "") { print "selfbench gate: missing gate_total_ms"; exit 1 }
@@ -166,7 +174,7 @@ go run ./cmd/lrtrace diff "$tmpdir/base.jsonl" "$tmpdir/churn.jsonl" > /dev/null
 
 echo "==> lrsweep tracebench (tracer overhead -> BENCH_trace.json, disabled overhead < 2%)"
 go run ./cmd/lrsweep -sweep smoke -runs 2 -seed 1 -tracebench BENCH_trace.json
-frac=$(sed -n 's/.*"disabled_overhead_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_trace.json)
+frac=$(field BENCH_trace.json disabled_overhead_frac)
 awk -v f="$frac" 'BEGIN { if (f == "" || f >= 0.02) { print "disabled_overhead_frac gate failed: " f; exit 1 } }'
 
 echo "==> lrserved smoke (ephemeral port: miss -> hit -> restart -> warm hit, byte-identical)"
@@ -182,8 +190,8 @@ grep -q '0 computed' "$tmpdir/cells_warm.err"
 
 echo "==> lrserved selfbench (cold-miss vs hit latency -> BENCH_served.json, hit p99 >= 100x below cold)"
 go run ./cmd/lrserved -selfbench BENCH_served.json
-ratio=$(sed -n 's/.*"cold_to_hit_p99": \([0-9.eE+-]*\),*/\1/p' BENCH_served.json)
-ident=$(sed -n 's/.*"identical": \([a-z]*\).*/\1/p' BENCH_served.json)
+ratio=$(field BENCH_served.json cold_to_hit_p99)
+ident=$(field BENCH_served.json identical)
 awk -v r="$ratio" -v id="$ident" 'BEGIN {
     if (r == "" || r + 0 < 100) { print "served gate: cold_to_hit_p99 " r " < 100"; exit 1 }
     if (id != "true") { print "served gate: hit bodies not byte-identical"; exit 1 }
@@ -193,7 +201,7 @@ echo "==> lrscale identity smoke (heap vs calendar queue, byte-identical run)"
 go run ./cmd/lrscale -identity
 
 echo "==> lrscale n=10k regression gate (events/sec >= half the committed figure; events and total_bytes equal to the committed row)"
-prev_eps=$(sed -n 's/.*"events_per_sec_10k": \([0-9.eE+-]*\),*/\1/p' BENCH_scale.json 2>/dev/null || true)
+prev_eps=$(field BENCH_scale.json events_per_sec_10k 2>/dev/null || true)
 # row10k FILE FIELD prints FIELD of the "nodes": 10000 row.
 row10k() {
     awk -v field="\"$2\":" '$1 == "\"nodes\":" { row = ($2 == "10000,") }
@@ -202,7 +210,7 @@ row10k() {
 prev_events=$(row10k BENCH_scale.json events)
 prev_bytes=$(row10k BENCH_scale.json total_bytes)
 go run ./cmd/lrscale -nodes 10000 -q -o "$tmpdir/scale.json"
-new_eps=$(sed -n 's/.*"events_per_sec_10k": \([0-9.eE+-]*\),*/\1/p' "$tmpdir/scale.json")
+new_eps=$(field "$tmpdir/scale.json" events_per_sec_10k)
 new_events=$(row10k "$tmpdir/scale.json" events)
 new_bytes=$(row10k "$tmpdir/scale.json" total_bytes)
 awk -v prev="$prev_eps" -v new="$new_eps" \
@@ -220,17 +228,17 @@ awk -v prev="$prev_eps" -v new="$new_eps" \
 echo "==> lrscale obsbench (obs overhead -> BENCH_obs.json: disabled < 1%, enabled < 10%, coverage >= 80%)"
 # Remember the committed trace hash before the bench overwrites it: the
 # seeded run must reproduce it byte for byte.
-prev_obs_hash=$(sed -n 's/.*"trace_hash": "\([0-9a-f]*\)".*/\1/p' BENCH_obs.json 2>/dev/null || true)
+prev_obs_hash=$(field BENCH_obs.json trace_hash 2>/dev/null || true)
 go run ./cmd/lrscale -obsbench -obsbench-o BENCH_obs.json
-new_obs_hash=$(sed -n 's/.*"trace_hash": "\([0-9a-f]*\)".*/\1/p' BENCH_obs.json)
+new_obs_hash=$(field BENCH_obs.json trace_hash)
 if [ -z "$prev_obs_hash" ] || [ "$new_obs_hash" != "$prev_obs_hash" ]; then
     echo "obs gate: trace_hash $new_obs_hash differs from committed $prev_obs_hash" >&2
     exit 1
 fi
-dfrac=$(sed -n 's/.*"disabled_overhead_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
-efrac=$(sed -n 's/.*"enabled_overhead_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
-cfrac=$(sed -n 's/.*"covered_frac": \([0-9.eE+-]*\),*/\1/p' BENCH_obs.json)
-oident=$(sed -n 's/.*"trace_identical": \([a-z]*\).*/\1/p' BENCH_obs.json)
+dfrac=$(field BENCH_obs.json disabled_overhead_frac)
+efrac=$(field BENCH_obs.json enabled_overhead_frac)
+cfrac=$(field BENCH_obs.json covered_frac)
+oident=$(field BENCH_obs.json trace_identical)
 awk -v d="$dfrac" -v e="$efrac" -v c="$cfrac" -v id="$oident" 'BEGIN {
     if (d == "" || d + 0 >= 0.01) { print "obs gate: disabled_overhead_frac " d " >= 1%"; exit 1 }
     if (e == "" || e + 0 >= 0.10) { print "obs gate: enabled_overhead_frac " e " >= 10%"; exit 1 }
