@@ -298,8 +298,7 @@ func (h *Handler) ingestM0(d *packet.Data) dissem.IngestResult {
 	h.tree = tree
 	h.m0Done = true
 	// M0 is the concatenation of page 1's packet hash images.
-	joined := image.Join(plain)
-	h.expected = hashx.Split(joined[:h.params.N*hashx.Size])
+	h.expected = blockImages(plain, 0, h.params.N)
 	return dissem.UnitComplete
 }
 
@@ -339,10 +338,26 @@ func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
 	h.pageHashes = append(h.pageHashes, h.expected)
 	// The decoded plaintext's tail is the appendix: the hash images of the
 	// NEXT page's encoded packets (zeros after the final page).
-	joined := image.Join(blocks)
-	h.expected = hashx.Split(joined[len(joined)-h.params.N*hashx.Size:])
+	pageLen := len(blocks) * len(blocks[0])
+	h.expected = blockImages(blocks, pageLen-h.params.N*hashx.Size, h.params.N)
 	h.resetCurrent()
 	return dissem.UnitComplete
+}
+
+// blockImages reads n hash images starting at byte off of the concatenation
+// of the equal-length blocks, without building that concatenation. An image
+// may straddle two blocks.
+func blockImages(blocks [][]byte, off, n int) []hashx.Image {
+	size := len(blocks[0])
+	out := make([]hashx.Image, n)
+	for i := range out {
+		for dst := out[i][:]; len(dst) > 0; {
+			c := copy(dst, blocks[off/size][off%size:])
+			dst = dst[c:]
+			off += c
+		}
+	}
+	return out
 }
 
 // Authentic implements dissem.ObjectHandler: verify a packet of any

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lrseluge/internal/crypt/hashx"
 	"lrseluge/internal/crypt/puzzle"
 	"lrseluge/internal/crypt/sign"
 	"lrseluge/internal/dissem"
@@ -281,6 +282,34 @@ func TestDefaultParamsGeometry(t *testing.T) {
 	}
 	if geom.numPlain > geom.numEnc || geom.numEnc > 256 {
 		t.Fatalf("bad geometry %+v", geom)
+	}
+}
+
+// TestBlockImagesMatchesJoin pins blockImages to the concatenate-then-split
+// reading it replaces, including block sizes where images straddle blocks.
+func TestBlockImagesMatchesJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, size := range []int{1, 5, 8, 13, 72} {
+		blocks := make([][]byte, 7)
+		for i := range blocks {
+			blocks[i] = make([]byte, size)
+			rng.Read(blocks[i])
+		}
+		joined := image.Join(blocks)
+		for n := 0; n*hashx.Size <= len(joined); n++ {
+			for off := 0; off+n*hashx.Size <= len(joined); off++ {
+				want := hashx.Split(joined[off : off+n*hashx.Size])
+				got := blockImages(blocks, off, n)
+				if len(got) != len(want) {
+					t.Fatalf("size %d off %d n %d: %d images, want %d", size, off, n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("size %d off %d n %d: image %d differs", size, off, n, i)
+					}
+				}
+			}
+		}
 	}
 }
 

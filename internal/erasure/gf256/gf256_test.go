@@ -92,22 +92,65 @@ func TestZeroDivisionPanics(t *testing.T) {
 	}
 }
 
+// logExpMul is the exp/log definition of the field product, independent of
+// the product table.
+func logExpMul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return tables.exp[int(tables.log[a])+int(tables.log[b])]
+}
+
+// polyMul is the schoolbook product: carry-less multiplication reduced
+// modulo the field polynomial.
+func polyMul(a, b byte) byte {
+	var p byte
+	x := int(a)
+	for ; b != 0; b >>= 1 {
+		if b&1 != 0 {
+			p ^= byte(x)
+		}
+		x <<= 1
+		if x&0x100 != 0 {
+			x ^= polynomial
+		}
+	}
+	return p
+}
+
+func TestMulTableMatchesDefinition(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			got := mulTable[a][b]
+			if want := logExpMul(byte(a), byte(b)); got != want {
+				t.Fatalf("mulTable[%d][%d] = %d, exp/log gives %d", a, b, got, want)
+			}
+			if want := polyMul(byte(a), byte(b)); got != want {
+				t.Fatalf("mulTable[%d][%d] = %d, polynomial product gives %d", a, b, got, want)
+			}
+			if Mul(byte(a), byte(b)) != got {
+				t.Fatalf("Mul(%d, %d) disagrees with the table", a, b)
+			}
+		}
+	}
+}
+
 func TestMulSliceMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		c := byte(rng.Intn(256))
-		src := make([]byte, 64)
-		dst := make([]byte, 64)
-		want := make([]byte, 64)
-		rng.Read(src)
-		rng.Read(dst)
-		copy(want, dst)
-		for i := range src {
-			want[i] = Add(want[i], Mul(c, src[i]))
-		}
-		MulSlice(c, src, dst)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("MulSlice mismatch for c=%d", c)
+	src := make([]byte, 80)
+	dst := make([]byte, 80)
+	want := make([]byte, 80)
+	for c := 0; c < 256; c++ {
+		for n := 0; n <= 80; n++ {
+			rng.Read(src[:n])
+			rng.Read(dst[:n])
+			for i := range want[:n] {
+				want[i] = dst[i] ^ logExpMul(byte(c), src[i])
+			}
+			MulSlice(byte(c), src[:n], dst[:n])
+			if !bytes.Equal(dst[:n], want[:n]) {
+				t.Fatalf("MulSlice mismatch for c=%d len=%d", c, n)
+			}
 		}
 	}
 }

@@ -144,8 +144,13 @@ func (c *Code) Decode(shards [][]byte) ([][]byte, error) {
 }
 
 // DecodeInto decodes into caller-provided storage: out must hold k slices of
-// the shards' common length. Beyond the decode matrix on the non-systematic
-// path (built once per loss pattern, not per block), it allocates nothing.
+// the shards' common length. When every data shard survived it only copies
+// them and allocates nothing. Otherwise it rebuilds just the m lost data
+// blocks from the first m surviving parity shards: it inverts the m x m
+// Cauchy submatrix those parity rows have on the lost columns, then
+// accumulates m x k block products. Its only allocations are the two
+// length-m index lists, a length-k coefficient row and the inversion's three
+// m x m matrices, once per call and independent of the block size.
 func (c *Code) DecodeInto(shards, out [][]byte) error {
 	size, err := c.scanShards(shards)
 	if err != nil {
@@ -160,39 +165,68 @@ func (c *Code) DecodeInto(shards, out [][]byte) error {
 		}
 	}
 
-	// Fast path: all k systematic shards survived.
-	systematic := true
+	m := 0
 	for i := 0; i < c.k; i++ {
 		if shards[i] == nil {
-			systematic = false
-			break
-		}
-	}
-	if systematic {
-		for i := 0; i < c.k; i++ {
+			m++
+		} else {
 			copy(out[i], shards[i])
 		}
-		return nil
+	}
+	if m == 0 {
+		return nil // systematic fast path: every data shard survived
 	}
 
-	present := make([]int, 0, c.k)
-	for i, s := range shards {
-		if s != nil && len(present) < c.k {
-			present = append(present, i)
+	// missing lists the lost data indices; parity the first m surviving
+	// parity shards (scanShards guaranteed at least k shards, so at least m
+	// of them are parity).
+	missing := make([]int, m)
+	parity := make([]int, m)
+	for i, a := 0, 0; i < c.k; i++ {
+		if shards[i] == nil {
+			missing[a] = i
+			a++
 		}
 	}
-	sub := c.gen.SelectRows(present)
+	for i, r := c.k, 0; r < m; i++ {
+		if shards[i] != nil {
+			parity[r] = i
+			r++
+		}
+	}
+
+	// parity_r = sum_a gen[parity_r][missing_a]*d_a + sum_j gen[parity_r][j]*d_j
+	// over present data j, so the lost blocks are
+	// d_missing = inv * (parity + gen[parity][present] * d_present),
+	// with inv the inverse of the square Cauchy submatrix gen[parity][missing].
+	sub := gf256.NewMatrix(m, m)
+	for r, p := range parity {
+		row := c.gen.Row(p)
+		for a, j := range missing {
+			sub.Set(r, a, row[j])
+		}
+	}
 	inv, err := sub.Invert()
 	if err != nil {
-		// Unreachable for a Cauchy-based generator; guard anyway.
+		// Unreachable: every square Cauchy submatrix is invertible.
 		return fmt.Errorf("rs: decode matrix inversion failed: %w", err)
 	}
-	for r := 0; r < c.k; r++ {
-		block := out[r]
+	// coef is row a of inv * gen[parity]: its present-data entries are the
+	// weights of the surviving data blocks in lost block a.
+	coef := make([]byte, c.k)
+	for a, lost := range missing {
+		invRow := inv.Row(a)
+		clear(coef)
+		block := out[lost]
 		clear(block)
-		row := inv.Row(r)
-		for j, idx := range present {
-			gf256.MulSlice(row[j], shards[idx], block)
+		for r, p := range parity {
+			gf256.MulSlice(invRow[r], c.gen.Row(p), coef)
+			gf256.MulSlice(invRow[r], shards[p], block)
+		}
+		for j, d := range shards[:c.k] {
+			if d != nil {
+				gf256.MulSlice(coef[j], d, block)
+			}
 		}
 	}
 	return nil

@@ -27,7 +27,8 @@ func BenchmarkEncode32_48(b *testing.B) {
 }
 
 func BenchmarkDecodeWorstCase32_48(b *testing.B) {
-	// Worst case: no systematic shard survives; full matrix inversion.
+	// Worst case for this geometry: n-k = 16 data shards lost, so decoding
+	// needs every parity shard.
 	c, data := benchCode(b, 32, 48, 72)
 	enc, err := c.Encode(data)
 	if err != nil {
@@ -48,6 +49,38 @@ func BenchmarkDecodeWorstCase32_48(b *testing.B) {
 		}
 	}
 }
+
+// benchDecodeLoss decodes a default-geometry page (k = 32 of n = 48, 72-byte
+// blocks) with the first m data shards lost, through DecodeInto with a
+// recycled output, so the cost shown is the decode alone as it grows with m.
+func benchDecodeLoss(b *testing.B, m int) {
+	c, data := benchCode(b, 32, 48, 72)
+	enc, err := c.Encode(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards := make([][]byte, 48)
+	copy(shards, enc)
+	for i := 0; i < m; i++ {
+		shards[i] = nil
+	}
+	out := make([][]byte, 32)
+	for i := range out {
+		out[i] = make([]byte, 72)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.DecodeInto(shards, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeLoss1_32_48(b *testing.B)  { benchDecodeLoss(b, 1) }
+func BenchmarkDecodeLoss4_32_48(b *testing.B)  { benchDecodeLoss(b, 4) }
+func BenchmarkDecodeLoss8_32_48(b *testing.B)  { benchDecodeLoss(b, 8) }
+func BenchmarkDecodeLoss16_32_48(b *testing.B) { benchDecodeLoss(b, 16) }
 
 // BenchmarkEncodeDecodePage measures the full per-page hot path of the
 // dissemination protocol: encode k data blocks into n shards and recover
@@ -113,9 +146,9 @@ func TestEncodeIntoAllocFree(t *testing.T) {
 }
 
 // TestDecodeIntoAllocBudget pins both decode paths: the systematic fast path
-// must be allocation-free, and the inversion path may allocate only the
-// decode matrix machinery (once per loss pattern), bounded well below
-// one allocation per block.
+// must be allocation-free, and the reduced path may allocate only its index
+// lists, coefficient row and inversion matrices (once per call), bounded
+// well below one allocation per block.
 func TestDecodeIntoAllocBudget(t *testing.T) {
 	const k, n, size = 32, 48, 72
 	c, err := New(k, n)
@@ -148,10 +181,10 @@ func TestDecodeIntoAllocBudget(t *testing.T) {
 	for i := 0; i < k/2; i++ {
 		lossy[i] = nil
 	}
-	// Budget: present list + SelectRows + Invert scratch. The exact count is
-	// an implementation detail; the invariant is that it stays O(1) per page
-	// (independent of block count and block size), far under one alloc per
-	// recovered block.
+	// Budget: missing/parity lists, coefficient row, the m x m submatrix and
+	// Invert's scratch. The exact count is an implementation detail; the
+	// invariant is that it stays O(1) per page (independent of block count
+	// and block size), far under one alloc per recovered block.
 	if allocs := testing.AllocsPerRun(20, func() {
 		if err := c.DecodeInto(lossy, out); err != nil {
 			t.Fatal(err)

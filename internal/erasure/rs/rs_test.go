@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"lrseluge/internal/erasure/gf256"
 )
 
 func randBlocks(rng *rand.Rand, k, size int) [][]byte {
@@ -215,4 +217,96 @@ func TestDecodePrefersSystematicFastPath(t *testing.T) {
 			t.Fatal("fast path wrong")
 		}
 	}
+}
+
+// referenceDecode is the textbook erasure decoder the reduced DecodeInto is
+// checked against: invert the k x k generator rows of the first k present
+// shards and multiply every output block out of them. An MDS code has one
+// answer per erasure pattern, so both decoders must agree byte for byte.
+func referenceDecode(c *Code, shards [][]byte) ([][]byte, error) {
+	size, err := c.scanShards(shards)
+	if err != nil {
+		return nil, err
+	}
+	present := make([]int, 0, c.k)
+	for i, s := range shards {
+		if s != nil && len(present) < c.k {
+			present = append(present, i)
+		}
+	}
+	inv, err := c.gen.SelectRows(present).Invert()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, c.k)
+	for r := range out {
+		out[r] = make([]byte, size)
+		row := inv.Row(r)
+		for j, idx := range present {
+			gf256.MulSlice(row[j], shards[idx], out[r])
+		}
+	}
+	return out, nil
+}
+
+// FuzzDecode drives DecodeInto with arbitrary geometries and erasure
+// patterns. The inputs map onto a code with 1 <= k <= 64 and k <= n <= k+64,
+// blocks of 1 to 128 bytes, and an erasure bitmap whose bit i erases shard i
+// (erasures beyond n-k are ignored, so decoding always has enough shards).
+// The decode must return the original blocks and match referenceDecode.
+func FuzzDecode(f *testing.F) {
+	add := func(k, n, size int, erased []int, seed int64) {
+		bitmap := make([]byte, (n+7)/8)
+		for _, i := range erased {
+			bitmap[i/8] |= 1 << (i % 8)
+		}
+		f.Add(uint8(k-1), uint8(n-k), uint8(size-1), bitmap, seed)
+	}
+	add(4, 8, 16, []int{4, 6, 7}, 1)                  // m = 0: only parity lost
+	add(4, 8, 16, []int{0, 1, 2, 3}, 2)               // m = k with n >= 2k
+	add(6, 6, 9, nil, 3)                              // n = k
+	add(5, 6, 11, []int{2}, 4)                        // a single parity shard
+	add(32, 48, 72, []int{0, 3, 7, 8, 20, 31, 40}, 5) // default page geometry
+	add(32, 48, 72, []int{16, 17, 18, 19, 20, 21}, 6) // default, a run of losses
+	f.Fuzz(func(t *testing.T, kRaw, extraRaw, sizeRaw uint8, bitmap []byte, seed int64) {
+		k := 1 + int(kRaw)%64
+		n := k + int(extraRaw)%65
+		size := 1 + int(sizeRaw)%128
+		c, err := New(k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := randBlocks(rand.New(rand.NewSource(seed)), k, size)
+		enc, err := c.Encode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := make([][]byte, n)
+		copy(shards, enc)
+		for i, erased := 0, 0; i < n && i/8 < len(bitmap) && erased < n-k; i++ {
+			if bitmap[i/8]>>(i%8)&1 != 0 {
+				shards[i] = nil
+				erased++
+			}
+		}
+		out := make([][]byte, k)
+		for i := range out {
+			out[i] = make([]byte, size)
+		}
+		if err := c.DecodeInto(shards, out); err != nil {
+			t.Fatalf("k=%d n=%d: %v", k, n, err)
+		}
+		ref, err := referenceDecode(c, shards)
+		if err != nil {
+			t.Fatalf("reference k=%d n=%d: %v", k, n, err)
+		}
+		for i := range data {
+			if !bytes.Equal(out[i], data[i]) {
+				t.Fatalf("k=%d n=%d: block %d differs from the original", k, n, i)
+			}
+			if !bytes.Equal(out[i], ref[i]) {
+				t.Fatalf("k=%d n=%d: block %d differs from the reference decode", k, n, i)
+			}
+		}
+	})
 }

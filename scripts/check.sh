@@ -7,7 +7,8 @@
 # BENCH_lint.json with per-pass timings and a <2x gate-cost regression check,
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
-# tests, lrsweep golden-JSONL diff, the
+# tests, a 10 s FuzzDecode smoke of the RS decoder, lrsweep golden-JSONL
+# diff, the
 # serial-vs-parallel sweep bench, the churn-sweep fault-injection bench
 # (BENCH_fault.json), and the tracing gates: traced-sweep metrics must stay
 # byte-equal to the untraced golden, per-run trace directories must be
@@ -139,6 +140,9 @@ go run ./cmd/lrlint -baseline "$tmpdir/scanprobe-baseline.json" "$tmpdir/scanpro
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> FuzzDecode smoke (reduced RS decode vs the full-inversion reference decoder)"
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/erasure/rs
 
 echo "==> go test -race ./internal/harness/... ./internal/fault/... ./internal/trace/... ./internal/obs/... (concurrency-sensitive packages, verbose gate)"
 go test -race -count=1 ./internal/harness/... ./internal/fault/... ./internal/trace/... ./internal/obs/...
