@@ -15,8 +15,11 @@
 // Observability: -obs installs internal/obs phase timers and prints each
 // run's wall-time attribution table (also embedded in the JSON row); -obs-dir
 // additionally writes per-size attribution JSON and runtime-snapshot JSONL
-// artifacts for cmd/lrobs; -http serves live pprof//metrics//progress while
-// runs execute; -obsbench measures obs overhead into BENCH_obs.json.
+// artifacts for cmd/lrobs, plus heap_<n>.pb.gz, the heap profile from the
+// progress slice with the highest post-GC live heap (read it with
+// `go tool pprof -top heap_<n>.pb.gz`); -http serves live
+// pprof//metrics//progress while runs execute; -obsbench measures obs
+// overhead into BENCH_obs.json.
 package main
 
 import (
@@ -144,10 +147,40 @@ func main() {
 					s.Now, s.Completed, s.Events, s.WallElapsed.Round(1000000))
 			}
 		}
+		var (
+			peak    *obs.HeapPeak
+			peakErr error
+		)
+		if *obsDir != "" {
+			peak = &obs.HeapPeak{}
+			show := cfg.Progress
+			cfg.Progress = func(s scale.Snapshot) {
+				if err := peak.Observe(); err != nil && peakErr == nil {
+					peakErr = err
+				}
+				if show != nil {
+					show(s)
+				}
+			}
+		}
 		rep, err := scale.Run(cfg)
+		if err == nil {
+			err = peakErr
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lrscale:", err)
 			os.Exit(1)
+		}
+		if peak != nil {
+			path := filepath.Join(*obsDir, fmt.Sprintf("heap_%d.pb.gz", n))
+			if err := os.WriteFile(path, peak.Profile(), 0o644); err != nil {
+				fmt.Fprintln(os.Stderr, "lrscale: heap profile:", err)
+				os.Exit(1)
+			}
+			if !*quiet {
+				fmt.Fprintf(os.Stderr, "lrscale: n=%d peak post-GC live heap %.1f MB -> %s\n",
+					n, float64(peak.LiveBytes())/(1<<20), path)
+			}
 		}
 		if snapFile != nil {
 			if err := cfg.Sampler.Flush(); err == nil {

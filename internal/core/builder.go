@@ -92,18 +92,13 @@ type Object struct {
 	codec0 erasure.Codec // f0: the k0-n0-k0' hash-page code
 	geom   m0Geometry
 
-	// pageBlocks[i-1] holds page i's k plaintext blocks (page bytes plus
-	// the appended next-page hash images), the erasure-coder input.
-	pageBlocks [][][]byte
-	// pageEnc[i-1] caches the n encoded packets of page i.
-	pageEnc [][][]byte
-	// pageHashes[i-1] holds the hash images of page i's encoded packets.
-	pageHashes [][]hashx.Image
-
-	m0Plain [][]byte // k0 plain blocks of the padded hash page
-	m0Enc   [][]byte // n0 encoded blocks
-	tree    *merkle.Tree
-	sig     *packet.Sig
+	// units[0] is the hash page M0 (its k0 plain blocks, the n0 encoded
+	// blocks and the Merkle tree); units[i] is page i (its k plaintext
+	// blocks — page bytes plus the appended next-page hash images — and its
+	// n encoded packets). Each unit's next images authenticate the
+	// following unit's packets.
+	units []*Unit
+	sig   *packet.Sig
 }
 
 // Build runs LR-Seluge's base-station preprocessing: pages are constructed
@@ -138,11 +133,11 @@ func Build(in BuildInput) (*Object, error) {
 		return nil, fmt.Errorf("core: image needs %d units, exceeding the unit space", g+2)
 	}
 
-	pageBlocks := make([][][]byte, g)
-	pageEnc := make([][][]byte, g)
-	pageHashes := make([][]hashx.Image, g)
-	// appendix is h_{i+1,1} | ... | h_{i+1,n} while building page i; zeros
-	// for page g (the final page has no successor to authenticate).
+	units := make([]*Unit, g+1)
+	// While building page i, next holds the hash images h_{i+1,1..n} of page
+	// i+1's packets and appendix their concatenation: nil and zeros for page
+	// g (the final page has no successor to authenticate).
+	var next []hashx.Image
 	appendix := make([]byte, p.N*hashx.Size)
 	for i := g; i >= 1; i-- {
 		plain := make([]byte, 0, p.K*p.PacketPayload)
@@ -156,16 +151,12 @@ func Build(in BuildInput) (*Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		pageBlocks[i-1] = blocks
-		pageEnc[i-1] = enc
-		imgs := make([]hashx.Image, p.N)
-		next := make([]byte, 0, p.N*hashx.Size)
-		for j := 0; j < p.N; j++ {
-			imgs[j] = hashx.Sum(authBody(packet.Unit(i+1), uint8(j), enc[j]))
-			next = append(next, imgs[j][:]...)
+		units[i] = &Unit{blocks: blocks, next: next, enc: enc}
+		next = make([]hashx.Image, p.N)
+		for j := range next {
+			next[j] = hashx.Sum(authBody(packet.Unit(i+1), uint8(j), enc[j]))
 		}
-		pageHashes[i-1] = imgs
-		appendix = next
+		appendix = hashx.Concat(next)
 	}
 
 	// Hash page M0 = h_{1,1} | ... | h_{1,n}, padded, split into k0 blocks,
@@ -202,21 +193,18 @@ func Build(in BuildInput) (*Object, error) {
 	}
 	sig.PuzzleSol = sol
 
+	units[0] = &Unit{blocks: m0Plain, next: next, tree: tree, enc: m0Enc}
+
 	return &Object{
-		version:    in.Version,
-		params:     p,
-		imageSize:  len(in.Image),
-		g:          g,
-		codec:      codec,
-		codec0:     codec0,
-		geom:       geom,
-		pageBlocks: pageBlocks,
-		pageEnc:    pageEnc,
-		pageHashes: pageHashes,
-		m0Plain:    m0Plain,
-		m0Enc:      m0Enc,
-		tree:       tree,
-		sig:        sig,
+		version:   in.Version,
+		params:    p,
+		imageSize: len(in.Image),
+		g:         g,
+		codec:     codec,
+		codec0:    codec0,
+		geom:      geom,
+		units:     units,
+		sig:       sig,
 	}, nil
 }
 
@@ -239,7 +227,7 @@ func (o *Object) M0Packets() int { return o.geom.numEnc }
 func (o *Object) M0Needed() int { return o.geom.numPlain }
 
 // Root returns the signed Merkle root.
-func (o *Object) Root() hashx.Image { return o.tree.Root() }
+func (o *Object) Root() hashx.Image { return o.sig.Root }
 
 // authBody replicates packet.Data.AuthBody for payloads not yet wrapped in
 // a packet: the hash image covers (unit, index, payload), binding position

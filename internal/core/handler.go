@@ -16,53 +16,50 @@ import (
 // dissem.ObjectHandler: immediate per-packet authentication plus
 // erasure-decoding once any k' authenticated packets of a page arrive
 // (paper §IV-E).
+//
+// Completed units live in the run's Store, shared with every other node
+// that holds them; the handler keeps pointers to its entries, the buffer of
+// the unit in progress, and the verified signature.
 type Handler struct {
 	version uint16
 	params  image.Params
 	geom    m0Geometry
 	codec   erasure.Codec
 	codec0  erasure.Codec
+	store   *Store
 	sigCtx  *dissem.SigContext
 
 	// Established by the verified signature packet.
-	sig  *packet.Sig
-	root hashx.Image
-	g    int
+	sig *packet.Sig
 
-	// Hash page (unit 1) assembly.
-	m0Shards [][]byte // length n0; nil = missing
-	m0Count  int
-	m0Done   bool
-	m0Enc    [][]byte // re-generated n0 encoded blocks (for serving)
-	tree     *merkle.Tree
+	// Flash: the entries this node holds, in unit order. units[0] is the
+	// hash page M0 and units[i] image page i; the last entry's next images
+	// authenticate the page in progress.
+	units []*Unit
 
-	// Current page assembly; expected[j] is the pre-established hash image
-	// of packet j of the page currently being received.
-	curShards [][]byte
-	curCount  int
-	expected  []hashx.Image
-
-	// Completed pages: plaintext blocks (erasure-coder input, kept for
-	// re-encoding when serving), a lazy cache of encoded packets, and each
-	// page's packet hash images (for authenticating overheard packets of
-	// pages we already hold).
-	pageBlocks [][][]byte
-	pageEnc    [][][]byte
-	pageHashes [][]hashx.Image
+	// RAM: the authenticated packets of the unit in progress (nil =
+	// missing): n0 slots while M0 assembles, n while a page does, none
+	// before the signature or once every unit is held.
+	shards [][]byte
+	count  int
 }
 
 var _ dissem.ObjectHandler = (*Handler)(nil)
 
-// NewHandler creates an empty receiver-side handler. Every node derives the
-// same code instances f and f0 from the preloaded parameters (paper §IV-B).
-func NewHandler(version uint16, p image.Params, sigCtx *dissem.SigContext) (*Handler, error) {
+// NewHandler creates an empty receiver-side handler whose completed units
+// go to store. Every node derives the same code instances f and f0 from the
+// preloaded parameters (paper §IV-B); the store hands all of them one.
+func NewHandler(version uint16, p image.Params, store *Store, sigCtx *dissem.SigContext) (*Handler, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if store == nil {
+		return nil, fmt.Errorf("core: nil store")
 	}
 	if sigCtx == nil {
 		return nil, fmt.Errorf("core: nil signature context")
 	}
-	codec, err := erasure.NewReedSolomon(p.K, p.N)
+	codec, err := store.Codec(p.K, p.N)
 	if err != nil {
 		return nil, err
 	}
@@ -70,69 +67,44 @@ func NewHandler(version uint16, p image.Params, sigCtx *dissem.SigContext) (*Han
 	if err != nil {
 		return nil, err
 	}
-	codec0, err := erasure.NewReedSolomon(geom.numPlain, geom.numEnc)
+	codec0, err := store.Codec(geom.numPlain, geom.numEnc)
 	if err != nil {
 		return nil, err
 	}
-	h := &Handler{
+	return &Handler{
 		version: version,
 		params:  p,
 		geom:    geom,
 		codec:   codec,
 		codec0:  codec0,
+		store:   store,
 		sigCtx:  sigCtx,
-	}
-	h.resetM0()
-	h.resetCurrent()
-	return h, nil
+	}, nil
 }
 
 // Preload creates a handler that already possesses the whole object (the
-// base station).
+// base station). It holds the object's own units and never ingests.
 func Preload(o *Object, sigCtx *dissem.SigContext) *Handler {
-	h := &Handler{
-		version:    o.version,
-		params:     o.params,
-		geom:       o.geom,
-		codec:      o.codec,
-		codec0:     o.codec0,
-		sigCtx:     sigCtx,
-		sig:        o.sig,
-		root:       o.tree.Root(),
-		g:          o.g,
-		m0Done:     true,
-		m0Count:    o.geom.numEnc,
-		m0Enc:      o.m0Enc,
-		tree:       o.tree,
-		pageBlocks: o.pageBlocks,
-		pageEnc:    o.pageEnc,
-		pageHashes: o.pageHashes,
+	return &Handler{
+		version: o.version,
+		params:  o.params,
+		geom:    o.geom,
+		codec:   o.codec,
+		codec0:  o.codec0,
+		sigCtx:  sigCtx,
+		sig:     o.sig,
+		units:   o.units,
 	}
-	h.resetCurrent()
-	return h
-}
-
-func (h *Handler) resetM0() {
-	h.m0Shards = make([][]byte, h.geom.numEnc)
-	h.m0Count = 0
-}
-
-func (h *Handler) resetCurrent() {
-	h.curShards = make([][]byte, h.params.N)
-	h.curCount = 0
 }
 
 // WipeVolatile implements dissem.ObjectHandler: a power loss discards the
-// RAM-resident partial assemblies (the in-progress page's shards, and the
-// hash page's shards if it was still being decoded). Everything else —
-// completed pages, the decoded hash page, the verified signature, and the
-// expected hash images for the current page (recomputable from the previous
-// flash-resident page's appendix) — lives in flash and survives.
+// RAM-resident packets of the unit in progress (the hash page's, or the
+// current page's). The held entries — completed pages, the decoded hash
+// page and with them the expected hash images for the current page — and
+// the verified signature live in flash and survive.
 func (h *Handler) WipeVolatile() {
-	if !h.m0Done {
-		h.resetM0()
-	}
-	h.resetCurrent()
+	clear(h.shards)
+	h.count = 0
 }
 
 // Version implements dissem.ObjectHandler.
@@ -144,7 +116,7 @@ func (h *Handler) TotalUnits() int {
 	if h.sig == nil {
 		return 0
 	}
-	return h.g + 2
+	return int(h.sig.Pages) + 2
 }
 
 // CompleteUnits implements dissem.ObjectHandler.
@@ -152,10 +124,7 @@ func (h *Handler) CompleteUnits() int {
 	if h.sig == nil {
 		return 0
 	}
-	if !h.m0Done {
-		return 1
-	}
-	return 2 + len(h.pageBlocks)
+	return 1 + len(h.units)
 }
 
 // PacketsInUnit implements dissem.ObjectHandler.
@@ -189,14 +158,10 @@ func (h *Handler) HasPacket(u, idx int) bool {
 	switch {
 	case u < cu:
 		return true
-	case u > cu:
+	case u > cu, u == 0:
 		return false
-	case u == 0:
-		return false
-	case u == 1:
-		return idx >= 0 && idx < len(h.m0Shards) && h.m0Shards[idx] != nil
 	default:
-		return idx >= 0 && idx < len(h.curShards) && h.curShards[idx] != nil
+		return idx >= 0 && idx < len(h.shards) && h.shards[idx] != nil
 	}
 }
 
@@ -231,8 +196,7 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 		PuzzleKey: s.PuzzleKey,
 		PuzzleSol: s.PuzzleSol,
 	}
-	h.root = s.Root
-	h.g = int(s.Pages)
+	h.shards = make([][]byte, h.geom.numEnc)
 	return dissem.UnitComplete
 }
 
@@ -260,46 +224,60 @@ func (h *Handler) ingestM0(d *packet.Data) dissem.IngestResult {
 	}
 	ot := h.sigCtx.Obs
 	ot.StartLeaf(obs.PhaseHashVerify)
-	if !merkle.Verify(h.root, d.Payload, idx, d.Proof) {
+	if !merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof) {
 		ot.EndLeaf(obs.PhaseHashVerify)
 		return dissem.Rejected
 	}
 	ot.EndLeaf(obs.PhaseHashVerify)
-	if h.m0Shards[idx] != nil {
+	if h.shards[idx] != nil {
 		return dissem.Duplicate
 	}
-	h.m0Shards[idx] = append([]byte(nil), d.Payload...)
-	h.m0Count++
-	if h.m0Count < h.codec0.KPrime() {
+	h.shards[idx] = append([]byte(nil), d.Payload...)
+	h.count++
+	if h.count < h.codec0.KPrime() {
 		return dissem.Stored
 	}
+	return h.completeM0()
+}
+
+// completeM0 decodes the hash page from the k0' authenticated shards in
+// hand and interns it. The first node to hold M0 also re-encodes it and
+// checks the Merkle root; later nodes check their decode against that
+// entry byte for byte.
+func (h *Handler) completeM0() dissem.IngestResult {
+	ot := h.sigCtx.Obs
+	plain := h.store.scratchRows(h.geom.numPlain, h.geom.blockSize)
 	ot.Start(obs.PhaseRSDecode)
-	plain, err := h.codec0.Decode(h.m0Shards)
+	err := h.codec0.DecodeInto(h.shards, plain)
 	ot.End(obs.PhaseRSDecode)
 	if err != nil {
 		return dissem.Stored // cannot happen with an MDS code; wait for more
 	}
-	ot.Start(obs.PhaseRSEncode)
-	enc, err := h.codec0.Encode(plain)
-	ot.End(obs.PhaseRSEncode)
-	if err != nil {
-		return dissem.Stored
-	}
-	ot.Start(obs.PhaseHashVerify)
-	tree, err := merkle.Build(enc)
-	ot.End(obs.PhaseHashVerify)
-	if err != nil || tree.Root() != h.root {
-		// All stored shards were individually authenticated, so this is
+	m0, ok := h.store.Intern(h.sig.Root, 1, plain, func() *Unit {
+		ot.Start(obs.PhaseRSEncode)
+		enc, err := h.codec0.Encode(plain)
+		ot.End(obs.PhaseRSEncode)
+		if err != nil {
+			return nil
+		}
+		ot.Start(obs.PhaseHashVerify)
+		tree, err := merkle.Build(enc)
+		ot.End(obs.PhaseHashVerify)
+		if err != nil || tree.Root() != h.sig.Root {
+			return nil
+		}
+		// M0 is the concatenation of page 1's packet hash images.
+		u := NewUnit(plain, blockImages(plain, 0, h.params.N), tree)
+		u.enc = enc
+		return u
+	})
+	if !ok {
+		// All shards were individually authenticated, so this is
 		// unreachable; reset defensively.
-		h.resetM0()
+		h.WipeVolatile()
 		return dissem.Rejected
 	}
-	h.m0Enc = enc
-	h.tree = tree
-	h.m0Done = true
-	// M0 is the concatenation of page 1's packet hash images.
-	h.expected = blockImages(plain, 0, h.params.N)
-	return dissem.UnitComplete
+	return h.hold(m0)
 }
 
 func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
@@ -307,40 +285,70 @@ func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
 	if idx < 0 || idx >= h.params.N || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 		return dissem.Rejected
 	}
-	if len(h.expected) != h.params.N {
-		return dissem.Rejected // no authentication material (should not happen page-by-page)
+	expected := h.units[len(h.units)-1].next
+	if len(expected) != h.params.N {
+		return dissem.Rejected // no authentication material (the object is complete)
 	}
 	ot := h.sigCtx.Obs
 	ot.StartLeaf(obs.PhaseHashVerify)
-	if hashx.Sum(d.AuthBody()) != h.expected[idx] {
+	if hashx.Sum(d.AuthBody()) != expected[idx] {
 		ot.EndLeaf(obs.PhaseHashVerify)
 		return dissem.Rejected
 	}
 	ot.EndLeaf(obs.PhaseHashVerify)
-	if h.curShards[idx] != nil {
+	if h.shards[idx] != nil {
 		return dissem.Duplicate
 	}
-	h.curShards[idx] = append([]byte(nil), d.Payload...)
-	h.curCount++
-	if h.curCount < h.codec.KPrime() {
+	h.shards[idx] = append([]byte(nil), d.Payload...)
+	h.count++
+	if h.count < h.codec.KPrime() {
 		return dissem.Stored
 	}
+	return h.completePage()
+}
+
+// completePage decodes the current page from the k' authenticated packets
+// in hand and interns it: the first node to hold the page builds its entry,
+// later nodes check their decode against it byte for byte.
+func (h *Handler) completePage() dissem.IngestResult {
+	ot := h.sigCtx.Obs
+	blocks := h.store.scratchRows(h.params.K, h.params.PacketPayload)
 	ot.Start(obs.PhaseRSDecode)
-	blocks, err := h.codec.Decode(h.curShards)
+	err := h.codec.DecodeInto(h.shards, blocks)
 	ot.End(obs.PhaseRSDecode)
 	if err != nil {
 		return dissem.Stored
 	}
-	h.pageBlocks = append(h.pageBlocks, blocks)
-	h.pageEnc = append(h.pageEnc, nil) // encoded form regenerated on demand
-	// The hashes that authenticated this page stay available for verifying
-	// overheard copies of its packets later.
-	h.pageHashes = append(h.pageHashes, h.expected)
-	// The decoded plaintext's tail is the appendix: the hash images of the
-	// NEXT page's encoded packets (zeros after the final page).
-	pageLen := len(blocks) * len(blocks[0])
-	h.expected = blockImages(blocks, pageLen-h.params.N*hashx.Size, h.params.N)
-	h.resetCurrent()
+	page := len(h.units) // 1-based number of the page just decoded
+	entry, ok := h.store.Intern(h.sig.Root, page+1, blocks, func() *Unit {
+		if page == int(h.sig.Pages) {
+			return NewUnit(blocks, nil, nil)
+		}
+		// The decoded plaintext's tail is the appendix: the hash images
+		// of the NEXT page's encoded packets.
+		pageLen := len(blocks) * len(blocks[0])
+		return NewUnit(blocks, blockImages(blocks, pageLen-h.params.N*hashx.Size, h.params.N), nil)
+	})
+	if !ok {
+		h.WipeVolatile() // unreachable: every packet was authenticated
+		return dissem.Rejected
+	}
+	return h.hold(entry)
+}
+
+// hold appends a completed unit's entry and readies the buffer for the next
+// unit: n slots for the next page, none once every unit is held.
+func (h *Handler) hold(entry *Unit) dissem.IngestResult {
+	h.units = append(h.units, entry)
+	switch {
+	case len(h.units) == int(h.sig.Pages)+1:
+		h.shards = nil
+	case len(h.units) == 1:
+		h.shards = make([][]byte, h.params.N)
+	default:
+		clear(h.shards)
+	}
+	h.count = 0
 	return dissem.UnitComplete
 }
 
@@ -377,26 +385,20 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 		}
 		ot := h.sigCtx.Obs
 		ot.StartLeaf(obs.PhaseHashVerify)
-		ok := merkle.Verify(h.root, d.Payload, idx, d.Proof)
+		ok := merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof)
 		ot.EndLeaf(obs.PhaseHashVerify)
 		return ok
 	case u >= 2:
 		if idx < 0 || idx >= h.params.N || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 			return false
 		}
-		page := u - 2
-		var hashes []hashx.Image
-		switch {
-		case page < len(h.pageHashes):
-			hashes = h.pageHashes[page]
-		case page == len(h.pageHashes) && len(h.expected) == h.params.N:
-			hashes = h.expected
-		default:
+		// Page u-1 is authenticated by the next images of unit u-1's entry.
+		if u-2 >= len(h.units) || len(h.units[u-2].next) != h.params.N {
 			return false
 		}
 		ot := h.sigCtx.Obs
 		ot.StartLeaf(obs.PhaseHashVerify)
-		ok := hashx.Sum(d.AuthBody()) == hashes[idx]
+		ok := hashx.Sum(d.AuthBody()) == h.units[u-2].next[idx]
 		ot.EndLeaf(obs.PhaseHashVerify)
 		return ok
 	default:
@@ -417,75 +419,65 @@ func (h *Handler) SigPacket(src packet.NodeID) *packet.Sig {
 // Packets implements dissem.ObjectHandler: a serving node re-applies the
 // same erasure code to the recovered page to regenerate ANY of the n
 // encoded packets, exactly as the base station built them (paper §IV-D.3).
+// Every holder of a unit serves the one encoding cached on its entry.
 func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
-	if u >= h.CompleteUnits() {
+	if u < 1 || u >= h.CompleteUnits() {
 		return nil, fmt.Errorf("core: unit %d not held", u)
 	}
+	entry := h.units[u-1]
+	n := h.params.N
+	if u == 1 {
+		n = h.geom.numEnc
+	}
+	enc, err := h.encoded(entry)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*packet.Data, 0, len(indices))
-	switch u {
-	case 1:
-		for _, idx := range indices {
-			if idx < 0 || idx >= h.geom.numEnc {
-				return nil, fmt.Errorf("core: M0 index %d out of range", idx)
-			}
-			proof, err := h.tree.Proof(idx)
-			if err != nil {
+	for _, idx := range indices {
+		if idx < 0 || idx >= n {
+			return nil, fmt.Errorf("core: unit %d index %d out of range", u, idx)
+		}
+		d := &packet.Data{
+			Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
+			Payload: enc[idx],
+		}
+		if u == 1 {
+			if d.Proof, err = entry.tree.Proof(idx); err != nil {
 				return nil, err
 			}
-			out = append(out, &packet.Data{
-				Src: src, Version: h.version, Unit: 1, Index: uint8(idx),
-				Payload: h.m0Enc[idx], Proof: proof,
-			})
 		}
-	default:
-		page := u - 2
-		if page < 0 || page >= len(h.pageBlocks) {
-			return nil, fmt.Errorf("core: page unit %d not held", u)
-		}
-		enc, err := h.encodedPage(page)
-		if err != nil {
-			return nil, err
-		}
-		for _, idx := range indices {
-			if idx < 0 || idx >= h.params.N {
-				return nil, fmt.Errorf("core: packet index %d out of range", idx)
-			}
-			out = append(out, &packet.Data{
-				Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
-				Payload: enc[idx],
-			})
-		}
+		out = append(out, d)
 	}
 	return out, nil
 }
 
-func (h *Handler) encodedPage(page int) ([][]byte, error) {
-	if h.pageEnc[page] != nil {
-		return h.pageEnc[page], nil
+// encoded returns a page entry's n encoded packets, encoding them on the
+// first serve by any node of the run. M0 entries carry theirs from the
+// Merkle check.
+func (h *Handler) encoded(entry *Unit) ([][]byte, error) {
+	if entry.enc != nil {
+		return entry.enc, nil
 	}
 	ot := h.sigCtx.Obs
 	ot.Start(obs.PhaseRSEncode)
-	enc, err := h.codec.Encode(h.pageBlocks[page])
+	enc, err := h.codec.Encode(entry.blocks)
 	ot.End(obs.PhaseRSEncode)
 	if err != nil {
 		return nil, err
 	}
-	h.pageEnc[page] = enc
+	entry.enc = enc
 	return enc, nil
 }
 
-// ReassembledImage strips appendices and padding, returning the received
-// code image for end-to-end verification.
-func (h *Handler) ReassembledImage(size int) ([]byte, error) {
-	if h.sig == nil || len(h.pageBlocks) < h.g {
-		return nil, fmt.Errorf("core: object incomplete")
+// MatchesImage reports whether the node holds the whole object and its
+// pages, appendices and padding stripped, are exactly img. It allocates
+// nothing, and each shared entry is compared against img once per run.
+func (h *Handler) MatchesImage(img []byte) bool {
+	if h.sig == nil || len(h.units) < int(h.sig.Pages)+1 {
+		return false
 	}
-	pages := make([][]byte, h.g)
-	for i, blocks := range h.pageBlocks {
-		joined := image.Join(blocks)
-		pages[i] = joined[:h.params.LRPageBytes()]
-	}
-	return image.Reassemble(pages, size)
+	return ImageMatches(h.units[1:], img, h.params.LRPageBytes(), 0)
 }
 
 // NewPolicy returns LR-Seluge's greedy round-robin transmission scheduler

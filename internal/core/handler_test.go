@@ -24,6 +24,7 @@ type fixture struct {
 	chain  *puzzle.Chain
 	pp     puzzle.Params
 	col    *metrics.Collector
+	store  *Store
 	sigCtx func() *dissem.SigContext
 }
 
@@ -44,7 +45,7 @@ func newFixture(t *testing.T, size int, params image.Params) *fixture {
 		t.Fatal(err)
 	}
 	col := metrics.New()
-	f := &fixture{obj: obj, data: data, key: key, chain: chain, pp: pp, col: col}
+	f := &fixture{obj: obj, data: data, key: key, chain: chain, pp: pp, col: col, store: NewStore()}
 	f.sigCtx = func() *dissem.SigContext {
 		return &dissem.SigContext{Pub: key.Public(), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
 	}
@@ -53,7 +54,7 @@ func newFixture(t *testing.T, size int, params image.Params) *fixture {
 
 func (f *fixture) receiver(t *testing.T, params image.Params) *Handler {
 	t.Helper()
-	h, err := NewHandler(1, params, f.sigCtx())
+	h, err := NewHandler(1, params, f.store, f.sigCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,7 @@ func TestAnyKPrimeSubsetRecoversImage(t *testing.T) {
 		dst := f.receiver(t, testParams())
 		src := bootstrap(t, f, dst)
 		deliverSubset(t, src, dst, rand.New(rand.NewSource(seed)))
-		got, err := dst.ReassembledImage(len(f.data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, f.data) {
+		if !dst.MatchesImage(f.data) {
 			t.Fatalf("seed %d: image mismatch", seed)
 		}
 	}
@@ -152,9 +149,8 @@ func TestRelayedTransferVerifies(t *testing.T) {
 		t.Fatal("relayed signature rejected")
 	}
 	deliverSubset(t, mid, dst, rand.New(rand.NewSource(3)))
-	got, err := dst.ReassembledImage(len(f.data))
-	if err != nil || !bytes.Equal(got, f.data) {
-		t.Fatalf("relayed image mismatch: %v", err)
+	if !dst.MatchesImage(f.data) {
+		t.Fatal("relayed image mismatch")
 	}
 }
 
@@ -334,8 +330,7 @@ func TestPreloadServesEverything(t *testing.T) {
 	if src.CompleteUnits() != src.TotalUnits() {
 		t.Fatal("preload incomplete")
 	}
-	got, err := src.ReassembledImage(len(f.data))
-	if err != nil || !bytes.Equal(got, f.data) {
-		t.Fatalf("preload image mismatch: %v", err)
+	if !src.MatchesImage(f.data) {
+		t.Fatal("preload image mismatch")
 	}
 }

@@ -1,7 +1,6 @@
 package deluge
 
 import (
-	"bytes"
 	"testing"
 
 	"lrseluge/internal/dissem"
@@ -42,11 +41,7 @@ func TestPreloadIsComplete(t *testing.T) {
 	if h.CompleteUnits() != 4 || h.TotalUnits() != 4 {
 		t.Fatalf("preload incomplete: %d/%d", h.CompleteUnits(), h.TotalUnits())
 	}
-	got, err := h.ReassembledImage(len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
+	if !h.MatchesImage(data) {
 		t.Fatal("preloaded image mismatch")
 	}
 }
@@ -80,11 +75,7 @@ func TestEndToEndTransfer(t *testing.T) {
 	}
 	dst.LearnTotal(obj.NumPages())
 	transferAll(t, src, dst, obj.NumPages())
-	got, err := dst.ReassembledImage(len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
+	if !dst.MatchesImage(data) {
 		t.Fatal("transferred image mismatch")
 	}
 }
@@ -174,7 +165,7 @@ func TestPacketsErrors(t *testing.T) {
 
 func TestReassembleIncompleteFails(t *testing.T) {
 	h, _ := NewHandler(1, testParams())
-	if _, err := h.ReassembledImage(100); err == nil {
+	if h.MatchesImage(make([]byte, 100)) {
 		t.Fatal("incomplete image reassembled")
 	}
 }

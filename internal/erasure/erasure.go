@@ -15,9 +15,9 @@ import (
 )
 
 // Codec is a fixed-rate k-n-k' erasure code: Encode expands k equal-length
-// blocks into n, and Decode recovers the k originals from any KPrime of the
-// n encoded blocks. Implementations must be deterministic (same inputs, same
-// outputs on every node) and safe for concurrent use.
+// blocks into n, and DecodeInto recovers the k originals from any KPrime of
+// the n encoded blocks. Implementations must be deterministic (same inputs,
+// same outputs on every node) and safe for concurrent use.
 type Codec interface {
 	// K is the number of source blocks per codeword.
 	K() int
@@ -28,9 +28,10 @@ type Codec interface {
 	KPrime() int
 	// Encode expands k data blocks into n encoded blocks.
 	Encode(data [][]byte) ([][]byte, error)
-	// Decode recovers the k data blocks from a length-n shard slice with
-	// nil entries for missing shards.
-	Decode(shards [][]byte) ([][]byte, error)
+	// DecodeInto recovers the k data blocks from a length-n shard slice
+	// with nil entries for missing shards, into caller-provided storage:
+	// out holds k slices of the shards' common length.
+	DecodeInto(shards, out [][]byte) error
 }
 
 // NewReedSolomon returns the standard LR-Seluge codec: a systematic
@@ -64,16 +65,18 @@ func (c identityCodec) Encode(data [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-func (c identityCodec) Decode(shards [][]byte) ([][]byte, error) {
-	if len(shards) != c.k {
-		return nil, fmt.Errorf("erasure: identity codec got %d shards, want %d", len(shards), c.k)
+func (c identityCodec) DecodeInto(shards, out [][]byte) error {
+	if len(shards) != c.k || len(out) != c.k {
+		return fmt.Errorf("erasure: identity codec got %d shards and %d outputs, want %d", len(shards), len(out), c.k)
 	}
-	out := make([][]byte, c.k)
 	for i, b := range shards {
 		if b == nil {
-			return nil, fmt.Errorf("erasure: identity codec missing shard %d", i)
+			return fmt.Errorf("erasure: identity codec missing shard %d", i)
 		}
-		out[i] = append([]byte(nil), b...)
+		if len(out[i]) != len(b) {
+			return fmt.Errorf("erasure: identity codec output %d has %d bytes, want %d", i, len(out[i]), len(b))
+		}
+		copy(out[i], b)
 	}
-	return out, nil
+	return nil
 }

@@ -31,8 +31,8 @@ func TestIdentityCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Decode(enc)
-	if err != nil {
+	got := [][]byte{make([]byte, 2), make([]byte, 2), make([]byte, 2)}
+	if err := c.DecodeInto(enc, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -44,7 +44,7 @@ func TestIdentityCodecRoundTrip(t *testing.T) {
 
 func TestIdentityCodecMissingShard(t *testing.T) {
 	c := Identity(2)
-	if _, err := c.Decode([][]byte{{1}, nil}); err == nil {
+	if err := c.DecodeInto([][]byte{{1}, nil}, [][]byte{{0}, {0}}); err == nil {
 		t.Fatal("missing shard accepted by identity codec")
 	}
 	if _, err := c.Encode([][]byte{{1}}); err == nil {

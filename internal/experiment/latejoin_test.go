@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"testing"
 
 	"lrseluge/internal/core"
@@ -53,7 +52,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		Puzzle:     puzzle.Params{Strength: 8},
 		Col:        e.col,
 	}
-	h, err := core.NewHandler(1, params, sigCtx)
+	h, err := core.NewHandler(1, params, e.store, sigCtx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +70,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 	if !node.Completed() {
 		t.Fatalf("late joiner incomplete: %d/%d units", h.CompleteUnits(), h.TotalUnits())
 	}
-	got, err := h.ReassembledImage(len(e.imageData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, e.imageData) {
+	if !h.MatchesImage(e.imageData) {
 		t.Fatal("late joiner reconstructed a different image")
 	}
 }

@@ -5,7 +5,6 @@
 package experiment
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -212,9 +211,9 @@ type Result struct {
 	Units int
 }
 
-// reassembler is implemented by all three protocol handlers.
-type reassembler interface {
-	ReassembledImage(size int) ([]byte, error)
+// imageMatcher is implemented by all four protocol handlers.
+type imageMatcher interface {
+	MatchesImage(img []byte) bool
 }
 
 // Env is a fully-wired simulation ready to run; attack experiments extend it
@@ -226,12 +225,16 @@ type Env struct {
 	col         *metrics.Collector
 	nw          *radio.Network
 	nodes       []*dissem.Node
-	handlers    []reassembler
+	handlers    []imageMatcher
 	baseHandler dissem.ObjectHandler
 	imageData   []byte
 	units       int
 	pageUnit0   int // first image-page unit (0 for Deluge, 2 for secure)
 	completed   int
+
+	// store holds the run's authenticated unit content, shared by every
+	// Seluge or LR-Seluge node; it lives and dies with the Env.
+	store *core.Store
 
 	// Fault injection, wired only when the scenario carries a fault plan.
 	faultOv  *radio.FaultOverlay
@@ -317,6 +320,7 @@ func Build(s Scenario) (*Env, error) {
 		col:       col,
 		nw:        nw,
 		imageData: imgData,
+		store:     core.NewStore(),
 	}
 
 	numNodes := graph.NumNodes() - s.ExtraNodes
@@ -324,7 +328,7 @@ func Build(s Scenario) (*Env, error) {
 		return nil, fmt.Errorf("experiment: topology too small after reserving %d adversary slots", s.ExtraNodes)
 	}
 	e.nodes = make([]*dissem.Node, 0, numNodes)
-	e.handlers = make([]reassembler, 0, numNodes)
+	e.handlers = make([]imageMatcher, 0, numNodes)
 
 	// Security material shared by Seluge and LR-Seluge.
 	var (
@@ -411,7 +415,7 @@ func Build(s Scenario) (*Env, error) {
 			if id == 0 {
 				h = seluge.Preload(obj, newSigCtx())
 			} else {
-				h, err = seluge.NewHandler(version, s.Params, newSigCtx())
+				h, err = seluge.NewHandler(version, s.Params, e.store, newSigCtx())
 				if err != nil {
 					return nil, err
 				}
@@ -435,7 +439,7 @@ func Build(s Scenario) (*Env, error) {
 			if id == 0 {
 				h = core.Preload(obj, newSigCtx())
 			} else {
-				h, err = core.NewHandler(version, s.Params, newSigCtx())
+				h, err = core.NewHandler(version, s.Params, e.store, newSigCtx())
 				if err != nil {
 					return nil, err
 				}
@@ -534,7 +538,7 @@ func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dis
 		}
 	})
 	e.nodes = append(e.nodes, node)
-	e.handlers = append(e.handlers, handler.(reassembler))
+	e.handlers = append(e.handlers, handler.(imageMatcher))
 	if id == 0 {
 		e.baseHandler = handler
 	}
@@ -625,17 +629,23 @@ func (e *Env) run() Result {
 		RefetchedPkts:    e.col.RefetchedPkts(),
 		DowntimeSec:      e.col.TotalDowntime().Seconds(),
 		RecoverySec:      e.col.MeanRecoveryLatencySec(),
-		ImagesOK:         true,
+		ImagesOK:         e.ImagesOK(),
 	}
 	res.FaultDrops = e.col.FaultDrops()
+	return res
+}
+
+// ImagesOK reports whether every node holds exactly the original image. It
+// allocates nothing; on the store-backed protocols each shared unit is
+// compared against the image once, so the per-node cost is one pointer
+// compare per held unit.
+func (e *Env) ImagesOK() bool {
 	for _, h := range e.handlers {
-		got, err := h.ReassembledImage(len(e.imageData))
-		if err != nil || !bytes.Equal(got, e.imageData) {
-			res.ImagesOK = false
-			break
+		if !h.MatchesImage(e.imageData) {
+			return false
 		}
 	}
-	return res
+	return true
 }
 
 // Run executes a scenario end to end. When the scenario carries a trace

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 
 	"lrseluge/internal/core"
@@ -85,6 +84,9 @@ func VersionUpgrade(params image.Params, imageSize, receivers int, lossP float64
 	newSigCtx := func() *dissem.SigContext {
 		return &dissem.SigContext{Pub: keyPair.Public(), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
 	}
+	// One store for the run, shared across versions: entries are keyed by
+	// each version's signed root, so v1 and v2 content stays apart.
+	store := core.NewStore()
 
 	numNodes := receivers + 1
 	out.Nodes = numNodes
@@ -99,7 +101,7 @@ func VersionUpgrade(params image.Params, imageSize, receivers int, lossP float64
 		if id == 0 {
 			h = core.Preload(objV1, newSigCtx())
 		} else {
-			h, err = core.NewHandler(1, params, newSigCtx())
+			h, err = core.NewHandler(1, params, store, newSigCtx())
 			if err != nil {
 				return out, err
 			}
@@ -109,7 +111,7 @@ func VersionUpgrade(params image.Params, imageSize, receivers int, lossP float64
 			return out, err
 		}
 		node.SetUpgrader(func(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
-			nh, err := core.NewHandler(version, params, newSigCtx())
+			nh, err := core.NewHandler(version, params, store, newSigCtx())
 			if err != nil {
 				return nil, nil, err
 			}
@@ -159,12 +161,7 @@ func VersionUpgrade(params image.Params, imageSize, receivers int, lossP float64
 	out.ImagesOK = true
 	for id := 0; id < numNodes; id++ {
 		h := handlers[id]()
-		if h.Version() != 2 {
-			out.ImagesOK = false
-			continue
-		}
-		got, err := h.ReassembledImage(len(imgV2))
-		if err != nil || !bytes.Equal(got, imgV2) {
+		if h.Version() != 2 || !h.MatchesImage(imgV2) {
 			out.ImagesOK = false
 		}
 	}

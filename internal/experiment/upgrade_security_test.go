@@ -52,7 +52,7 @@ func TestForgedUpgradeCannotWipeNodes(t *testing.T) {
 	}
 	for _, n := range e.nodes {
 		n.SetUpgrader(func(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
-			h, err := core.NewHandler(version, params, newSigCtx())
+			h, err := core.NewHandler(version, params, e.store, newSigCtx())
 			if err != nil {
 				return nil, nil, err
 			}

@@ -17,6 +17,7 @@
 package image
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -128,14 +129,19 @@ func Join(blocks [][]byte) []byte {
 	return out
 }
 
-// Reassemble concatenates pages and trims zero padding back to the original
-// image size.
-func Reassemble(pages [][]byte, imageSize int) ([]byte, error) {
-	joined := Join(pages)
-	if len(joined) < imageSize {
-		return nil, fmt.Errorf("image: reassembled %d bytes < image size %d", len(joined), imageSize)
+// Matches reports whether the concatenated pages, zero padding past the
+// image's end ignored, are exactly img. It builds no reassembly, so checking
+// a received image allocates nothing.
+func Matches(pages [][]byte, img []byte) bool {
+	rest := img
+	for _, page := range pages {
+		n := min(len(page), len(rest))
+		if !bytes.Equal(page[:n], rest[:n]) {
+			return false
+		}
+		rest = rest[n:]
 	}
-	return joined[:imageSize], nil
+	return len(rest) == 0
 }
 
 // Random generates a deterministic pseudo-random code image for experiments

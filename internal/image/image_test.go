@@ -71,11 +71,13 @@ func TestPartitionReassembleRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		back, err := Reassemble(pages, size)
-		if err != nil {
+		if !Matches(pages, data) {
 			return false
 		}
-		return bytes.Equal(back, data)
+		// A flipped byte anywhere in the image must be caught.
+		flipped := append([]byte(nil), data...)
+		flipped[size/2] ^= 1
+		return !Matches(pages, flipped)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -112,7 +114,7 @@ func TestBlocksRequiresDivisibility(t *testing.T) {
 }
 
 func TestReassembleTooShort(t *testing.T) {
-	if _, err := Reassemble([][]byte{{1, 2}}, 5); err == nil {
+	if Matches([][]byte{{1, 2}}, []byte{1, 2, 0, 0, 0}) {
 		t.Fatal("short reassembly accepted")
 	}
 }

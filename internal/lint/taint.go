@@ -25,7 +25,7 @@ import (
 //   - storing taint-derived, data-bearing values into state that outlives
 //     the call (struct fields, package variables, dereferenced pointers);
 //   - passing taint-derived values to an internal/erasure decoder entry
-//     point (Decode, AddSeed).
+//     point (Decode, DecodeInto, AddSeed).
 //
 // Taint sources are parameters (and method receivers) whose type is the
 // module's packet.Data or packet.Sig (by pointer or value), plus results of
@@ -75,8 +75,9 @@ var verifierWrapperNames = map[string]bool{
 // decoderEntryNames are the internal/erasure entry points that consume
 // possibly-corrupt shards; feeding them unverified bytes is a sink.
 var decoderEntryNames = map[string]bool{
-	"Decode":  true,
-	"AddSeed": true,
+	"Decode":     true,
+	"DecodeInto": true,
+	"AddSeed":    true,
 }
 
 // checkTaint implements verify-before-use for every function of the package.
@@ -503,8 +504,8 @@ func (a *taintAnalysis) checkExprSinks(e ast.Expr) {
 	})
 }
 
-// checkDecoderSink flags internal/erasure Decode/AddSeed calls that consume
-// unverified taint-derived arguments.
+// checkDecoderSink flags internal/erasure Decode/DecodeInto/AddSeed calls
+// that consume unverified taint-derived arguments.
 func (a *taintAnalysis) checkDecoderSink(call *ast.CallExpr) {
 	fn := a.calleeFunc(call)
 	if fn == nil || fn.Pkg() == nil {

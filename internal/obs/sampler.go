@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/metrics"
+	"runtime/pprof"
 	"time"
 )
 
@@ -254,3 +255,37 @@ func WriteSnapshotText(w io.Writer, snaps []Snapshot) error {
 	}
 	return nil
 }
+
+// HeapPeak keeps the heap profile taken when the post-GC live heap
+// (/gc/heap/live:bytes) was highest across its Observe calls, so a run can
+// answer "where did the memory go" at its peak. The runtime's heap profile
+// describes the same most recent collection the gauge does. Not safe for
+// concurrent use.
+type HeapPeak struct {
+	live uint64
+	prof bytes.Buffer
+}
+
+// Observe reads the post-GC live heap and, when it exceeds every earlier
+// reading, replaces the kept profile with a fresh one.
+func (p *HeapPeak) Observe() error {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return fmt.Errorf("obs: runtime has no post-GC live-heap gauge")
+	}
+	live := s[0].Value.Uint64()
+	if p.prof.Len() > 0 && live <= p.live {
+		return nil
+	}
+	p.live = live
+	p.prof.Reset()
+	return pprof.Lookup("heap").WriteTo(&p.prof, 0)
+}
+
+// LiveBytes returns the highest post-GC live heap observed.
+func (p *HeapPeak) LiveBytes() uint64 { return p.live }
+
+// Profile returns the gzipped pprof heap profile kept at the peak, empty
+// before the first Observe.
+func (p *HeapPeak) Profile() []byte { return p.prof.Bytes() }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -118,5 +119,40 @@ func TestWriteSnapshotText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("snapshot table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestHeapPeakKeepsHighestProfile checks that the kept profile is a gzipped
+// pprof and is replaced only when the post-GC live heap grows.
+func TestHeapPeakKeepsHighestProfile(t *testing.T) {
+	var p HeapPeak
+	runtime.GC()
+	if err := p.Observe(); err != nil {
+		t.Fatal(err)
+	}
+	first := p.LiveBytes()
+	prof := p.Profile()
+	if len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Fatalf("profile is not gzip data (%d bytes)", len(prof))
+	}
+	ballast := make([][]byte, 64)
+	for i := range ballast {
+		ballast[i] = make([]byte, 1<<16)
+	}
+	runtime.GC()
+	if err := p.Observe(); err != nil {
+		t.Fatal(err)
+	}
+	if p.LiveBytes() <= first {
+		t.Fatalf("live heap %d did not grow past %d with 4 MiB held", p.LiveBytes(), first)
+	}
+	runtime.KeepAlive(ballast)
+	runtime.GC()
+	peak := p.LiveBytes()
+	if err := p.Observe(); err != nil {
+		t.Fatal(err)
+	}
+	if p.LiveBytes() != peak {
+		t.Fatalf("peak moved from %d to %d after the heap shrank", peak, p.LiveBytes())
 	}
 }

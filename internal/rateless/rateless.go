@@ -272,10 +272,8 @@ func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Da
 	return out, nil
 }
 
-// ReassembledImage returns the received image trimmed to size.
-func (h *Handler) ReassembledImage(size int) ([]byte, error) {
-	if h.total == 0 || len(h.pages) < h.total {
-		return nil, fmt.Errorf("rateless: object incomplete (%d/%d pages)", len(h.pages), h.total)
-	}
-	return image.Reassemble(h.pages, size)
+// MatchesImage reports whether the node holds every page and the pages,
+// padding stripped, are exactly img. It allocates nothing.
+func (h *Handler) MatchesImage(img []byte) bool {
+	return h.total > 0 && len(h.pages) >= h.total && image.Matches(h.pages, img)
 }

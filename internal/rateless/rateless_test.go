@@ -27,9 +27,8 @@ func TestObjectAndPreload(t *testing.T) {
 	if h.CompleteUnits() != 3 || h.TotalUnits() != 3 {
 		t.Fatal("preload incomplete")
 	}
-	got, err := h.ReassembledImage(len(data))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("preload image mismatch: %v", err)
+	if !h.MatchesImage(data) {
+		t.Fatal("preload image mismatch")
 	}
 }
 
@@ -65,9 +64,8 @@ func TestSymbolTransferDecodes(t *testing.T) {
 			t.Fatalf("unit %d did not decode from the full pool", u)
 		}
 	}
-	got, err := dst.ReassembledImage(len(data))
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("image mismatch: %v", err)
+	if !dst.MatchesImage(data) {
+		t.Fatal("image mismatch")
 	}
 }
 

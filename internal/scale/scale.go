@@ -92,7 +92,10 @@ type Report struct {
 	// Incomplete is Nodes-Completed: how many nodes ended the run without
 	// the full image (horizon hit, or isolated nodes). Always emitted so a
 	// partial run can never pass for a complete one silently.
-	Incomplete   int     `json:"incomplete"`
+	Incomplete int `json:"incomplete"`
+	// ImagesOK is true when every node holds exactly the original image
+	// (experiment.Env.ImagesOK, checked after the event loop).
+	ImagesOK     bool    `json:"images_ok"`
 	LatencySec   float64 `json:"latency_sec"`
 	Events       uint64  `json:"events"`
 	WallMS       int64   `json:"wall_ms"`
@@ -133,22 +136,7 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("scale: need >= 2 nodes, got %d", cfg.Nodes)
 	}
 
-	graph, err := topo.Disk(cfg.Nodes, cfg.TargetDegree, cfg.Seed)
-	if err != nil {
-		return Report{}, err
-	}
-	sc := experiment.Scenario{
-		Protocol:  experiment.LRSeluge,
-		Graph:     graph,
-		ImageSize: cfg.ImageKB * 1024,
-		LossP:     cfg.LossP,
-		Horizon:   cfg.Horizon,
-		Seed:      cfg.Seed,
-		Queue:     cfg.Queue,
-		Obs:       cfg.Obs,
-	}.WithDefaults()
-	sc.Dissem.CompactRNG = cfg.CompactRNG
-	env, err := experiment.Build(sc)
+	env, graph, err := build(cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -191,6 +179,7 @@ func Run(cfg Config) (Report, error) {
 		WallMS:       wall.Milliseconds(),
 		TotalBytes:   col.TotalBytes(),
 		BytesPerNode: float64(col.TotalBytes()) / float64(cfg.Nodes),
+		ImagesOK:     env.ImagesOK(),
 		PeakRSSKB:    peakRSSKB(),
 	}
 	if secs := wall.Seconds(); secs > 0 {
@@ -204,6 +193,31 @@ func Run(cfg Config) (Report, error) {
 		rep.Obs = &table
 	}
 	return rep, nil
+}
+
+// build wires cfg's run: an LR-Seluge experiment.Scenario on a random-disk
+// graph with the compact large-run choices.
+func build(cfg Config) (*experiment.Env, *topo.Graph, error) {
+	graph, err := topo.Disk(cfg.Nodes, cfg.TargetDegree, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc := experiment.Scenario{
+		Protocol:  experiment.LRSeluge,
+		Graph:     graph,
+		ImageSize: cfg.ImageKB * 1024,
+		LossP:     cfg.LossP,
+		Horizon:   cfg.Horizon,
+		Seed:      cfg.Seed,
+		Queue:     cfg.Queue,
+		Obs:       cfg.Obs,
+	}.WithDefaults()
+	sc.Dissem.CompactRNG = cfg.CompactRNG
+	env, err := experiment.Build(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return env, graph, nil
 }
 
 // peakRSSKB reads the process peak resident set (VmHWM) from /proc, in KiB.

@@ -17,6 +17,7 @@ package seluge
 import (
 	"fmt"
 
+	"lrseluge/internal/core"
 	"lrseluge/internal/crypt/hashx"
 	"lrseluge/internal/crypt/merkle"
 	"lrseluge/internal/crypt/puzzle"
@@ -63,13 +64,13 @@ type Object struct {
 	imageSize int
 	g         int
 
-	// pagePkts[i-1][j] is the payload of packet P_{i,j}: the embedded hash
-	// image h_{i+1,j} followed by the image block m_{i,j}.
-	pagePkts [][][]byte
-	m0Blocks [][]byte
-	geom     m0Geometry
-	tree     *merkle.Tree
-	sig      *packet.Sig
+	// units[0] is the hash page M0: its n0 blocks and Merkle tree. units[i]
+	// is page i: block j is the payload of packet P_{i,j}, the embedded hash
+	// image h_{i+1,j} followed by the image block m_{i,j}. Each unit's next
+	// images authenticate the following unit's packets.
+	units []*core.Unit
+	geom  m0Geometry
+	sig   *packet.Sig
 }
 
 // Build runs Seluge's base-station preprocessing: pages are packetized in
@@ -93,8 +94,9 @@ func Build(in BuildInput) (*Object, error) {
 	}
 	blockSize := p.PacketPayload - hashx.Size
 
-	pagePkts := make([][][]byte, g)
-	// next[j] is h_{i+1,j} while building page i; zero for page g.
+	units := make([]*core.Unit, g+1)
+	// next[j] is h_{i+1,j} while building page i; zero for page g, whose
+	// entry carries no next images.
 	next := make([]hashx.Image, p.K)
 	for i := g; i >= 1; i-- {
 		blocks, err := image.Blocks(pages[i-1], p.K)
@@ -113,7 +115,11 @@ func Build(in BuildInput) (*Object, error) {
 			pkts[j] = payload
 			cur[j] = hashx.Sum(authBody(packet.Unit(i+1), uint8(j), payload))
 		}
-		pagePkts[i-1] = pkts
+		if i == g {
+			units[i] = core.NewUnit(pkts, nil, nil)
+		} else {
+			units[i] = core.NewUnit(pkts, next, nil)
+		}
 		next = cur
 	}
 
@@ -133,6 +139,7 @@ func Build(in BuildInput) (*Object, error) {
 	if err != nil {
 		return nil, err
 	}
+	units[0] = core.NewUnit(m0Blocks, next, tree)
 
 	sig := &packet.Sig{
 		Version: in.Version,
@@ -160,10 +167,8 @@ func Build(in BuildInput) (*Object, error) {
 		params:    p,
 		imageSize: len(in.Image),
 		g:         g,
-		pagePkts:  pagePkts,
-		m0Blocks:  m0Blocks,
+		units:     units,
 		geom:      geom,
-		tree:      tree,
 		sig:       sig,
 	}, nil
 }
@@ -184,7 +189,7 @@ func (o *Object) ImageSize() int { return o.imageSize }
 func (o *Object) M0Packets() int { return o.geom.numBlocks }
 
 // Root returns the signed Merkle root.
-func (o *Object) Root() hashx.Image { return o.tree.Root() }
+func (o *Object) Root() hashx.Image { return o.sig.Root }
 
 // authBody replicates packet.Data.AuthBody for payloads not yet wrapped in a
 // packet: the hash image covers (unit, index, payload).

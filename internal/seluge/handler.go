@@ -3,6 +3,7 @@ package seluge
 import (
 	"fmt"
 
+	"lrseluge/internal/core"
 	"lrseluge/internal/crypt/hashx"
 	"lrseluge/internal/crypt/merkle"
 	"lrseluge/internal/dissem"
@@ -12,38 +13,44 @@ import (
 
 // Handler is a node's Seluge object state, implementing
 // dissem.ObjectHandler with immediate per-packet authentication.
+//
+// Completed units live in the run's core.Store, shared with every other
+// node that holds them; the handler keeps pointers to its entries, the
+// buffer of the unit in progress, and the verified signature.
 type Handler struct {
 	version uint16
 	params  image.Params
 	geom    m0Geometry
+	store   *core.Store
 	sigCtx  *dissem.SigContext
 
 	// Established by the verified signature packet.
-	sig  *packet.Sig
-	root hashx.Image
-	g    int
+	sig *packet.Sig
 
-	// Hash page assembly.
-	m0Have  []bool
-	m0Buf   [][]byte
-	m0Count int
-	m0Tree  *merkle.Tree // rebuilt once complete, for serving proofs
+	// Flash: the entries this node holds, in unit order. units[0] is the
+	// hash page M0 and units[i] image page i; the last entry's next images
+	// authenticate the page in progress.
+	units []*core.Unit
 
-	// Image page assembly (current page = len(pagePkts)+1).
-	curHave  []bool
-	curBuf   [][]byte
-	curCount int
-	pagePkts [][][]byte // completed pages' packet payloads
+	// RAM: the authenticated payloads of the unit in progress (nil =
+	// missing): n0 slots while M0 assembles, k while a page does, none
+	// before the signature or once every unit is held.
+	buf   [][]byte
+	count int
 }
 
 var _ dissem.ObjectHandler = (*Handler)(nil)
 
-// NewHandler creates an empty receiver-side handler. The M0 geometry must
-// match the base station's, which it does automatically because it is a
-// deterministic function of the preloaded parameters.
-func NewHandler(version uint16, p image.Params, sigCtx *dissem.SigContext) (*Handler, error) {
+// NewHandler creates an empty receiver-side handler whose completed units
+// go to store. The M0 geometry must match the base station's, which it does
+// automatically because it is a deterministic function of the preloaded
+// parameters.
+func NewHandler(version uint16, p image.Params, store *core.Store, sigCtx *dissem.SigContext) (*Handler, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if store == nil {
+		return nil, fmt.Errorf("seluge: nil store")
 	}
 	if sigCtx == nil {
 		return nil, fmt.Errorf("seluge: nil signature context")
@@ -52,57 +59,28 @@ func NewHandler(version uint16, p image.Params, sigCtx *dissem.SigContext) (*Han
 	if err != nil {
 		return nil, err
 	}
-	h := &Handler{version: version, params: p, geom: geom, sigCtx: sigCtx}
-	h.resetM0()
-	h.resetCurrent()
-	return h, nil
+	return &Handler{version: version, params: p, geom: geom, store: store, sigCtx: sigCtx}, nil
 }
 
 // Preload creates a handler that already possesses the whole object (the
-// base station).
+// base station). It holds the object's own units and never ingests.
 func Preload(o *Object, sigCtx *dissem.SigContext) *Handler {
-	h := &Handler{
-		version:  o.version,
-		params:   o.params,
-		geom:     o.geom,
-		sigCtx:   sigCtx,
-		sig:      o.sig,
-		root:     o.tree.Root(),
-		g:        o.g,
-		m0Tree:   o.tree,
-		m0Buf:    o.m0Blocks,
-		m0Count:  o.geom.numBlocks,
-		pagePkts: o.pagePkts,
+	return &Handler{
+		version: o.version,
+		params:  o.params,
+		geom:    o.geom,
+		sigCtx:  sigCtx,
+		sig:     o.sig,
+		units:   o.units,
 	}
-	h.m0Have = make([]bool, o.geom.numBlocks)
-	for i := range h.m0Have {
-		h.m0Have[i] = true
-	}
-	h.resetCurrent()
-	return h
-}
-
-func (h *Handler) resetM0() {
-	h.m0Have = make([]bool, h.geom.numBlocks)
-	h.m0Buf = make([][]byte, h.geom.numBlocks)
-	h.m0Count = 0
-}
-
-func (h *Handler) resetCurrent() {
-	h.curHave = make([]bool, h.params.K)
-	h.curBuf = make([][]byte, h.params.K)
-	h.curCount = 0
 }
 
 // WipeVolatile implements dissem.ObjectHandler: a power loss discards the
-// in-progress page's RAM buffer (and the hash page's, if still incomplete);
-// completed pages, a complete hash page and the verified signature are
-// flash-resident and survive.
+// in-progress unit's RAM buffer (the hash page's or the current page's);
+// held entries and the verified signature are flash-resident and survive.
 func (h *Handler) WipeVolatile() {
-	if h.m0Count < h.geom.numBlocks {
-		h.resetM0()
-	}
-	h.resetCurrent()
+	clear(h.buf)
+	h.count = 0
 }
 
 // Version implements dissem.ObjectHandler.
@@ -114,7 +92,7 @@ func (h *Handler) TotalUnits() int {
 	if h.sig == nil {
 		return 0
 	}
-	return h.g + 2
+	return int(h.sig.Pages) + 2
 }
 
 // CompleteUnits implements dissem.ObjectHandler.
@@ -122,10 +100,7 @@ func (h *Handler) CompleteUnits() int {
 	if h.sig == nil {
 		return 0
 	}
-	if h.m0Count < h.geom.numBlocks {
-		return 1
-	}
-	return 2 + len(h.pagePkts)
+	return 1 + len(h.units)
 }
 
 // PacketsInUnit implements dissem.ObjectHandler.
@@ -149,14 +124,10 @@ func (h *Handler) HasPacket(u, idx int) bool {
 	switch {
 	case u < cu:
 		return true
-	case u > cu:
+	case u > cu, u == 0: // u == 0: signature still wanted
 		return false
-	case u == 0:
-		return false // signature still wanted
-	case u == 1:
-		return idx >= 0 && idx < len(h.m0Have) && h.m0Have[idx]
 	default:
-		return idx >= 0 && idx < len(h.curHave) && h.curHave[idx]
+		return idx >= 0 && idx < len(h.buf) && h.buf[idx] != nil
 	}
 }
 
@@ -195,8 +166,7 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 		PuzzleKey: s.PuzzleKey,
 		PuzzleSol: s.PuzzleSol,
 	}
-	h.root = s.Root
-	h.g = int(s.Pages)
+	h.buf = make([][]byte, h.geom.numBlocks)
 	return dissem.UnitComplete
 }
 
@@ -222,72 +192,85 @@ func (h *Handler) ingestM0(d *packet.Data) dissem.IngestResult {
 	if idx < 0 || idx >= h.geom.numBlocks || len(d.Payload) != h.geom.blockSize || len(d.Proof) != h.geom.depth {
 		return dissem.Rejected
 	}
-	if !merkle.Verify(h.root, d.Payload, idx, d.Proof) {
+	if !merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof) {
 		return dissem.Rejected
 	}
-	if h.m0Have[idx] {
+	if h.buf[idx] != nil {
 		return dissem.Duplicate
 	}
-	h.m0Have[idx] = true
-	h.m0Buf[idx] = append([]byte(nil), d.Payload...)
-	h.m0Count++
-	if h.m0Count < h.geom.numBlocks {
+	h.buf[idx] = append([]byte(nil), d.Payload...)
+	h.count++
+	if h.count < h.geom.numBlocks {
 		return dissem.Stored
 	}
-	tree, err := merkle.Build(h.m0Buf)
-	if err != nil || tree.Root() != h.root {
+	// The first node to hold M0 rebuilds the Merkle tree and checks the
+	// root; later nodes check their blocks against that entry.
+	m0, ok := h.store.Intern(h.sig.Root, 1, h.buf, func() *core.Unit {
+		tree, err := merkle.Build(h.buf)
+		if err != nil || tree.Root() != h.sig.Root {
+			return nil
+		}
+		return core.NewUnit(h.buf, hashx.Split(image.Join(h.buf)[:h.params.K*hashx.Size]), tree)
+	})
+	if !ok {
 		// Impossible if every packet verified; defensive reset.
-		h.resetM0()
+		h.WipeVolatile()
 		return dissem.Rejected
 	}
-	h.m0Tree = tree
-	return dissem.UnitComplete
+	return h.hold(m0)
 }
 
 func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
-	u := int(d.Unit)
 	idx := int(d.Index)
 	if idx < 0 || idx >= h.params.K || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 		return dissem.Rejected
 	}
-	want, ok := h.expectedHash(u, idx)
-	if !ok || hashx.Sum(d.AuthBody()) != want {
+	expected := h.units[len(h.units)-1].Next()
+	if len(expected) != h.params.K || hashx.Sum(d.AuthBody()) != expected[idx] {
 		return dissem.Rejected
 	}
-	if h.curHave[idx] {
+	if h.buf[idx] != nil {
 		return dissem.Duplicate
 	}
-	h.curHave[idx] = true
-	h.curBuf[idx] = append([]byte(nil), d.Payload...)
-	h.curCount++
-	if h.curCount < h.params.K {
+	h.buf[idx] = append([]byte(nil), d.Payload...)
+	h.count++
+	if h.count < h.params.K {
 		return dissem.Stored
 	}
-	h.pagePkts = append(h.pagePkts, h.curBuf)
-	h.resetCurrent()
-	return dissem.UnitComplete
+	page := len(h.units) // 1-based number of the page just completed
+	entry, ok := h.store.Intern(h.sig.Root, page+1, h.buf, func() *core.Unit {
+		if page == int(h.sig.Pages) {
+			return core.NewUnit(h.buf, nil, nil)
+		}
+		// Each payload opens with the hash image of the next page's
+		// packet at the same index.
+		next := make([]hashx.Image, h.params.K)
+		for j, payload := range h.buf {
+			next[j] = hashx.FromBytes(payload)
+		}
+		return core.NewUnit(h.buf, next, nil)
+	})
+	if !ok {
+		h.WipeVolatile() // unreachable: every packet was authenticated
+		return dissem.Rejected
+	}
+	return h.hold(entry)
 }
 
-// expectedHash returns the pre-established hash image for packet idx of unit
-// u: from the hash page for page 1, or from the embedded images in the
-// previous page's packets otherwise.
-func (h *Handler) expectedHash(u, idx int) (hashx.Image, bool) {
-	page := u - 1 // 1-based image page number
-	if page == 1 {
-		if h.m0Count < h.geom.numBlocks {
-			return hashx.Zero, false
-		}
-		joined := image.Join(h.m0Buf)
-		if len(joined) < h.params.K*hashx.Size {
-			return hashx.Zero, false
-		}
-		return hashx.FromBytes(joined[idx*hashx.Size:]), true
+// hold appends a completed unit's entry and readies the buffer for the next
+// unit: k slots for the next page, none once every unit is held.
+func (h *Handler) hold(entry *core.Unit) dissem.IngestResult {
+	h.units = append(h.units, entry)
+	switch {
+	case len(h.units) == int(h.sig.Pages)+1:
+		h.buf = nil
+	case len(h.units) == 1:
+		h.buf = make([][]byte, h.params.K)
+	default:
+		clear(h.buf)
 	}
-	prev := page - 2 // index into pagePkts
-	if prev < 0 || prev >= len(h.pagePkts) {
-		return hashx.Zero, false
-	}
-	return hashx.FromBytes(h.pagePkts[prev][idx][:hashx.Size]), true
+	h.count = 0
+	return dissem.UnitComplete
 }
 
 // Authentic implements dissem.ObjectHandler: verify a packet of any
@@ -303,13 +286,16 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 	case u == 1:
 		return idx >= 0 && idx < h.geom.numBlocks &&
 			len(d.Payload) == h.geom.blockSize && len(d.Proof) == h.geom.depth &&
-			merkle.Verify(h.root, d.Payload, idx, d.Proof)
+			merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof)
 	case u >= 2:
 		if idx < 0 || idx >= h.params.K || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 			return false
 		}
-		want, ok := h.expectedHash(u, idx)
-		return ok && hashx.Sum(d.AuthBody()) == want
+		// Page u-1 is authenticated by the next images of unit u-1's entry.
+		if u-2 >= len(h.units) || len(h.units[u-2].Next()) != h.params.K {
+			return false
+		}
+		return hashx.Sum(d.AuthBody()) == h.units[u-2].Next()[idx]
 	default:
 		return false
 	}
@@ -327,58 +313,41 @@ func (h *Handler) SigPacket(src packet.NodeID) *packet.Sig {
 
 // Packets implements dissem.ObjectHandler.
 func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
-	if u >= h.CompleteUnits() {
+	if u < 1 || u >= h.CompleteUnits() {
 		return nil, fmt.Errorf("seluge: unit %d not held", u)
 	}
+	entry := h.units[u-1]
+	blocks := entry.Blocks()
 	out := make([]*packet.Data, 0, len(indices))
-	switch u {
-	case 1:
-		for _, idx := range indices {
-			if idx < 0 || idx >= h.geom.numBlocks {
-				return nil, fmt.Errorf("seluge: M0 index %d out of range", idx)
-			}
-			proof, err := h.m0Tree.Proof(idx)
+	for _, idx := range indices {
+		if idx < 0 || idx >= len(blocks) {
+			return nil, fmt.Errorf("seluge: unit %d index %d out of range", u, idx)
+		}
+		d := &packet.Data{
+			Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
+			Payload: blocks[idx],
+		}
+		if u == 1 {
+			proof, err := entry.Tree().Proof(idx)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, &packet.Data{
-				Src: src, Version: h.version, Unit: 1, Index: uint8(idx),
-				Payload: h.m0Buf[idx], Proof: proof,
-			})
+			d.Proof = proof
 		}
-	default:
-		page := u - 2 // index into pagePkts
-		if page < 0 || page >= len(h.pagePkts) {
-			return nil, fmt.Errorf("seluge: page unit %d not held", u)
-		}
-		for _, idx := range indices {
-			if idx < 0 || idx >= h.params.K {
-				return nil, fmt.Errorf("seluge: packet index %d out of range", idx)
-			}
-			out = append(out, &packet.Data{
-				Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
-				Payload: h.pagePkts[page][idx],
-			})
-		}
+		out = append(out, d)
 	}
 	return out, nil
 }
 
-// ReassembledImage strips the embedded hash images and padding, returning
-// the received code image for end-to-end verification.
-func (h *Handler) ReassembledImage(size int) ([]byte, error) {
-	if h.sig == nil || len(h.pagePkts) < h.g {
-		return nil, fmt.Errorf("seluge: object incomplete")
+// MatchesImage reports whether the node holds the whole object and its
+// pages, embedded hash images and padding stripped, are exactly img. It
+// allocates nothing, and each shared entry is compared against img once per
+// run.
+func (h *Handler) MatchesImage(img []byte) bool {
+	if h.sig == nil || len(h.units) < int(h.sig.Pages)+1 {
+		return false
 	}
-	pages := make([][]byte, h.g)
-	for i, pkts := range h.pagePkts {
-		page := make([]byte, 0, h.params.SelugePageBytes())
-		for _, payload := range pkts {
-			page = append(page, payload[hashx.Size:]...)
-		}
-		pages[i] = page
-	}
-	return image.Reassemble(pages, size)
+	return core.ImageMatches(h.units[1:], img, h.params.SelugePageBytes(), hashx.Size)
 }
 
 // NewPolicy returns the Seluge transmission policy: same union-of-requests

@@ -1,9 +1,9 @@
 package seluge
 
 import (
-	"bytes"
 	"testing"
 
+	"lrseluge/internal/core"
 	"lrseluge/internal/crypt/puzzle"
 	"lrseluge/internal/crypt/sign"
 	"lrseluge/internal/dissem"
@@ -23,6 +23,7 @@ type fixture struct {
 	chain  *puzzle.Chain
 	pp     puzzle.Params
 	col    *metrics.Collector
+	store  *core.Store
 	sigCtx func() *dissem.SigContext
 }
 
@@ -43,7 +44,7 @@ func newFixture(t *testing.T, size int) *fixture {
 		t.Fatal(err)
 	}
 	col := metrics.New()
-	f := &fixture{obj: obj, data: data, key: key, chain: chain, pp: pp, col: col}
+	f := &fixture{obj: obj, data: data, key: key, chain: chain, pp: pp, col: col, store: core.NewStore()}
 	f.sigCtx = func() *dissem.SigContext {
 		return &dissem.SigContext{Pub: key.Public(), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
 	}
@@ -52,7 +53,7 @@ func newFixture(t *testing.T, size int) *fixture {
 
 func (f *fixture) receiver(t *testing.T) *Handler {
 	t.Helper()
-	h, err := NewHandler(1, testParams(), f.sigCtx())
+	h, err := NewHandler(1, testParams(), f.store, f.sigCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,7 @@ func TestEndToEndAuthenticatedTransfer(t *testing.T) {
 	f := newFixture(t, 200)
 	dst := f.receiver(t)
 	deliver(t, f, dst)
-	got, err := dst.ReassembledImage(len(f.data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, f.data) {
+	if !dst.MatchesImage(f.data) {
 		t.Fatal("image mismatch after authenticated transfer")
 	}
 }
@@ -140,9 +137,8 @@ func TestReceiverCanServeAfterDecoding(t *testing.T) {
 			}
 		}
 	}
-	got, err := dst.ReassembledImage(len(f.data))
-	if err != nil || !bytes.Equal(got, f.data) {
-		t.Fatalf("relayed image mismatch: %v", err)
+	if !dst.MatchesImage(f.data) {
+		t.Fatal("relayed image mismatch")
 	}
 }
 

@@ -23,8 +23,9 @@
 # seeded run under the heap and calendar event queues must produce identical
 # transmission-trace hashes and metrics) and an n=10k benchmark rerun whose
 # events/sec must not regress below half the committed BENCH_scale.json
-# figure and whose events and total_bytes must equal the committed row. The
-# observability gates: lrscale -obsbench (BENCH_obs.json) must reproduce the
+# figure, whose events and total_bytes must equal the committed row, and
+# whose every node must complete holding the exact image (images_ok true,
+# incomplete 0). The observability gates: lrscale -obsbench (BENCH_obs.json) must reproduce the
 # committed trace_hash, keep the nil-timer (disabled) overhead under 1% and
 # the fully-instrumented (enabled) overhead under 10%, attribute at least
 # 80% of wall time to the instrumented subsystems, and leave same-seed trace
@@ -204,7 +205,7 @@ awk -v r="$ratio" -v id="$ident" 'BEGIN {
 echo "==> lrscale identity smoke (heap vs calendar queue, byte-identical run)"
 go run ./cmd/lrscale -identity
 
-echo "==> lrscale n=10k regression gate (events/sec >= half the committed figure; events and total_bytes equal to the committed row)"
+echo "==> lrscale n=10k regression gate (events/sec >= half the committed figure; events and total_bytes equal to the committed row; every node complete with the exact image)"
 prev_eps=$(field BENCH_scale.json events_per_sec_10k 2>/dev/null || true)
 # row10k FILE FIELD prints FIELD of the "nodes": 10000 row.
 row10k() {
@@ -217,8 +218,11 @@ go run ./cmd/lrscale -nodes 10000 -q -o "$tmpdir/scale.json"
 new_eps=$(field "$tmpdir/scale.json" events_per_sec_10k)
 new_events=$(row10k "$tmpdir/scale.json" events)
 new_bytes=$(row10k "$tmpdir/scale.json" total_bytes)
+new_images=$(row10k "$tmpdir/scale.json" images_ok)
+new_incomplete=$(row10k "$tmpdir/scale.json" incomplete)
 awk -v prev="$prev_eps" -v new="$new_eps" \
-    -v pe="$prev_events" -v ne="$new_events" -v pb="$prev_bytes" -v nb="$new_bytes" 'BEGIN {
+    -v pe="$prev_events" -v ne="$new_events" -v pb="$prev_bytes" -v nb="$new_bytes" \
+    -v img="$new_images" -v inc="$new_incomplete" 'BEGIN {
     if (new == "" || new + 0 <= 0) { print "scale gate: missing events_per_sec_10k"; exit 1 }
     if (prev != "" && new + 0 < (prev + 0) / 2) {
         print "scale gate: events/sec regressed to " new " vs committed " prev; exit 1
@@ -226,6 +230,9 @@ awk -v prev="$prev_eps" -v new="$new_eps" \
     if (pe == "" || pb == "") { print "scale gate: committed n=10000 row missing events/total_bytes"; exit 1 }
     if (ne != pe || nb != pb) {
         print "scale gate: n=10000 run drifted: events " ne " total_bytes " nb " vs committed " pe " " pb; exit 1
+    }
+    if (img != "true" || inc != "0") {
+        print "scale gate: n=10000 run images_ok " img " incomplete " inc "; want true and 0"; exit 1
     }
 }'
 
