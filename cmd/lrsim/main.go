@@ -27,7 +27,7 @@ func main() {
 		kb        = flag.Int("kb", 20, "code image size in KiB")
 		receivers = flag.Int("receivers", 20, "one-hop receivers (ignored for grid topologies)")
 		loss      = flag.Float64("loss", 0.1, "iid packet-loss probability at each receiver")
-		noise     = flag.String("noise", "", "channel model override: '' or 'bernoulli' (iid via -loss), 'heavy' (bursty Gilbert-Elliott)")
+		noise     = flag.String("noise", "bernoulli", "channel model: bernoulli (iid via -loss), heavy (bursty Gilbert-Elliott)")
 		topology  = flag.String("topology", "onehop", "topology: onehop, grid, random")
 		rows      = flag.Int("rows", 15, "grid rows")
 		cols      = flag.Int("cols", 15, "grid cols")
@@ -53,39 +53,24 @@ func main() {
 		Seed:      *seed,
 	}
 
-	switch *proto {
-	case "deluge":
-		s.Protocol = lrseluge.Deluge
-	case "seluge":
-		s.Protocol = lrseluge.Seluge
-	case "lr-seluge":
-		s.Protocol = lrseluge.LRSeluge
-	case "rateless":
-		s.Protocol = lrseluge.RatelessDeluge
-	default:
-		fmt.Fprintf(os.Stderr, "lrsim: unknown protocol %q\n", *proto)
-		os.Exit(2)
+	var err error
+	if s.Protocol, err = experiment.ParseProtocol(*proto); err != nil {
+		usage(err)
 	}
-
-	switch *policy {
-	case "greedy-rr":
-		s.LRPolicy = experiment.GreedyRR
-	case "union":
-		s.LRPolicy = experiment.UnionBits
-	case "fresh-rr":
-		s.LRPolicy = experiment.FreshRR
-	default:
-		fmt.Fprintf(os.Stderr, "lrsim: unknown policy %q\n", *policy)
-		os.Exit(2)
+	if s.LRPolicy, err = experiment.ParsePolicy(*policy); err != nil {
+		usage(err)
+	}
+	if s.LossFactory, err = experiment.ParseNoise(*noise); err != nil {
+		usage(err)
 	}
 
 	switch *topology {
 	case "onehop":
 		s.LossP = *loss
 	case "grid":
-		d := lrseluge.Tight
-		if *density == "medium" {
-			d = lrseluge.Medium
+		d, err := experiment.ParseDensity(*density)
+		if err != nil {
+			usage(err)
 		}
 		g, err := lrseluge.Grid(*rows, *cols, d)
 		if err != nil {
@@ -99,24 +84,12 @@ func main() {
 		}
 		s.Graph = g
 	default:
-		fmt.Fprintf(os.Stderr, "lrsim: unknown topology %q\n", *topology)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown topology %q", *topology))
 	}
-	switch *noise {
-	case "", "bernoulli":
-		// iid losses via -loss (already configured above).
-	case "heavy":
-		s.LossFactory = func() lrseluge.LossModel { return lrseluge.HeavyNoise() }
-	default:
-		fmt.Fprintf(os.Stderr, "lrsim: unknown noise model %q (want '', 'bernoulli' or 'heavy')\n", *noise)
-		os.Exit(2)
-	}
-
 	if *faults != "" {
 		plan, err := lrseluge.LoadFaultPlan(*faults)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lrsim: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		s.Faults = plan
 	}
@@ -126,8 +99,7 @@ func main() {
 		// A trace is the event stream of ONE simulation; averaging several
 		// runs into a single file would interleave unrelated runs.
 		if *runs != 1 {
-			fmt.Fprintf(os.Stderr, "lrsim: -trace requires -runs 1 (got -runs %d)\n", *runs)
-			os.Exit(2)
+			usage(fmt.Errorf("-trace requires -runs 1 (got -runs %d)", *runs))
 		}
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -166,4 +138,10 @@ func main() {
 		fmt.Printf("re-fetched pkts:   %.1f\n", res.Refetched)
 		fmt.Printf("fault drops:       %.1f\n", res.FaultDrops)
 	}
+}
+
+// usage reports a bad flag value and exits 2.
+func usage(err error) {
+	fmt.Fprintf(os.Stderr, "lrsim: %v\n", err)
+	os.Exit(2)
 }

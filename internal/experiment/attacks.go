@@ -131,20 +131,14 @@ func runSigFlood(params image.Params, imageSize, receivers int, lossP float64, s
 	}
 	attackerID := packet.NodeID(receivers + 1)
 	var key puzzle.Key
-	pparams := puzzle.Params{Strength: e.scenario.PuzzleStrength}
 	if solve {
 		// The released chain key is public knowledge once dissemination
-		// begins; rebuild the experiment's chain to obtain it.
-		chain, err := puzzle.NewChain([]byte("lrseluge-experiment"), 8)
-		if err != nil {
-			return Result{}, 0, err
-		}
-		key, err = chain.Key(1)
-		if err != nil {
+		// begins.
+		if key, err = e.chain.Key(1); err != nil {
 			return Result{}, 0, err
 		}
 	}
-	fl, err := adversary.NewSigFlooder(attackerID, e.nw, 1, uint8(e.units-2), attackInterval, solve, key, pparams, seed^0xf100d)
+	fl, err := adversary.NewSigFlooder(attackerID, e.nw, 1, uint8(e.units-2), attackInterval, solve, key, e.puzzle(), seed^0xf100d)
 	if err != nil {
 		return Result{}, 0, err
 	}

@@ -195,10 +195,8 @@ func TestCrashMidPageRecovery(t *testing.T) {
 	if e.col.MeanRecoveryLatencySec() <= 0 {
 		t.Fatal("recovery latency not recorded")
 	}
-	for i, r := range e.handlers {
-		if !r.MatchesImage(e.imageData) {
-			t.Fatalf("node %d image mismatch after recovery", i)
-		}
+	if !e.ImagesOK() {
+		t.Fatal("image mismatch after recovery")
 	}
 }
 

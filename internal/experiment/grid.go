@@ -95,9 +95,9 @@ const seedStride = 1000003
 // averaged into one AvgResult.
 //
 // Concurrency contract: entries are run on GOMAXPROCS-wide worker pools, so
-// a Scenario must not share mutable state across runs — stateful channel
-// models must come through Scenario.LossFactory (a fresh model per build),
-// never through a shared Scenario.Loss value.
+// a Scenario must not share mutable state across runs — which is why
+// channel models come only through Scenario.LossFactory (a fresh model per
+// build).
 type GridEntry struct {
 	// Name labels the entry in job names and error messages, e.g. "p=0.1".
 	Name string

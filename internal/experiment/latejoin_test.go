@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"lrseluge/internal/core"
-	"lrseluge/internal/crypt/puzzle"
-	"lrseluge/internal/crypt/sign"
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/image"
 	"lrseluge/internal/packet"
@@ -38,21 +36,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 
 	// Boot the late joiner on the reserved slot with the same preloaded
 	// security material.
-	keyPair, err := sign.GenerateDeterministic(s.Seed ^ 0xec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := puzzle.NewChain([]byte("lrseluge-experiment"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigCtx := &dissem.SigContext{
-		Pub:        keyPair.Public(),
-		Commitment: chain.Commitment(),
-		Puzzle:     puzzle.Params{Strength: 8},
-		Col:        e.col,
-	}
-	h, err := core.NewHandler(1, params, e.store, sigCtx)
+	h, err := core.NewHandler(1, params, e.store, e.sigCtx())
 	if err != nil {
 		t.Fatal(err)
 	}

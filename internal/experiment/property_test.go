@@ -65,8 +65,10 @@ func TestTraceLossScenario(t *testing.T) {
 		ImageSize: 2048,
 		Params:    params,
 		Receivers: 4,
-		Loss:      radio.TraceLoss{Trace: radio.SyntheticHeavyTrace(600, 100*sim.Millisecond, 7)},
-		Seed:      3,
+		LossFactory: func() radio.LossModel {
+			return radio.TraceLoss{Trace: radio.SyntheticHeavyTrace(600, 100*sim.Millisecond, 7)}
+		},
+		Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -107,11 +107,10 @@ type Scenario struct {
 	Graph     *topo.Graph
 	Receivers int
 
-	// Loss overrides the loss model; if nil, a Bernoulli model with LossP
-	// is used (the one-hop emulation strategy of §VI-A). For stateful
-	// models (Gilbert-Elliott) prefer LossFactory so repeated runs get
-	// fresh channel state.
-	Loss        radio.LossModel
+	// LossFactory, when set, builds the run's loss model; each run calls
+	// it, so stateful models (Gilbert-Elliott) start from fresh channel
+	// state and parallel runs share nothing. Otherwise a Bernoulli model
+	// with LossP is used (the one-hop emulation strategy of §VI-A).
 	LossFactory func() radio.LossModel
 	LossP       float64
 
@@ -225,12 +224,22 @@ type Env struct {
 	col         *metrics.Collector
 	nw          *radio.Network
 	nodes       []*dissem.Node
-	handlers    []imageMatcher
 	baseHandler dissem.ObjectHandler
 	imageData   []byte
 	units       int
 	pageUnit0   int // first image-page unit (0 for Deluge, 2 for secure)
-	completed   int
+	started     bool
+
+	// version is the code version the run disseminates, and completed
+	// counts the nodes that hold it; Upgrade moves both on.
+	version   uint16
+	completed int
+
+	// key and chain are the run's signing key and puzzle key chain
+	// (Seluge and LR-Seluge only): every node's SigContext and every
+	// version Upgrade signs come from them.
+	key   *sign.KeyPair
+	chain *puzzle.Chain
 
 	// store holds the run's authenticated unit content, shared by every
 	// Seluge or LR-Seluge node; it lives and dies with the Env.
@@ -284,16 +293,12 @@ func Build(s Scenario) (*Env, error) {
 			return nil, err
 		}
 	}
-	loss := s.Loss
-	if s.LossFactory != nil {
+	var loss radio.LossModel = radio.NoLoss{}
+	switch {
+	case s.LossFactory != nil:
 		loss = s.LossFactory()
-	}
-	if loss == nil {
-		if s.LossP > 0 {
-			loss = radio.Bernoulli{P: s.LossP}
-		} else {
-			loss = radio.NoLoss{}
-		}
+	case s.LossP > 0:
+		loss = radio.Bernoulli{P: s.LossP}
 	}
 
 	eng := sim.NewWithQueue(s.Queue)
@@ -314,6 +319,7 @@ func Build(s Scenario) (*Env, error) {
 		nw.SetTracer(tr)
 	}
 
+	const version = 1
 	e := &Env{
 		scenario:  s,
 		eng:       eng,
@@ -321,6 +327,7 @@ func Build(s Scenario) (*Env, error) {
 		nw:        nw,
 		imageData: imgData,
 		store:     core.NewStore(),
+		version:   version,
 	}
 
 	numNodes := graph.NumNodes() - s.ExtraNodes
@@ -328,35 +335,16 @@ func Build(s Scenario) (*Env, error) {
 		return nil, fmt.Errorf("experiment: topology too small after reserving %d adversary slots", s.ExtraNodes)
 	}
 	e.nodes = make([]*dissem.Node, 0, numNodes)
-	e.handlers = make([]imageMatcher, 0, numNodes)
 
-	// Security material shared by Seluge and LR-Seluge.
-	var (
-		keyPair *sign.KeyPair
-		chain   *puzzle.Chain
-		pparams = puzzle.Params{Strength: s.PuzzleStrength}
-	)
 	if s.Protocol == Seluge || s.Protocol == LRSeluge {
-		keyPair, err = sign.GenerateDeterministic(s.Seed ^ 0xec)
-		if err != nil {
+		if e.key, err = sign.GenerateDeterministic(s.Seed ^ 0xec); err != nil {
 			return nil, err
 		}
-		chain, err = puzzle.NewChain([]byte("lrseluge-experiment"), 8)
-		if err != nil {
+		if e.chain, err = puzzle.NewChain([]byte("lrseluge-experiment"), 8); err != nil {
 			return nil, err
-		}
-	}
-	newSigCtx := func() *dissem.SigContext {
-		return &dissem.SigContext{
-			Pub:        keyPair.Public(),
-			Commitment: chain.Commitment(),
-			Puzzle:     pparams,
-			Col:        col,
-			Obs:        s.Obs,
 		}
 	}
 
-	const version = 1
 	switch s.Protocol {
 	case RatelessDeluge:
 		obj, err := rateless.NewObject(version, imgData, s.Params)
@@ -403,7 +391,7 @@ func Build(s Scenario) (*Env, error) {
 	case Seluge:
 		obj, err := seluge.Build(seluge.BuildInput{
 			Version: version, Image: imgData, Params: s.Params,
-			Key: keyPair, Chain: chain, Puzzle: pparams,
+			Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
 		})
 		if err != nil {
 			return nil, err
@@ -413,9 +401,9 @@ func Build(s Scenario) (*Env, error) {
 		for id := 0; id < numNodes; id++ {
 			var h *seluge.Handler
 			if id == 0 {
-				h = seluge.Preload(obj, newSigCtx())
+				h = seluge.Preload(obj, e.sigCtx())
 			} else {
-				h, err = seluge.NewHandler(version, s.Params, e.store, newSigCtx())
+				h, err = seluge.NewHandler(version, s.Params, e.store, e.sigCtx())
 				if err != nil {
 					return nil, err
 				}
@@ -425,9 +413,13 @@ func Build(s Scenario) (*Env, error) {
 			}
 		}
 	case LRSeluge:
+		// One upgrader value serves every node. It runs only when a newer
+		// version's signature arrives, and a node switches to the handler
+		// it builds only once that signature verifies.
+		upgrader := dissem.Upgrader(e.upgradeHandler)
 		obj, err := core.Build(core.BuildInput{
 			Version: version, Image: imgData, Params: s.Params,
-			Key: keyPair, Chain: chain, Puzzle: pparams,
+			Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
 		})
 		if err != nil {
 			return nil, err
@@ -437,25 +429,17 @@ func Build(s Scenario) (*Env, error) {
 		for id := 0; id < numNodes; id++ {
 			var h *core.Handler
 			if id == 0 {
-				h = core.Preload(obj, newSigCtx())
+				h = core.Preload(obj, e.sigCtx())
 			} else {
-				h, err = core.NewHandler(version, s.Params, e.store, newSigCtx())
+				h, err = core.NewHandler(version, s.Params, e.store, e.sigCtx())
 				if err != nil {
 					return nil, err
 				}
 			}
-			var policy dissem.TxPolicy
-			switch s.LRPolicy {
-			case UnionBits:
-				policy = dissem.NewUnionPolicy(h.PacketsInUnit)
-			case FreshRR:
-				policy = core.NewFreshPolicy(h.PacketsInUnit, h.NeededInUnit)
-			default:
-				policy = h.NewPolicy()
-			}
-			if err := e.addNode(packet.NodeID(id), h, policy); err != nil {
+			if err := e.addNode(packet.NodeID(id), h, e.lrPolicy(h)); err != nil {
 				return nil, err
 			}
+			e.nodes[id].SetUpgrader(upgrader)
 		}
 	default:
 		return nil, fmt.Errorf("experiment: unknown protocol %d", s.Protocol)
@@ -532,16 +516,84 @@ func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dis
 		return err
 	}
 	node.SetOnComplete(func(packet.NodeID, sim.Time) {
+		// A node still finishing an older version does not count.
+		if node.Handler().Version() != e.version {
+			return
+		}
 		e.completed++
 		if e.completed == len(e.nodes) {
 			e.eng.Stop()
 		}
 	})
 	e.nodes = append(e.nodes, node)
-	e.handlers = append(e.handlers, handler.(imageMatcher))
 	if id == 0 {
 		e.baseHandler = handler
 	}
+	return nil
+}
+
+// puzzle is the run's weak-authenticator difficulty.
+func (e *Env) puzzle() puzzle.Params {
+	return puzzle.Params{Strength: e.scenario.PuzzleStrength}
+}
+
+// sigCtx is the signature context every Seluge and LR-Seluge handler of the
+// run verifies against: the run's public key and chain commitment.
+func (e *Env) sigCtx() *dissem.SigContext {
+	return &dissem.SigContext{
+		Pub:        e.key.Public(),
+		Commitment: e.chain.Commitment(),
+		Puzzle:     e.puzzle(),
+		Col:        e.col,
+		Obs:        e.scenario.Obs,
+	}
+}
+
+// lrPolicy is the scenario's LR-Seluge transmission policy for h.
+func (e *Env) lrPolicy(h *core.Handler) dissem.TxPolicy {
+	switch e.scenario.LRPolicy {
+	case UnionBits:
+		return dissem.NewUnionPolicy(h.PacketsInUnit)
+	case FreshRR:
+		return core.NewFreshPolicy(h.PacketsInUnit, h.NeededInUnit)
+	default:
+		return h.NewPolicy()
+	}
+}
+
+// upgradeHandler is every LR-Seluge node's dissem.Upgrader: an empty
+// handler for a newer version, wired like the node's first one.
+func (e *Env) upgradeHandler(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
+	h, err := core.NewHandler(version, e.scenario.Params, e.store, e.sigCtx())
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, e.lrPolicy(h), nil
+}
+
+// Upgrade reprograms an LR-Seluge run: it signs img as the next version with
+// the run's key and puzzle chain, preloads it at the base station (node 0)
+// and restarts the completion count, so the next Drive disseminates it. The
+// other nodes drop their old image only once the new signature verifies.
+// Other protocols return an error and the run is left untouched.
+func (e *Env) Upgrade(img []byte) error {
+	if e.scenario.Protocol != LRSeluge {
+		return fmt.Errorf("experiment: %v runs cannot be upgraded", e.scenario.Protocol)
+	}
+	obj, err := core.Build(core.BuildInput{
+		Version: e.version + 1, Image: img, Params: e.scenario.Params,
+		Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
+	})
+	if err != nil {
+		return err
+	}
+	e.version++
+	e.imageData = img
+	e.units = obj.TotalUnits()
+	e.completed = 0
+	h := core.Preload(obj, e.sigCtx())
+	e.baseHandler = h
+	e.nodes[0].Upgrade(h, e.lrPolicy(h))
 	return nil
 }
 
@@ -568,20 +620,24 @@ func (e *Env) TraceHash() func() string {
 	return func() string { return hex.EncodeToString(h.Sum(nil)) }
 }
 
-// Drive starts every node and runs the engine in slices of virtual time,
-// calling onSlice (when non-nil) with the engine clock after each slice. It
-// returns once every node has completed, the scenario horizon is reached, or
-// the event queue is empty. A non-positive slice runs the whole horizon as
-// one slice.
+// Drive runs the engine in slices of virtual time, calling onSlice (when
+// non-nil) with the engine clock after each slice; the first call starts
+// every node. It returns once every node holds the current version, the
+// scenario horizon has passed since the call, or the event queue is empty.
+// A non-positive slice runs the whole horizon as one slice.
 func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
-	for _, n := range e.nodes {
-		n.Start()
+	if !e.started {
+		e.started = true
+		for _, n := range e.nodes {
+			n.Start()
+		}
 	}
-	horizon := e.scenario.Horizon
+	start := e.eng.Now()
+	horizon := start + e.scenario.Horizon
 	if slice <= 0 {
-		slice = horizon
+		slice = e.scenario.Horizon
 	}
-	for next := slice; ; next += slice {
+	for next := start + slice; ; next += slice {
 		if next > horizon {
 			next = horizon
 		}
@@ -635,13 +691,14 @@ func (e *Env) run() Result {
 	return res
 }
 
-// ImagesOK reports whether every node holds exactly the original image. It
-// allocates nothing; on the store-backed protocols each shared unit is
-// compared against the image once, so the per-node cost is one pointer
-// compare per held unit.
+// ImagesOK reports whether every node's current handler holds exactly the
+// image of the run's current version. It allocates nothing; on the
+// store-backed protocols each shared unit is compared against the image
+// once, so the per-node cost is one pointer compare per held unit.
 func (e *Env) ImagesOK() bool {
-	for _, h := range e.handlers {
-		if !h.MatchesImage(e.imageData) {
+	for _, n := range e.nodes {
+		h := n.Handler()
+		if h.Version() != e.version || !h.(imageMatcher).MatchesImage(e.imageData) {
 			return false
 		}
 	}

@@ -141,18 +141,18 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Protocol == "" {
 		out.Protocol = "lr-seluge"
 	}
-	if _, err := out.protocol(); err != nil {
+	if _, err := ParseProtocol(out.Protocol); err != nil {
 		return Spec{}, err
 	}
+	d := Scenario{}.WithDefaults()
 	if out.ImageSize == 0 {
-		out.ImageSize = 20 * 1024
+		out.ImageSize = d.ImageSize
 	}
 	if out.ImageSize < 1 {
 		return Spec{}, fmt.Errorf("experiment: spec image_size %d must be >= 1", out.ImageSize)
 	}
 	if out.PacketPayload == 0 && out.K == 0 && out.N == 0 {
-		p := image.DefaultParams()
-		out.PacketPayload, out.K, out.N = p.PacketPayload, p.K, p.N
+		out.PacketPayload, out.K, out.N = d.Params.PacketPayload, d.Params.K, d.Params.N
 	}
 	if err := (image.Params{PacketPayload: out.PacketPayload, K: out.K, N: out.N}).Validate(); err != nil {
 		return Spec{}, fmt.Errorf("experiment: spec params: %w", err)
@@ -164,7 +164,7 @@ func (s Spec) Normalize() (Spec, error) {
 		if out.Grid.Density == "" {
 			out.Grid.Density = topo.Tight.String()
 		}
-		if _, err := out.gridDensity(); err != nil {
+		if _, err := ParseDensity(out.Grid.Density); err != nil {
 			return Spec{}, err
 		}
 		if out.Grid.Rows*out.Grid.Cols < 2 {
@@ -173,7 +173,7 @@ func (s Spec) Normalize() (Spec, error) {
 		out.Receivers = 0 // ignored under a grid; zero it so it cannot split keys
 	} else {
 		if out.Receivers == 0 {
-			out.Receivers = 20
+			out.Receivers = d.Receivers
 		}
 		if out.Receivers < 1 {
 			return Spec{}, fmt.Errorf("experiment: spec receivers %d must be >= 1", out.Receivers)
@@ -182,30 +182,29 @@ func (s Spec) Normalize() (Spec, error) {
 	if out.Noise == "" {
 		out.Noise = "bernoulli"
 	}
-	switch out.Noise {
-	case "bernoulli":
-		if out.LossP < 0 || out.LossP >= 1 {
-			return Spec{}, fmt.Errorf("experiment: spec loss_p %v must be in [0, 1)", out.LossP)
-		}
-	case "heavy":
-		out.LossP = 0 // ignored under heavy noise; zero it so it cannot split keys
-	default:
-		return Spec{}, fmt.Errorf("experiment: spec noise %q unknown (want bernoulli or heavy)", out.Noise)
+	factory, err := ParseNoise(out.Noise)
+	switch {
+	case err != nil:
+		return Spec{}, err
+	case factory != nil:
+		out.LossP = 0 // ignored under a named channel; zero it so it cannot split keys
+	case out.LossP < 0 || out.LossP >= 1:
+		return Spec{}, fmt.Errorf("experiment: spec loss_p %v must be in [0, 1)", out.LossP)
 	}
 	if out.Policy == "" {
 		out.Policy = GreedyRR.String()
 	}
-	if _, err := out.lrPolicy(); err != nil {
+	if _, err := ParsePolicy(out.Policy); err != nil {
 		return Spec{}, err
 	}
 	if out.PuzzleStrength == 0 {
-		out.PuzzleStrength = 8
+		out.PuzzleStrength = int(d.PuzzleStrength)
 	}
 	if out.PuzzleStrength < 1 || out.PuzzleStrength > 32 {
 		return Spec{}, fmt.Errorf("experiment: spec puzzle_strength %d must be in [1, 32]", out.PuzzleStrength)
 	}
 	if out.HorizonSec == 0 {
-		out.HorizonSec = (4 * 3600 * sim.Second).Seconds()
+		out.HorizonSec = d.Horizon.Seconds()
 	}
 	if out.HorizonSec <= 0 {
 		return Spec{}, fmt.Errorf("experiment: spec horizon_sec %v must be > 0", out.HorizonSec)
@@ -219,31 +218,50 @@ func (s Spec) Normalize() (Spec, error) {
 	return out, nil
 }
 
-func (s Spec) protocol() (Protocol, error) {
+// ParseProtocol maps a protocol name ("deluge", "seluge", "lr-seluge",
+// "rateless") onto its Protocol.
+func ParseProtocol(name string) (Protocol, error) {
 	for _, e := range specProtocols {
-		if e.name == s.Protocol {
+		if e.name == name {
 			return e.proto, nil
 		}
 	}
-	return 0, fmt.Errorf("experiment: spec protocol %q unknown (want deluge, seluge, lr-seluge or rateless)", s.Protocol)
+	return 0, fmt.Errorf("experiment: spec protocol %q unknown (want deluge, seluge, lr-seluge or rateless)", name)
 }
 
-func (s Spec) lrPolicy() (LRPolicy, error) {
+// ParsePolicy maps an LR-Seluge scheduling policy name ("greedy-rr",
+// "union", "fresh-rr") onto its LRPolicy.
+func ParsePolicy(name string) (LRPolicy, error) {
 	for _, e := range specPolicies {
-		if e.name == s.Policy {
+		if e.name == name {
 			return e.policy, nil
 		}
 	}
-	return 0, fmt.Errorf("experiment: spec policy %q unknown (want greedy-rr, union or fresh-rr)", s.Policy)
+	return 0, fmt.Errorf("experiment: spec policy %q unknown (want greedy-rr, union or fresh-rr)", name)
 }
 
-func (s Spec) gridDensity() (topo.GridDensity, error) {
+// ParseDensity maps a grid density name ("tight", "medium") onto its
+// topo.GridDensity.
+func ParseDensity(name string) (topo.GridDensity, error) {
 	for _, d := range []topo.GridDensity{topo.Tight, topo.Medium} {
-		if s.Grid != nil && s.Grid.Density == d.String() {
+		if name == d.String() {
 			return d, nil
 		}
 	}
-	return 0, fmt.Errorf("experiment: spec grid density %q unknown (want tight or medium)", s.Grid.Density)
+	return 0, fmt.Errorf("experiment: spec grid density %q unknown (want tight or medium)", name)
+}
+
+// ParseNoise maps a channel-model name onto a Scenario.LossFactory: nil for
+// "bernoulli" (i.i.d. losses at Scenario.LossP), a fresh bursty
+// Gilbert-Elliott channel per run for "heavy".
+func ParseNoise(name string) (func() radio.LossModel, error) {
+	switch name {
+	case "bernoulli":
+		return nil, nil
+	case "heavy":
+		return func() radio.LossModel { return radio.HeavyNoise() }, nil
+	}
+	return nil, fmt.Errorf("experiment: spec noise %q unknown (want bernoulli or heavy)", name)
 }
 
 // Scenario converts a spec into a runnable Scenario. The spec is normalized
@@ -254,29 +272,24 @@ func (s Spec) Scenario() (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	proto, err := n.protocol()
-	if err != nil {
-		return Scenario{}, err
-	}
-	policy, err := n.lrPolicy()
-	if err != nil {
-		return Scenario{}, err
-	}
+	// Normalize validated every name, so the lookups below cannot fail.
+	proto, _ := ParseProtocol(n.Protocol)
+	policy, _ := ParsePolicy(n.Policy)
+	factory, _ := ParseNoise(n.Noise)
 	sc := Scenario{
 		Protocol:       proto,
 		ImageSize:      n.ImageSize,
 		Params:         image.Params{PacketPayload: n.PacketPayload, K: n.K, N: n.N},
 		Receivers:      n.Receivers,
+		LossFactory:    factory,
+		LossP:          n.LossP,
 		LRPolicy:       policy,
 		PuzzleStrength: uint(n.PuzzleStrength),
 		Seed:           n.Seed,
 		Horizon:        sim.Time(n.HorizonSec * float64(sim.Second)),
 	}
 	if n.Grid != nil {
-		density, err := n.gridDensity()
-		if err != nil {
-			return Scenario{}, err
-		}
+		density, _ := ParseDensity(n.Grid.Density)
 		graph, err := topo.Grid(n.Grid.Rows, n.Grid.Cols, density)
 		if err != nil {
 			return Scenario{}, err
@@ -285,12 +298,6 @@ func (s Spec) Scenario() (Scenario, error) {
 			return Scenario{}, fmt.Errorf("experiment: spec grid %dx%d/%s is not connected", n.Grid.Rows, n.Grid.Cols, n.Grid.Density)
 		}
 		sc.Graph = graph
-	}
-	switch n.Noise {
-	case "heavy":
-		sc.LossFactory = func() radio.LossModel { return radio.HeavyNoise() }
-	default:
-		sc.LossP = n.LossP
 	}
 	return sc, nil
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"lrseluge/internal/topo"
 )
 
 // TestSpecDecodeRejectsUnknownFields: a typo in a request body must fail
@@ -118,6 +120,39 @@ func TestSpecKeyInsensitiveToRepresentation(t *testing.T) {
 	}
 }
 
+// TestSpecKeyGolden pins the canonical bytes and v1 keys of two specs. A
+// drifted key would silently orphan every cached runstore entry, so a change
+// here must come with a SpecSchemaVersion bump.
+func TestSpecKeyGolden(t *testing.T) {
+	for _, c := range []struct {
+		spec      Spec
+		canonical string
+		key       string
+	}{
+		{
+			Spec{},
+			`{"grid":null,"horizon_sec":14400,"image_size":20480,"k":32,"loss_p":0,"n":48,"noise":"bernoulli","packet_payload":72,"policy":"greedy-rr","protocol":"lr-seluge","puzzle_strength":8,"receivers":20,"runs":1,"schema":1,"seed":0}`,
+			"a679f4827a2f3eb0ec5ed04e9f3c951c13cf46be5c8a9a42a0383e2747183019",
+		},
+		{
+			Spec{Grid: &GridSpec{Rows: 3, Cols: 5}, Noise: "heavy", Seed: 9},
+			`{"grid":{"cols":5,"density":"tight","rows":3},"horizon_sec":14400,"image_size":20480,"k":32,"loss_p":0,"n":48,"noise":"heavy","packet_payload":72,"policy":"greedy-rr","protocol":"lr-seluge","puzzle_strength":8,"receivers":0,"runs":1,"schema":1,"seed":9}`,
+			"741fc82b972cc117adaa009601a2150f12375948c8e7a9b2f56bd58d8e0b9d7d",
+		},
+	} {
+		cj, err := c.spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(cj) != c.canonical {
+			t.Errorf("canonical JSON drifted:\n got %s\nwant %s", cj, c.canonical)
+		}
+		if k, err := c.spec.Key("v1"); err != nil || k != c.key {
+			t.Errorf("key of %s drifted: got %s, want %s (err %v)", c.canonical, k, c.key, err)
+		}
+	}
+}
+
 // TestSpecCanonicalJSONShape pins the canonical form: compact, sorted keys,
 // parseable back to the normalized spec.
 func TestSpecCanonicalJSONShape(t *testing.T) {
@@ -177,10 +212,14 @@ func TestSpecValidation(t *testing.T) {
 		{PacketPayload: 72, K: 48, N: 32}, // n < k
 		{Receivers: -3},
 		{Grid: &GridSpec{Rows: 0, Cols: 4}},
+		{Protocol: "LR-Seluge"}, // the Protocol.String form is not a wire name
 		{Grid: &GridSpec{Rows: 4, Cols: 4, Density: "sparse"}},
+		{Grid: &GridSpec{Rows: 4, Cols: 4, Density: "Medium"}},
 		{Noise: "quiet"},
+		{Noise: "Heavy"},
 		{LossP: 1.5},
 		{Policy: "lifo"},
+		{Policy: "GreedyRR"},
 		{PuzzleStrength: 40},
 		{HorizonSec: -1},
 		{Runs: -2},
@@ -189,6 +228,45 @@ func TestSpecValidation(t *testing.T) {
 		if _, err := s.Normalize(); err == nil {
 			t.Errorf("case %d: invalid spec %+v accepted", i, s)
 		}
+	}
+}
+
+// TestNameLookups checks that every wire name the lookups accept maps back
+// onto the value that prints as it, and that the empty name is rejected
+// (Spec fills defaults before it looks a name up).
+func TestNameLookups(t *testing.T) {
+	for _, e := range specProtocols {
+		if p, err := ParseProtocol(e.name); err != nil || p != e.proto {
+			t.Errorf("ParseProtocol(%q) = %v, %v", e.name, p, err)
+		}
+	}
+	for _, policy := range []LRPolicy{GreedyRR, UnionBits, FreshRR} {
+		if p, err := ParsePolicy(policy.String()); err != nil || p != policy {
+			t.Errorf("ParsePolicy(%q) = %v, %v", policy, p, err)
+		}
+	}
+	for _, d := range []topo.GridDensity{topo.Tight, topo.Medium} {
+		if got, err := ParseDensity(d.String()); err != nil || got != d {
+			t.Errorf("ParseDensity(%q) = %v, %v", d, got, err)
+		}
+	}
+	if f, err := ParseNoise("bernoulli"); err != nil || f != nil {
+		t.Errorf("ParseNoise(bernoulli) = non-nil factory or %v", err)
+	}
+	if f, err := ParseNoise("heavy"); err != nil || f == nil || f() == f() {
+		t.Errorf("ParseNoise(heavy) must build a fresh channel per call (err %v)", err)
+	}
+	if _, err := ParseProtocol(""); err == nil {
+		t.Error("ParseProtocol accepted the empty name")
+	}
+	if _, err := ParsePolicy(""); err == nil {
+		t.Error("ParsePolicy accepted the empty name")
+	}
+	if _, err := ParseDensity(""); err == nil {
+		t.Error("ParseDensity accepted the empty name")
+	}
+	if _, err := ParseNoise(""); err == nil {
+		t.Error("ParseNoise accepted the empty name")
 	}
 }
 

@@ -4,10 +4,6 @@ import (
 	"testing"
 
 	"lrseluge/internal/adversary"
-	"lrseluge/internal/core"
-	"lrseluge/internal/crypt/puzzle"
-	"lrseluge/internal/crypt/sign"
-	"lrseluge/internal/dissem"
 	"lrseluge/internal/image"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
@@ -33,42 +29,17 @@ func TestForgedUpgradeCannotWipeNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Give every node an upgrader so the attack surface exists.
-	keyPair, err := sign.GenerateDeterministic(s.Seed ^ 0xec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := puzzle.NewChain([]byte("lrseluge-experiment"), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSigCtx := func() *dissem.SigContext {
-		return &dissem.SigContext{
-			Pub:        keyPair.Public(),
-			Commitment: chain.Commitment(),
-			Puzzle:     puzzle.Params{Strength: 8},
-			Col:        e.col,
-		}
-	}
-	for _, n := range e.nodes {
-		n.SetUpgrader(func(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
-			h, err := core.NewHandler(version, params, e.store, newSigCtx())
-			if err != nil {
-				return nil, nil, err
-			}
-			return h, h.NewPolicy(), nil
-		})
-	}
-	// Flood forged "version 2" signature packets throughout the run. The
-	// attacker has the real version-1 chain key (released) but CANNOT have
-	// the version-2 key; use the v1 key to make the forgery as strong as
-	// possible.
-	v1key, err := chain.Key(1)
+	// Build gives every LR-Seluge node an upgrader, so the attack surface
+	// exists. Flood forged "version 2" signature packets throughout the run.
+	// The attacker has the real version-1 chain key (released) but CANNOT
+	// have the version-2 key; use the v1 key to make the forgery as strong
+	// as possible.
+	v1key, err := e.chain.Key(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	attackerID := packet.NodeID(5) // the reserved ExtraNodes slot (4 receivers + base)
-	fl, err := adversary.NewSigFlooder(attackerID, e.nw, 2, 3, 100*sim.Millisecond, true, v1key, puzzle.Params{Strength: 8}, 99)
+	fl, err := adversary.NewSigFlooder(attackerID, e.nw, 2, 3, 100*sim.Millisecond, true, v1key, e.puzzle(), 99)
 	if err != nil {
 		t.Fatal(err)
 	}
