@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"lrseluge"
 )
@@ -24,9 +25,10 @@ func main() {
 	)
 	flag.Parse()
 
-	d := lrseluge.Tight
-	if *density == "medium" {
-		d = lrseluge.Medium
+	d, err := lrseluge.ParseDensity(*density)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "multihop: %v\n", err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("Seluge vs LR-Seluge on a %dx%d %s grid, %d KiB image, heavy bursty noise\n\n",

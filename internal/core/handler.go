@@ -7,12 +7,11 @@ import (
 	"lrseluge/internal/crypt/merkle"
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/erasure"
-	"lrseluge/internal/image"
 	"lrseluge/internal/obs"
 	"lrseluge/internal/packet"
 )
 
-// Handler is a node's LR-Seluge object state, implementing
+// Handler is a node's object state under a Scheme, implementing
 // dissem.ObjectHandler: immediate per-packet authentication plus
 // erasure-decoding once any k' authenticated packets of a page arrive
 // (paper §IV-E).
@@ -21,9 +20,8 @@ import (
 // that holds them; the handler keeps pointers to its entries, the buffer of
 // the unit in progress, and the verified signature.
 type Handler struct {
+	Scheme
 	version uint16
-	params  image.Params
-	geom    m0Geometry
 	codec   erasure.Codec
 	codec0  erasure.Codec
 	store   *Store
@@ -49,32 +47,24 @@ var _ dissem.ObjectHandler = (*Handler)(nil)
 // NewHandler creates an empty receiver-side handler whose completed units
 // go to store. Every node derives the same code instances f and f0 from the
 // preloaded parameters (paper §IV-B); the store hands all of them one.
-func NewHandler(version uint16, p image.Params, store *Store, sigCtx *dissem.SigContext) (*Handler, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
+func NewHandler(version uint16, s Scheme, store *Store, sigCtx *dissem.SigContext) (*Handler, error) {
 	if store == nil {
 		return nil, fmt.Errorf("core: nil store")
 	}
 	if sigCtx == nil {
 		return nil, fmt.Errorf("core: nil signature context")
 	}
-	codec, err := store.Codec(p.K, p.N)
+	codec, err := store.Codec(s.params.K, s.n)
 	if err != nil {
 		return nil, err
 	}
-	geom, err := geometryFor(p)
-	if err != nil {
-		return nil, err
-	}
-	codec0, err := store.Codec(geom.numPlain, geom.numEnc)
+	codec0, err := store.Codec(s.geom.numPlain, s.geom.numEnc)
 	if err != nil {
 		return nil, err
 	}
 	return &Handler{
+		Scheme:  s,
 		version: version,
-		params:  p,
-		geom:    geom,
 		codec:   codec,
 		codec0:  codec0,
 		store:   store,
@@ -86,9 +76,8 @@ func NewHandler(version uint16, p image.Params, store *Store, sigCtx *dissem.Sig
 // base station). It holds the object's own units and never ingests.
 func Preload(o *Object, sigCtx *dissem.SigContext) *Handler {
 	return &Handler{
+		Scheme:  o.Scheme,
 		version: o.version,
-		params:  o.params,
-		geom:    o.geom,
 		codec:   o.codec,
 		codec0:  o.codec0,
 		sigCtx:  sigCtx,
@@ -135,12 +124,12 @@ func (h *Handler) PacketsInUnit(u int) int {
 	case 1:
 		return h.geom.numEnc
 	default:
-		return h.params.N
+		return h.n
 	}
 }
 
 // NeededInUnit implements dissem.ObjectHandler: k0' for M0, k' for pages —
-// the loss resilience the fixed-rate code buys.
+// the loss resilience the fixed-rate code buys (none at rate 1).
 func (h *Handler) NeededInUnit(u int) int {
 	switch u {
 	case 0:
@@ -267,7 +256,7 @@ func (h *Handler) completeM0() dissem.IngestResult {
 			return nil
 		}
 		// M0 is the concatenation of page 1's packet hash images.
-		u := NewUnit(plain, blockImages(plain, 0, h.params.N), tree)
+		u := NewUnit(plain, blockImages(plain, 0, hashx.Size, h.n), tree)
 		u.enc = enc
 		return u
 	})
@@ -282,11 +271,11 @@ func (h *Handler) completeM0() dissem.IngestResult {
 
 func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
 	idx := int(d.Index)
-	if idx < 0 || idx >= h.params.N || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
+	if idx < 0 || idx >= h.n || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 		return dissem.Rejected
 	}
 	expected := h.units[len(h.units)-1].next
-	if len(expected) != h.params.N {
+	if len(expected) != h.n {
 		return dissem.Rejected // no authentication material (the object is complete)
 	}
 	ot := h.sigCtx.Obs
@@ -324,10 +313,9 @@ func (h *Handler) completePage() dissem.IngestResult {
 		if page == int(h.sig.Pages) {
 			return NewUnit(blocks, nil, nil)
 		}
-		// The decoded plaintext's tail is the appendix: the hash images
-		// of the NEXT page's encoded packets.
-		pageLen := len(blocks) * len(blocks[0])
-		return NewUnit(blocks, blockImages(blocks, pageLen-h.params.N*hashx.Size, h.params.N), nil)
+		// The decoded plaintext carries the hash images of the NEXT
+		// page's encoded packets.
+		return NewUnit(blocks, blockImages(blocks, h.imgOff, h.imgStride, h.n), nil)
 	})
 	if !ok {
 		h.WipeVolatile() // unreachable: every packet was authenticated
@@ -344,7 +332,7 @@ func (h *Handler) hold(entry *Unit) dissem.IngestResult {
 	case len(h.units) == int(h.sig.Pages)+1:
 		h.shards = nil
 	case len(h.units) == 1:
-		h.shards = make([][]byte, h.params.N)
+		h.shards = make([][]byte, h.n)
 	default:
 		clear(h.shards)
 	}
@@ -352,17 +340,18 @@ func (h *Handler) hold(entry *Unit) dissem.IngestResult {
 	return dissem.UnitComplete
 }
 
-// blockImages reads n hash images starting at byte off of the concatenation
-// of the equal-length blocks, without building that concatenation. An image
-// may straddle two blocks.
-func blockImages(blocks [][]byte, off, n int) []hashx.Image {
+// blockImages reads n hash images, the i-th at byte off + i*stride of the
+// concatenation of the equal-length blocks, without building that
+// concatenation. An image may straddle two blocks.
+func blockImages(blocks [][]byte, off, stride, n int) []hashx.Image {
 	size := len(blocks[0])
 	out := make([]hashx.Image, n)
 	for i := range out {
+		at := off + i*stride
 		for dst := out[i][:]; len(dst) > 0; {
-			c := copy(dst, blocks[off/size][off%size:])
+			c := copy(dst, blocks[at/size][at%size:])
 			dst = dst[c:]
-			off += c
+			at += c
 		}
 	}
 	return out
@@ -389,11 +378,11 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 		ot.EndLeaf(obs.PhaseHashVerify)
 		return ok
 	case u >= 2:
-		if idx < 0 || idx >= h.params.N || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
+		if idx < 0 || idx >= h.n || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 			return false
 		}
 		// Page u-1 is authenticated by the next images of unit u-1's entry.
-		if u-2 >= len(h.units) || len(h.units[u-2].next) != h.params.N {
+		if u-2 >= len(h.units) || len(h.units[u-2].next) != h.n {
 			return false
 		}
 		ot := h.sigCtx.Obs
@@ -425,7 +414,7 @@ func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Da
 		return nil, fmt.Errorf("core: unit %d not held", u)
 	}
 	entry := h.units[u-1]
-	n := h.params.N
+	n := h.n
 	if u == 1 {
 		n = h.geom.numEnc
 	}
@@ -471,13 +460,13 @@ func (h *Handler) encoded(entry *Unit) ([][]byte, error) {
 }
 
 // MatchesImage reports whether the node holds the whole object and its
-// pages, appendices and padding stripped, are exactly img. It allocates
+// pages, hash images and padding stripped, are exactly img. It allocates
 // nothing, and each shared entry is compared against img once per run.
 func (h *Handler) MatchesImage(img []byte) bool {
 	if h.sig == nil || len(h.units) < int(h.sig.Pages)+1 {
 		return false
 	}
-	return ImageMatches(h.units[1:], img, h.params.LRPageBytes(), 0)
+	return ImageMatches(h.units[1:], img, h.pageBytes, h.skip)
 }
 
 // NewPolicy returns LR-Seluge's greedy round-robin transmission scheduler

@@ -97,19 +97,19 @@ func (s *Store) scratchRows(k, size int) [][]byte {
 }
 
 // Unit is the authenticated content of one unit of one signed object. It is
-// immutable once built, apart from two caches: LR-Seluge's encoded packets,
-// filled on the first serve by any node, and the image-check memo.
+// immutable once built, apart from two caches: the encoded packets, filled
+// on the first serve by any node, and the image-check memo.
 type Unit struct {
-	// blocks are the unit's recovered blocks: an LR-Seluge page's k
-	// plaintext blocks (page bytes, then the appendix), M0's k0 plain
-	// blocks, or Seluge's packet payloads and M0 blocks.
+	// blocks are the unit's recovered blocks: a page's k plaintext blocks
+	// (image bytes and the next page's hash images) or M0's k0 plain
+	// blocks.
 	blocks [][]byte
 	// next holds the hash images of the next unit's packets; nil after the
 	// last page.
 	next []hashx.Image
 	// tree is the Merkle tree over M0's encoded blocks; nil for pages.
 	tree *merkle.Tree
-	// enc caches LR-Seluge's n encoded packets of the unit.
+	// enc caches the unit's n encoded packets.
 	enc [][]byte
 	// matched is the image share this unit was last found equal to.
 	matched []byte
@@ -135,16 +135,6 @@ func copyBlocks(blocks [][]byte) [][]byte {
 	}
 	return out
 }
-
-// Blocks returns the unit's blocks; callers must not modify them.
-func (u *Unit) Blocks() [][]byte { return u.blocks }
-
-// Next returns the hash images of the next unit's packets, nil after the
-// last page; callers must not modify them.
-func (u *Unit) Next() []hashx.Image { return u.next }
-
-// Tree returns M0's Merkle tree, nil for pages.
-func (u *Unit) Tree() *merkle.Tree { return u.tree }
 
 // Equal reports whether blocks are byte-equal to the unit's.
 func (u *Unit) Equal(blocks [][]byte) bool {

@@ -190,24 +190,10 @@ func (n *Node) Crash() {
 		}
 	}
 	n.col.RecordCrash(n.id, n.eng.Now(), lost)
-	n.Stop()
+	n.trk.Stop()
 	n.handler.WipeVolatile()
 	n.policy.Reset()
-	n.servers.reset()
-	n.served = nil
-	n.ignored = nil
-	n.hasAdvertiser = false
-	n.setRequesting(false)
-	n.suppressions = 0
-	n.retries = 0
-	n.setTxActive(false)
-	n.sigPending = false
-	// In-flight spans die with the RAM state: their begins stay
-	// unterminated in the trace (the analyzer drops unpaired spans), which
-	// is the honest record of work a crash destroyed.
-	n.sigSpan = trace.Span{}
-	n.fetchSpan = trace.Span{}
-	n.completed = false
+	n.resetRAM()
 	n.crashUnit = cu
 	n.refetchArmed = lost > 0
 }
@@ -445,9 +431,17 @@ func (n *Node) handleSig(from packet.NodeID, s *packet.Sig) {
 		n.tr.Drop(n.id, from, s, trace.DropPuzzle)
 		return
 	}
-	// Charge the expensive verification as virtual time (1.12 s ECDSA on a
-	// Tmote Sky, paper §III-A). The epoch guard voids the verification if
-	// the node loses power while it is in progress.
+	n.verifySig(from, s, n.handler, func() {
+		n.noteForged(from, UnitComplete)
+		n.unitComplete()
+	})
+}
+
+// verifySig charges h's full verification of s as virtual time (1.12 s
+// ECDSA on a Tmote Sky, paper §III-A) and calls accepted once it passes.
+// The epoch guard voids the verification if the node loses power while it
+// is in progress.
+func (n *Node) verifySig(from packet.NodeID, s *packet.Sig, h ObjectHandler, accepted func()) {
 	n.sigPending = true
 	n.sigSpan = n.tr.Begin(n.id, "sig-verify", trace.NoUnit)
 	epoch := n.epoch
@@ -458,17 +452,37 @@ func (n *Node) handleSig(from packet.NodeID, s *packet.Sig) {
 		n.sigPending = false
 		n.sigSpan.End()
 		n.sigSpan = trace.Span{}
-		res := n.handler.IngestSig(s)
-		switch res {
+		switch h.IngestSig(s) {
 		case Rejected:
 			n.col.RecordAuthDrop()
 			n.tr.SigResult(n.id, from, false)
 		case UnitComplete:
 			n.tr.SigResult(n.id, from, true)
-			n.noteForged(from, res)
-			n.unitComplete()
+			accepted()
 		}
 	})
+}
+
+// resetRAM discards the RAM-resident protocol state a power loss or a
+// version switch wipes: neighbor tables, request/serve state, timers and
+// in-flight spans. In-flight spans stay unterminated in the trace (the
+// analyzer drops unpaired spans), the honest record of work destroyed.
+func (n *Node) resetRAM() {
+	n.servers.reset()
+	n.served = nil
+	n.ignored = nil
+	n.hasAdvertiser = false
+	n.setRequesting(false)
+	n.suppressions = 0
+	n.retries = 0
+	n.snackTimer.Stop()
+	n.retryTimer.Stop()
+	n.txTimer.Stop()
+	n.setTxActive(false)
+	n.sigPending = false
+	n.sigSpan = trace.Span{}
+	n.fetchSpan = trace.Span{}
+	n.completed = false
 }
 
 func (n *Node) noteForged(from packet.NodeID, res IngestResult) {

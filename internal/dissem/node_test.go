@@ -273,3 +273,63 @@ func TestUpgraderRejectsVersionMismatch(t *testing.T) {
 		t.Fatal("mismatched upgrader output was installed")
 	}
 }
+
+// sigFake is a fakeHandler whose signatures always verify; it counts the
+// full verifications it performs.
+type sigFake struct {
+	*fakeHandler
+	verified int
+}
+
+func (h *sigFake) PreVerifySig(*packet.Sig) bool { return true }
+
+func (h *sigFake) IngestSig(*packet.Sig) dissem.IngestResult {
+	h.verified++
+	return dissem.UnitComplete
+}
+
+// TestCrashVoidsPendingUpgrade: a node that loses power while a newer
+// version's signature is being verified must not finish that verification
+// or switch versions, neither while down nor after a reboot inside the
+// verification window. A fresh signature after the reboot still upgrades it.
+func TestCrashVoidsPendingUpgrade(t *testing.T) {
+	h := newHarness(t, 2, radio.NoLoss{}, dissem.DefaultConfig(), 1, 2)
+	var cands []*sigFake
+	h.nodes[1].SetUpgrader(func(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
+		c := &sigFake{fakeHandler: newFake(1, 2, false)}
+		c.version = version
+		cands = append(cands, c)
+		return c, dissem.NewUnionPolicy(c.PacketsInUnit), nil
+	})
+	h.runAll(t, 10*60*sim.Second)
+	old := h.nodes[1].Handler()
+	delay := dissem.DefaultConfig().SigVerifyDelay
+	sig := &packet.Sig{Src: 0, Version: 2, Pages: 1}
+
+	for _, reboot := range []bool{false, true} {
+		h.nodes[1].HandlePacket(0, sig)
+		h.nodes[1].Crash()
+		if reboot {
+			h.nodes[1].Reboot()
+		}
+		h.eng.Run(h.eng.Now() + 2*delay)
+		if got := h.nodes[1].Handler(); got != old {
+			t.Fatalf("reboot=%v: node switched to version %d across a power loss", reboot, got.Version())
+		}
+		if c := cands[len(cands)-1]; c.verified != 0 {
+			t.Fatalf("reboot=%v: %d verifications finished on a crashed node", reboot, c.verified)
+		}
+		if !reboot {
+			h.nodes[1].Reboot()
+		}
+	}
+	if len(cands) != 2 {
+		t.Fatalf("upgrader consulted %d times, want 2", len(cands))
+	}
+
+	h.nodes[1].HandlePacket(0, sig)
+	h.eng.Run(h.eng.Now() + 2*delay)
+	if h.nodes[1].Handler().Version() != 2 {
+		t.Fatal("a rebooted node no longer upgrades")
+	}
+}

@@ -27,21 +27,7 @@ func (n *Node) SetUpgrader(up Upgrader) { n.upgrader = up }
 func (n *Node) Upgrade(handler ObjectHandler, policy TxPolicy) {
 	n.handler = handler
 	n.policy = policy
-	n.servers.reset()
-	n.hasAdvertiser = false
-	n.setRequesting(false)
-	n.suppressions = 0
-	n.retries = 0
-	n.snackTimer.Stop()
-	n.retryTimer.Stop()
-	n.txTimer.Stop()
-	n.setTxActive(false)
-	n.sigPending = false
-	n.sigSpan = trace.Span{}
-	n.fetchSpan = trace.Span{}
-	n.served = nil
-	n.ignored = nil
-	n.completed = false
+	n.resetRAM()
 	// A new version is a new image: its completion must be reported even if
 	// the node already latched a completion for the previous version.
 	n.reported = false
@@ -85,22 +71,7 @@ func (n *Node) handleNewerSig(from packet.NodeID, s *packet.Sig) {
 		n.tr.Drop(n.id, from, s, trace.DropPuzzle)
 		return
 	}
-	n.sigPending = true
-	n.sigSpan = n.tr.Begin(n.id, "sig-verify", trace.NoUnit)
-	n.eng.Schedule(n.cfg.SigVerifyDelay, func() {
-		n.sigPending = false
-		n.sigSpan.End()
-		n.sigSpan = trace.Span{}
-		res := cand.IngestSig(s)
-		switch res {
-		case Rejected:
-			n.col.RecordAuthDrop()
-			n.tr.SigResult(n.id, from, false)
-		case UnitComplete:
-			n.tr.SigResult(n.id, from, true)
-			// The new version is authentic: discard the old image state
-			// and start acquiring the new one.
-			n.Upgrade(cand, candPolicy)
-		}
-	})
+	// The new version is authentic once verified: only then discard the
+	// old image state and start acquiring the new one.
+	n.verifySig(from, s, cand, func() { n.Upgrade(cand, candPolicy) })
 }

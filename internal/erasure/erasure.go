@@ -5,7 +5,8 @@
 // k-n-k' erasure code f and a k0-n0-k0' erasure code f0, so that any node can
 // re-generate exactly the same n encoded blocks from the same k inputs. The
 // Codec interface captures that contract; package rs provides the concrete
-// Reed-Solomon implementation with k' = k.
+// Reed-Solomon implementation with k' = k. Seluge is the rate-1 case: RS(k,k)
+// encodes by copying and needs every block.
 package erasure
 
 import (
@@ -42,41 +43,4 @@ func NewReedSolomon(k, n int) (Codec, error) {
 		return nil, fmt.Errorf("erasure: %w", err)
 	}
 	return c, nil
-}
-
-// Identity returns a degenerate k-k-k "codec" that performs no coding. It is
-// used to express Deluge/Seluge (no redundancy) through the same machinery.
-func Identity(k int) Codec { return identityCodec{k: k} }
-
-type identityCodec struct{ k int }
-
-func (c identityCodec) K() int      { return c.k }
-func (c identityCodec) N() int      { return c.k }
-func (c identityCodec) KPrime() int { return c.k }
-
-func (c identityCodec) Encode(data [][]byte) ([][]byte, error) {
-	if len(data) != c.k {
-		return nil, fmt.Errorf("erasure: identity codec got %d blocks, want %d", len(data), c.k)
-	}
-	out := make([][]byte, c.k)
-	for i, b := range data {
-		out[i] = append([]byte(nil), b...)
-	}
-	return out, nil
-}
-
-func (c identityCodec) DecodeInto(shards, out [][]byte) error {
-	if len(shards) != c.k || len(out) != c.k {
-		return fmt.Errorf("erasure: identity codec got %d shards and %d outputs, want %d", len(shards), len(out), c.k)
-	}
-	for i, b := range shards {
-		if b == nil {
-			return fmt.Errorf("erasure: identity codec missing shard %d", i)
-		}
-		if len(out[i]) != len(b) {
-			return fmt.Errorf("erasure: identity codec output %d has %d bytes, want %d", i, len(out[i]), len(b))
-		}
-		copy(out[i], b)
-	}
-	return nil
 }

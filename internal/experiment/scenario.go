@@ -23,7 +23,6 @@ import (
 	"lrseluge/internal/packet"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/rateless"
-	"lrseluge/internal/seluge"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
 	"lrseluge/internal/trace"
@@ -241,9 +240,11 @@ type Env struct {
 	key   *sign.KeyPair
 	chain *puzzle.Chain
 
-	// store holds the run's authenticated unit content, shared by every
-	// Seluge or LR-Seluge node; it lives and dies with the Env.
-	store *core.Store
+	// scheme is the run's core configuration and store its authenticated
+	// unit content, shared by every Seluge or LR-Seluge node; the store
+	// lives and dies with the Env.
+	scheme core.Scheme
+	store  *core.Store
 
 	// Fault injection, wired only when the scenario carries a fault plan.
 	faultOv  *radio.FaultOverlay
@@ -388,37 +389,20 @@ func Build(s Scenario) (*Env, error) {
 				return nil, err
 			}
 		}
-	case Seluge:
-		obj, err := seluge.Build(seluge.BuildInput{
-			Version: version, Image: imgData, Params: s.Params,
-			Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
-		})
-		if err != nil {
+	case Seluge, LRSeluge:
+		newScheme := core.LRSeluge
+		if s.Protocol == Seluge {
+			newScheme = core.Seluge
+		}
+		if e.scheme, err = newScheme(s.Params); err != nil {
 			return nil, err
 		}
-		e.units = obj.TotalUnits()
-		e.pageUnit0 = 2
-		for id := 0; id < numNodes; id++ {
-			var h *seluge.Handler
-			if id == 0 {
-				h = seluge.Preload(obj, e.sigCtx())
-			} else {
-				h, err = seluge.NewHandler(version, s.Params, e.store, e.sigCtx())
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := e.addNode(packet.NodeID(id), h, h.NewPolicy()); err != nil {
-				return nil, err
-			}
-		}
-	case LRSeluge:
 		// One upgrader value serves every node. It runs only when a newer
 		// version's signature arrives, and a node switches to the handler
 		// it builds only once that signature verifies.
 		upgrader := dissem.Upgrader(e.upgradeHandler)
 		obj, err := core.Build(core.BuildInput{
-			Version: version, Image: imgData, Params: s.Params,
+			Version: version, Image: imgData, Scheme: e.scheme,
 			Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
 		})
 		if err != nil {
@@ -431,12 +415,12 @@ func Build(s Scenario) (*Env, error) {
 			if id == 0 {
 				h = core.Preload(obj, e.sigCtx())
 			} else {
-				h, err = core.NewHandler(version, s.Params, e.store, e.sigCtx())
+				h, err = core.NewHandler(version, e.scheme, e.store, e.sigCtx())
 				if err != nil {
 					return nil, err
 				}
 			}
-			if err := e.addNode(packet.NodeID(id), h, e.lrPolicy(h)); err != nil {
+			if err := e.addNode(packet.NodeID(id), h, e.txPolicy(h)); err != nil {
 				return nil, err
 			}
 			e.nodes[id].SetUpgrader(upgrader)
@@ -549,9 +533,14 @@ func (e *Env) sigCtx() *dissem.SigContext {
 	}
 }
 
-// lrPolicy is the scenario's LR-Seluge transmission policy for h.
-func (e *Env) lrPolicy(h *core.Handler) dissem.TxPolicy {
-	switch e.scenario.LRPolicy {
+// txPolicy is the scenario's transmission policy for h. Seluge serves the
+// union of requests, as Deluge does.
+func (e *Env) txPolicy(h *core.Handler) dissem.TxPolicy {
+	policy := e.scenario.LRPolicy
+	if e.scenario.Protocol == Seluge {
+		policy = UnionBits
+	}
+	switch policy {
 	case UnionBits:
 		return dissem.NewUnionPolicy(h.PacketsInUnit)
 	case FreshRR:
@@ -561,14 +550,14 @@ func (e *Env) lrPolicy(h *core.Handler) dissem.TxPolicy {
 	}
 }
 
-// upgradeHandler is every LR-Seluge node's dissem.Upgrader: an empty
-// handler for a newer version, wired like the node's first one.
+// upgradeHandler is every secure node's dissem.Upgrader: an empty handler
+// for a newer version, wired like the node's first one.
 func (e *Env) upgradeHandler(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
-	h, err := core.NewHandler(version, e.scenario.Params, e.store, e.sigCtx())
+	h, err := core.NewHandler(version, e.scheme, e.store, e.sigCtx())
 	if err != nil {
 		return nil, nil, err
 	}
-	return h, e.lrPolicy(h), nil
+	return h, e.txPolicy(h), nil
 }
 
 // Upgrade reprograms an LR-Seluge run: it signs img as the next version with
@@ -581,7 +570,7 @@ func (e *Env) Upgrade(img []byte) error {
 		return fmt.Errorf("experiment: %v runs cannot be upgraded", e.scenario.Protocol)
 	}
 	obj, err := core.Build(core.BuildInput{
-		Version: e.version + 1, Image: img, Params: e.scenario.Params,
+		Version: e.version + 1, Image: img, Scheme: e.scheme,
 		Key: e.key, Chain: e.chain, Puzzle: e.puzzle(),
 	})
 	if err != nil {
@@ -593,7 +582,7 @@ func (e *Env) Upgrade(img []byte) error {
 	e.completed = 0
 	h := core.Preload(obj, e.sigCtx())
 	e.baseHandler = h
-	e.nodes[0].Upgrade(h, e.lrPolicy(h))
+	e.nodes[0].Upgrade(h, e.txPolicy(h))
 	return nil
 }
 

@@ -258,7 +258,6 @@ func DefaultConfig(modulePath string) Config {
 			"internal/core",
 			"internal/dissem",
 			"internal/deluge",
-			"internal/seluge",
 			"internal/radio",
 			"internal/trickle",
 			"internal/harness",
@@ -271,7 +270,6 @@ func DefaultConfig(modulePath string) Config {
 			"internal/erasure",
 		},
 		TaintPackages: []string{
-			"internal/seluge",
 			"internal/core",
 			"internal/dissem",
 			"internal/deluge",

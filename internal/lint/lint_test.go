@@ -2,10 +2,14 @@ package lint
 
 import (
 	"flag"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"lrseluge/internal/detmap"
 )
 
 var update = flag.Bool("update", false, "rewrite golden expect.txt files")
@@ -294,19 +298,112 @@ func TestScanModuleFixtures(t *testing.T) {
 	}
 }
 
+var realModule struct {
+	once    sync.Once
+	pkgs    []*Package
+	modPath string
+	err     error
+}
+
+// loadRealModule loads the repository's own module once per test binary.
+func loadRealModule(t *testing.T) ([]*Package, string) {
+	t.Helper()
+	m := &realModule
+	m.once.Do(func() { m.pkgs, m.modPath, m.err = LoadModule(filepath.Join("..", "..")) })
+	if m.err != nil {
+		t.Fatalf("LoadModule: %v", m.err)
+	}
+	if len(m.pkgs) < 20 {
+		t.Fatalf("loaded only %d packages; module walk is broken", len(m.pkgs))
+	}
+	return m.pkgs, m.modPath
+}
+
 // TestRealModuleClean asserts the invariant the whole PR enforces: lrlint
 // runs clean on the repository itself.
 func TestRealModuleClean(t *testing.T) {
-	pkgs, modPath, err := LoadModule(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	if len(pkgs) < 20 {
-		t.Fatalf("loaded only %d packages; module walk is broken", len(pkgs))
-	}
+	pkgs, modPath := loadRealModule(t)
 	for _, d := range Run(pkgs, DefaultConfig(modPath)) {
 		t.Errorf("unexpected finding: %s", d)
 	}
+}
+
+// TestDefaultConfigResolves checks that every package prefix and every
+// qualified name in DefaultConfig names something in the module, so
+// deleting or renaming code cannot silently drop lint coverage.
+func TestDefaultConfigResolves(t *testing.T) {
+	pkgs, modPath := loadRealModule(t)
+	cfg := DefaultConfig(modPath)
+	for _, scope := range []struct {
+		field    string
+		prefixes []string
+	}{
+		{"OrderedPackages", cfg.OrderedPackages},
+		{"ErrorCriticalPackages", cfg.ErrorCriticalPackages},
+		{"TaintPackages", cfg.TaintPackages},
+		{"ConcurrencyPackages", cfg.ConcurrencyPackages},
+		{"TracePackages", cfg.TracePackages},
+		{"HotPathPackages", cfg.HotPathPackages},
+	} {
+		for _, prefix := range scope.prefixes {
+			found := false
+			for _, p := range pkgs {
+				found = found || cfg.inScope(p.ImportPath, []string{prefix})
+			}
+			if !found {
+				t.Errorf("%s: %q matches no package", scope.field, prefix)
+			}
+		}
+	}
+
+	byPath := make(map[string]*types.Package, len(pkgs))
+	for _, p := range pkgs {
+		byPath[p.ImportPath] = p.Types
+	}
+	for _, roots := range []struct {
+		field string
+		names []string
+	}{
+		{"HotRoots", cfg.HotRoots},
+		{"EffectRoots", cfg.EffectRoots},
+		{"EventRoots", cfg.EventRoots},
+		{"PopulationTypes", detmap.SortedKeys(cfg.PopulationTypes)},
+		{"PopulationCalls", detmap.SortedKeys(cfg.PopulationCalls)},
+		{"PopulationPropagate", cfg.PopulationPropagate},
+	} {
+		for _, qn := range roots.names {
+			if !resolves(byPath, modPath, qn) {
+				t.Errorf("%s: %q names nothing in the module", roots.field, qn)
+			}
+		}
+	}
+}
+
+// resolves reports whether the module-relative qualified name qn
+// ("pkg/path.Name" or "pkg/path.Type.Method") names a package-level object
+// or a method of a package-level type.
+func resolves(byPath map[string]*types.Package, modPath, qn string) bool {
+	slash := strings.LastIndex(qn, "/")
+	pkgPath, rest, ok := strings.Cut(qn[slash+1:], ".")
+	if !ok {
+		return false
+	}
+	pkg := byPath[modPath+"/"+qn[:slash+1]+pkgPath]
+	if pkg == nil {
+		return false
+	}
+	name, method, _ := strings.Cut(rest, ".")
+	obj := pkg.Scope().Lookup(name)
+	if method == "" || obj == nil {
+		return obj != nil
+	}
+	tn, ok := obj.(*types.TypeName)
+	if !ok {
+		return false
+	}
+	m, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, method)
+	_, isFunc := m.(*types.Func)
+	return isFunc
 }
 
 // TestDirectiveSuppression pins the directive semantics: same line or the

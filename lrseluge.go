@@ -30,10 +30,10 @@
 //     §V used by Fig. 3.
 //
 // The protocol implementations themselves live under internal/: the shared
-// MAINTAIN/RX/TX engine (internal/dissem), Deluge (internal/deluge), Seluge
-// (internal/seluge) and LR-Seluge (internal/core), on top of Reed-Solomon
-// erasure coding (internal/erasure), Merkle trees, truncated hash images,
-// message-specific puzzles (internal/crypt) and a deterministic
+// MAINTAIN/RX/TX engine (internal/dissem), Deluge (internal/deluge), and
+// LR-Seluge with Seluge as its rate-1 configuration (internal/core), on top
+// of Reed-Solomon erasure coding (internal/erasure), Merkle trees, truncated
+// hash images, message-specific puzzles (internal/crypt) and a deterministic
 // discrete-event radio simulation (internal/sim, internal/radio,
 // internal/topo).
 package lrseluge
@@ -120,6 +120,10 @@ const (
 	Tight  = topo.Tight
 	Medium = topo.Medium
 )
+
+// ParseDensity maps a grid density name ("tight", "medium") onto its
+// GridDensity and rejects any other name.
+func ParseDensity(name string) (GridDensity, error) { return experiment.ParseDensity(name) }
 
 // OneHop returns a fully-connected neighborhood of n nodes.
 func OneHop(n int) (*Graph, error) { return topo.Complete(n) }

@@ -43,6 +43,15 @@ func TestFacadeTopologies(t *testing.T) {
 	}
 }
 
+func TestFacadeParseDensity(t *testing.T) {
+	if d, err := ParseDensity("medium"); err != nil || d != Medium {
+		t.Fatalf("ParseDensity(medium) = %v, %v", d, err)
+	}
+	if _, err := ParseDensity("meduim"); err == nil {
+		t.Fatal("misspelt density accepted")
+	}
+}
+
 func TestFacadeAnalysis(t *testing.T) {
 	s, err := SelugeExpectedDataTx(32, 20, 0)
 	if err != nil || s != 32 {

@@ -8,8 +8,8 @@
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
 # tests, a 10 s FuzzDecode smoke of the RS decoder, lrsweep golden-JSONL
-# diff, the seeded cmd/figures run diffed against figures_output.txt, an
-# lrsim probe that an unknown grid density exits 2, the
+# diff, the seeded cmd/figures run diffed against figures_output.txt,
+# lrsim and examples/multihop probes that an unknown grid density exits 2, the
 # serial-vs-parallel sweep bench, the churn-sweep fault-injection bench
 # (BENCH_fault.json), and the tracing gates: traced-sweep metrics must stay
 # byte-equal to the untraced golden, per-run trace directories must be
@@ -156,12 +156,19 @@ diff -u cmd/lrsweep/testdata/smoke_sweep.golden.jsonl "$tmpdir/smoke.jsonl"
 echo "==> figures vs figures_output.txt (same seed, same bytes)"
 go run ./cmd/figures -runs 3 -seed 1 | diff -u figures_output.txt -
 
-echo "==> lrsim rejects an unknown grid density (exit 2)"
+echo "==> lrsim and examples/multihop reject an unknown grid density (exit 2)"
 go build -o "$tmpdir/lrsim" ./cmd/lrsim
 rc=0
 "$tmpdir/lrsim" -topology grid -density bogus > /dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "lrsim -density bogus exited $rc, want 2" >&2
+    exit 1
+fi
+go build -o "$tmpdir/multihop" ./examples/multihop
+rc=0
+"$tmpdir/multihop" -density bogus > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "multihop -density bogus exited $rc, want 2" >&2
     exit 1
 fi
 
