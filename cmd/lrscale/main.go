@@ -198,8 +198,8 @@ func main() {
 		// An incomplete run is never silent, -q or not: a benchmark row
 		// where nodes missed the image is a different experiment.
 		if rep.Incomplete > 0 {
-			fmt.Fprintf(os.Stderr, "lrscale: WARNING: n=%d run incomplete: %d of %d nodes missing the image at the horizon\n",
-				n, rep.Incomplete, rep.Nodes)
+			fmt.Fprintf(os.Stderr, "lrscale: WARNING: n=%d run incomplete: %d of %d nodes missing the image at the horizon (%d unreachable, %d stalled)\n",
+				n, rep.Incomplete, rep.Nodes, rep.Unreachable, rep.Stalled)
 		}
 		if rep.Obs != nil {
 			if err := rep.Obs.WriteText(os.Stderr); err != nil {

@@ -32,8 +32,10 @@ type obsBenchReport struct {
 	EnabledOverheadFrac float64 `json:"enabled_overhead_frac"`
 	NoiseFrac           float64 `json:"noise_frac"`
 
-	// Regions is the number of phase regions an obs-on run opens;
-	// NilPairNS is the measured cost of one disabled Start/End pair.
+	// Regions is the number of disabled boundary pairs an obs-on run
+	// crosses: the phase regions it opens plus the engine's BeginEvent/
+	// EndEvent pair per popped event. NilPairNS is the measured cost of one
+	// disabled Start/End pair.
 	// DisabledOverheadFrac = Regions * NilPairNS / obs-off median.
 	Regions              uint64  `json:"regions"`
 	NilPairNS            float64 `json:"nil_pair_ns"`
@@ -41,13 +43,21 @@ type obsBenchReport struct {
 
 	// CoveredFrac is the last obs-on run's attribution coverage: the
 	// fraction of wall time the instrumented subsystems account for.
+	// CoveredSE is its standard error from event sampling.
 	CoveredFrac float64 `json:"covered_frac"`
+	CoveredSE   float64 `json:"covered_se"`
 
 	// TraceIdentical pins the determinism contract: every run above hashed
 	// its transmission trace to TraceHash.
 	TraceIdentical bool   `json:"trace_identical"`
 	TraceHash      string `json:"trace_hash"`
 }
+
+// disabledTimers is the nil receiver the disabled-pair microbenchmark
+// drives. A package variable, like the engine's field, is loaded and
+// checked at every call; a local nil would let the compiler fold the
+// inlined checks away.
+var disabledTimers *obs.Timers
 
 // runObsbench measures obs instrumentation overhead and writes BENCH_obs.json.
 func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) error {
@@ -87,6 +97,8 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 		EnabledOverheadFrac: res.B.MedianSec/res.A.MedianSec - 1,
 		NoiseFrac:           res.A.IQRSec / res.A.MedianSec,
 		CoveredFrac:         attr.CoveredFrac,
+		CoveredSE:           attr.CoveredSE,
+		Regions:             attr.Events,
 		TraceIdentical:      true,
 		TraceHash:           res.Digest,
 	}
@@ -94,16 +106,15 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 		rep.Regions += row.Calls
 	}
 	rep.NilPairNS = bench.NsPerOp(func(n int) {
-		var nilTimers *obs.Timers
 		for i := 0; i < n; i++ {
-			nilTimers.Start(obs.PhaseDispatch)
-			nilTimers.End(obs.PhaseDispatch)
+			disabledTimers.Start(obs.PhaseDispatch)
+			disabledTimers.End(obs.PhaseDispatch)
 		}
 	})
 	rep.DisabledOverheadFrac = float64(rep.Regions) * rep.NilPairNS / (res.A.MedianSec * 1e9)
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.1f%% -> %s\n",
-			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, 100*rep.CoveredFrac, out)
+		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.1f%% ± %.1f%% -> %s\n",
+			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, 100*rep.CoveredFrac, 100*rep.CoveredSE, out)
 	}
 	return bench.WriteJSON(out, rep)
 }

@@ -193,40 +193,26 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 // and erasure-decode as soon as k' (or k0') authenticated packets are in.
 func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	u := int(d.Unit)
-	if u != h.CompleteUnits() {
+	if u == 0 || u != h.CompleteUnits() {
 		return dissem.Stale
 	}
-	switch u {
-	case 0:
-		return dissem.Stale
-	case 1:
-		return h.ingestM0(d)
-	default:
-		return h.ingestPage(d)
+	if !h.Authentic(d) {
+		return dissem.Rejected
 	}
-}
-
-func (h *Handler) ingestM0(d *packet.Data) dissem.IngestResult {
 	idx := int(d.Index)
-	if idx < 0 || idx >= h.geom.numEnc || len(d.Payload) != h.geom.blockSize || len(d.Proof) != h.geom.depth {
-		return dissem.Rejected
-	}
-	ot := h.sigCtx.Obs
-	ot.StartLeaf(obs.PhaseHashVerify)
-	if !merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof) {
-		ot.EndLeaf(obs.PhaseHashVerify)
-		return dissem.Rejected
-	}
-	ot.EndLeaf(obs.PhaseHashVerify)
 	if h.shards[idx] != nil {
 		return dissem.Duplicate
 	}
 	h.shards[idx] = append([]byte(nil), d.Payload...)
 	h.count++
-	if h.count < h.codec0.KPrime() {
+	switch {
+	case h.count < h.NeededInUnit(u):
 		return dissem.Stored
+	case u == 1:
+		return h.completeM0()
+	default:
+		return h.completePage()
 	}
-	return h.completeM0()
 }
 
 // completeM0 decodes the hash page from the k0' authenticated shards in
@@ -267,33 +253,6 @@ func (h *Handler) completeM0() dissem.IngestResult {
 		return dissem.Rejected
 	}
 	return h.hold(m0)
-}
-
-func (h *Handler) ingestPage(d *packet.Data) dissem.IngestResult {
-	idx := int(d.Index)
-	if idx < 0 || idx >= h.n || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
-		return dissem.Rejected
-	}
-	expected := h.units[len(h.units)-1].next
-	if len(expected) != h.n {
-		return dissem.Rejected // no authentication material (the object is complete)
-	}
-	ot := h.sigCtx.Obs
-	ot.StartLeaf(obs.PhaseHashVerify)
-	if hashx.Sum(d.AuthBody()) != expected[idx] {
-		ot.EndLeaf(obs.PhaseHashVerify)
-		return dissem.Rejected
-	}
-	ot.EndLeaf(obs.PhaseHashVerify)
-	if h.shards[idx] != nil {
-		return dissem.Duplicate
-	}
-	h.shards[idx] = append([]byte(nil), d.Payload...)
-	h.count++
-	if h.count < h.codec.KPrime() {
-		return dissem.Stored
-	}
-	return h.completePage()
 }
 
 // completePage decodes the current page from the k' authenticated packets
@@ -358,8 +317,12 @@ func blockImages(blocks [][]byte, off, stride, n int) []hashx.Image {
 }
 
 // Authentic implements dissem.ObjectHandler: verify a packet of any
-// already-held unit against established material without storing it, so
-// forged packets cannot drive suppression decisions.
+// already-held unit, or of the unit in progress, against the material in
+// hand without storing it, so forged packets cannot drive suppression
+// decisions; Ingest authenticates through it too. An M0 packet (unit 1) is
+// checked by its Merkle proof to the signed root, a page packet (unit u >=
+// 2) by its hash image in the entry of unit u-1. A packet of the wrong
+// shape, or of a unit whose authenticating material is not held, fails.
 func (h *Handler) Authentic(d *packet.Data) bool {
 	if h.sig == nil {
 		return false
@@ -373,22 +336,23 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 			return false
 		}
 		ot := h.sigCtx.Obs
-		ot.StartLeaf(obs.PhaseHashVerify)
+		ot.Start(obs.PhaseHashVerify)
 		ok := merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof)
-		ot.EndLeaf(obs.PhaseHashVerify)
+		ot.End(obs.PhaseHashVerify)
 		return ok
 	case u >= 2:
 		if idx < 0 || idx >= h.n || len(d.Payload) != h.params.PacketPayload || len(d.Proof) != 0 {
 			return false
 		}
-		// Page u-1 is authenticated by the next images of unit u-1's entry.
+		// Page u-1 is authenticated by the next images of unit u-1's entry;
+		// the last entry's are empty once the object is complete.
 		if u-2 >= len(h.units) || len(h.units[u-2].next) != h.n {
 			return false
 		}
 		ot := h.sigCtx.Obs
-		ot.StartLeaf(obs.PhaseHashVerify)
+		ot.Start(obs.PhaseHashVerify)
 		ok := hashx.Sum(d.AuthBody()) == h.units[u-2].next[idx]
-		ot.EndLeaf(obs.PhaseHashVerify)
+		ot.End(obs.PhaseHashVerify)
 		return ok
 	default:
 		return false

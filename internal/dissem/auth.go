@@ -19,7 +19,8 @@ type SigContext struct {
 	Puzzle     puzzle.Params
 	Col        *metrics.Collector
 	// Obs, when non-nil, attributes puzzle/signature/hash wall time to the
-	// crypt phases; the core handlers share the context's timers too.
+	// crypt phases; the core handlers share the context's timers too. A
+	// run's contexts carry its engine's timers (sim.Engine.Obs).
 	Obs *obs.Timers
 }
 

@@ -126,7 +126,6 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 	if err != nil {
 		return nil, err
 	}
-	trk.SetObs(nw.Obs())
 	n.trk = trk
 	if err := nw.Attach(id, n); err != nil {
 		return nil, err

@@ -161,9 +161,10 @@ type Scenario struct {
 	// in the same order, so the choice never changes run bytes.
 	Queue sim.QueueKind
 
-	// Obs, when non-nil, installs wall-time phase timers through the
-	// engine, radio, crypto and codec layers. Measurements never feed back
-	// into the simulation, so same-seed runs stay byte-identical either way.
+	// Obs, when non-nil, installs wall-time phase timers on the engine,
+	// from which the radio, Trickle, crypto and codec layers read them.
+	// Measurements never feed back into the simulation, so same-seed runs
+	// stay byte-identical either way.
 	Obs *obs.Timers
 }
 
@@ -309,7 +310,6 @@ func Build(s Scenario) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw.SetObs(s.Obs)
 	if s.Trace != nil {
 		// Install before node construction: dissem nodes capture the
 		// network's tracer when they are built.
@@ -529,7 +529,7 @@ func (e *Env) sigCtx() *dissem.SigContext {
 		Commitment: e.chain.Commitment(),
 		Puzzle:     e.puzzle(),
 		Col:        e.col,
-		Obs:        e.scenario.Obs,
+		Obs:        e.eng.Obs(),
 	}
 }
 

@@ -4,8 +4,9 @@
 //
 // Where internal/trace answers "what did the protocol do" on the virtual
 // clock, obs answers "where did the real time go": phase timers installed
-// through the engine, radio, crypto and codec layers roll a run's wall time
-// up into a per-subsystem attribution table, and a sampler captures
+// on the engine, which samples whole events, and read from it by the radio,
+// crypto and codec layers roll a run's wall time up into a per-subsystem
+// attribution table with error bars, and a sampler captures
 // heap/GC/throughput gauges as the run progresses.
 //
 // Overhead contract (mirroring internal/trace): a nil *Timers is the
@@ -25,12 +26,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"runtime/metrics"
+	"slices"
 	"time"
 )
 
 // AttrSchema is the attribution-table schema version, encoded as "v" in the
 // JSON artifact; lrobs refuses schemas it does not know.
-const AttrSchema = 1
+const AttrSchema = 2
 
 // Phase identifies one instrumented subsystem region. The string values are
 // the attribution table's wire vocabulary and must stay stable.
@@ -42,36 +46,31 @@ type Phase uint8
 // attributes each nanosecond to the innermost open region only, so phase
 // times sum to at most the run's wall time.
 const (
-	// PhaseQueuePop: event-queue PopLE calls in the engine run loop
-	// (strided leaf sampling: every call counted, one in leafStride timed).
+	// PhaseQueuePop: event-queue PopLE calls in the engine run loop, one
+	// per loop iteration (stale records and the final empty pop included).
 	PhaseQueuePop Phase = iota
-	// PhaseQueuePush: event-queue Push calls (strided leaf sampling).
+	// PhaseQueuePush: event-queue Push calls.
 	PhaseQueuePush
-	// PhaseDispatch: the engine run loop — event-callback execution and
-	// loop bookkeeping, exclusive of every nested phase below. Opened once
-	// per Run slice (ambient), not once per event, so its calls column
-	// counts slices while its time column is the protocol logic itself.
+	// PhaseDispatch: one executed event callback, exclusive of every
+	// nested phase below; its calls column counts events.
 	PhaseDispatch
 	// PhaseRadioDeliver: transmission fan-out (loss model, fault overlay,
 	// batch construction) and delivery-batch walking, exclusive of the
-	// receiver handlers' own nested phases (stride-sampled stack region:
-	// every call counted, one in sampleStride timed).
+	// receiver handlers' own nested phases.
 	PhaseRadioDeliver
 	// PhaseSigVerify: expensive ECDSA signature verification.
 	PhaseSigVerify
 	// PhasePuzzle: weak-authenticator (puzzle) checks on signature packets.
 	PhasePuzzle
 	// PhaseHashVerify: per-packet SHA-256 work — hash-image comparison,
-	// Merkle proof verification (strided leaf sampling at the per-packet
-	// sites) and Merkle tree rebuilds (exact).
+	// Merkle proof verification and Merkle tree rebuilds.
 	PhaseHashVerify
 	// PhaseRSEncode: Reed-Solomon encoding (serving and M0 regeneration).
 	PhaseRSEncode
 	// PhaseRSDecode: Reed-Solomon decoding (page and M0 recovery).
 	PhaseRSDecode
 	// PhaseTrickle: Trickle advertisement-timer callbacks (fire and
-	// interval rollover), exclusive of the broadcast work they schedule
-	// (stride-sampled stack region).
+	// interval rollover), exclusive of the broadcast work they schedule.
 	PhaseTrickle
 
 	numPhases
@@ -108,100 +107,197 @@ func Phases() []Phase {
 	return out
 }
 
-// maxDepth bounds the region stack. Real nesting is three or four deep
-// (dispatch > radio.deliver > crypt); boundaries past the bound are counted
-// but not timed, so a pathological nest degrades accounting, never safety.
+// maxDepth bounds the region stack. Real nesting is four or five deep
+// (dispatch > radio.deliver > crypt, queue.push inside dispatch); boundaries
+// past the bound are counted but not timed, so a pathological nest degrades
+// accounting, never safety.
 const maxDepth = 32
 
-// slot is one open region on the stack. acc is the phase that boundary
-// intervals accrue to while this slot is on top: the slot's own phase for
-// timed regions, the nearest timed ancestor (or -1) for the untimed calls of
-// a stride-sampled region.
-type slot struct {
-	acc     int8
-	phase   int8
-	timed   bool
-	sampled bool
-	cum0    int64 // cum[phase] at open, the scaling base for sampled regions
-}
+// sampleStride is the event sampling stride S: the engine times one popped
+// event in S, and every phase's time is its sampled total scaled by S.
+// Power of two.
+const sampleStride = 16
 
 // Timers is one run's phase accounting. A nil *Timers is the disabled
-// instrumentation: Start and End on it are nil-safe no-ops costing one
+// instrumentation: every method on it is a nil-safe no-op costing one
 // branch. Not safe for concurrent use; like the tracer it lives inside the
 // single-threaded simulation loop.
+//
+// Sampling is per event, decided by the engine's run loop through
+// BeginEvent: inside a sampled event every region boundary reads the clock
+// and the stamp stack attributes each interval exclusively to the innermost
+// open region; anywhere else Start only counts the call.
 type Timers struct {
-	base     time.Time
-	stamp    int64 // monotonic ns of the most recent region boundary
+	clock func() int64 // monotonic ns; the seam tests drive the estimator through
+	gc0   float64      // GC CPU seconds when the timers were created
+
+	// A sampled event pays its own clock reads, which the unsampled events
+	// it stands for do not; every interval it times is one boundary cost
+	// too long. boundary is the running mean of that cost over probes, one
+	// at the end of every sampleStride-th sampled event, and is deducted
+	// from every timed interval. A probe above four times the mean (a
+	// preemption mid-probe) is dropped.
+	boundary float64
+	probes   float64
+
+	events   uint64 // events begun
+	sampled  bool   // inside a sampled event
+	stamp    int64  // clock at the most recent timed boundary
 	depth    int
 	overflow int
-	stack    [maxDepth]slot
+	stack    [maxDepth]Phase
 
-	// Strided-leaf state (see StartLeaf): the clock stamp of the sampled
-	// call in flight, or leafSkip when the current call is unsampled.
-	leafStamp int64
-	leafSkip  bool
-
-	cum   [numPhases]int64
 	calls [numPhases]uint64
+	// ev is the exclusive time of the sampled event in flight; EndEvent
+	// folds it into per-phase sums and sums of squares over the n sampled
+	// events, and the event's covered total into cov and covSq.
+	ev    [numPhases]float64
+	sum   [numPhases]float64
+	sq    [numPhases]float64
+	n     uint64
+	cov   float64
+	covSq float64
 }
 
-// leafStride is the sampling stride for leaf regions: every call is counted,
-// one in leafStride is timed and its span scaled by the stride. Regions too
-// cheap to time exactly (a ~100 ns queue push costs more to clock than to
-// run) stay attributed at a fraction of the instrumentation cost. Power of
-// two.
-const leafStride = 16
-
-// sampleStride is the sampling stride for stride-sampled stack regions
-// (StartSampled): high-frequency regions that, unlike leaves, have other
-// phases nesting inside them. Power of two.
-const sampleStride = 8
-
-// NewTimers returns enabled phase timers with all counters at zero.
+// NewTimers returns enabled phase timers with all counters at zero, their
+// boundary cost calibrated against the monotonic clock.
 //
-//lrlint:effects(wallclock) captures the monotonic base the region stamps are measured against; measurements never feed back into simulation
+//lrlint:effects(wallclock) the clock reads the monotonic time the region stamps are measured against; measurements never feed back into simulation
 func NewTimers() *Timers {
-	return &Timers{base: time.Now()}
+	base := time.Now()
+	t := newTimers(func() int64 { return int64(time.Since(base)) })
+	t.calibrate()
+	return t
+}
+
+// newTimers returns timers reading the given clock with no boundary cost
+// yet measured.
+func newTimers(clock func() int64) *Timers {
+	return &Timers{clock: clock, gc0: gcCPUSeconds()}
+}
+
+// calibrate seeds the boundary cost with the median of a burst of probes,
+// which discards the probes a preemption landed in.
+func (t *Timers) calibrate() {
+	var c [31]float64
+	for i := range c {
+		c[i] = t.probe()
+	}
+	slices.Sort(c[:])
+	t.boundary, t.probes = c[len(c)/2], 1
+}
+
+// probe measures one boundary cost the way the instrumented sites pay it:
+// an empty region pair nested in another, three intervals of nothing but
+// boundaries. It leaves the counters as it found them.
+func (t *Timers) probe() float64 {
+	const p = PhaseDispatch
+	calls, ev, sampled := t.calls[p], t.ev[p], t.sampled
+	t.sampled = true
+	t.Start(p)
+	t.Start(p)
+	t.End(p)
+	t.End(p)
+	cost := (t.ev[p]-ev)/3 + t.boundary
+	t.calls[p], t.ev[p], t.sampled = calls, ev, sampled
+	return cost
+}
+
+// gcCPUSeconds reads the runtime's cumulative GC CPU estimate.
+func gcCPUSeconds() float64 {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 {
+		return 0
+	}
+	return s[0].Value.Float64()
 }
 
 // Enabled reports whether regions are being recorded.
 func (t *Timers) Enabled() bool { return t != nil }
 
-// Start opens a region for phase p. While p is open, elapsed time is
-// attributed to p; an enclosing region's clock is paused (exclusive
-// accounting). Every Start must be paired with an End on the same phase,
-// in LIFO order.
+// BeginEvent marks the start of one popped event of the engine run loop and
+// decides whether it is sampled: one event in sampleStride is. Every
+// BeginEvent must be paired with an EndEvent, with no region open across
+// either.
+func (t *Timers) BeginEvent() {
+	if t == nil {
+		return
+	}
+	t.sampled = t.events%sampleStride == 0
+	t.events++
+}
+
+// EndEvent closes the event opened by BeginEvent. A sampled event's
+// per-phase times are folded into the estimator's sums and sums of squares.
+func (t *Timers) EndEvent() {
+	if t != nil && t.sampled {
+		t.fold()
+	}
+}
+
+func (t *Timers) fold() {
+	t.depth, t.overflow = 0, 0
+	if t.n%sampleStride == 0 {
+		if c := t.probe(); c <= 4*t.boundary {
+			t.probes++
+			t.boundary += (c - t.boundary) / t.probes
+		}
+	}
+	t.sampled = false
+	var total float64
+	for p, x := range t.ev {
+		t.sum[p] += x
+		t.sq[p] += x * x
+		total += x
+		t.ev[p] = 0
+	}
+	t.n++
+	t.cov += total
+	t.covSq += total * total
+}
+
+// Start opens a region for phase p and counts the call. Inside a sampled
+// event, elapsed time is attributed to p while it is open and an enclosing
+// region's clock is paused (exclusive accounting). Every Start must be
+// paired with an End on the same phase, in LIFO order.
 //
-//lrlint:effects(wallclock) region boundaries read the monotonic clock; the measurement is reporting-only and never feeds back into simulation
+// Start, End and the event pair inline down to their nil and sampled
+// checks; only sampled boundaries pay a call.
 func (t *Timers) Start(p Phase) {
 	if t == nil {
 		return
 	}
 	t.calls[p]++
+	if t.sampled {
+		t.open(p)
+	}
+}
+
+func (t *Timers) open(p Phase) {
 	if t.depth == maxDepth {
 		t.overflow++
 		return
 	}
-	now := int64(time.Since(t.base))
+	now := t.clock()
 	if t.depth > 0 {
-		if a := t.stack[t.depth-1].acc; a >= 0 {
-			t.cum[a] += now - t.stamp
-		}
+		t.accrue(t.stack[t.depth-1], now)
 	}
-	t.stack[t.depth] = slot{acc: int8(p), phase: int8(p), timed: true}
+	t.stack[t.depth] = p
 	t.depth++
 	t.stamp = now
 }
 
 // End closes the innermost open region, attributing the time since the last
-// boundary to it. The phase argument documents the call site; an unbalanced
-// End (no open region) is ignored.
-//
-//lrlint:effects(wallclock) region boundaries read the monotonic clock; the measurement is reporting-only and never feeds back into simulation
+// boundary to it inside a sampled event. The phase argument documents the
+// call site; an unbalanced End (no open region) is ignored.
 func (t *Timers) End(Phase) {
-	if t == nil {
-		return
+	if t != nil && t.sampled {
+		t.close()
 	}
+}
+
+func (t *Timers) close() {
 	if t.overflow > 0 {
 		t.overflow--
 		return
@@ -209,135 +305,16 @@ func (t *Timers) End(Phase) {
 	if t.depth == 0 {
 		return
 	}
-	now := int64(time.Since(t.base))
+	now := t.clock()
 	t.depth--
-	if a := t.stack[t.depth].acc; a >= 0 {
-		t.cum[a] += now - t.stamp
-	}
+	t.accrue(t.stack[t.depth], now)
 	t.stamp = now
 }
 
-// StartSampled opens a stride-sampled stack region: every call increments the
-// phase's call count, but only one call in sampleStride reads the clock and
-// opens a real (timed) region; EndSampled scales the sampled call's exclusive
-// time by the stride. Unlike a leaf, other phases may nest inside — during an
-// unsampled call their boundaries accrue to the nearest timed ancestor, whose
-// inflated share is repaid when a sampled call's scaled estimate is deducted
-// from it. A sampled region must not nest inside another sampled region.
-//
-//lrlint:effects(wallclock) sampled region boundary reads the monotonic clock; reporting-only, never simulation input
-func (t *Timers) StartSampled(p Phase) {
-	if t == nil {
-		return
-	}
-	t.calls[p]++
-	if t.depth == maxDepth {
-		t.overflow++
-		return
-	}
-	if t.calls[p]&(sampleStride-1) != 1 {
-		// Unsampled: push an untimed slot with no clock read. Boundaries of
-		// phases nested inside accrue past it to the nearest timed ancestor.
-		acc := int8(-1)
-		if t.depth > 0 {
-			acc = t.stack[t.depth-1].acc
-		}
-		t.stack[t.depth] = slot{acc: acc, phase: int8(p)}
-		t.depth++
-		return
-	}
-	now := int64(time.Since(t.base))
-	if t.depth > 0 {
-		if a := t.stack[t.depth-1].acc; a >= 0 {
-			t.cum[a] += now - t.stamp
-		}
-	}
-	t.stack[t.depth] = slot{acc: int8(p), phase: int8(p), timed: true, sampled: true, cum0: t.cum[p]}
-	t.depth++
-	t.stamp = now
-}
-
-// EndSampled closes a stride-sampled region opened by StartSampled on the
-// same phase, scaling the sampled call's exclusive time by sampleStride and
-// deducting the extrapolated remainder from the enclosing region — the same
-// bargain as EndLeaf: individual parent intervals wobble, per-run totals
-// converge.
-//
-//lrlint:effects(wallclock) sampled region boundary reads the monotonic clock; reporting-only, never simulation input
-func (t *Timers) EndSampled(p Phase) {
-	if t == nil {
-		return
-	}
-	if t.overflow > 0 {
-		t.overflow--
-		return
-	}
-	if t.depth == 0 {
-		return
-	}
-	t.depth--
-	s := t.stack[t.depth]
-	if !s.timed {
-		return // unsampled call: no clock was read at either boundary
-	}
-	now := int64(time.Since(t.base))
-	t.cum[p] += now - t.stamp
-	t.stamp = now
-	// Exclusive time of this one call (nested phases already deducted via
-	// the stamp), scaled to estimate the stride's worth of calls.
-	if excl := t.cum[p] - s.cum0; excl > 0 {
-		extra := excl * (sampleStride - 1)
-		t.cum[p] += extra
-		if t.depth > 0 {
-			t.stamp += extra
-		}
-	}
-}
-
-// StartLeaf opens a sampled leaf region: every call increments the phase's
-// call count, but only one call in leafStride reads the clock; EndLeaf
-// scales the sampled span by the stride. A leaf region must be flat — no
-// Start/End/StartLeaf may run between StartLeaf and its EndLeaf — which is
-// what lets the pair share one stamp field instead of the stack.
-//
-// Sampling keeps attribution honest in aggregate: EndLeaf credits the scaled
-// estimate to the leaf phase and advances the enclosing region's stamp by
-// the same amount, so the estimate is deducted from the parent rather than
-// counted twice. Individual parent intervals can over- or under-shoot; the
-// per-run totals converge.
-//
-//lrlint:effects(wallclock) sampled region boundary reads the monotonic clock; reporting-only, never simulation input
-func (t *Timers) StartLeaf(p Phase) {
-	if t == nil {
-		return
-	}
-	t.calls[p]++
-	if t.calls[p]&(leafStride-1) != 1 {
-		t.leafSkip = true
-		return
-	}
-	t.leafSkip = false
-	t.leafStamp = int64(time.Since(t.base))
-}
-
-// EndLeaf closes a sampled leaf region opened by StartLeaf on the same
-// phase.
-//
-//lrlint:effects(wallclock) sampled region boundary reads the monotonic clock; reporting-only, never simulation input
-func (t *Timers) EndLeaf(p Phase) {
-	if t == nil || t.leafSkip {
-		return
-	}
-	t.leafSkip = true
-	span := int64(time.Since(t.base)) - t.leafStamp
-	est := span * leafStride
-	t.cum[p] += est
-	if t.depth > 0 {
-		// Deduct the estimate from the enclosing region by moving its last
-		// boundary forward. The stamp may transiently pass the clock; the
-		// parent's next interval simply shrinks by the overshoot.
-		t.stamp += est
-	}
+// accrue attributes the interval since the last boundary, less the
+// boundary cost, to p.
+func (t *Timers) accrue(p Phase, now int64) {
+	t.ev[p] += float64(now-t.stamp) - t.boundary
 }
 
 // Calls returns how many regions were opened for the phase.
@@ -348,54 +325,69 @@ func (t *Timers) Calls(p Phase) uint64 {
 	return t.calls[p]
 }
 
-// NS returns the cumulative exclusive nanoseconds attributed to the phase.
+// NS returns the estimated exclusive nanoseconds of the phase: its total
+// over the sampled events, scaled by the sampling stride.
 func (t *Timers) NS(p Phase) int64 {
 	if t == nil || p >= numPhases {
 		return 0
 	}
-	return t.cum[p]
+	return int64(sampleStride * t.sum[p])
 }
 
-// Regions returns the total number of regions opened across all phases —
-// the per-run boundary count the disabled-overhead gate scales by.
-func (t *Timers) Regions() uint64 {
-	if t == nil {
+// stdErr is the standard error of the estimate sampleStride*sum, the
+// sampled events treated as a simple random sample of n of the
+// sampleStride*n events (finite-population corrected).
+func (t *Timers) stdErr(sum, sq float64) float64 {
+	n := float64(t.n)
+	if n < 2 {
 		return 0
 	}
-	var n uint64
-	for p := Phase(0); p < numPhases; p++ {
-		n += t.calls[p]
+	mean := sum / n
+	v := (sq - n*mean*mean) / (n - 1)
+	if v <= 0 {
+		return 0
 	}
-	return n
+	return sampleStride * math.Sqrt(n*v*(1-1.0/sampleStride))
 }
 
 // PhaseStat is one attribution-table row.
 type PhaseStat struct {
 	// Phase is the wire name (Phase.String).
 	Phase string `json:"phase"`
-	// NS is the cumulative exclusive time attributed to the phase.
+	// NS is the estimated exclusive time attributed to the phase.
 	NS int64 `json:"ns"`
-	// Calls is the number of regions opened.
+	// Calls is the number of regions opened, counted exactly.
 	Calls uint64 `json:"calls"`
 	// NSPerCall is NS/Calls.
 	NSPerCall float64 `json:"ns_per_call"`
 	// Frac is NS as a fraction of the run's wall time.
 	Frac float64 `json:"frac"`
+	// FracSE is the standard error of Frac from event sampling.
+	FracSE float64 `json:"frac_se"`
 }
 
 // Attribution is a per-run time-attribution table: subsystem phase rows plus
-// the covered fraction of wall time. Phase accounting is exclusive, so
-// CoveredFrac sits near (and never far above) 1 on fully instrumented runs;
-// leaf-sampling estimation error can push it a percent or two past 1.
+// the covered fraction of wall time, each with its sampling standard error.
+// Phase accounting is exclusive, so CoveredFrac sits near and not
+// significantly above 1 on fully instrumented runs.
 type Attribution struct {
 	SchemaV int `json:"v"`
 	// WallNS is the measured run wall time the fractions are relative to.
 	WallNS int64 `json:"wall_ns"`
+	// Events is the number of events the engine popped, one in the
+	// sampling stride of them timed.
+	Events uint64 `json:"events"`
 	// CoveredNS sums every phase's exclusive time.
 	CoveredNS int64 `json:"covered_ns"`
 	// CoveredFrac is CoveredNS/WallNS: how much of the run's wall time the
 	// instrumented subsystems account for.
 	CoveredFrac float64 `json:"covered_frac"`
+	// CoveredSE is the standard error of CoveredFrac.
+	CoveredSE float64 `json:"covered_se"`
+	// GCNS is the runtime's GC CPU time over the timers' life. GC runs on
+	// other threads too, so it is reported beside the phases, in neither
+	// Phases nor CoveredNS.
+	GCNS int64 `json:"gc_ns"`
 	// Phases holds one row per phase with at least one call, catalog order.
 	Phases []PhaseStat `json:"phases"`
 }
@@ -407,25 +399,31 @@ func (t *Timers) Table(wallNS int64) Attribution {
 	if t == nil {
 		return a
 	}
+	a.Events = t.events
+	a.GCNS = int64((gcCPUSeconds() - t.gc0) * 1e9)
+	frac := func(ns float64) float64 {
+		if wallNS <= 0 {
+			return 0
+		}
+		return ns / float64(wallNS)
+	}
 	for p := Phase(0); p < numPhases; p++ {
 		if t.calls[p] == 0 {
 			continue
 		}
-		row := PhaseStat{
+		ns := t.NS(p)
+		a.Phases = append(a.Phases, PhaseStat{
 			Phase:     p.String(),
-			NS:        t.cum[p],
+			NS:        ns,
 			Calls:     t.calls[p],
-			NSPerCall: float64(t.cum[p]) / float64(t.calls[p]),
-		}
-		if wallNS > 0 {
-			row.Frac = float64(t.cum[p]) / float64(wallNS)
-		}
-		a.CoveredNS += t.cum[p]
-		a.Phases = append(a.Phases, row)
+			NSPerCall: float64(ns) / float64(t.calls[p]),
+			Frac:      frac(float64(ns)),
+			FracSE:    frac(t.stdErr(t.sum[p], t.sq[p])),
+		})
+		a.CoveredNS += ns
 	}
-	if wallNS > 0 {
-		a.CoveredFrac = float64(a.CoveredNS) / float64(wallNS)
-	}
+	a.CoveredFrac = frac(float64(a.CoveredNS))
+	a.CoveredSE = frac(t.stdErr(t.cov, t.covSq))
 	return a
 }
 
@@ -444,19 +442,27 @@ func DecodeAttribution(data []byte) (Attribution, error) {
 	return a, nil
 }
 
-// WriteText renders the attribution table as aligned human-readable text,
-// rows in catalog order followed by the covered-fraction summary line.
+// WriteText renders the attribution table as aligned human-readable text:
+// rows in catalog order, each fraction with its standard error, then the
+// covered-fraction summary line and the GC line, which the total excludes.
 func (a Attribution) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-18s %12s %12s %12s %7s\n", "phase", "cum_ms", "calls", "ns/call", "frac"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-18s %12s %12s %12s %7s %6s\n", "phase", "cum_ms", "calls", "ns/call", "frac", "±se"); err != nil {
 		return err
 	}
 	for _, row := range a.Phases {
-		if _, err := fmt.Fprintf(w, "%-18s %12.2f %12d %12.1f %6.1f%%\n",
-			row.Phase, float64(row.NS)/1e6, row.Calls, row.NSPerCall, 100*row.Frac); err != nil {
+		if _, err := fmt.Fprintf(w, "%-18s %12.2f %12d %12.1f %6.1f%% %5.1f%%\n",
+			row.Phase, float64(row.NS)/1e6, row.Calls, row.NSPerCall, 100*row.Frac, 100*row.FracSE); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% of %.2fms wall\n",
-		"total", float64(a.CoveredNS)/1e6, "", 100*a.CoveredFrac, float64(a.WallNS)/1e6)
+	if _, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% %5.1f%% of %.2fms wall\n",
+		"total", float64(a.CoveredNS)/1e6, "", 100*a.CoveredFrac, 100*a.CoveredSE, float64(a.WallNS)/1e6); err != nil {
+		return err
+	}
+	gcFrac := 0.0
+	if a.WallNS > 0 {
+		gcFrac = float64(a.GCNS) / float64(a.WallNS)
+	}
+	_, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% GC CPU, not in total\n", "gc", float64(a.GCNS)/1e6, "", 100*gcFrac)
 	return err
 }

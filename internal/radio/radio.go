@@ -83,8 +83,9 @@ type Network struct {
 	// tracing at one branch per event site.
 	tr *trace.Tracer
 
-	// obs attributes delivery fan-out wall time; nil (the default) disables
-	// the phase timers at one branch per region boundary.
+	// obs attributes delivery fan-out wall time: the engine's timers, read
+	// at construction. nil (the default) disables the phase timers at one
+	// branch per region boundary.
 	obs *obs.Timers
 }
 
@@ -108,6 +109,7 @@ func New(eng *sim.Engine, graph *topo.Graph, loss LossModel, cfg Config, col *me
 	}
 	return &Network{
 		eng:       eng,
+		obs:       eng.Obs(),
 		graph:     graph,
 		loss:      loss,
 		cfg:       cfg,
@@ -141,15 +143,6 @@ func (nw *Network) SetTracer(tr *trace.Tracer) { nw.tr = tr }
 // Tracer returns the installed tracer; nil means tracing is off. Protocol
 // nodes pick it up here so one installation covers the whole stack.
 func (nw *Network) Tracer() *trace.Tracer { return nw.tr }
-
-// SetObs installs (or, with nil, removes) wall-time phase timers over the
-// delivery fan-out. Install before traffic flows so attribution covers the
-// whole run.
-func (nw *Network) SetObs(t *obs.Timers) { nw.obs = t }
-
-// Obs returns the installed phase timers; nil means attribution is off.
-// Protocol nodes pick them up here so one installation covers the stack.
-func (nw *Network) Obs() *obs.Timers { return nw.obs }
 
 // Engine returns the simulation engine driving this network.
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
@@ -231,7 +224,7 @@ func (nw *Network) putBatch(batch []delivery) {
 func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 	// Manual End at each exit instead of defer: deliver is on the hot path
 	// and defer is banned there (alloc-hotpath lint).
-	nw.obs.StartSampled(obs.PhaseRadioDeliver)
+	nw.obs.Start(obs.PhaseRadioDeliver)
 	if nw.cfg.WireCheck {
 		parsed, err := packet.Unmarshal(p.Marshal())
 		if err != nil {
@@ -271,7 +264,7 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 	}
 	if len(batch) == 0 {
 		nw.putBatch(batch)
-		nw.obs.EndSampled(obs.PhaseRadioDeliver)
+		nw.obs.End(obs.PhaseRadioDeliver)
 		return
 	}
 	// One event delivers the whole batch. This is observation-equivalent to
@@ -284,14 +277,14 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 	// receiver handlers open (crypt, erasure) nest inside and account their
 	// own time exclusively.
 	nw.eng.Schedule(nw.cfg.PropDelay, func() {
-		nw.obs.StartSampled(obs.PhaseRadioDeliver)
+		nw.obs.Start(obs.PhaseRadioDeliver)
 		for _, d := range batch {
 			nw.col.RecordRx(p)
 			nw.tr.Rx(packet.NodeID(d.to), from, p)
 			d.rcv.HandlePacket(from, p)
 		}
 		nw.putBatch(batch)
-		nw.obs.EndSampled(obs.PhaseRadioDeliver)
+		nw.obs.End(obs.PhaseRadioDeliver)
 	})
-	nw.obs.EndSampled(obs.PhaseRadioDeliver)
+	nw.obs.End(obs.PhaseRadioDeliver)
 }

@@ -6,6 +6,7 @@ import (
 
 	"lrseluge/internal/obs"
 	"lrseluge/internal/sim"
+	"lrseluge/internal/topo"
 )
 
 // TestObsDoesNotPerturbRun is the determinism contract: installing phase
@@ -34,40 +35,62 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestObsAttributionCoverage pins the tentpole acceptance shape: with every
-// subsystem instrumented, the attribution table accounts for most of the
-// measured wall time. CI shares cores, so the bound here is a loose sanity
-// floor; the calibrated >= 80% gate runs in lrscale -obsbench via check.sh.
+// TestObsAttributionCoverage pins the tentpole acceptance shape on the n=2000
+// configuration lrscale -obsbench measures: with every subsystem
+// instrumented, the attribution table accounts for most of the measured
+// wall time, the rows carry error bars and sum to the covered total, and
+// the GC row is non-zero and kept out of both. One event in 16 is timed, so
+// the run must be long enough for that sample to hold every phase: a
+// 40-node run (~7 ms) samples none of its 39 signature verifications. CI
+// shares cores, so the coverage bound here is a loose sanity floor; the
+// calibrated >= 80% gate runs in lrscale -obsbench via check.sh.
 func TestObsAttributionCoverage(t *testing.T) {
-	cfg := baseConfig(sim.CalendarQueue)
-	cfg.TraceHash = false
-	cfg.Obs = obs.NewTimers()
+	cfg := Config{Nodes: 2000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true, Obs: obs.NewTimers()}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Obs == nil {
+	a := rep.Obs
+	if a == nil {
 		t.Fatal("Report.Obs missing with Config.Obs set")
 	}
-	if rep.Obs.WallNS <= 0 || rep.Obs.CoveredNS <= 0 {
-		t.Fatalf("empty attribution: %+v", rep.Obs)
+	if a.WallNS <= 0 || a.CoveredNS <= 0 || a.Events == 0 {
+		t.Fatalf("empty attribution: %+v", a)
 	}
-	if rep.Obs.CoveredFrac < 0.5 {
-		t.Errorf("attribution covers only %.1f%% of wall time", 100*rep.Obs.CoveredFrac)
+	if a.CoveredFrac < 0.5 {
+		t.Errorf("attribution covers only %.1f%% of wall time", 100*a.CoveredFrac)
+	}
+	if a.CoveredSE <= 0 {
+		t.Errorf("covered_se = %v, want > 0", a.CoveredSE)
+	}
+	if a.GCNS <= 0 {
+		t.Errorf("gc_ns = %d on an n=2000 run, want > 0", a.GCNS)
 	}
 	seen := map[string]bool{}
-	for _, row := range rep.Obs.Phases {
+	var sum int64
+	for _, row := range a.Phases {
 		seen[row.Phase] = true
+		sum += row.NS
+		if row.Calls > 100_000 && row.FracSE <= 0 {
+			t.Errorf("%s: %d calls but no standard error", row.Phase, row.Calls)
+		}
 	}
-	// A full dissemination exercises every instrumented subsystem.
+	if sum != a.CoveredNS {
+		t.Errorf("covered_ns %d != sum of phase rows %d", a.CoveredNS, sum)
+	}
+	// A full dissemination exercises every instrumented subsystem; GC is
+	// not one of the phases.
 	for _, want := range []string{
 		"sim.queue.pop", "sim.queue.push", "sim.dispatch", "radio.deliver",
 		"crypt.sig-verify", "crypt.puzzle", "crypt.hash-verify",
 		"erasure.rs-encode", "erasure.rs-decode", "trickle",
 	} {
 		if !seen[want] {
-			t.Errorf("phase %q missing from attribution table: %+v", want, rep.Obs.Phases)
+			t.Errorf("phase %q missing from attribution table: %+v", want, a.Phases)
 		}
+	}
+	if seen["gc"] {
+		t.Error("GC reported as a phase row")
 	}
 }
 
@@ -113,7 +136,8 @@ func TestSamplerWiredIntoSlices(t *testing.T) {
 
 // TestIncompleteReported is the silent-incompletion regression: a
 // horizon-bounded run that cannot finish must carry the missing-node count
-// in its report rather than leaving Completed to be eyeballed.
+// in its report rather than leaving Completed to be eyeballed, classified
+// as unreachable (no path from node 0) or stalled (reachable, unfinished).
 func TestIncompleteReported(t *testing.T) {
 	cfg := baseConfig(sim.CalendarQueue)
 	cfg.TraceHash = false
@@ -132,13 +156,40 @@ func TestIncompleteReported(t *testing.T) {
 	if rep.Incomplete == 0 {
 		t.Error("Incomplete = 0 on an unfinished run")
 	}
+	// The base graph is connected: every missing node stalled.
+	if rep.Unreachable != 0 || rep.Stalled != rep.Incomplete {
+		t.Errorf("connected graph, cut short: unreachable %d stalled %d, want 0 and %d", rep.Unreachable, rep.Stalled, rep.Incomplete)
+	}
 
 	// And a complete run reports zero.
 	full, err := Run(baseConfig(sim.CalendarQueue))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Incomplete != 0 {
-		t.Errorf("complete run reports Incomplete = %d", full.Incomplete)
+	if full.Incomplete != 0 || full.Unreachable != 0 || full.Stalled != 0 {
+		t.Errorf("complete run reports incomplete %d, unreachable %d, stalled %d", full.Incomplete, full.Unreachable, full.Stalled)
+	}
+
+	// A sparse disk graph with a node cut off from node 0: run to the
+	// horizon, the cut-off nodes are unreachable and nothing stalls.
+	sparse := baseConfig(sim.CalendarQueue)
+	sparse.TraceHash = false
+	sparse.TargetDegree = 8
+	var cut int
+	for ; cut == 0; sparse.Seed++ {
+		g, err := topo.Disk(sparse.Nodes, sparse.TargetDegree, sparse.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut = g.Unreachable()
+	}
+	sparse.Seed--
+	rep, err = Run(sparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Unreachable != cut || rep.Stalled != 0 || rep.Incomplete != cut {
+		t.Errorf("seed %d with %d cut-off nodes: incomplete %d = unreachable %d + stalled %d, want %d = %d + 0",
+			sparse.Seed, cut, rep.Incomplete, rep.Unreachable, rep.Stalled, cut, cut)
 	}
 }

@@ -90,9 +90,14 @@ type Report struct {
 	Queue     string  `json:"queue"`
 	Completed int     `json:"completed"`
 	// Incomplete is Nodes-Completed: how many nodes ended the run without
-	// the full image (horizon hit, or isolated nodes). Always emitted so a
-	// partial run can never pass for a complete one silently.
+	// the full image. Always emitted so a partial run can never pass for a
+	// complete one silently. It is classified as Unreachable+Stalled.
 	Incomplete int `json:"incomplete"`
+	// Unreachable counts the nodes with no path from node 0 in the disk
+	// graph: no protocol could have reached them.
+	Unreachable int `json:"unreachable"`
+	// Stalled counts the reachable nodes that did not finish (horizon hit).
+	Stalled int `json:"stalled"`
 	// ImagesOK is true when every node holds exactly the original image
 	// (experiment.Env.ImagesOK, checked after the event loop).
 	ImagesOK     bool    `json:"images_ok"`
@@ -174,6 +179,7 @@ func Run(cfg Config) (Report, error) {
 		Queue:        cfg.Queue.String(),
 		Completed:    col.Completions(),
 		Incomplete:   cfg.Nodes - col.Completions(),
+		Unreachable:  graph.Unreachable(),
 		LatencySec:   col.Latency().Seconds(),
 		Events:       eng.Events(),
 		WallMS:       wall.Milliseconds(),
@@ -182,6 +188,9 @@ func Run(cfg Config) (Report, error) {
 		ImagesOK:     env.ImagesOK(),
 		PeakRSSKB:    peakRSSKB(),
 	}
+	// An unreachable node never receives a packet, so it is always among
+	// the incomplete ones.
+	rep.Stalled = rep.Incomplete - rep.Unreachable
 	if secs := wall.Seconds(); secs > 0 {
 		rep.EventsPerSec = float64(rep.Events) / secs
 	}

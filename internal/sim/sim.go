@@ -175,10 +175,12 @@ func NewWithQueue(kind QueueKind) *Engine {
 	return e
 }
 
-// SetObs installs phase timers for wall-time attribution of queue
-// operations and event dispatch. A nil value (the default) disables
-// instrumentation; recording methods on a nil *obs.Timers are single-branch
-// no-ops, so the hot loops stay unconditional.
+// SetObs installs phase timers for wall-time attribution. The engine is the
+// one install point: the run loop samples events through them, and the
+// radio, Trickle and crypto layers built on the engine read them back with
+// Obs at construction, so install them first. A nil value (the default)
+// disables instrumentation; recording methods on a nil *obs.Timers are
+// single-branch no-ops, so the hot loops stay unconditional.
 func (e *Engine) SetObs(t *obs.Timers) { e.obs = t }
 
 // Obs returns the installed phase timers (nil when disabled).
@@ -234,9 +236,9 @@ func (e *Engine) At(at Time, fn func()) Timer {
 	ev.stopped = false
 	e.seq++
 	e.live++
-	e.obs.StartLeaf(obs.PhaseQueuePush)
+	e.obs.Start(obs.PhaseQueuePush)
 	e.queue.Push(ev)
-	e.obs.EndLeaf(obs.PhaseQueuePush)
+	e.obs.End(obs.PhaseQueuePush)
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
@@ -264,36 +266,44 @@ func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	defer func() { e.running = false }()
 
-	// The dispatch region is ambient: one region per Run slice covering the
-	// whole loop, so per-event instrumentation is just the sampled pop leaf
-	// (plus whatever regions the callbacks open, which nest inside and
-	// account their own time exclusively).
-	e.obs.Start(obs.PhaseDispatch)
 	for e.queue != nil && !e.stopped {
-		e.obs.StartLeaf(obs.PhaseQueuePop)
-		ev := e.queue.PopLE(until)
-		e.obs.EndLeaf(obs.PhaseQueuePop)
-		if ev == nil {
+		e.obs.BeginEvent()
+		ok := e.step(until)
+		e.obs.EndEvent()
+		if !ok {
 			break
 		}
-		if ev.stopped {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.events++
-		e.live--
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
 	}
-	e.obs.End(obs.PhaseDispatch)
 	if e.now < until && until != MaxTime && (e.queue == nil || e.queue.Len() == 0) {
 		// The queue drained before the horizon: advance the clock so
 		// repeated Run calls observe monotonic time.
 		e.now = until
 	}
 	return e.now
+}
+
+// step pops the next event due by until and, unless it was cancelled, runs
+// it. It reports false once no event is due.
+func (e *Engine) step(until Time) bool {
+	e.obs.Start(obs.PhaseQueuePop)
+	ev := e.queue.PopLE(until)
+	e.obs.End(obs.PhaseQueuePop)
+	if ev == nil {
+		return false
+	}
+	if ev.stopped {
+		e.recycle(ev)
+		return true
+	}
+	e.now = ev.at
+	e.events++
+	e.live--
+	fn := ev.fn
+	e.recycle(ev)
+	e.obs.Start(obs.PhaseDispatch)
+	fn()
+	e.obs.End(obs.PhaseDispatch)
+	return true
 }
 
 // RunUntilIdle executes every pending event regardless of timestamp.

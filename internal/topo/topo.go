@@ -231,10 +231,14 @@ func qualityAt(d, commRange float64) float64 {
 
 // Connected reports whether every node is reachable from node 0, a sanity
 // check experiments run before dissemination.
-func (g *Graph) Connected() bool {
+func (g *Graph) Connected() bool { return g.Unreachable() == 0 }
+
+// Unreachable counts the nodes with no path from node 0 (the base station):
+// nodes no dissemination can reach.
+func (g *Graph) Unreachable() int {
 	n := len(g.pos)
 	if n == 0 {
-		return true
+		return 0
 	}
 	seen := make([]bool, n)
 	stack := []int{0}
@@ -251,5 +255,5 @@ func (g *Graph) Connected() bool {
 			}
 		}
 	}
-	return count == n
+	return n - count
 }

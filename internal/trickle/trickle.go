@@ -55,7 +55,8 @@ type Trickle struct {
 }
 
 // New creates a stopped Trickle instance that calls transmit when the timer
-// fires un-suppressed.
+// fires un-suppressed. Its callbacks are attributed to the trickle phase of
+// the engine's phase timers, when installed.
 func New(eng *sim.Engine, rng *rand.Rand, cfg Config, transmit func()) (*Trickle, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -63,12 +64,8 @@ func New(eng *sim.Engine, rng *rand.Rand, cfg Config, transmit func()) (*Trickle
 	if eng == nil || rng == nil || transmit == nil {
 		return nil, fmt.Errorf("trickle: nil dependency")
 	}
-	return &Trickle{eng: eng, rng: rng, cfg: cfg, transmit: transmit}, nil
+	return &Trickle{eng: eng, rng: rng, cfg: cfg, transmit: transmit, obs: eng.Obs()}, nil
 }
-
-// SetObs installs phase timers attributing timer-callback wall time to the
-// trickle phase; nil (the default) disables the accounting.
-func (t *Trickle) SetObs(ot *obs.Timers) { t.obs = ot }
 
 // Start begins operation at the minimum interval.
 func (t *Trickle) Start() {
@@ -129,14 +126,14 @@ func (t *Trickle) beginInterval() {
 	half := t.interval / 2
 	fireAt := half + sim.Time(t.rng.Int63n(int64(half)+1))
 	t.fire = t.eng.Schedule(fireAt, func() {
-		t.obs.StartSampled(obs.PhaseTrickle)
+		t.obs.Start(obs.PhaseTrickle)
 		if t.running && t.counter < t.cfg.K {
 			t.transmit()
 		}
-		t.obs.EndSampled(obs.PhaseTrickle)
+		t.obs.End(obs.PhaseTrickle)
 	})
 	t.rollover = t.eng.Schedule(t.interval, func() {
-		t.obs.StartSampled(obs.PhaseTrickle)
+		t.obs.Start(obs.PhaseTrickle)
 		if t.running {
 			t.interval *= 2
 			if t.interval > t.cfg.IMax {
@@ -144,6 +141,6 @@ func (t *Trickle) beginInterval() {
 			}
 			t.beginInterval()
 		}
-		t.obs.EndSampled(obs.PhaseTrickle)
+		t.obs.End(obs.PhaseTrickle)
 	})
 }

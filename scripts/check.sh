@@ -30,7 +30,9 @@
 # committed trace_hash, keep the nil-timer (disabled) overhead under 1% and
 # the fully-instrumented (enabled) overhead under 10%, attribute at least
 # 80% of wall time to the instrumented subsystems, and leave same-seed trace
-# hashes byte-identical with obs on; internal/obs runs under -race with the
+# hashes byte-identical with obs on, and keep coverage from exceeding wall
+# time by more than its sampling error (covered_frac - 2*covered_se <= 1:
+# a double-counted region trips it); internal/obs runs under -race with the
 # other concurrency-sensitive packages. The self-bench timings behind these
 # gates are medians over internal/bench's interleaved A/B pairs (DESIGN.md
 # §16), and every BENCH field is read through the field helper below.
@@ -256,7 +258,7 @@ awk -v prev="$prev_eps" -v new="$new_eps" \
     }
 }'
 
-echo "==> lrscale obsbench (obs overhead -> BENCH_obs.json: disabled < 1%, enabled < 10%, coverage >= 80%)"
+echo "==> lrscale obsbench (obs overhead -> BENCH_obs.json: disabled < 1%, enabled < 10%, 80% <= coverage <= 100% + 2 se)"
 # Remember the committed trace hash before the bench overwrites it: the
 # seeded run must reproduce it byte for byte.
 prev_obs_hash=$(field BENCH_obs.json trace_hash 2>/dev/null || true)
@@ -269,11 +271,13 @@ fi
 dfrac=$(field BENCH_obs.json disabled_overhead_frac)
 efrac=$(field BENCH_obs.json enabled_overhead_frac)
 cfrac=$(field BENCH_obs.json covered_frac)
+cse=$(field BENCH_obs.json covered_se)
 oident=$(field BENCH_obs.json trace_identical)
-awk -v d="$dfrac" -v e="$efrac" -v c="$cfrac" -v id="$oident" 'BEGIN {
+awk -v d="$dfrac" -v e="$efrac" -v c="$cfrac" -v se="$cse" -v id="$oident" 'BEGIN {
     if (d == "" || d + 0 >= 0.01) { print "obs gate: disabled_overhead_frac " d " >= 1%"; exit 1 }
     if (e == "" || e + 0 >= 0.10) { print "obs gate: enabled_overhead_frac " e " >= 10%"; exit 1 }
     if (c == "" || c + 0 < 0.8) { print "obs gate: covered_frac " c " < 80%"; exit 1 }
+    if (se == "" || c - 2 * se > 1) { print "obs gate: covered_frac " c " exceeds 1 by more than 2 covered_se " se; exit 1 }
     if (id != "true") { print "obs gate: same-seed trace hashes differ with obs enabled"; exit 1 }
 }'
 
