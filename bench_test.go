@@ -216,3 +216,33 @@ func BenchmarkOneHopDissemination(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig4Mix times the Fig. 4 operation mix one dissemination at a
+// time: a 20 KB image to 20 one-hop receivers, Seluge and LR-Seluge
+// alternating, the loss rate cycling through 0-0.4. Its ns/op, B/op and
+// allocs/op are the per-run costs of the protocol path under loss, and
+// `-cpuprofile` on it shows where they go.
+func BenchmarkFig4Mix(b *testing.B) {
+	losses := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		proto := Seluge
+		if i%2 == 1 {
+			proto = LRSeluge
+		}
+		res, err := Run(Scenario{
+			Protocol:  proto,
+			ImageSize: 20 * 1024,
+			Receivers: 20,
+			LossP:     losses[(i/2)%len(losses)],
+			Seed:      int64(i) + 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Completed != res.Nodes || !res.ImagesOK || res.ForgedAccepted != 0 {
+			b.Fatalf("run %d: completed %d/%d, images ok %v, forged accepted %d",
+				i, res.Completed, res.Nodes, res.ImagesOK, res.ForgedAccepted)
+		}
+	}
+}

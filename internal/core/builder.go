@@ -218,6 +218,7 @@ func Build(in BuildInput) (*Object, error) {
 	}
 
 	units := make([]*Unit, g+1)
+	var hashes hashx.Memo
 	// While building page i, next holds the hash images h_{i+1,1..n} of page
 	// i+1's packets: nil for page g.
 	var next []hashx.Image
@@ -233,7 +234,7 @@ func Build(in BuildInput) (*Object, error) {
 		units[i] = &Unit{blocks: blocks, next: next, enc: enc}
 		next = make([]hashx.Image, s.n)
 		for j := range next {
-			next[j] = hashx.Sum(authBody(packet.Unit(i+1), uint8(j), enc[j]))
+			next[j] = hashes.SumBody(uint8(i+1), uint8(j), enc[j])
 		}
 	}
 
@@ -306,13 +307,3 @@ func (o *Object) M0Needed() int { return o.geom.numPlain }
 
 // Root returns the signed Merkle root.
 func (o *Object) Root() hashx.Image { return o.sig.Root }
-
-// authBody replicates packet.Data.AuthBody for payloads not yet wrapped in
-// a packet: the hash image covers (unit, index, payload), binding position
-// as well as content.
-func authBody(unit packet.Unit, index uint8, payload []byte) []byte {
-	b := make([]byte, 0, 2+len(payload))
-	b = append(b, byte(unit), index)
-	b = append(b, payload...)
-	return b
-}

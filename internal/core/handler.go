@@ -73,13 +73,15 @@ func NewHandler(version uint16, s Scheme, store *Store, sigCtx *dissem.SigContex
 }
 
 // Preload creates a handler that already possesses the whole object (the
-// base station). It holds the object's own units and never ingests.
-func Preload(o *Object, sigCtx *dissem.SigContext) *Handler {
+// base station). It holds the object's own units and never ingests; it
+// checks overheard packets through the run's store like every other node.
+func Preload(o *Object, store *Store, sigCtx *dissem.SigContext) *Handler {
 	return &Handler{
 		Scheme:  o.Scheme,
 		version: o.version,
 		codec:   o.codec,
 		codec0:  o.codec0,
+		store:   store,
 		sigCtx:  sigCtx,
 		sig:     o.sig,
 		units:   o.units,
@@ -351,7 +353,7 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 		}
 		ot := h.sigCtx.Obs
 		ot.Start(obs.PhaseHashVerify)
-		ok := hashx.Sum(d.AuthBody()) == h.units[u-2].next[idx]
+		ok := h.store.hashes.SumBody(uint8(d.Unit), d.Index, d.Payload) == h.units[u-2].next[idx]
 		ot.End(obs.PhaseHashVerify)
 		return ok
 	default:

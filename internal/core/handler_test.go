@@ -69,8 +69,10 @@ func newFixture(t *testing.T, size int, s Scheme) *fixture {
 	}
 	col := metrics.New()
 	f := &fixture{scheme: s, obj: obj, data: data, key: key, chain: chain, pp: pp, col: col, store: NewStore()}
+	// Like a run's, every node's context shares one verifier.
+	verifier := sign.NewVerifier(key.Public())
 	f.sigCtx = func() *dissem.SigContext {
-		return &dissem.SigContext{Pub: key.Public(), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
+		return &dissem.SigContext{Key: verifier, Commitment: chain.Commitment(), Puzzle: pp, Col: col}
 	}
 	return f
 }
@@ -86,7 +88,7 @@ func (f *fixture) receiver(t *testing.T) *Handler {
 
 func bootstrap(t *testing.T, f *fixture, dst *Handler) *Handler {
 	t.Helper()
-	src := Preload(f.obj, f.sigCtx())
+	src := Preload(f.obj, f.store, f.sigCtx())
 	sig := src.SigPacket(0)
 	if !dst.PreVerifySig(sig) {
 		t.Fatal("genuine signature failed weak check")
@@ -167,7 +169,7 @@ func TestBuildValidation(t *testing.T) {
 func TestHashImagePosition(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 300, s)
-		src := Preload(f.obj, f.sigCtx())
+		src := Preload(f.obj, f.store, f.sigCtx())
 		plain := image.Join(f.obj.units[1].blocks)
 		for j := 0; j < s.n; j++ {
 			pkts, err := src.Packets(3, []int{j}, 0)
@@ -256,7 +258,7 @@ func TestForgedSignatureRejected(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 200, s)
 		dst := f.receiver(t)
-		sig := Preload(f.obj, f.sigCtx()).SigPacket(0)
+		sig := Preload(f.obj, f.store, f.sigCtx()).SigPacket(0)
 
 		// Garbage puzzle: must die at the weak check without a verification.
 		forged := *sig
@@ -293,7 +295,7 @@ func TestZeroPagesSignatureRejected(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 200, s)
 		dst := f.receiver(t)
-		forged := *Preload(f.obj, f.sigCtx()).SigPacket(0)
+		forged := *Preload(f.obj, f.store, f.sigCtx()).SigPacket(0)
 		forged.Pages = 0
 		// Re-solve the puzzle so it reaches the signature check; the
 		// signature itself binds Pages, so verification must fail.
@@ -329,7 +331,7 @@ func TestDuplicateSignatureIgnored(t *testing.T) {
 func TestSigPacketStampsSource(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 100, s)
-		if sig := Preload(f.obj, f.sigCtx()).SigPacket(packet.NodeID(9)); sig.Src != 9 {
+		if sig := Preload(f.obj, f.store, f.sigCtx()).SigPacket(packet.NodeID(9)); sig.Src != 9 {
 			t.Fatal("source not stamped")
 		}
 	})
@@ -407,7 +409,7 @@ func TestPageByPageGating(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 300, s)
 		dst := f.receiver(t)
-		src := Preload(f.obj, f.sigCtx())
+		src := Preload(f.obj, f.store, f.sigCtx())
 		// Data before the signature: nothing can be authenticated.
 		m0, _ := src.Packets(1, []int{0}, 0)
 		if res := dst.Ingest(m0[0]); res != dissem.Stale {
@@ -533,7 +535,7 @@ func TestBlockImagesMatchesJoin(t *testing.T) {
 func TestPacketsErrors(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 300, s)
-		src := Preload(f.obj, f.sigCtx())
+		src := Preload(f.obj, f.store, f.sigCtx())
 		if _, err := src.Packets(99, []int{0}, 0); err == nil {
 			t.Fatal("unheld unit served")
 		}
@@ -550,7 +552,7 @@ func TestPacketsErrors(t *testing.T) {
 func TestPreloadServesEverything(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 300, s)
-		src := Preload(f.obj, f.sigCtx())
+		src := Preload(f.obj, f.store, f.sigCtx())
 		if src.CompleteUnits() != src.TotalUnits() {
 			t.Fatal("preload incomplete")
 		}

@@ -12,7 +12,7 @@ import (
 // admits exactly one content for each (signed Merkle root, unit) pair, so
 // every node of a run that holds a unit can share one immutable copy of it
 // instead of keeping its own. The store also owns one codec per (k, n)
-// geometry and the decode scratch rows.
+// geometry, the decode scratch rows and the run's page-packet hash memo.
 //
 // A node still authenticates every packet and decodes every unit itself;
 // only then does it intern the unit (Intern). Nothing else ever enters the
@@ -24,6 +24,12 @@ type Store struct {
 
 	scratch []byte
 	rows    [][]byte
+
+	// hashes computes every handler's page-packet hash images: the
+	// receivers of one broadcast check the same bytes in turn, so one
+	// remembered body spares all but the first a hash. Each receiver still
+	// compares the image with the one its own chain expects.
+	hashes hashx.Memo
 }
 
 type unitKey struct {

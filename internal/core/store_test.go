@@ -21,7 +21,7 @@ func relay(t *testing.T, src, dst *Handler, rng *rand.Rand) {
 func TestStoreSharesVerifiedUnits(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 600, s)
-		holders := []*Handler{Preload(f.obj, f.sigCtx())}
+		holders := []*Handler{Preload(f.obj, f.store, f.sigCtx())}
 		rng := rand.New(rand.NewSource(7))
 		for len(holders) < 50 {
 			dst := f.receiver(t)
@@ -180,12 +180,12 @@ func TestStoreKeepsVersionsApart(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(5))
 		v1 := f.receiver(t)
-		relay(t, Preload(f.obj, f.sigCtx()), v1, rng)
+		relay(t, Preload(f.obj, f.store, f.sigCtx()), v1, rng)
 		v2, err := NewHandler(2, s, f.store, f.sigCtx())
 		if err != nil {
 			t.Fatal(err)
 		}
-		relay(t, Preload(objV2, f.sigCtx()), v2, rng)
+		relay(t, Preload(objV2, f.store, f.sigCtx()), v2, rng)
 
 		if !v1.MatchesImage(f.data) || !v2.MatchesImage(dataV2) {
 			t.Fatal("an upgraded store mixed up version content")
@@ -199,6 +199,61 @@ func TestStoreKeepsVersionsApart(t *testing.T) {
 		for u := 1; u < v1.TotalUnits(); u++ {
 			if f.store.Lookup(f.obj.Root(), u) == f.store.Lookup(objV2.Root(), u) {
 				t.Fatalf("unit %d: both versions share one entry", u)
+			}
+		}
+	})
+}
+
+// TestForgeryAfterValidInOneBatch delivers packets the way one radio batch
+// does, every receiver of the run checking through the store's hash memo in
+// turn: a genuine page packet, then an Injector-style forgery of it (the
+// struct copied, the payload replaced), then the genuine payload replayed
+// under another index. The memo remembers the genuine body throughout; only
+// the genuine packet may pass, at every receiver.
+func TestForgeryAfterValidInOneBatch(t *testing.T) {
+	forEachScheme(t, func(t *testing.T, s Scheme) {
+		f := newFixture(t, 300, s)
+		rcv := make([]*Handler, 3)
+		var src *Handler
+		for i := range rcv {
+			rcv[i] = f.receiver(t)
+			src = bootstrap(t, f, rcv[i])
+			for idx := 0; idx < rcv[i].NeededInUnit(1); idx++ {
+				pkts, _ := src.Packets(1, []int{idx}, 0)
+				rcv[i].Ingest(pkts[0])
+			}
+		}
+		page, err := src.Packets(2, []int{1}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := page[0]
+		forged := *valid
+		forged.Payload = make([]byte, len(valid.Payload))
+		for i := range forged.Payload {
+			forged.Payload[i] = byte(i * 7)
+		}
+		replayed := *valid
+		replayed.Index = 2
+
+		if res := rcv[0].Ingest(valid); res != dissem.Stored {
+			t.Fatalf("genuine packet: %v", res)
+		}
+		if res := rcv[1].Ingest(&forged); res != dissem.Rejected {
+			t.Fatalf("forgery right after the genuine packet: %v", res)
+		}
+		if rcv[0].Authentic(&forged) {
+			t.Fatal("a receiver holding the genuine packet accepted its forgery")
+		}
+		if !rcv[2].Authentic(valid) {
+			t.Fatal("genuine packet rejected after a forgery")
+		}
+		if res := rcv[2].Ingest(&replayed); res != dissem.Rejected {
+			t.Fatalf("genuine payload under another index: %v", res)
+		}
+		for i, h := range rcv {
+			if h.HasPacket(2, 2) || (i > 0 && h.HasPacket(2, 1)) {
+				t.Fatalf("receiver %d stored a packet it never got genuinely", i)
 			}
 		}
 	})

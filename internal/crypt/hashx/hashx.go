@@ -8,8 +8,10 @@
 package hashx
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"hash"
 )
 
 // Size is the length in bytes of a hash image.
@@ -60,6 +62,41 @@ func SumPair(a, b Image) Image {
 	var img Image
 	copy(img[:], full[:Size])
 	return img
+}
+
+// Memo computes the hash images of data packets: Sum over the packet's
+// (unit, index, payload) authentication body, without building that body.
+// It remembers the last body it hashed, copied, and returns the remembered
+// image only for a body equal to it byte for byte; any other body is hashed.
+// A radio broadcast hands one packet to every receiver in turn, so one entry
+// turns their identical checks into one hash. A memo keeps one body at a
+// time, and its zero value is ready for use. It is not safe for concurrent
+// use.
+type Memo struct {
+	h       hash.Hash
+	full    [sha256.Size]byte
+	head    [2]byte // unit, index
+	payload []byte  // nil until the first body is hashed
+	img     Image
+}
+
+// SumBody returns Sum over the bytes unit, index, payload: the image a data
+// packet's Data.AuthBody hashes to.
+func (m *Memo) SumBody(unit, index uint8, payload []byte) Image {
+	if m.payload != nil && m.head == [2]byte{unit, index} && bytes.Equal(m.payload, payload) {
+		return m.img
+	}
+	if m.h == nil {
+		m.h = sha256.New()
+	}
+	m.head = [2]byte{unit, index}
+	m.h.Reset()
+	m.h.Write(m.head[:])
+	m.h.Write(payload)
+	m.h.Sum(m.full[:0])
+	copy(m.img[:], m.full[:Size])
+	m.payload = append(m.payload[:0], payload...)
+	return m.img
 }
 
 // Full computes the untruncated SHA-256 digest, used where the full strength

@@ -8,6 +8,7 @@
 package sign
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -114,6 +115,59 @@ func (pk PublicKey) Verify(msg, sig []byte) bool {
 	}
 	digest := sha256.Sum256(msg)
 	return ecdsa.VerifyASN1(pk.key, digest[:], sig[1:1+n])
+}
+
+// Verifier checks signatures under one public key and remembers two
+// verdicts: the last accepted and the last rejected (message, signature)
+// pair, both copied. A pair equal to a remembered one byte for byte gets its
+// verdict again without the curve arithmetic; any other pair is verified and
+// replaces the remembered pair of its verdict. Verification is a pure
+// function of key, message and signature, so the answers are Verify's; a
+// run's nodes all check the one signature their base station broadcast, and
+// a flood of distinct forgeries costs one P-256 verification each and two
+// remembered pairs in all. A Verifier is not safe for concurrent use.
+type Verifier struct {
+	pub      PublicKey
+	accepted verdict
+	rejected verdict
+}
+
+// verdict is one remembered (message, signature) pair; seen is false until
+// the first one is stored.
+type verdict struct {
+	msg, sig []byte
+	seen     bool
+}
+
+func (v *verdict) is(msg, sig []byte) bool {
+	return v.seen && bytes.Equal(v.msg, msg) && bytes.Equal(v.sig, sig)
+}
+
+func (v *verdict) remember(msg, sig []byte) {
+	v.msg = append(v.msg[:0], msg...)
+	v.sig = append(v.sig[:0], sig...)
+	v.seen = true
+}
+
+// NewVerifier returns a Verifier for pk that remembers nothing yet.
+func NewVerifier(pk PublicKey) *Verifier { return &Verifier{pub: pk} }
+
+// Verify reports whether sig is pk's signature over msg, exactly as
+// PublicKey.Verify does.
+func (v *Verifier) Verify(msg, sig []byte) bool {
+	switch {
+	case v.accepted.is(msg, sig):
+		return true
+	case v.rejected.is(msg, sig):
+		return false
+	}
+	ok := v.pub.Verify(msg, sig)
+	if ok {
+		v.accepted.remember(msg, sig)
+	} else {
+		v.rejected.remember(msg, sig)
+	}
+	return ok
 }
 
 // Valid reports whether the key is usable (non-zero).

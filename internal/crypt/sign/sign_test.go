@@ -2,6 +2,7 @@ package sign
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -160,5 +161,89 @@ func TestRandomizedKeyStillVerifies(t *testing.T) {
 	}
 	if !kp.Public().Verify(msg, sig) {
 		t.Error("randomized signature failed verification")
+	}
+}
+
+// TestVerifierMatchesVerify checks the memo against the pairs a flooded
+// node meets right after the genuine one: a forged signature over the
+// genuine message and the genuine signature over another message are
+// rejected, and the genuine pair is accepted again in between.
+func TestVerifierMatchesVerify(t *testing.T) {
+	kp, err := GenerateDeterministic(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("version|pages|root")
+	sig, err := kp.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]byte(nil), sig...)
+	forged[20] ^= 1
+	v := NewVerifier(kp.Public())
+	for i, c := range []struct {
+		msg, sig []byte
+		want     bool
+	}{
+		{msg, sig, true},
+		{msg, forged, false},
+		{msg, sig, true},
+		{[]byte("version|pages|toor"), sig, false},
+		{msg, forged, false},
+		{msg, sig, true},
+	} {
+		if got := v.Verify(c.msg, c.sig); got != c.want || got != kp.Public().Verify(c.msg, c.sig) {
+			t.Fatalf("check %d: Verifier says %v, want %v", i, got, c.want)
+		}
+	}
+	// The remembered pairs are copies: rewriting the caller's buffers
+	// must not carry a verdict over to the new bytes.
+	sig[20] ^= 1
+	if v.Verify(msg, sig) {
+		t.Fatal("a signature rewritten in place kept its remembered verdict")
+	}
+}
+
+// TestVerifierBoundedUnderFlood feeds the verifier what a solved-puzzle
+// signature flood delivers past the weak authenticator: 1,000 forged
+// packets, each with a fresh random root and signature. Every one is
+// rejected, and the memo holds the same bytes after the flood as after the
+// first forgery.
+func TestVerifierBoundedUnderFlood(t *testing.T) {
+	kp, err := GenerateDeterministic(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	genuine := []byte{0, 1, 5, 1, 2, 3, 4, 5, 6, 7, 8}
+	sig, err := kp.Sign(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVerifier(kp.Public())
+	if !v.Verify(genuine, sig) {
+		t.Fatal("genuine signature rejected")
+	}
+	rng := rand.New(rand.NewSource(1))
+	retained := func() int {
+		return cap(v.accepted.msg) + cap(v.accepted.sig) + cap(v.rejected.msg) + cap(v.rejected.sig)
+	}
+	var after1 int
+	for i := 0; i < 1000; i++ {
+		msg := append([]byte{0, 1, 5}, make([]byte, 8)...)
+		rng.Read(msg[3:])
+		forged := make([]byte, SignatureSize)
+		rng.Read(forged)
+		forged[0] = 70 // a plausible ASN.1 length, as the flooder sends
+		if v.Verify(msg, forged) {
+			t.Fatalf("forgery %d verified", i)
+		}
+		if i == 0 {
+			after1 = retained()
+		} else if retained() != after1 {
+			t.Fatalf("memo grew to %d bytes after %d forgeries (%d after the first)", retained(), i+1, after1)
+		}
+	}
+	if !v.Verify(genuine, sig) {
+		t.Fatal("genuine signature rejected after the flood")
 	}
 }

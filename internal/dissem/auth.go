@@ -9,12 +9,14 @@ import (
 )
 
 // SigContext bundles the security material preloaded on every node (paper
-// §IV-B): the base station's public key, the puzzle key-chain commitment and
-// the puzzle difficulty. Seluge and LR-Seluge handlers share it to vet
-// signature packets in two stages: a one-hash weak-authenticator check, then
-// the expensive signature verification.
+// §IV-B): the base station's public key, held by a sign.Verifier, the puzzle
+// key-chain commitment and the puzzle difficulty. The Seluge and LR-Seluge
+// handlers of a run share one context to vet signature packets in two
+// stages: a one-hash weak-authenticator check, then the expensive signature
+// verification, whose curve arithmetic the shared Verifier runs once per
+// distinct signature.
 type SigContext struct {
-	Pub        sign.PublicKey
+	Key        *sign.Verifier
 	Commitment puzzle.Key
 	Puzzle     puzzle.Params
 	Col        *metrics.Collector
@@ -41,13 +43,16 @@ func (c *SigContext) WeakCheck(s *packet.Sig) bool {
 }
 
 // FullVerify performs the expensive ECDSA verification over the bound
-// (version, pages, root) message and accounts it.
+// (version, pages, root) message and accounts it. Every call counts as one
+// verification, and its caller charges the node its virtual-time cost
+// (Config.SigVerifyDelay), whether or not the shared Verifier answers from
+// its memo.
 func (c *SigContext) FullVerify(s *packet.Sig) bool {
 	if c.Col != nil {
 		c.Col.RecordSigVerification()
 	}
 	c.Obs.Start(obs.PhaseSigVerify)
-	ok := c.Pub.Verify(s.SignedMessage(), s.Signature)
+	ok := c.Key.Verify(s.SignedMessage(), s.Signature)
 	c.Obs.End(obs.PhaseSigVerify)
 	return ok
 }

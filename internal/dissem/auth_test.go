@@ -22,7 +22,7 @@ func newSigFixture(t *testing.T) (*SigContext, *packet.Sig, *metrics.Collector) 
 	}
 	pp := puzzle.Params{Strength: 12}
 	col := metrics.New()
-	ctx := &SigContext{Pub: key.Public(), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
+	ctx := &SigContext{Key: sign.NewVerifier(key.Public()), Commitment: chain.Commitment(), Puzzle: pp, Col: col}
 
 	s := &packet.Sig{Version: 2, Pages: 7, Root: hashx.Sum([]byte("root"))}
 	sigBytes, err := key.Sign(s.SignedMessage())
@@ -83,6 +83,11 @@ func TestWeakCheckRejectsKeyVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestFullVerify checks forgeries right after the genuine signature, the
+// order in which a flooded node meets them: the verifier remembers the
+// genuine pair, and neither a forged signature over the genuine message nor
+// the genuine signature over another message may ride on it. Every check
+// still counts as a verification.
 func TestFullVerify(t *testing.T) {
 	ctx, s, col := newSigFixture(t)
 	if !ctx.FullVerify(s) {
@@ -93,8 +98,17 @@ func TestFullVerify(t *testing.T) {
 	if ctx.FullVerify(&tampered) {
 		t.Fatal("tampered root verified")
 	}
-	if col.SigVerifications() != 2 {
-		t.Fatalf("verifications %d, want 2", col.SigVerifications())
+	forged := *s
+	forged.Signature = append([]byte(nil), s.Signature...)
+	forged.Signature[10] ^= 1
+	if ctx.FullVerify(&forged) {
+		t.Fatal("forged signature verified")
+	}
+	if !ctx.FullVerify(s) {
+		t.Fatal("genuine signature rejected after forgeries")
+	}
+	if col.SigVerifications() != 4 {
+		t.Fatalf("verifications %d, want 4", col.SigVerifications())
 	}
 }
 

@@ -52,6 +52,10 @@ type Node struct {
 	txActive bool
 	txTimer  sim.Timer
 
+	// onSNACK, onRetry and onTxStep are the timer callbacks, bound once at
+	// construction so that re-arming a timer allocates nothing.
+	onSNACK, onRetry, onTxStep func()
+
 	sigPending bool
 	// sigSpan brackets the in-flight signature verification; fetchSpan
 	// brackets the unit currently being assembled (fetchUnit). Both are
@@ -122,6 +126,7 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 		col:     nw.Collector(),
 		tr:      nw.Tracer(),
 	}
+	n.onSNACK, n.onRetry, n.onTxStep = n.sendSNACK, n.retryExpired, n.txStep
 	trk, err := trickle.New(n.eng, n.rng, cfg.Trickle, n.advertise)
 	if err != nil {
 		return nil, err
@@ -582,7 +587,7 @@ func (n *Node) backoff() sim.Time {
 
 func (n *Node) scheduleSNACK(d sim.Time) {
 	n.snackTimer.Stop()
-	n.snackTimer = n.eng.Schedule(d, n.sendSNACK)
+	n.snackTimer = n.eng.Schedule(d, n.onSNACK)
 }
 
 func (n *Node) sendSNACK() {
@@ -647,20 +652,23 @@ func (n *Node) armRetry() {
 	for i := 0; i < n.retries && i < 2; i++ {
 		timeout *= 2
 	}
-	n.retryTimer = n.eng.Schedule(timeout, func() {
-		if n.completed || !n.requesting {
-			return
-		}
-		n.retries++
-		if n.retries > maxRetriesBeforeMaintain {
-			// Give up; wait for fresh advertisements (MAINTAIN).
-			n.setRequesting(false)
-			n.servers.reset()
-			n.trk.Reset()
-			return
-		}
-		n.scheduleSNACK(n.backoff())
-	})
+	n.retryTimer = n.eng.Schedule(timeout, n.onRetry)
+}
+
+// retryExpired fires when a SNACK went unanswered for the retry timeout.
+func (n *Node) retryExpired() {
+	if n.completed || !n.requesting {
+		return
+	}
+	n.retries++
+	if n.retries > maxRetriesBeforeMaintain {
+		// Give up; wait for fresh advertisements (MAINTAIN).
+		n.setRequesting(false)
+		n.servers.reset()
+		n.trk.Reset()
+		return
+	}
+	n.scheduleSNACK(n.backoff())
 }
 
 // progress notes that the current unit advanced (a useful packet arrived),
@@ -720,7 +728,7 @@ func (n *Node) startTx() {
 	}
 	n.setTxActive(true)
 	if n.cfg.TxAggregationDelay > 0 {
-		n.txTimer = n.eng.Schedule(n.cfg.TxAggregationDelay, n.txStep)
+		n.txTimer = n.eng.Schedule(n.cfg.TxAggregationDelay, n.onTxStep)
 		return
 	}
 	n.scheduleTxStep()
@@ -738,7 +746,7 @@ func (n *Node) scheduleTxStep() {
 	if busy := n.nw.TxBusyUntil(n.id); busy > n.eng.Now() {
 		delay += busy - n.eng.Now()
 	}
-	n.txTimer = n.eng.Schedule(delay, n.txStep)
+	n.txTimer = n.eng.Schedule(delay, n.onTxStep)
 }
 
 func (n *Node) txStep() {

@@ -45,140 +45,131 @@ type AttackReport struct {
 // timers but not so dense that the simulation is all attack events.
 const attackInterval = 100 * sim.Millisecond
 
-// AttackResilience runs the three adversarial scenarios against LR-Seluge.
-func AttackResilience(params image.Params, imageSize, receivers int, lossP float64, seed int64) (AttackReport, error) {
-	var report AttackReport
+// attack names one adversarial scenario of AttackResilience.
+type attack int
 
-	// 1. Forged data injection.
-	{
-		s := Scenario{
-			Protocol:   LRSeluge,
-			ImageSize:  imageSize,
-			Params:     params,
-			Receivers:  receivers,
-			LossP:      lossP,
-			ExtraNodes: 1,
-			Seed:       seed,
+const (
+	attackInjection      attack = iota // forged data injection
+	attackSigFlood                     // signature flood, unsolved puzzles
+	attackSigFloodSolved               // signature flood, brute-forced puzzles
+	attackDoR                          // denial of receipt, no defense
+	attackDoRLimited                   // denial of receipt against the serve limit
+)
+
+// attackEnv builds LR-Seluge's network with one extra node for the attacker
+// of kind, and starts the attacker. sent counts the packets it has sent.
+func attackEnv(kind attack, params image.Params, imageSize, receivers int, lossP float64, seed int64) (*Env, func() int64, error) {
+	s := Scenario{
+		Protocol:   LRSeluge,
+		ImageSize:  imageSize,
+		Params:     params,
+		Receivers:  receivers,
+		LossP:      lossP,
+		ExtraNodes: 1,
+		Seed:       seed,
+	}
+	if kind == attackDoR || kind == attackDoRLimited {
+		s.Dissem = dissem.DefaultConfig()
+		if kind == attackDoRLimited {
+			// The defense threshold: serving one neighbor more than 4x a
+			// full unit's worth of packets for a single unit marks it
+			// hostile.
+			s.Dissem.SNACKServeLimit = 4 * params.N
 		}
-		e, err := Build(s)
-		if err != nil {
-			return report, err
-		}
-		attackerID := packet.NodeID(receivers + 1)
+	}
+	e, err := Build(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	attackerID := packet.NodeID(receivers + 1)
+	switch kind {
+	case attackInjection:
 		inj, err := adversary.NewInjector(attackerID, e.nw, attackInterval, seed^0xbad)
 		if err != nil {
-			return report, err
+			return nil, nil, err
 		}
 		for _, n := range e.nodes {
 			n.SetForgedSource(func(id packet.NodeID) bool { return id == attackerID })
 		}
 		inj.Start()
-		report.Injection = e.run()
-		report.InjectionForged = inj.Sent()
-	}
-
-	// 2. Signature flooding without valid puzzles.
-	{
-		res, sent, err := runSigFlood(params, imageSize, receivers, lossP, seed, false)
-		if err != nil {
-			return report, err
+		return e, inj.Sent, nil
+	case attackSigFlood, attackSigFloodSolved:
+		var key puzzle.Key
+		if kind == attackSigFloodSolved {
+			// The released chain key is public knowledge once
+			// dissemination begins.
+			if key, err = e.chain.Key(1); err != nil {
+				return nil, nil, err
+			}
 		}
-		report.SigFlood = res
-		report.SigFloodSent = sent
-	}
-
-	// 3. Signature flooding WITH brute-forced puzzles (strongest attacker).
-	{
-		res, sent, err := runSigFlood(params, imageSize, receivers, lossP, seed, true)
+		fl, err := adversary.NewSigFlooder(attackerID, e.nw, 1, uint8(e.units-2), attackInterval,
+			kind == attackSigFloodSolved, key, e.puzzle(), seed^0xf100d)
 		if err != nil {
-			return report, err
+			return nil, nil, err
 		}
-		report.SigFloodStrong = res
-		report.SigFloodStrongSent = sent
-	}
-
-	// 4. Denial of receipt, without and with the serve-limit defense.
-	{
-		noDef, err := runDoR(params, imageSize, receivers, lossP, seed, 0)
+		fl.Start()
+		return e, fl.Sent, nil
+	default:
+		dor, err := adversary.NewDoRAttacker(attackerID, e.nw, dorVictim, 1, e.baseHandler.PacketsInUnit, attackInterval)
 		if err != nil {
-			return report, err
+			return nil, nil, err
 		}
-		report.DoRVictimTxNoDefense = noDef
-		// The defense threshold: serving one neighbor more than 4x a full
-		// unit's worth of packets for a single unit marks it hostile.
-		withDef, err := runDoR(params, imageSize, receivers, lossP, seed, 4*params.N)
-		if err != nil {
-			return report, err
-		}
-		report.DoRVictimTxDefense = withDef
+		dor.Start()
+		return e, dor.Sent, nil
 	}
-	return report, nil
 }
 
-func runSigFlood(params image.Params, imageSize, receivers int, lossP float64, seed int64, solve bool) (Result, int64, error) {
-	s := Scenario{
-		Protocol:   LRSeluge,
-		ImageSize:  imageSize,
-		Params:     params,
-		Receivers:  receivers,
-		LossP:      lossP,
-		ExtraNodes: 1,
-		Seed:       seed,
-	}
-	e, err := Build(s)
-	if err != nil {
-		return Result{}, 0, err
-	}
-	attackerID := packet.NodeID(receivers + 1)
-	var key puzzle.Key
-	if solve {
-		// The released chain key is public knowledge once dissemination
-		// begins.
-		if key, err = e.chain.Key(1); err != nil {
-			return Result{}, 0, err
-		}
-	}
-	fl, err := adversary.NewSigFlooder(attackerID, e.nw, 1, uint8(e.units-2), attackInterval, solve, key, e.puzzle(), seed^0xf100d)
-	if err != nil {
-		return Result{}, 0, err
-	}
-	fl.Start()
-	res := e.run()
-	return res, fl.Sent(), nil
-}
+// dorVictim is the node the denial-of-receipt attacker targets: the base
+// station.
+const dorVictim = packet.NodeID(0)
 
-func runDoR(params image.Params, imageSize, receivers int, lossP float64, seed int64, serveLimit int) (int64, error) {
-	cfg := dissem.DefaultConfig()
-	cfg.SNACKServeLimit = serveLimit
-	s := Scenario{
-		Protocol:   LRSeluge,
-		ImageSize:  imageSize,
-		Params:     params,
-		Receivers:  receivers,
-		LossP:      lossP,
-		ExtraNodes: 1,
-		Dissem:     cfg,
-		Seed:       seed,
-	}
-	e, err := Build(s)
-	if err != nil {
-		return 0, err
-	}
-	attackerID := packet.NodeID(receivers + 1)
-	victim := packet.NodeID(0)
-	dor, err := adversary.NewDoRAttacker(attackerID, e.nw, victim, 1, e.baseHandler.PacketsInUnit, attackInterval)
-	if err != nil {
-		return 0, err
-	}
-	dor.Start()
-	e.run()
-	if dor.Sent() == 0 {
+// dorVictimTx measures a denial-of-receipt run after its honest
+// dissemination is done: the attack's energy drain shows then, so it keeps
+// the attacker hammering the victim for a fixed window and returns only the
+// victim's transmissions during it.
+func dorVictimTx(e *Env, sent func() int64) (int64, error) {
+	if sent() == 0 {
 		return 0, fmt.Errorf("experiment: denial-of-receipt attacker never fired")
 	}
-	// The attack's energy drain shows after the honest dissemination is
-	// done: keep the attacker hammering the victim for a fixed window and
-	// measure only the victim's transmissions during it.
-	before := e.col.NodeTx(victim)
+	before := e.col.NodeTx(dorVictim)
 	e.eng.Run(e.eng.Now() + 120*sim.Second)
-	return e.col.NodeTx(victim) - before, nil
+	return e.col.NodeTx(dorVictim) - before, nil
+}
+
+// AttackResilience runs the three adversarial scenarios against LR-Seluge:
+// forged-data injection, signature flooding without and with brute-forced
+// puzzles (the strongest attacker), and denial of receipt without and with
+// the serve-limit defense.
+func AttackResilience(params image.Params, imageSize, receivers int, lossP float64, seed int64) (AttackReport, error) {
+	var report AttackReport
+	for _, a := range []struct {
+		kind attack
+		res  *Result
+		sent *int64
+	}{
+		{attackInjection, &report.Injection, &report.InjectionForged},
+		{attackSigFlood, &report.SigFlood, &report.SigFloodSent},
+		{attackSigFloodSolved, &report.SigFloodStrong, &report.SigFloodStrongSent},
+	} {
+		e, sent, err := attackEnv(a.kind, params, imageSize, receivers, lossP, seed)
+		if err != nil {
+			return report, err
+		}
+		*a.res = e.run()
+		*a.sent = sent()
+	}
+	for _, a := range []struct {
+		kind attack
+		tx   *int64
+	}{{attackDoR, &report.DoRVictimTxNoDefense}, {attackDoRLimited, &report.DoRVictimTxDefense}} {
+		e, sent, err := attackEnv(a.kind, params, imageSize, receivers, lossP, seed)
+		if err != nil {
+			return report, err
+		}
+		e.run()
+		if *a.tx, err = dorVictimTx(e, sent); err != nil {
+			return report, err
+		}
+	}
+	return report, nil
 }

@@ -36,7 +36,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 
 	// Boot the late joiner on the reserved slot with the same preloaded
 	// security material.
-	h, err := core.NewHandler(1, e.scheme, e.store, e.sigCtx())
+	h, err := core.NewHandler(1, e.scheme, e.store, e.sig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,10 +236,14 @@ type Env struct {
 	completed int
 
 	// key and chain are the run's signing key and puzzle key chain
-	// (Seluge and LR-Seluge only): every node's SigContext and every
-	// version Upgrade signs come from them.
+	// (Seluge and LR-Seluge only): every version Upgrade signs come from
+	// them. sig is the one signature context every Seluge and LR-Seluge
+	// handler of the run verifies against: key's public half, in a
+	// sign.Verifier whose memo is run-scoped like the store, and chain's
+	// commitment.
 	key   *sign.KeyPair
 	chain *puzzle.Chain
+	sig   *dissem.SigContext
 
 	// scheme is the run's core configuration and store its authenticated
 	// unit content, shared by every Seluge or LR-Seluge node; the store
@@ -344,6 +348,13 @@ func Build(s Scenario) (*Env, error) {
 		if e.chain, err = puzzle.NewChain([]byte("lrseluge-experiment"), 8); err != nil {
 			return nil, err
 		}
+		e.sig = &dissem.SigContext{
+			Key:        sign.NewVerifier(e.key.Public()),
+			Commitment: e.chain.Commitment(),
+			Puzzle:     e.puzzle(),
+			Col:        col,
+			Obs:        eng.Obs(),
+		}
 	}
 
 	switch s.Protocol {
@@ -413,9 +424,9 @@ func Build(s Scenario) (*Env, error) {
 		for id := 0; id < numNodes; id++ {
 			var h *core.Handler
 			if id == 0 {
-				h = core.Preload(obj, e.sigCtx())
+				h = core.Preload(obj, e.store, e.sig)
 			} else {
-				h, err = core.NewHandler(version, e.scheme, e.store, e.sigCtx())
+				h, err = core.NewHandler(version, e.scheme, e.store, e.sig)
 				if err != nil {
 					return nil, err
 				}
@@ -521,18 +532,6 @@ func (e *Env) puzzle() puzzle.Params {
 	return puzzle.Params{Strength: e.scenario.PuzzleStrength}
 }
 
-// sigCtx is the signature context every Seluge and LR-Seluge handler of the
-// run verifies against: the run's public key and chain commitment.
-func (e *Env) sigCtx() *dissem.SigContext {
-	return &dissem.SigContext{
-		Pub:        e.key.Public(),
-		Commitment: e.chain.Commitment(),
-		Puzzle:     e.puzzle(),
-		Col:        e.col,
-		Obs:        e.eng.Obs(),
-	}
-}
-
 // txPolicy is the scenario's transmission policy for h. Seluge serves the
 // union of requests, as Deluge does.
 func (e *Env) txPolicy(h *core.Handler) dissem.TxPolicy {
@@ -553,7 +552,7 @@ func (e *Env) txPolicy(h *core.Handler) dissem.TxPolicy {
 // upgradeHandler is every secure node's dissem.Upgrader: an empty handler
 // for a newer version, wired like the node's first one.
 func (e *Env) upgradeHandler(version uint16) (dissem.ObjectHandler, dissem.TxPolicy, error) {
-	h, err := core.NewHandler(version, e.scheme, e.store, e.sigCtx())
+	h, err := core.NewHandler(version, e.scheme, e.store, e.sig)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -580,7 +579,7 @@ func (e *Env) Upgrade(img []byte) error {
 	e.imageData = img
 	e.units = obj.TotalUnits()
 	e.completed = 0
-	h := core.Preload(obj, e.sigCtx())
+	h := core.Preload(obj, e.store, e.sig)
 	e.baseHandler = h
 	e.nodes[0].Upgrade(h, e.txPolicy(h))
 	return nil

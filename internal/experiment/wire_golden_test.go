@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"testing"
+
+	"lrseluge/internal/image"
 )
 
 // wireGolden pins every protocol's transmission trace (Env.TraceHash) and
@@ -54,7 +56,57 @@ func resultDigest(res Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// attackGolden pins LR-Seluge's trace hash and result under each of
+// AttackResilience's adversaries, on TestAttackResilience's small network.
+// The values were recorded before per-transmission verification memos went
+// into the receive path: forged data, flooded signatures and replayed
+// requests must be judged exactly as when every receiver verified from
+// scratch.
+var attackGolden = []struct {
+	name   string
+	kind   attack
+	trace  string
+	result string // sha256 of the attackRow's %+v rendering
+}{
+	{"injection", attackInjection, "0325cc62f0878e180326ce35064604789ced9718286cd02927573d73a2467b44", "fa179bef7a6b8dcb3a325b4ff9c37d57ab3e24e39f942c3b86033c40e6389636"},
+	{"sig-flood", attackSigFlood, "9882d1b8cc98ec29bd662c3805d0ad97e5318f8867f23cb04df58819c91599b0", "1138277aead0715c0d63329f689694689a5556d301d820f91cea9fb387c5f09c"},
+	{"sig-flood-solved", attackSigFloodSolved, "dfb15ae94f1cc7314ff2f82e500c93b892367a2108c75549c18a020a087d7a58", "0537f30b28f6727ecb1d12f6023cde9300a6c235de0eeb42123c73dbba5bae5f"},
+	{"dor", attackDoR, "0573118c394a08cc631fc925ad390282f75a0a40a0dd3b00ab9ccc11b39469fb", "e1fd22774f1d647a66b27d70abc1f763f2e25ff4528a08a10edbe6e04b8b21f5"},
+	{"dor-limited", attackDoRLimited, "bf76f643b3c841c5b06ed87348ee6c478cc1656dcf1fbbeef64090468ead5a15", "29aeac3fc660a34709fd75a931338a3b966c68b1d7daee9bc5d5f0315c0be9aa"},
+}
+
+// attackRow is what an attackGolden row's result digest covers: the run's
+// Result, the attacker's packet count and, for denial of receipt, the
+// victim's transmissions in the window after dissemination.
+type attackRow struct {
+	Res      Result
+	Sent     int64
+	VictimTx int64
+}
+
 func TestWireGolden(t *testing.T) {
+	for _, g := range attackGolden {
+		t.Run("attack/"+g.name, func(t *testing.T) {
+			e, sent, err := attackEnv(g.kind, image.Params{PacketPayload: 72, K: 8, N: 12}, 2048, 5, 0.1, 21)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash := e.TraceHash()
+			row := attackRow{Res: e.run(), Sent: sent()}
+			if g.kind == attackDoR || g.kind == attackDoRLimited {
+				if row.VictimTx, err = dorVictimTx(e, sent); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := hash(); got != g.trace {
+				t.Errorf("trace hash %s, want %s", got, g.trace)
+			}
+			sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", row)))
+			if got := hex.EncodeToString(sum[:]); got != g.result {
+				t.Errorf("result digest %s, want %s\nrow: %+v", got, g.result, row)
+			}
+		})
+	}
 	for _, g := range wireGolden {
 		t.Run(g.scenario+"/"+g.proto.String(), func(t *testing.T) {
 			res, trace := traceRun(t, wireScenarios[g.scenario](g.proto))

@@ -19,7 +19,8 @@ package lint
 //   - the summary is the least fixpoint of
 //     summary(F) = (intrinsic(F) ∪ ⋃ summary(callee)) &^ declared(F)
 //     over the module flow graph (static calls, function-value references,
-//     interface dispatch expanded through the implementers table), computed
+//     the functions stored in callback fields a body reads, interface
+//     dispatch expanded through the implementers table), computed
 //     SCC by SCC in reverse topological order so recursion converges.
 //
 // declared(F) is the mask of a //lrlint:effects(e1,e2) <reason> directive on

@@ -251,7 +251,8 @@ func TestEffectModuleFixtures(t *testing.T) {
 // under testdata/src/scanmod: population classes flow from the config
 // binding on packet.NodeID, //lrlint:population directives, the
 // interprocedural parameter fixpoint and the struct-field fixpoint; roots
-// come from //lrlint:eventroot. The golden pins the findings; the
+// come from //lrlint:eventroot, and one reaches its scan only through a
+// callback bound into a struct field. The golden pins the findings; the
 // neighbors-class, constant-bound and justified loops must stay silent.
 func TestScanModuleFixtures(t *testing.T) {
 	root := filepath.Join("testdata", "src", "scanmod")

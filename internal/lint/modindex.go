@@ -44,6 +44,12 @@ type funcInfo struct {
 	// boundary.
 	refs []*types.Func
 
+	// callbackFields lists the func-typed struct fields the body reads or
+	// calls. A callback bound once at construction (n.onTxStep =
+	// n.txStep) and scheduled through its field later flows to every
+	// module function the module stores in that field (see flowEdges).
+	callbackFields []*types.Var
+
 	// hot marks reachability from a hot root; hotVia names the root.
 	hot    bool
 	hotVia string
@@ -177,7 +183,15 @@ func (idx *modIndex) scanPackage(pkg *Package) {
 						}
 					}
 				case *ast.Ident:
-					if enclosing == nil || inCallPos[n] {
+					if enclosing == nil {
+						return true
+					}
+					if v, _ := pkg.Info.Uses[n].(*types.Var); v != nil && v.IsField() {
+						if _, ok := v.Type().Underlying().(*types.Signature); ok {
+							enclosing.callbackFields = append(enclosing.callbackFields, v)
+						}
+					}
+					if inCallPos[n] {
 						return true
 					}
 					if fn, _ := pkg.Info.Uses[n].(*types.Func); fn != nil {
@@ -327,8 +341,9 @@ func (idx *modIndex) markHot() {
 
 // flowEdges returns the module functions control can flow into from fi: its
 // static callees, the functions it references as values (stored callbacks
-// and scheduled method values are eventually invoked), and — for interface
-// methods in either set — every concrete module method that may stand
+// and scheduled method values are eventually invoked), the functions the
+// module stores in the callback fields it reads, and — for interface
+// methods in any of these — every concrete module method that may stand
 // behind the dispatch. The result is deduplicated and in deterministic
 // (source, implementers-table) order.
 func (idx *modIndex) flowEdges(fi *funcInfo) []*funcInfo {
@@ -352,7 +367,29 @@ func (idx *modIndex) flowEdges(fi *funcInfo) []*funcInfo {
 	for _, r := range fi.refs {
 		add(r)
 	}
+	for _, f := range fi.callbackFields {
+		for _, e := range idx.fieldAssigns[f] {
+			if fn := funcValue(e); fn != nil {
+				add(fn)
+			}
+		}
+	}
 	return out
+}
+
+// funcValue resolves an expression stored in a callback field to the
+// function it names: a function or a method value. Function literals and
+// variables resolve to nil.
+func funcValue(e exprIn) *types.Func {
+	switch x := ast.Unparen(e.expr).(type) {
+	case *ast.Ident:
+		fn, _ := e.pkg.Info.Uses[x].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := e.pkg.Info.Uses[x.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // reportable limits alloc-hotpath findings to the configured hot-path trees

@@ -89,3 +89,31 @@ func Pairwise(ids []packet.NodeID) int {
 	}
 	return c
 }
+
+// timer binds its callback once at construction; Fire, a per-event root,
+// invokes it only through the field, so the scan in sweep is reachable
+// through the field's recorded assignment and nothing else.
+type timer struct {
+	tbl    map[packet.NodeID]int
+	onFire func() int
+}
+
+// NewTimer binds the callback.
+func NewTimer(tbl map[packet.NodeID]int) *timer {
+	t := &timer{tbl: tbl}
+	t.onFire = t.sweep
+	return t
+}
+
+func (t *timer) sweep() int {
+	n := 0
+	for id := range t.tbl {
+		n += t.tbl[id]
+	}
+	return n
+}
+
+// Fire is the timer's per-event entry point.
+//
+//lrlint:eventroot fixture pins reachability through a bound callback field
+func Fire(t *timer) int { return t.onFire() }

@@ -6,9 +6,9 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
-	"lrseluge/internal/detmap"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
 )
@@ -16,9 +16,11 @@ import (
 // Collector accumulates counters for one simulation run. The zero value is
 // not ready for use; call New.
 type Collector struct {
-	txCount map[packet.Type]int64
-	txBytes map[packet.Type]int64
-	rxCount map[packet.Type]int64
+	// Per-type counters, indexed by packet.Type: one slot per value of the
+	// type, so every index is in range.
+	txCount [typeSlots]int64
+	txBytes [typeSlots]int64
+	rxCount [typeSlots]int64
 
 	dataTxByUnit  map[int]int64
 	dataTxByIndex map[[2]int]int64 // (unit, index) -> transmissions
@@ -50,12 +52,12 @@ type Collector struct {
 	faultDrops       int64 // deliveries blocked by the fault overlay
 }
 
+// typeSlots is the number of packet.Type values.
+const typeSlots = math.MaxUint8 + 1
+
 // New returns an empty collector.
 func New() *Collector {
 	return &Collector{
-		txCount:       make(map[packet.Type]int64),
-		txBytes:       make(map[packet.Type]int64),
-		rxCount:       make(map[packet.Type]int64),
 		dataTxByUnit:  make(map[int]int64),
 		dataTxByIndex: make(map[[2]int]int64),
 	}
@@ -227,7 +229,7 @@ func (c *Collector) Rx(t packet.Type) int64 { return c.rxCount[t] }
 // schemes, so bytes are compared, not just counts).
 func (c *Collector) TotalBytes() int64 {
 	var total int64
-	for _, b := range c.txBytes {
+	for _, b := range &c.txBytes {
 		total += b
 	}
 	return total
@@ -236,7 +238,7 @@ func (c *Collector) TotalBytes() int64 {
 // TotalPackets returns the total number of transmissions.
 func (c *Collector) TotalPackets() int64 {
 	var total int64
-	for _, n := range c.txCount {
+	for _, n := range &c.txCount {
 		total += n
 	}
 	return total
@@ -282,13 +284,14 @@ func (c *Collector) ChannelLosses() int64 { return c.channelLosses }
 // FaultDrops returns the count of deliveries blocked by the fault overlay.
 func (c *Collector) FaultDrops() int64 { return c.faultDrops }
 
-// String renders a human-readable summary. All map-derived sections iterate
-// in detmap.SortedKeys order, so the rendering is a deterministic function
-// of the counters alone.
+// String renders a human-readable summary: a deterministic function of the
+// counters alone, listing every transmitted packet type in type order.
 func (c *Collector) String() string {
 	var sb strings.Builder
-	for _, t := range detmap.SortedKeys(c.txCount) {
-		fmt.Fprintf(&sb, "%s: %d pkts / %d B; ", t, c.txCount[t], c.txBytes[t])
+	for t, n := range &c.txCount {
+		if n > 0 {
+			fmt.Fprintf(&sb, "%s: %d pkts / %d B; ", packet.Type(t), n, c.txBytes[t])
+		}
 	}
 	fmt.Fprintf(&sb, "total %d B; latency %v; completed %d", c.TotalBytes(), c.Latency(), c.Completions())
 	if c.crashes > 0 || c.reboots > 0 || c.faultDrops > 0 {

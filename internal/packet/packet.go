@@ -186,10 +186,11 @@ func (d *Data) Marshal() []byte {
 }
 
 // AuthBody returns the byte string covered by the per-packet hash image:
-// unit, index and payload. Receivers compare hashx.Sum(AuthBody()) with the
-// expected image recovered from the previous page (paper §IV-E). Binding the
-// unit and index prevents an adversary replaying a valid block under a
-// different position.
+// unit, index and payload. Receivers compare its image with the expected
+// image recovered from the previous page (paper §IV-E); they compute it with
+// hashx.Memo.SumBody, which hashes the same bytes without building this
+// copy. Binding the unit and index prevents an adversary replaying a valid
+// block under a different position.
 func (d *Data) AuthBody() []byte {
 	b := make([]byte, 0, 2+len(d.Payload))
 	b = append(b, byte(d.Unit), d.Index)

@@ -52,6 +52,10 @@ type Trickle struct {
 	rollover sim.Timer
 	running  bool
 	obs      *obs.Timers
+
+	// onFire and onRollover are the timer callbacks, bound once in New so
+	// that starting an interval allocates nothing.
+	onFire, onRollover func()
 }
 
 // New creates a stopped Trickle instance that calls transmit when the timer
@@ -64,7 +68,9 @@ func New(eng *sim.Engine, rng *rand.Rand, cfg Config, transmit func()) (*Trickle
 	if eng == nil || rng == nil || transmit == nil {
 		return nil, fmt.Errorf("trickle: nil dependency")
 	}
-	return &Trickle{eng: eng, rng: rng, cfg: cfg, transmit: transmit, obs: eng.Obs()}, nil
+	t := &Trickle{eng: eng, rng: rng, cfg: cfg, transmit: transmit, obs: eng.Obs()}
+	t.onFire, t.onRollover = t.fired, t.rolledOver
+	return t, nil
 }
 
 // Start begins operation at the minimum interval.
@@ -125,22 +131,28 @@ func (t *Trickle) beginInterval() {
 	// Fire at a uniform random point in the second half of the interval.
 	half := t.interval / 2
 	fireAt := half + sim.Time(t.rng.Int63n(int64(half)+1))
-	t.fire = t.eng.Schedule(fireAt, func() {
-		t.obs.Start(obs.PhaseTrickle)
-		if t.running && t.counter < t.cfg.K {
-			t.transmit()
+	t.fire = t.eng.Schedule(fireAt, t.onFire)
+	t.rollover = t.eng.Schedule(t.interval, t.onRollover)
+}
+
+// fired transmits unless the interval heard K consistent advertisements.
+func (t *Trickle) fired() {
+	t.obs.Start(obs.PhaseTrickle)
+	if t.running && t.counter < t.cfg.K {
+		t.transmit()
+	}
+	t.obs.End(obs.PhaseTrickle)
+}
+
+// rolledOver doubles the interval, up to IMax, and starts the next one.
+func (t *Trickle) rolledOver() {
+	t.obs.Start(obs.PhaseTrickle)
+	if t.running {
+		t.interval *= 2
+		if t.interval > t.cfg.IMax {
+			t.interval = t.cfg.IMax
 		}
-		t.obs.End(obs.PhaseTrickle)
-	})
-	t.rollover = t.eng.Schedule(t.interval, func() {
-		t.obs.Start(obs.PhaseTrickle)
-		if t.running {
-			t.interval *= 2
-			if t.interval > t.cfg.IMax {
-				t.interval = t.cfg.IMax
-			}
-			t.beginInterval()
-		}
-		t.obs.End(obs.PhaseTrickle)
-	})
+		t.beginInterval()
+	}
+	t.obs.End(obs.PhaseTrickle)
 }
