@@ -38,7 +38,7 @@ func newNet(t *testing.T, nodes int) (*radio.Network, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := radio.New(eng, g, radio.NoLoss{}, radio.DefaultConfig(), metrics.New(), 4)
+	nw, err := radio.New(eng, g, radio.NoLoss{}, radio.DefaultConfig(), metrics.New(nil), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,9 @@ type SigContext struct {
 	Key        *sign.Verifier
 	Commitment puzzle.Key
 	Puzzle     puzzle.Params
-	Col        *metrics.Collector
+	// Col, when non-nil, counts FullVerify's verifications. A rejected
+	// puzzle is reported by the node that dropped the packet.
+	Col *metrics.Collector
 	// Obs, when non-nil, attributes puzzle/signature/hash wall time to the
 	// crypt phases; the core handlers share the context's timers too. A
 	// run's contexts carry its engine's timers (sim.Engine.Obs).
@@ -36,9 +38,6 @@ func (c *SigContext) WeakCheck(s *packet.Sig) bool {
 	ok := puzzle.VerifyKey(c.Commitment, s.PuzzleKey, int(s.Version)) &&
 		puzzle.Verify(c.Puzzle, s.PuzzleMessage(), s.PuzzleKey, s.PuzzleSol)
 	c.Obs.End(obs.PhasePuzzle)
-	if !ok {
-		c.reject()
-	}
 	return ok
 }
 
@@ -55,10 +54,4 @@ func (c *SigContext) FullVerify(s *packet.Sig) bool {
 	ok := c.Key.Verify(s.SignedMessage(), s.Signature)
 	c.Obs.End(obs.PhaseSigVerify)
 	return ok
-}
-
-func (c *SigContext) reject() {
-	if c.Col != nil {
-		c.Col.RecordPuzzleReject()
-	}
 }

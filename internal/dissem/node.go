@@ -26,9 +26,12 @@ type Node struct {
 	handler ObjectHandler
 	policy  TxPolicy
 	trk     *trickle.Trickle
-	col     *metrics.Collector
-	// tr is picked up from the network at construction; nil disables
-	// tracing (every call site is nil-safe).
+	// col takes every packet event the node sees (drops, signature
+	// verdicts, completion) and forwards it to the run's tracer.
+	col *metrics.Collector
+	// tr is the collector's tracer, for the events only the node traces
+	// (states, unit milestones, spans); nil disables tracing (every call
+	// site is nil-safe).
 	tr *trace.Tracer
 
 	// servers lists in-range advertisers and their advertised complete-unit
@@ -76,7 +79,7 @@ type Node struct {
 	completed  bool
 	// reported latches the first completion: a node that crashes after
 	// completing re-derives completed from flash on reboot without firing
-	// the completion callback (or collector record) twice.
+	// the completion callback (or the collector report) twice.
 	reported bool
 
 	// Power-cycle state (fault.Restartable). epoch invalidates callbacks
@@ -124,7 +127,7 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 		handler: handler,
 		policy:  policy,
 		col:     nw.Collector(),
-		tr:      nw.Tracer(),
+		tr:      nw.Collector().Tracer(),
 	}
 	n.onSNACK, n.onRetry, n.onTxStep = n.sendSNACK, n.retryExpired, n.txStep
 	trk, err := trickle.New(n.eng, n.rng, cfg.Trickle, n.advertise)
@@ -346,8 +349,7 @@ func (n *Node) handleData(from packet.NodeID, d *packet.Data) {
 		// influence behavior: a forged packet must not suppress our
 		// transmissions or postpone our requests.
 		if !n.handler.Authentic(d) {
-			n.col.RecordAuthDrop()
-			n.tr.Drop(n.id, from, d, trace.DropAuth)
+			n.col.Drop(n.id, from, d, trace.DropAuth)
 			return
 		}
 		// Another node is serving this unit: drop any queued duplicate
@@ -362,7 +364,7 @@ func (n *Node) handleData(from packet.NodeID, d *packet.Data) {
 		// Page-by-page rule: we cannot authenticate packets beyond the
 		// next unit (their hash images are not yet known), so they are
 		// dropped with no effect (paper §IV-E).
-		n.tr.Drop(n.id, from, d, trace.DropStale)
+		n.col.Drop(n.id, from, d, trace.DropStale)
 	default: // unit == next
 		heldBefore := n.tr.Enabled() && n.heldAny(unit)
 		res := n.handler.Ingest(d)
@@ -382,10 +384,9 @@ func (n *Node) handleData(from packet.NodeID, d *packet.Data) {
 		}
 		switch res {
 		case Rejected:
-			n.col.RecordAuthDrop()
-			n.tr.Drop(n.id, from, d, trace.DropAuth)
+			n.col.Drop(n.id, from, d, trace.DropAuth)
 		case Duplicate:
-			n.tr.Drop(n.id, from, d, trace.DropDuplicate)
+			n.col.Drop(n.id, from, d, trace.DropDuplicate)
 			n.policy.OnDataOverheard(unit, int(d.Index))
 			n.postponePendingSNACK()
 			n.progress()
@@ -432,7 +433,7 @@ func (n *Node) handleSig(from packet.NodeID, s *packet.Sig) {
 	if !n.handler.PreVerifySig(s) {
 		// Weak authenticator (puzzle) rejected the packet: one cheap hash,
 		// no signature verification charged.
-		n.tr.Drop(n.id, from, s, trace.DropPuzzle)
+		n.col.Drop(n.id, from, s, trace.DropPuzzle)
 		return
 	}
 	n.verifySig(from, s, n.handler, func() {
@@ -458,10 +459,9 @@ func (n *Node) verifySig(from packet.NodeID, s *packet.Sig, h ObjectHandler, acc
 		n.sigSpan = trace.Span{}
 		switch h.IngestSig(s) {
 		case Rejected:
-			n.col.RecordAuthDrop()
-			n.tr.SigResult(n.id, from, false)
+			n.col.SigResult(n.id, from, false)
 		case UnitComplete:
-			n.tr.SigResult(n.id, from, true)
+			n.col.SigResult(n.id, from, true)
 			accepted()
 		}
 	})
@@ -711,8 +711,7 @@ func (n *Node) checkComplete() {
 		}
 		n.reported = true
 		now := n.eng.Now()
-		n.col.RecordCompletion(n.id, now)
-		n.tr.Complete(n.id)
+		n.col.Complete(n.id, now)
 		if n.onComplete != nil {
 			n.onComplete(n.id, now)
 		}

@@ -97,7 +97,7 @@ type harness struct {
 func newHarness(t *testing.T, nodes int, loss radio.LossModel, cfg dissem.Config, total, per int) *harness {
 	t.Helper()
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, err := topo.Complete(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestNoDefenseServesRepeatedly(t *testing.T) {
 
 func TestNewNodeValidation(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, _ := topo.Complete(2)
 	nw, _ := radio.New(eng, g, nil, radio.DefaultConfig(), col, 1)
 	fake := newFake(1, 1, false)

@@ -68,7 +68,7 @@ func (n *Node) handleNewerSig(from packet.NodeID, s *packet.Sig) {
 		return
 	}
 	if !cand.PreVerifySig(s) {
-		n.tr.Drop(n.id, from, s, trace.DropPuzzle)
+		n.col.Drop(n.id, from, s, trace.DropPuzzle)
 		return
 	}
 	// The new version is authentic once verified: only then discard the

@@ -56,35 +56,29 @@ const (
 	attackDoRLimited                   // denial of receipt against the serve limit
 )
 
-// attackEnv builds LR-Seluge's network with one extra node for the attacker
+// attackEnv builds LR-Seluge's network for s (its image, geometry,
+// receivers, loss, seed and trace sink) with one extra node for the attacker
 // of kind, and starts the attacker. sent counts the packets it has sent.
-func attackEnv(kind attack, params image.Params, imageSize, receivers int, lossP float64, seed int64) (*Env, func() int64, error) {
-	s := Scenario{
-		Protocol:   LRSeluge,
-		ImageSize:  imageSize,
-		Params:     params,
-		Receivers:  receivers,
-		LossP:      lossP,
-		ExtraNodes: 1,
-		Seed:       seed,
-	}
+func attackEnv(kind attack, s Scenario) (*Env, func() int64, error) {
+	s.Protocol = LRSeluge
+	s.ExtraNodes = 1
 	if kind == attackDoR || kind == attackDoRLimited {
 		s.Dissem = dissem.DefaultConfig()
 		if kind == attackDoRLimited {
 			// The defense threshold: serving one neighbor more than 4x a
 			// full unit's worth of packets for a single unit marks it
 			// hostile.
-			s.Dissem.SNACKServeLimit = 4 * params.N
+			s.Dissem.SNACKServeLimit = 4 * s.Params.N
 		}
 	}
 	e, err := Build(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	attackerID := packet.NodeID(receivers + 1)
+	attackerID := packet.NodeID(s.Receivers + 1)
 	switch kind {
 	case attackInjection:
-		inj, err := adversary.NewInjector(attackerID, e.nw, attackInterval, seed^0xbad)
+		inj, err := adversary.NewInjector(attackerID, e.nw, attackInterval, s.Seed^0xbad)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -103,7 +97,7 @@ func attackEnv(kind attack, params image.Params, imageSize, receivers int, lossP
 			}
 		}
 		fl, err := adversary.NewSigFlooder(attackerID, e.nw, 1, uint8(e.units-2), attackInterval,
-			kind == attackSigFloodSolved, key, e.puzzle(), seed^0xf100d)
+			kind == attackSigFloodSolved, key, e.puzzle(), s.Seed^0xf100d)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -141,6 +135,7 @@ func dorVictimTx(e *Env, sent func() int64) (int64, error) {
 // puzzles (the strongest attacker), and denial of receipt without and with
 // the serve-limit defense.
 func AttackResilience(params image.Params, imageSize, receivers int, lossP float64, seed int64) (AttackReport, error) {
+	s := Scenario{ImageSize: imageSize, Params: params, Receivers: receivers, LossP: lossP, Seed: seed}
 	var report AttackReport
 	for _, a := range []struct {
 		kind attack
@@ -151,7 +146,7 @@ func AttackResilience(params image.Params, imageSize, receivers int, lossP float
 		{attackSigFlood, &report.SigFlood, &report.SigFloodSent},
 		{attackSigFloodSolved, &report.SigFloodStrong, &report.SigFloodStrongSent},
 	} {
-		e, sent, err := attackEnv(a.kind, params, imageSize, receivers, lossP, seed)
+		e, sent, err := attackEnv(a.kind, s)
 		if err != nil {
 			return report, err
 		}
@@ -162,7 +157,7 @@ func AttackResilience(params image.Params, imageSize, receivers int, lossP float
 		kind attack
 		tx   *int64
 	}{{attackDoR, &report.DoRVictimTxNoDefense}, {attackDoRLimited, &report.DoRVictimTxDefense}} {
-		e, sent, err := attackEnv(a.kind, params, imageSize, receivers, lossP, seed)
+		e, sent, err := attackEnv(a.kind, s)
 		if err != nil {
 			return report, err
 		}

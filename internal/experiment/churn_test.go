@@ -112,7 +112,7 @@ func TestCrashMidPageRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := e.nw.InstallFaultOverlay()
-	fe, err := fault.NewEngine(e.eng, ov)
+	fe, err := fault.NewEngine(e.eng, ov, e.col.Tracer())
 	if err != nil {
 		t.Fatal(err)
 	}

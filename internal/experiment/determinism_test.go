@@ -9,14 +9,14 @@ import (
 )
 
 // traceRun executes a multihop scenario and returns the run metrics together
-// with a hash over the complete transmission trace (Env.TraceHash).
+// with a hash over the complete transmission trace (Collector.HashTx).
 func traceRun(t *testing.T, s Scenario) (Result, string) {
 	t.Helper()
 	e, err := Build(s)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	hash := e.TraceHash()
+	hash := e.col.HashTx()
 	res := e.run()
 	return res, hash()
 }

@@ -5,9 +5,6 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 
 	"lrseluge/internal/core"
@@ -309,19 +306,17 @@ func Build(s Scenario) (*Env, error) {
 
 	eng := sim.NewWithQueue(s.Queue)
 	eng.SetObs(s.Obs)
-	col := metrics.New()
+	var tr *trace.Tracer
+	if s.Trace != nil {
+		var err error
+		if tr, err = trace.New(eng, s.Trace); err != nil {
+			return nil, err
+		}
+	}
+	col := metrics.New(tr)
 	nw, err := radio.New(eng, graph, loss, s.Radio, col, s.Seed^0x5eed)
 	if err != nil {
 		return nil, err
-	}
-	if s.Trace != nil {
-		// Install before node construction: dissem nodes capture the
-		// network's tracer when they are built.
-		tr, err := trace.New(eng, s.Trace)
-		if err != nil {
-			return nil, err
-		}
-		nw.SetTracer(tr)
 	}
 
 	const version = 1
@@ -449,11 +444,10 @@ func Build(s Scenario) (*Env, error) {
 	}
 	if plan != nil {
 		e.faultOv = nw.InstallFaultOverlay()
-		e.faultEng, err = fault.NewEngine(eng, e.faultOv)
+		e.faultEng, err = fault.NewEngine(eng, e.faultOv, col.Tracer())
 		if err != nil {
 			return nil, err
 		}
-		e.faultEng.SetTracer(nw.Tracer())
 		for _, n := range e.nodes {
 			e.faultEng.Register(int(n.ID()), n)
 		}
@@ -591,23 +585,6 @@ func (e *Env) Engine() *sim.Engine { return e.eng }
 // Collector returns the run's metrics collector.
 func (e *Env) Collector() *metrics.Collector { return e.col }
 
-// TraceHash hashes every transmission from now on, in global transmission
-// order: the big-endian u64 virtual time, the big-endian u16 sender, then the
-// packet's wire bytes. The returned function yields the hex sha256 of the
-// trace so far. Trace hashes are the byte-identity referee across queue
-// kinds, obs settings and code changes, so this layout must not change.
-func (e *Env) TraceHash() func() string {
-	h := sha256.New()
-	var hdr [10]byte
-	e.nw.SetTxObserver(func(at sim.Time, from packet.NodeID, p packet.Packet) {
-		binary.BigEndian.PutUint64(hdr[0:8], uint64(at))
-		binary.BigEndian.PutUint16(hdr[8:10], uint16(from))
-		h.Write(hdr[:])
-		h.Write(p.Marshal())
-	})
-	return func() string { return hex.EncodeToString(h.Sum(nil)) }
-}
-
 // Drive runs the engine in slices of virtual time, calling onSlice (when
 // non-nil) with the engine clock after each slice; the first call starts
 // every node. It returns once every node holds the current version, the
@@ -654,18 +631,18 @@ func (e *Env) run() Result {
 		Protocol:         s.Protocol,
 		Nodes:            len(e.nodes),
 		Completed:        e.col.Completions(),
-		DataPkts:         e.col.Tx(packet.TypeData),
-		SnackPkts:        e.col.Tx(packet.TypeSNACK),
-		AdvPkts:          e.col.Tx(packet.TypeAdv),
-		SigPkts:          e.col.Tx(packet.TypeSig),
+		DataPkts:         e.col.TxOf(packet.TypeData),
+		SnackPkts:        e.col.TxOf(packet.TypeSNACK),
+		AdvPkts:          e.col.TxOf(packet.TypeAdv),
+		SigPkts:          e.col.TxOf(packet.TypeSig),
 		PageDataPkts:     e.col.DataTxFromUnit(e.pageUnit0),
 		TotalBytes:       e.col.TotalBytes(),
 		Latency:          e.col.Latency(),
 		AuthDrops:        e.col.AuthDrops(),
-		PuzzleRejects:    e.col.PuzzleRejects(),
+		PuzzleRejects:    e.col.Drops(trace.DropPuzzle),
 		SigVerifications: e.col.SigVerifications(),
 		ForgedAccepted:   e.col.ForgedAccepted(),
-		ChannelLosses:    e.col.ChannelLosses(),
+		ChannelLosses:    e.col.Drops(trace.DropChannel),
 		Units:            e.units,
 		Crashes:          e.col.Crashes(),
 		Reboots:          e.col.Reboots(),
@@ -674,8 +651,8 @@ func (e *Env) run() Result {
 		DowntimeSec:      e.col.TotalDowntime().Seconds(),
 		RecoverySec:      e.col.MeanRecoveryLatencySec(),
 		ImagesOK:         e.ImagesOK(),
+		FaultDrops:       e.col.Drops(trace.DropFault),
 	}
-	res.FaultDrops = e.col.FaultDrops()
 	return res
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lrseluge/internal/harness"
+	"lrseluge/internal/packet"
 	"lrseluge/internal/trace"
 )
 
@@ -156,5 +157,90 @@ func TestTracedRunFuncWorkerInvariance(t *testing.T) {
 		if !bytes.Equal(serialTraces[i], parallelTraces[i]) {
 			t.Errorf("job %d trace differs between 1 and 4 workers", i)
 		}
+	}
+}
+
+// tallySink counts a run's trace events by kind, its transmissions by packet
+// type and its drops by reason.
+type tallySink struct {
+	kinds, tx, drops [256]int64
+}
+
+func (c *tallySink) Emit(e trace.Event) {
+	c.kinds[e.Kind]++
+	switch e.Kind {
+	case trace.KindTx:
+		c.tx[e.Pkt]++
+	case trace.KindDrop:
+		c.drops[e.Reason]++
+	}
+}
+
+func (c *tallySink) Flush() error { return nil }
+
+// TestCountersMatchTrace checks that the collector's counters and the trace
+// stream agree on every run path: all four protocols on the one-hop,
+// multihop and churn runs, and LR-Seluge under each adversary. Radio and
+// the protocol nodes report each packet event once, to the collector, which
+// counts it and traces it, so any disagreement is a second reporting path.
+func TestCountersMatchTrace(t *testing.T) {
+	type run struct {
+		name  string
+		build func(sink *tallySink) (*Env, error)
+	}
+	var runs []run
+	for _, name := range []string{"onehop", "multihop", "churn"} {
+		for _, p := range []Protocol{Deluge, Seluge, LRSeluge, RatelessDeluge} {
+			s := wireScenarios[name](p)
+			runs = append(runs, run{name + "/" + p.String(), func(sink *tallySink) (*Env, error) {
+				s.Trace = sink
+				return Build(s)
+			}})
+		}
+	}
+	for _, g := range attackGolden {
+		kind := g.kind
+		runs = append(runs, run{"attack/" + g.name, func(sink *tallySink) (*Env, error) {
+			s := attackScenario()
+			s.Trace = sink
+			e, _, err := attackEnv(kind, s)
+			return e, err
+		}})
+	}
+	var puzzleRejects, authDrops, faultDrops int64
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			sink := &tallySink{}
+			e, err := r.build(sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := e.run()
+			for _, c := range []struct {
+				what        string
+				got, traced int64
+			}{
+				{"DataPkts", res.DataPkts, sink.tx[packet.TypeData]},
+				{"SnackPkts", res.SnackPkts, sink.tx[packet.TypeSNACK]},
+				{"AdvPkts", res.AdvPkts, sink.tx[packet.TypeAdv]},
+				{"SigPkts", res.SigPkts, sink.tx[packet.TypeSig]},
+				{"ChannelLosses", res.ChannelLosses, sink.drops[trace.DropChannel]},
+				{"FaultDrops", res.FaultDrops, sink.drops[trace.DropFault]},
+				{"PuzzleRejects", res.PuzzleRejects, sink.drops[trace.DropPuzzle]},
+				{"AuthDrops", res.AuthDrops, sink.drops[trace.DropAuth] + sink.kinds[trace.KindSigReject]},
+				{"Completed", int64(res.Completed), sink.kinds[trace.KindComplete]},
+			} {
+				if c.got != c.traced {
+					t.Errorf("%s = %d, trace has %d", c.what, c.got, c.traced)
+				}
+			}
+			puzzleRejects += res.PuzzleRejects
+			authDrops += res.AuthDrops
+			faultDrops += res.FaultDrops
+		})
+	}
+	if puzzleRejects == 0 || authDrops == 0 || faultDrops == 0 {
+		t.Errorf("vacuous: puzzle rejects %d, auth drops %d, fault drops %d over all runs",
+			puzzleRejects, authDrops, faultDrops)
 	}
 }

@@ -68,7 +68,7 @@ func TestVersionUpgradeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hash := e.TraceHash()
+		hash := e.col.HashTx()
 		got, err := e.upgradeRun(image.Random(2048, seed^0x22))
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 	"lrseluge/internal/image"
 )
 
-// wireGolden pins every protocol's transmission trace (Env.TraceHash) and
+// wireGolden pins every protocol's transmission trace (Collector.HashTx) and
 // Result on three scenarios: a lossy one-hop neighborhood, the bursty 4x4
 // multihop grid and a churn fault run. The values were recorded before
 // Seluge became core's rate-1 configuration, so any refactor of a protocol
@@ -17,7 +17,7 @@ import (
 var wireGolden = []struct {
 	scenario string
 	proto    Protocol
-	trace    string // Env.TraceHash of the whole run
+	trace    string // Collector.HashTx of the whole run
 	result   string // sha256 of the Result's %+v rendering
 }{
 	{"onehop", Deluge, "dc7b55829390c4d0f28bb64620a5aeed9401b49793a9b0594a7e88728fd0df50", "0b4cce9814c94c045ff2fc357cfd3e04d9e7bcf773b364ea2727e248f8c7177f"},
@@ -75,6 +75,13 @@ var attackGolden = []struct {
 	{"dor-limited", attackDoRLimited, "bf76f643b3c841c5b06ed87348ee6c478cc1656dcf1fbbeef64090468ead5a15", "29aeac3fc660a34709fd75a931338a3b966c68b1d7daee9bc5d5f0315c0be9aa"},
 }
 
+// attackScenario is TestAttackResilience's small network, the base of every
+// attack run the tests pin.
+func attackScenario() Scenario {
+	return Scenario{ImageSize: 2048, Params: image.Params{PacketPayload: 72, K: 8, N: 12},
+		Receivers: 5, LossP: 0.1, Seed: 21}
+}
+
 // attackRow is what an attackGolden row's result digest covers: the run's
 // Result, the attacker's packet count and, for denial of receipt, the
 // victim's transmissions in the window after dissemination.
@@ -87,11 +94,11 @@ type attackRow struct {
 func TestWireGolden(t *testing.T) {
 	for _, g := range attackGolden {
 		t.Run("attack/"+g.name, func(t *testing.T) {
-			e, sent, err := attackEnv(g.kind, image.Params{PacketPayload: 72, K: 8, N: 12}, 2048, 5, 0.1, 21)
+			e, sent, err := attackEnv(g.kind, attackScenario())
 			if err != nil {
 				t.Fatal(err)
 			}
-			hash := e.TraceHash()
+			hash := e.col.HashTx()
 			row := attackRow{Res: e.run(), Sent: sent()}
 			if g.kind == attackDoR || g.kind == attackDoRLimited {
 				if row.VictimTx, err = dorVictimTx(e, sent); err != nil {

@@ -33,12 +33,13 @@ type Engine struct {
 	tr *trace.Tracer
 }
 
-// NewEngine binds a fault engine to the simulation and its radio overlay.
-func NewEngine(eng *sim.Engine, ov *radio.FaultOverlay) (*Engine, error) {
+// NewEngine binds a fault engine to the simulation, its radio overlay and
+// the run's tracer (the collector's; nil disables tracing).
+func NewEngine(eng *sim.Engine, ov *radio.FaultOverlay, tr *trace.Tracer) (*Engine, error) {
 	if eng == nil || ov == nil {
 		return nil, fmt.Errorf("fault: nil dependency")
 	}
-	return &Engine{eng: eng, ov: ov, nodes: make(map[int]Restartable)}, nil
+	return &Engine{eng: eng, ov: ov, nodes: make(map[int]Restartable), tr: tr}, nil
 }
 
 // Register subscribes a node to crash/reboot events. Node ids without a
@@ -53,9 +54,6 @@ func (f *Engine) Register(id int, n Restartable) {
 // OnAdversaryRamp registers the consumer of adversary-ramp events (usually
 // an adversary.Injector's SetIntensity).
 func (f *Engine) OnAdversaryRamp(fn func(intensity float64)) { f.onRamp = fn }
-
-// SetTracer installs the event tracer; nil disables tracing.
-func (f *Engine) SetTracer(tr *trace.Tracer) { f.tr = tr }
 
 // Install validates the plan against the overlay's topology and schedules
 // every event. The plan is read-only: installing the same plan into several

@@ -24,7 +24,7 @@ func newTestOverlay(t *testing.T, nodes int) (*sim.Engine, *radio.FaultOverlay) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := radio.New(eng, g, nil, radio.DefaultConfig(), metrics.New(), 7)
+	nw, err := radio.New(eng, g, nil, radio.DefaultConfig(), metrics.New(nil), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func newTestOverlay(t *testing.T, nodes int) (*sim.Engine, *radio.FaultOverlay) 
 
 func TestEngineAppliesPlan(t *testing.T) {
 	eng, ov := newTestOverlay(t, 4)
-	fe, err := NewEngine(eng, ov)
+	fe, err := NewEngine(eng, ov, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +91,13 @@ func TestEngineAppliesPlan(t *testing.T) {
 
 func TestEngineRejectsBadInputs(t *testing.T) {
 	eng, ov := newTestOverlay(t, 3)
-	if _, err := NewEngine(nil, ov); err == nil {
+	if _, err := NewEngine(nil, ov, nil); err == nil {
 		t.Fatal("nil engine accepted")
 	}
-	if _, err := NewEngine(eng, nil); err == nil {
+	if _, err := NewEngine(eng, nil, nil); err == nil {
 		t.Fatal("nil overlay accepted")
 	}
-	fe, err := NewEngine(eng, ov)
+	fe, err := NewEngine(eng, ov, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

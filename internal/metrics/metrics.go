@@ -2,28 +2,52 @@
 // SNACK and advertisement packet counts, total communication cost in bytes,
 // and dissemination latency (time until every node holds the full image),
 // plus security counters for the adversarial experiments.
+//
+// The Collector is also the one place radio and the protocol nodes report a
+// packet event: Tx, Rx, Drop, SigResult and Complete each count the event
+// and then forward it to the run's tracer, so the counters and the trace
+// stream are fed by a single call and cannot disagree.
 package metrics
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"strings"
 
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
+	"lrseluge/internal/trace"
 )
 
 // Collector accumulates counters for one simulation run. The zero value is
 // not ready for use; call New.
 type Collector struct {
+	// tr receives every reported event after it is counted; nil (the
+	// default) disables tracing. The per-delivery reports test it before
+	// the call, so a run without tracing pays one branch per event.
+	tr *trace.Tracer
+	// txHash, when set by HashTx, hashes every transmission; txHdr is its
+	// reused (time, sender) header.
+	txHash hash.Hash
+	txHdr  [10]byte
+
 	// Per-type counters, indexed by packet.Type: one slot per value of the
 	// type, so every index is in range.
 	txCount [typeSlots]int64
 	txBytes [typeSlots]int64
 	rxCount [typeSlots]int64
 
-	dataTxByUnit  map[int]int64
-	dataTxByIndex map[[2]int]int64 // (unit, index) -> transmissions
+	// drops counts dropped packets by trace.DropReason. Every drop has
+	// exactly one reason, so channel and fault drops are disjoint.
+	drops [dropSlots]int64
+
+	// dataTxByUnit counts data transmissions per unit, grown on first use
+	// of a unit like the per-node slices below.
+	dataTxByUnit []int64
 
 	// Per-node state is node-indexed, grown on first use of an id: ~16 B per
 	// node instead of map entries, which matters at 100k nodes. Time slices
@@ -44,29 +68,30 @@ type Collector struct {
 	lastReboot    []sim.Time // most recent reboot per node
 
 	// Security counters.
-	authDrops        int64 // packets dropped by per-packet authentication
+	sigRejects       int64 // signature packets that failed full verification
 	forgedAccepted   int64 // forged packets accepted (must stay zero)
 	sigVerifications int64 // expensive signature verifications performed
-	puzzleRejects    int64 // signature packets rejected by the weak authenticator
-	channelLosses    int64 // packets dropped by the lossy channel
-	faultDrops       int64 // deliveries blocked by the fault overlay
 }
 
-// typeSlots is the number of packet.Type values.
-const typeSlots = math.MaxUint8 + 1
+// typeSlots is the number of packet.Type values; dropSlots the number of
+// trace.DropReason values.
+const (
+	typeSlots = math.MaxUint8 + 1
+	dropSlots = math.MaxUint8 + 1
+)
 
-// New returns an empty collector.
-func New() *Collector {
-	return &Collector{
-		dataTxByUnit:  make(map[int]int64),
-		dataTxByIndex: make(map[[2]int]int64),
-	}
-}
+// New returns an empty collector that forwards every reported event to tr;
+// a nil tr disables tracing.
+func New(tr *trace.Tracer) *Collector { return &Collector{tr: tr} }
 
-// grow returns s extended with zeros so that index id is valid.
-func grow[T int64 | sim.Time](s []T, id packet.NodeID) []T {
-	if int(id) >= len(s) {
-		s = append(s, make([]T, int(id)+1-len(s))...)
+// Tracer returns the run's tracer; nil means tracing is off. Protocol nodes
+// and the fault engine pick it up here for the events only they see.
+func (c *Collector) Tracer() *trace.Tracer { return c.tr }
+
+// grow returns s extended with zeros so that index i is valid.
+func grow[T int64 | sim.Time](s []T, i int) []T {
+	if i >= len(s) {
+		s = append(s, make([]T, i+1-len(s))...)
 	}
 	return s
 }
@@ -79,54 +104,89 @@ func valueAt[T int64 | sim.Time](s []T, id packet.NodeID) T {
 	return 0
 }
 
-// RecordTx accounts one transmission of p by node from.
-func (c *Collector) RecordTx(from packet.NodeID, p packet.Packet) {
+// Tx reports the transmission of p by node from, completed at virtual time
+// at.
+func (c *Collector) Tx(at sim.Time, from packet.NodeID, p packet.Packet) {
 	c.txCount[p.Kind()]++
 	c.txBytes[p.Kind()] += int64(p.WireSize())
-	c.nodeTx = grow(c.nodeTx, from)
+	c.nodeTx = grow(c.nodeTx, int(from))
 	c.nodeTx[from]++
 	if d, ok := p.(*packet.Data); ok {
-		c.dataTxByUnit[int(d.Unit)]++
-		c.dataTxByIndex[[2]int{int(d.Unit), int(d.Index)}]++
+		c.dataTxByUnit = grow(c.dataTxByUnit, int(d.Unit))
+		c.dataTxByUnit[d.Unit]++
+	}
+	if c.tr != nil {
+		c.tr.Tx(from, p)
+	}
+	if c.txHash != nil {
+		binary.BigEndian.PutUint64(c.txHdr[0:8], uint64(at))
+		binary.BigEndian.PutUint16(c.txHdr[8:10], uint16(from))
+		c.txHash.Write(c.txHdr[:])
+		c.txHash.Write(p.Marshal())
 	}
 }
 
-// DataTxForIndex returns transmissions of one specific (unit, index) packet,
-// used by scheduler diagnostics and ablation benches.
-func (c *Collector) DataTxForIndex(u, idx int) int64 {
-	return c.dataTxByIndex[[2]int{u, idx}]
+// HashTx hashes every transmission from now on, in global transmission
+// order: the big-endian u64 virtual time, the big-endian u16 sender, then the
+// packet's wire bytes. The returned function yields the hex sha256 of the
+// trace so far. Trace hashes are the byte-identity referee across queue
+// kinds, obs settings and code changes, so this layout must not change. A
+// later call starts a new hash, and the earlier one stops advancing.
+func (c *Collector) HashTx() func() string {
+	h := sha256.New()
+	c.txHash = h
+	return func() string { return hex.EncodeToString(h.Sum(nil)) }
 }
-
-// DataTxForUnit returns the number of data-packet transmissions for one
-// unit, used by Fig. 3 to count page data packets separately from hash-page
-// traffic.
-func (c *Collector) DataTxForUnit(u int) int64 { return c.dataTxByUnit[u] }
 
 // DataTxFromUnit returns data-packet transmissions for all units >= u.
 func (c *Collector) DataTxFromUnit(u int) int64 {
 	var total int64
-	for unit, n := range c.dataTxByUnit {
-		if unit >= u {
-			total += n
-		}
+	for _, n := range c.dataTxByUnit[min(max(u, 0), len(c.dataTxByUnit)):] {
+		total += n
 	}
 	return total
 }
 
-// RecordRx accounts a successful delivery of p to a node.
-func (c *Collector) RecordRx(p packet.Packet) { c.rxCount[p.Kind()]++ }
+// Rx reports the delivery of p, sent by from, to node to.
+func (c *Collector) Rx(to, from packet.NodeID, p packet.Packet) {
+	c.rxCount[p.Kind()]++
+	if c.tr != nil {
+		c.tr.Rx(to, from, p)
+	}
+}
 
-// RecordChannelLoss accounts a packet dropped by the channel. Channel and
-// fault drops are disjoint: every lost delivery is recorded under exactly
-// one of the two.
-func (c *Collector) RecordChannelLoss() { c.channelLosses++ }
+// Drop reports the death of p, sent by from, on its way to or inside node,
+// attributed to exactly one reason.
+func (c *Collector) Drop(node, from packet.NodeID, p packet.Packet, r trace.DropReason) {
+	c.drops[r]++
+	if c.tr != nil {
+		c.tr.Drop(node, from, p, r)
+	}
+}
 
-// RecordFaultDrop accounts a delivery blocked by the fault overlay (down
-// endpoint, link outage window, or partition boundary).
-func (c *Collector) RecordFaultDrop() { c.faultDrops++ }
+// SigResult reports the outcome of a node's full signature verification of
+// a packet sent by from. A rejected signature counts as an authentication
+// drop.
+func (c *Collector) SigResult(node, from packet.NodeID, ok bool) {
+	if !ok {
+		c.sigRejects++
+	}
+	c.tr.SigResult(node, from, ok)
+}
 
-// RecordAuthDrop accounts a packet rejected by immediate authentication.
-func (c *Collector) RecordAuthDrop() { c.authDrops++ }
+// Complete reports that node finished receiving the image at time t. Every
+// report is traced; only the first completion per node is counted.
+func (c *Collector) Complete(node packet.NodeID, t sim.Time) {
+	c.done = grow(c.done, int(node))
+	if c.done[node] == 0 {
+		c.done[node] = t + 1
+		c.nDone++
+		if t > c.maxDone {
+			c.maxDone = t
+		}
+	}
+	c.tr.Complete(node)
+}
 
 // RecordForgedAccepted accounts a forged packet that slipped past
 // authentication; any nonzero value is a protocol failure.
@@ -135,30 +195,13 @@ func (c *Collector) RecordForgedAccepted() { c.forgedAccepted++ }
 // RecordSigVerification accounts one expensive signature verification.
 func (c *Collector) RecordSigVerification() { c.sigVerifications++ }
 
-// RecordPuzzleReject accounts a signature packet filtered by the weak
-// authenticator before any expensive verification.
-func (c *Collector) RecordPuzzleReject() { c.puzzleRejects++ }
-
-// RecordCompletion notes that node finished receiving the image at time t.
-// Only the first completion per node is kept.
-func (c *Collector) RecordCompletion(node packet.NodeID, t sim.Time) {
-	c.done = grow(c.done, node)
-	if c.done[node] == 0 {
-		c.done[node] = t + 1
-		c.nDone++
-		if t > c.maxDone {
-			c.maxDone = t
-		}
-	}
-}
-
 // RecordCrash notes that node lost power at time t with lostPkts packets of
 // its in-progress unit wiped from RAM (flash-resident completed units are
 // retained and not counted).
 func (c *Collector) RecordCrash(node packet.NodeID, t sim.Time, lostPkts int) {
 	c.crashes++
 	c.crashLostPkts += int64(lostPkts)
-	c.lastCrash = grow(c.lastCrash, node)
+	c.lastCrash = grow(c.lastCrash, int(node))
 	c.lastCrash[node] = t + 1
 }
 
@@ -170,7 +213,7 @@ func (c *Collector) RecordReboot(node packet.NodeID, t sim.Time) {
 		c.downtime += t - (down - 1)
 		c.lastCrash[node] = 0
 	}
-	c.lastReboot = grow(c.lastReboot, node)
+	c.lastReboot = grow(c.lastReboot, int(node))
 	c.lastReboot[node] = t + 1
 }
 
@@ -215,14 +258,14 @@ func (c *Collector) MeanRecoveryLatencySec() float64 {
 	return sum.Seconds() / float64(n)
 }
 
-// Tx returns the number of transmissions of the given type.
-func (c *Collector) Tx(t packet.Type) int64 { return c.txCount[t] }
+// TxOf returns the number of transmissions of the given type.
+func (c *Collector) TxOf(t packet.Type) int64 { return c.txCount[t] }
 
 // TxBytesOf returns the bytes transmitted for the given type.
 func (c *Collector) TxBytesOf(t packet.Type) int64 { return c.txBytes[t] }
 
-// Rx returns the number of successful deliveries of the given type.
-func (c *Collector) Rx(t packet.Type) int64 { return c.rxCount[t] }
+// RxOf returns the number of successful deliveries of the given type.
+func (c *Collector) RxOf(t packet.Type) int64 { return c.rxCount[t] }
 
 // TotalBytes returns the total communication cost in bytes across all packet
 // types, the paper's fairness metric (§VI: SNACKs differ in length between
@@ -265,8 +308,10 @@ func (c *Collector) CompletionTime(node packet.NodeID) (sim.Time, bool) {
 // time over all completed nodes.
 func (c *Collector) Latency() sim.Time { return c.maxDone }
 
-// AuthDrops returns the count of authentication rejections.
-func (c *Collector) AuthDrops() int64 { return c.authDrops }
+// AuthDrops returns the count of authentication rejections: packets
+// per-packet authentication dropped plus signatures that failed full
+// verification.
+func (c *Collector) AuthDrops() int64 { return c.drops[trace.DropAuth] + c.sigRejects }
 
 // ForgedAccepted returns the count of forged packets accepted.
 func (c *Collector) ForgedAccepted() int64 { return c.forgedAccepted }
@@ -274,15 +319,10 @@ func (c *Collector) ForgedAccepted() int64 { return c.forgedAccepted }
 // SigVerifications returns the count of signature verifications.
 func (c *Collector) SigVerifications() int64 { return c.sigVerifications }
 
-// PuzzleRejects returns the count of weak-authenticator rejections.
-func (c *Collector) PuzzleRejects() int64 { return c.puzzleRejects }
-
-// ChannelLosses returns the count of channel-dropped packets (fault-blocked
-// deliveries are counted separately; see FaultDrops).
-func (c *Collector) ChannelLosses() int64 { return c.channelLosses }
-
-// FaultDrops returns the count of deliveries blocked by the fault overlay.
-func (c *Collector) FaultDrops() int64 { return c.faultDrops }
+// Drops returns the count of packets dropped for reason r: DropChannel for
+// the lossy channel, DropFault for deliveries the fault overlay blocked,
+// DropPuzzle for signature packets the weak authenticator rejected.
+func (c *Collector) Drops(r trace.DropReason) int64 { return c.drops[r] }
 
 // String renders a human-readable summary: a deterministic function of the
 // counters alone, listing every transmitted packet type in type order.
@@ -294,9 +334,9 @@ func (c *Collector) String() string {
 		}
 	}
 	fmt.Fprintf(&sb, "total %d B; latency %v; completed %d", c.TotalBytes(), c.Latency(), c.Completions())
-	if c.crashes > 0 || c.reboots > 0 || c.faultDrops > 0 {
+	if faultDrops := c.drops[trace.DropFault]; c.crashes > 0 || c.reboots > 0 || faultDrops > 0 {
 		fmt.Fprintf(&sb, "; faults[crashes %d reboots %d lost_pkts %d refetched %d fault_drops %d downtime %v",
-			c.crashes, c.reboots, c.crashLostPkts, c.refetched, c.faultDrops, c.downtime)
+			c.crashes, c.reboots, c.crashLostPkts, c.refetched, faultDrops, c.downtime)
 		label := " still_down"
 		for node, down := range c.lastCrash {
 			if down > 0 {

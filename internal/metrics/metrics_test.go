@@ -6,17 +6,18 @@ import (
 
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
+	"lrseluge/internal/trace"
 )
 
 func TestTxAccounting(t *testing.T) {
-	c := New()
+	c := New(nil)
 	a := &packet.Adv{Src: 1}
 	d := &packet.Data{Src: 2, Unit: 3, Index: 7, Payload: make([]byte, 10)}
-	c.RecordTx(1, a)
-	c.RecordTx(2, d)
-	c.RecordTx(2, d)
+	c.Tx(0, 1, a)
+	c.Tx(0, 2, d)
+	c.Tx(0, 2, d)
 
-	if c.Tx(packet.TypeAdv) != 1 || c.Tx(packet.TypeData) != 2 {
+	if c.TxOf(packet.TypeAdv) != 1 || c.TxOf(packet.TypeData) != 2 {
 		t.Fatal("tx counts wrong")
 	}
 	if c.TxBytesOf(packet.TypeData) != 2*int64(d.WireSize()) {
@@ -31,22 +32,17 @@ func TestTxAccounting(t *testing.T) {
 	if c.NodeTx(2) != 2 || c.NodeTx(1) != 1 || c.NodeTx(9) != 0 {
 		t.Fatal("per-node counts wrong")
 	}
-	if c.DataTxForUnit(3) != 2 || c.DataTxForUnit(1) != 0 {
-		t.Fatal("per-unit counts wrong")
-	}
-	if c.DataTxForIndex(3, 7) != 2 || c.DataTxForIndex(3, 8) != 0 {
-		t.Fatal("per-index counts wrong")
-	}
-	if c.DataTxFromUnit(2) != 2 || c.DataTxFromUnit(4) != 0 {
+	if c.DataTxFromUnit(0) != 2 || c.DataTxFromUnit(3) != 2 || c.DataTxFromUnit(4) != 0 ||
+		c.DataTxFromUnit(99) != 0 {
 		t.Fatal("from-unit counts wrong")
 	}
 }
 
 func TestCompletionKeepsFirst(t *testing.T) {
-	c := New()
-	c.RecordCompletion(4, 10*sim.Second)
-	c.RecordCompletion(4, 20*sim.Second)
-	c.RecordCompletion(5, 15*sim.Second)
+	c := New(nil)
+	c.Complete(4, 10*sim.Second)
+	c.Complete(4, 20*sim.Second)
+	c.Complete(5, 15*sim.Second)
 	if c.Completions() != 2 {
 		t.Fatal("completion count wrong")
 	}
@@ -59,30 +55,32 @@ func TestCompletionKeepsFirst(t *testing.T) {
 }
 
 func TestSecurityCounters(t *testing.T) {
-	c := New()
-	c.RecordAuthDrop()
-	c.RecordAuthDrop()
+	c := New(nil)
+	d := &packet.Data{}
+	c.Drop(1, 0, d, trace.DropAuth)
+	c.SigResult(1, 0, false)
+	c.SigResult(2, 0, true)
 	c.RecordForgedAccepted()
 	c.RecordSigVerification()
-	c.RecordPuzzleReject()
-	c.RecordChannelLoss()
+	c.Drop(1, 0, &packet.Sig{}, trace.DropPuzzle)
+	c.Drop(2, 0, d, trace.DropChannel)
 	if c.AuthDrops() != 2 || c.ForgedAccepted() != 1 || c.SigVerifications() != 1 ||
-		c.PuzzleRejects() != 1 || c.ChannelLosses() != 1 {
+		c.Drops(trace.DropPuzzle) != 1 || c.Drops(trace.DropChannel) != 1 {
 		t.Fatal("security counters wrong")
 	}
 }
 
 func TestRxAccounting(t *testing.T) {
-	c := New()
-	c.RecordRx(&packet.Adv{})
-	if c.Rx(packet.TypeAdv) != 1 {
+	c := New(nil)
+	c.Rx(1, 0, &packet.Adv{})
+	if c.RxOf(packet.TypeAdv) != 1 {
 		t.Fatal("rx count wrong")
 	}
 }
 
 func TestStringSummary(t *testing.T) {
-	c := New()
-	c.RecordTx(0, &packet.Adv{})
+	c := New(nil)
+	c.Tx(0, 0, &packet.Adv{})
 	s := c.String()
 	if !strings.Contains(s, "adv") || !strings.Contains(s, "total") {
 		t.Fatalf("summary missing fields: %q", s)
@@ -94,15 +92,15 @@ func TestStringSummary(t *testing.T) {
 }
 
 // TestStringGolden pins the byte-exact rendering, including the ordering of
-// the per-type section and the fault-counter block: both iterate maps, so
-// this golden is the regression net for report determinism.
+// the per-type section and the fault-counter block, the regression net for
+// report determinism.
 func TestStringGolden(t *testing.T) {
-	c := New()
+	c := New(nil)
 	// Insert packet types in an order that differs from their sort order.
-	c.RecordTx(2, &packet.Data{Src: 2, Unit: 1, Index: 0, Payload: make([]byte, 4)})
-	c.RecordTx(1, &packet.Adv{Src: 1})
-	c.RecordTx(0, &packet.Sig{Src: 0, Signature: make([]byte, 64)})
-	c.RecordCompletion(1, 3*sim.Second)
+	c.Tx(0, 2, &packet.Data{Src: 2, Unit: 1, Index: 0, Payload: make([]byte, 4)})
+	c.Tx(0, 1, &packet.Adv{Src: 1})
+	c.Tx(0, 0, &packet.Sig{Src: 0, Signature: make([]byte, 64)})
+	c.Complete(1, 3*sim.Second)
 
 	// Fault activity, with two nodes still down at the end inserted in
 	// descending id order to catch map-order leaks.
@@ -111,8 +109,8 @@ func TestStringGolden(t *testing.T) {
 	c.RecordCrash(1, 1*sim.Second, 1)
 	c.RecordReboot(1, 2*sim.Second)
 	c.RecordRefetch()
-	c.RecordFaultDrop()
-	c.RecordFaultDrop()
+	c.Drop(3, 0, &packet.Adv{}, trace.DropFault)
+	c.Drop(4, 0, &packet.Adv{}, trace.DropFault)
 
 	want := "adv: 1 pkts / 19 B; data: 1 pkts / 26 B; sig: 1 pkts / 115 B; " +
 		"total 160 B; latency 3s; completed 1; " +
@@ -125,11 +123,11 @@ func TestStringGolden(t *testing.T) {
 }
 
 func TestFaultDropCounter(t *testing.T) {
-	c := New()
-	c.RecordFaultDrop()
-	c.RecordChannelLoss()
-	if c.FaultDrops() != 1 || c.ChannelLosses() != 1 {
-		t.Fatalf("fault_drops=%d channel_losses=%d", c.FaultDrops(), c.ChannelLosses())
+	c := New(nil)
+	c.Drop(1, 0, &packet.Adv{}, trace.DropFault)
+	c.Drop(1, 0, &packet.Adv{}, trace.DropChannel)
+	if c.Drops(trace.DropFault) != 1 || c.Drops(trace.DropChannel) != 1 {
+		t.Fatalf("fault_drops=%d channel_losses=%d", c.Drops(trace.DropFault), c.Drops(trace.DropChannel))
 	}
 }
 
@@ -137,13 +135,13 @@ func TestFaultDropCounter(t *testing.T) {
 // in any order, ids never seen read as zero / not completed, and only the
 // first completion per node counts.
 func TestPerNodeCounters(t *testing.T) {
-	c := New()
-	c.RecordTx(3, &packet.Adv{Src: 3})
-	c.RecordTx(3, &packet.Adv{Src: 3})
-	c.RecordTx(5, &packet.Adv{Src: 5})
-	c.RecordCompletion(2, 100)
-	c.RecordCompletion(2, 50) // first completion wins
-	c.RecordCompletion(7, 400)
+	c := New(nil)
+	c.Tx(0, 3, &packet.Adv{Src: 3})
+	c.Tx(0, 3, &packet.Adv{Src: 3})
+	c.Tx(0, 5, &packet.Adv{Src: 5})
+	c.Complete(2, 100)
+	c.Complete(2, 50) // first completion wins
+	c.Complete(7, 400)
 	if got := c.NodeTx(3); got != 2 {
 		t.Fatalf("NodeTx(3) = %d, want 2", got)
 	}
@@ -160,5 +158,42 @@ func TestPerNodeCounters(t *testing.T) {
 		if ok != (want >= 0) || (ok && got != want) {
 			t.Fatalf("CompletionTime(%d) = (%v, %v), want %v", id, got, ok, want)
 		}
+	}
+}
+
+// TestReportsForwardToTracer pins the one reporting seam: each report is
+// counted and then traced exactly once, and a repeated completion is traced
+// but counted once.
+func TestReportsForwardToTracer(t *testing.T) {
+	ring := trace.NewRing(16)
+	tr, err := trace.New(sim.New(), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(tr)
+	if c.Tracer() != tr {
+		t.Fatal("Tracer() is not the constructor's tracer")
+	}
+	d := &packet.Data{Src: 1, Unit: 2, Index: 3, Payload: make([]byte, 4)}
+	c.Tx(0, 1, d)
+	c.Rx(2, 1, d)
+	c.Drop(3, 1, d, trace.DropChannel)
+	c.SigResult(2, 1, false)
+	c.Complete(2, 5)
+	c.Complete(2, 9)
+	want := []trace.Kind{trace.KindTx, trace.KindRx, trace.KindDrop, trace.KindSigReject,
+		trace.KindComplete, trace.KindComplete}
+	events := ring.Events()
+	if len(events) != len(want) {
+		t.Fatalf("traced %d events, want %d", len(events), len(want))
+	}
+	for i, e := range events {
+		if e.Kind != want[i] {
+			t.Fatalf("event %d is %v, want %v", i, e.Kind, want[i])
+		}
+	}
+	if c.TxOf(packet.TypeData) != 1 || c.RxOf(packet.TypeData) != 1 ||
+		c.Drops(trace.DropChannel) != 1 || c.AuthDrops() != 1 || c.Completions() != 1 {
+		t.Fatalf("counters disagree with the trace: %s", c)
 	}
 }

@@ -1,19 +1,11 @@
 package radio
 
-import (
-	"math/rand"
-
-	"lrseluge/internal/sim"
-)
-
-// FaultOverlay is a link-override layer the fault engine toggles: it wraps
-// (not replaces) the network's LossModel, deterministically dropping every
-// delivery that a current fault forbids — a down endpoint, an open link
-// outage window, or a partition boundary — and delegating everything else to
-// the wrapped channel model. Blocked deliveries never consume the inner
-// model's randomness, so a faulted run stays reproducible for a fixed plan.
+// FaultOverlay is the fault state the fault engine toggles: down nodes, open
+// link outage windows and the current partition. The network checks Blocked
+// on every delivery before the channel model runs and drops every delivery a
+// current fault forbids, so blocked deliveries never consume channel
+// randomness and a faulted run stays reproducible for a fixed plan.
 type FaultOverlay struct {
-	inner    LossModel
 	numNodes int
 
 	down     []bool
@@ -29,14 +21,12 @@ type FaultOverlay struct {
 	groupEpoch  []int
 	curEpoch    int
 	restCell    int
-
-	faultDrops int64
 }
 
-// newFaultOverlay wraps inner for a topology of numNodes nodes.
-func newFaultOverlay(inner LossModel, numNodes int) *FaultOverlay {
+// newFaultOverlay returns a fault-free overlay for a topology of numNodes
+// nodes.
+func newFaultOverlay(numNodes int) *FaultOverlay {
 	return &FaultOverlay{
-		inner:      inner,
 		numNodes:   numNodes,
 		down:       make([]bool, numNodes),
 		linkDown:   make(map[linkKey]bool),
@@ -45,12 +35,11 @@ func newFaultOverlay(inner LossModel, numNodes int) *FaultOverlay {
 	}
 }
 
-// InstallFaultOverlay wraps the network's loss model in a fault overlay and
-// returns it; repeated calls return the already-installed overlay.
+// InstallFaultOverlay installs a fault overlay on the network and returns
+// it; repeated calls return the already-installed overlay.
 func (nw *Network) InstallFaultOverlay() *FaultOverlay {
 	if nw.fault == nil {
-		nw.fault = newFaultOverlay(nw.loss, len(nw.nodes))
-		nw.loss = nw.fault
+		nw.fault = newFaultOverlay(len(nw.nodes))
 	}
 	return nw.fault
 }
@@ -124,24 +113,4 @@ func (o *FaultOverlay) Blocked(from, to int) bool {
 		return true
 	}
 	return false
-}
-
-// FaultDrops returns how many delivery attempts the overlay blocked. The
-// network attributes each drop to exactly one cause: fault-blocked
-// deliveries are counted here (and in the collector's fault-drop counter),
-// never in the channel-loss total.
-func (o *FaultOverlay) FaultDrops() int64 { return o.faultDrops }
-
-// countDrop accounts one blocked delivery attributed by the network's
-// pre-check, which bypasses Drop to keep the attribution single-sourced.
-func (o *FaultOverlay) countDrop() { o.faultDrops++ }
-
-// Drop implements LossModel: block if a fault forbids the delivery,
-// otherwise delegate to the wrapped channel model.
-func (o *FaultOverlay) Drop(from, to int, linkQuality float64, now sim.Time, rng *rand.Rand) bool {
-	if o.Blocked(from, to) {
-		o.faultDrops++
-		return true
-	}
-	return o.inner.Drop(from, to, linkQuality, now, rng)
 }

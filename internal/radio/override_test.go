@@ -11,8 +11,8 @@ import (
 	"lrseluge/internal/topo"
 )
 
-// countingLoss counts delegated Drop calls, proving the overlay consumes no
-// inner randomness for blocked deliveries.
+// countingLoss counts Drop calls, proving the network consults no channel
+// model (and so draws no randomness) for fault-blocked deliveries.
 type countingLoss struct {
 	calls int
 	drop  bool
@@ -23,14 +23,14 @@ func (c *countingLoss) Drop(_, _ int, _ float64, _ sim.Time, _ *rand.Rand) bool 
 	return c.drop
 }
 
-func newOverlayUnderTest(t *testing.T, nodes int, inner LossModel) (*Network, *FaultOverlay) {
+func newOverlayUnderTest(t *testing.T, nodes int) (*Network, *FaultOverlay) {
 	t.Helper()
 	eng := sim.New()
 	g, err := topo.Complete(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := New(eng, g, inner, DefaultConfig(), metrics.New(), 5)
+	nw, err := New(eng, g, nil, DefaultConfig(), metrics.New(nil), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func newOverlayUnderTest(t *testing.T, nodes int, inner LossModel) (*Network, *F
 }
 
 func TestInstallFaultOverlayIdempotent(t *testing.T) {
-	nw, ov := newOverlayUnderTest(t, 3, nil)
+	nw, ov := newOverlayUnderTest(t, 3)
 	if nw.InstallFaultOverlay() != ov {
 		t.Fatal("second install returned a different overlay")
 	}
@@ -48,27 +48,16 @@ func TestInstallFaultOverlayIdempotent(t *testing.T) {
 }
 
 func TestOverlayBlocking(t *testing.T) {
-	inner := &countingLoss{}
-	_, ov := newOverlayUnderTest(t, 5, inner)
-	rng := rand.New(rand.NewSource(1))
+	_, ov := newOverlayUnderTest(t, 5)
 
-	if ov.Drop(0, 1, 1, 0, rng) {
-		t.Fatal("no fault active but delivery dropped")
-	}
-	if inner.calls != 1 {
-		t.Fatalf("inner model not consulted: calls=%d", inner.calls)
+	if ov.Blocked(0, 1) {
+		t.Fatal("no fault active but delivery blocked")
 	}
 
 	// Down endpoints block both directions of every link touching the node.
 	ov.SetNodeDown(1, true)
 	if !ov.Blocked(0, 1) || !ov.Blocked(1, 0) || ov.Blocked(0, 2) {
 		t.Fatal("node-down blocking wrong")
-	}
-	if !ov.Drop(0, 1, 1, 0, rng) {
-		t.Fatal("delivery to a down node not dropped")
-	}
-	if inner.calls != 1 {
-		t.Fatal("blocked delivery consumed inner randomness")
 	}
 	ov.SetNodeDown(1, false)
 	if ov.Blocked(0, 1) {
@@ -96,10 +85,6 @@ func TestOverlayBlocking(t *testing.T) {
 		t.Fatal("partition survives heal")
 	}
 
-	if got := ov.FaultDrops(); got != 1 {
-		t.Fatalf("FaultDrops = %d, want 1", got)
-	}
-
 	// Out-of-range ids never block (and never panic).
 	ov.SetNodeDown(99, true)
 	if ov.Blocked(99, 0) || ov.Blocked(0, 99) {
@@ -110,7 +95,7 @@ func TestOverlayBlocking(t *testing.T) {
 // TestOverlaySilencesDownSender checks the radio-level integration: a down
 // node neither starts transmissions nor completes in-flight ones.
 func TestOverlaySilencesDownSender(t *testing.T) {
-	nw, ov := newOverlayUnderTest(t, 2, nil)
+	nw, ov := newOverlayUnderTest(t, 2)
 	eng := nw.Engine()
 	got := 0
 	if err := nw.Attach(1, receiverFunc(func(packet.NodeID, packet.Packet) { got++ })); err != nil {
@@ -152,7 +137,7 @@ type receiverFunc func(packet.NodeID, packet.Packet)
 func (f receiverFunc) HandlePacket(from packet.NodeID, p packet.Packet) { f(from, p) }
 
 func TestSetPartitionEpochSemantics(t *testing.T) {
-	_, ov := newOverlayUnderTest(t, 6, nil)
+	_, ov := newOverlayUnderTest(t, 6)
 
 	// First partition: {0,1} | {2,3}, nodes 4 and 5 in the remainder cell.
 	ov.SetPartition([][]int{{0, 1}, {2, 3}})
@@ -187,7 +172,7 @@ func TestSetPartitionEpochSemantics(t *testing.T) {
 // plan that re-partitions every round stays O(listed) per event even on a
 // 100k-node topology.
 func TestSetPartitionAllocFree(t *testing.T) {
-	ov := newFaultOverlay(nil, 100000)
+	ov := newFaultOverlay(100000)
 	groups := [][]int{{1, 2, 3}, {4, 5, 6}}
 	if avg := testing.AllocsPerRun(100, func() { ov.SetPartition(groups) }); avg != 0 {
 		t.Fatalf("SetPartition allocates %v times per call, want 0", avg)
@@ -196,7 +181,7 @@ func TestSetPartitionAllocFree(t *testing.T) {
 
 func BenchmarkSetPartition(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
-		ov := newFaultOverlay(nil, n)
+		ov := newFaultOverlay(n)
 		groups := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

@@ -68,8 +68,8 @@ type Network struct {
 	nodes     []Receiver
 	busyUntil []sim.Time
 
-	// fault, when installed, wraps loss and silences down nodes (see
-	// override.go).
+	// fault, when installed, blocks deliveries a current fault forbids and
+	// silences down nodes (see override.go).
 	fault *FaultOverlay
 
 	// batchPool recycles per-transmission delivery scratch buffers.
@@ -77,26 +77,16 @@ type Network struct {
 	// so this is a free list, not a single buffer.
 	batchPool [][]delivery
 
-	txObs TxObserver
-
-	// tr records packet lifecycle events; nil (the default) disables
-	// tracing at one branch per event site.
-	tr *trace.Tracer
-
 	// obs attributes delivery fan-out wall time: the engine's timers, read
 	// at construction. nil (the default) disables the phase timers at one
 	// branch per region boundary.
 	obs *obs.Timers
 }
 
-// TxObserver sees every packet at the moment its transmission completes,
-// before delivery fans out to neighbors. Observers run in global
-// transmission order, which makes them suitable for trace hashing in
-// reproducibility tests and for packet logging.
-type TxObserver func(at sim.Time, from packet.NodeID, p packet.Packet)
-
 // New creates a network over the given topology. Node IDs are topology
-// indices; every node must be attached before traffic flows to it.
+// indices; every node must be attached before traffic flows to it. Every
+// transmission, delivery and drop is reported once, to col, which counts it
+// and forwards it to the run's tracer and transmission hash.
 func New(eng *sim.Engine, graph *topo.Graph, loss LossModel, cfg Config, col *metrics.Collector, seed int64) (*Network, error) {
 	if eng == nil || graph == nil || col == nil {
 		return nil, fmt.Errorf("radio: nil dependency")
@@ -131,18 +121,6 @@ func (nw *Network) Attach(id packet.NodeID, r Receiver) error {
 	nw.nodes[id] = r
 	return nil
 }
-
-// SetTxObserver registers fn to observe every completed transmission.
-// Passing nil removes the observer.
-func (nw *Network) SetTxObserver(fn TxObserver) { nw.txObs = fn }
-
-// SetTracer installs (or, with nil, removes) the event tracer. Install it
-// before traffic flows so traces cover the whole run.
-func (nw *Network) SetTracer(tr *trace.Tracer) { nw.tr = tr }
-
-// Tracer returns the installed tracer; nil means tracing is off. Protocol
-// nodes pick it up here so one installation covers the whole stack.
-func (nw *Network) Tracer() *trace.Tracer { return nw.tr }
 
 // Engine returns the simulation engine driving this network.
 func (nw *Network) Engine() *sim.Engine { return nw.eng }
@@ -181,11 +159,7 @@ func (nw *Network) Broadcast(from packet.NodeID, p packet.Packet) {
 		if nw.fault != nil && nw.fault.NodeDown(int(from)) {
 			return // the sender lost power mid-transmission
 		}
-		nw.col.RecordTx(from, p)
-		nw.tr.Tx(from, p)
-		if nw.txObs != nil {
-			nw.txObs(nw.eng.Now(), from, p)
-		}
+		nw.col.Tx(done, from, p)
 		nw.deliver(from, p)
 	})
 }
@@ -245,19 +219,14 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 			continue
 		}
 		// Fault-blocked deliveries are attributed before the channel model
-		// runs, so each drop has exactly one cause in metrics and trace.
-		// Blocked deliveries consume no channel randomness either way: the
-		// overlay's Drop short-circuits before its inner model, so this
-		// pre-check leaves the RNG stream byte-identical.
+		// runs, so each drop has exactly one cause, and a blocked delivery
+		// consumes no channel randomness.
 		if nw.fault != nil && nw.fault.Blocked(int(from), to) {
-			nw.fault.countDrop()
-			nw.col.RecordFaultDrop()
-			nw.tr.Drop(packet.NodeID(to), from, p, trace.DropFault)
+			nw.col.Drop(packet.NodeID(to), from, p, trace.DropFault)
 			continue
 		}
 		if nw.loss.Drop(int(from), to, link.Quality, now, nw.rng) {
-			nw.col.RecordChannelLoss()
-			nw.tr.Drop(packet.NodeID(to), from, p, trace.DropChannel)
+			nw.col.Drop(packet.NodeID(to), from, p, trace.DropChannel)
 			continue
 		}
 		batch = append(batch, delivery{to: to, rcv: rcv})
@@ -279,8 +248,7 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 	nw.eng.Schedule(nw.cfg.PropDelay, func() {
 		nw.obs.Start(obs.PhaseRadioDeliver)
 		for _, d := range batch {
-			nw.col.RecordRx(p)
-			nw.tr.Rx(packet.NodeID(d.to), from, p)
+			nw.col.Rx(packet.NodeID(d.to), from, p)
 			d.rcv.HandlePacket(from, p)
 		}
 		nw.putBatch(batch)

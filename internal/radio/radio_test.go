@@ -7,6 +7,7 @@ import (
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
+	"lrseluge/internal/trace"
 )
 
 type recorder struct {
@@ -25,7 +26,7 @@ func (r *recorder) HandlePacket(_ packet.NodeID, p packet.Packet) {
 func newTestNet(t *testing.T, nodes int, loss LossModel) (*Network, *sim.Engine, []*recorder, *metrics.Collector) {
 	t.Helper()
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, err := topo.Complete(nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,8 @@ func TestBroadcastReachesAllNeighbors(t *testing.T) {
 			t.Fatalf("node %d got %d packets", i, len(recs[i].got))
 		}
 	}
-	if col.Tx(packet.TypeAdv) != 1 || col.Rx(packet.TypeAdv) != 3 {
-		t.Fatalf("metrics wrong: tx=%d rx=%d", col.Tx(packet.TypeAdv), col.Rx(packet.TypeAdv))
+	if col.TxOf(packet.TypeAdv) != 1 || col.RxOf(packet.TypeAdv) != 3 {
+		t.Fatalf("metrics wrong: tx=%d rx=%d", col.TxOf(packet.TypeAdv), col.RxOf(packet.TypeAdv))
 	}
 }
 
@@ -107,14 +108,14 @@ func TestBernoulliLossRate(t *testing.T) {
 	if got < 0.65 || got > 0.75 {
 		t.Fatalf("delivery rate %f, want ~0.70", got)
 	}
-	if col.ChannelLosses() == 0 {
+	if col.Drops(trace.DropChannel) == 0 {
 		t.Fatal("losses not recorded")
 	}
 }
 
 func TestNoLossModelHonorsLinkQuality(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, _ := topo.Grid(1, 2, topo.Medium) // 20 units apart: quality < 1
 	nw, err := New(eng, g, NoLoss{}, DefaultConfig(), col, 2)
 	if err != nil {
@@ -154,7 +155,7 @@ func TestGilbertElliottProducesBurstyLoss(t *testing.T) {
 
 func TestAttachErrors(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, _ := topo.Complete(2)
 	nw, _ := New(eng, g, nil, DefaultConfig(), col, 1)
 	if err := nw.Attach(5, &recorder{}); err == nil {
@@ -170,7 +171,7 @@ func TestAttachErrors(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, _ := topo.Complete(2)
 	if _, err := New(nil, g, nil, DefaultConfig(), col, 1); err == nil {
 		t.Fatal("nil engine accepted")
@@ -184,7 +185,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestUnattachedNodesSkipped(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, _ := topo.Complete(3)
 	nw, _ := New(eng, g, nil, DefaultConfig(), col, 1)
 	r := &recorder{}
@@ -206,7 +207,7 @@ func (sink) HandlePacket(packet.NodeID, packet.Packet) {}
 // reusing a pooled scratch buffer — NOT one closure per neighbor.
 func TestBroadcastAllocs(t *testing.T) {
 	eng := sim.New()
-	col := metrics.New()
+	col := metrics.New(nil)
 	g, err := topo.Complete(9) // degree 8: per-neighbor allocation would show up 8x
 	if err != nil {
 		t.Fatal(err)

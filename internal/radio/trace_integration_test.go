@@ -53,17 +53,16 @@ func TestDropAttributionSingleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := metrics.New()
-	nw, err := New(eng, g, inner, DefaultConfig(), col, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ring := trace.NewRing(64)
 	tr, err := trace.New(eng, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetTracer(tr)
+	col := metrics.New(tr)
+	nw, err := New(eng, g, inner, DefaultConfig(), col, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ov := nw.InstallFaultOverlay()
 	for id := 0; id < 2; id++ {
 		if err := nw.Attach(packet.NodeID(id), receiverFunc(func(packet.NodeID, packet.Packet) {})); err != nil {
@@ -86,9 +85,9 @@ func TestDropAttributionSingleCount(t *testing.T) {
 	ov.SetNodeDown(1, true)
 	nw.Broadcast(0, adv)
 	eng.Run(sim.Second)
-	if col.FaultDrops() != 1 || col.ChannelLosses() != 0 {
+	if col.Drops(trace.DropFault) != 1 || col.Drops(trace.DropChannel) != 0 {
 		t.Fatalf("fault-blocked delivery: fault_drops=%d channel_losses=%d, want 1/0",
-			col.FaultDrops(), col.ChannelLosses())
+			col.Drops(trace.DropFault), col.Drops(trace.DropChannel))
 	}
 	if inner.calls != 0 {
 		t.Fatalf("fault-blocked delivery consulted the loss model %d times", inner.calls)
@@ -104,9 +103,9 @@ func TestDropAttributionSingleCount(t *testing.T) {
 	inner.drop = true
 	nw.Broadcast(0, adv)
 	eng.Run(eng.Now() + sim.Second)
-	if col.FaultDrops() != 1 || col.ChannelLosses() != 1 {
+	if col.Drops(trace.DropFault) != 1 || col.Drops(trace.DropChannel) != 1 {
 		t.Fatalf("channel drop: fault_drops=%d channel_losses=%d, want 1/1",
-			col.FaultDrops(), col.ChannelLosses())
+			col.Drops(trace.DropFault), col.Drops(trace.DropChannel))
 	}
 	if inner.calls != 1 {
 		t.Fatalf("loss model calls = %d, want 1", inner.calls)
@@ -120,7 +119,7 @@ func TestDropAttributionSingleCount(t *testing.T) {
 	inner.drop = false
 	nw.Broadcast(0, adv)
 	eng.Run(eng.Now() + sim.Second)
-	if col.FaultDrops() != 1 || col.ChannelLosses() != 1 {
+	if col.Drops(trace.DropFault) != 1 || col.Drops(trace.DropChannel) != 1 {
 		t.Fatal("successful delivery moved a drop counter")
 	}
 	rx := 0

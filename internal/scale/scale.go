@@ -145,11 +145,11 @@ func Run(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	eng, col := env.Engine(), env.Collector()
 	var traceHash func() string
 	if cfg.TraceHash {
-		traceHash = env.TraceHash()
+		traceHash = col.HashTx()
 	}
-	eng, col := env.Engine(), env.Collector()
 
 	start := time.Now()
 	env.Drive(cfg.SliceEvery, func(now sim.Time) {

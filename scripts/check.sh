@@ -15,7 +15,7 @@
 # (BENCH_fault.json), and the tracing gates: traced-sweep metrics must stay
 # byte-equal to the untraced golden, per-run trace directories must be
 # worker-invariant, lrtrace must reproduce its committed summary golden on
-# a churn-fault run, and the tracer overhead bench (BENCH_trace.json) must
+# a churn-fault run whose lrsim fault-drop count equals the trace's, and the tracer overhead bench (BENCH_trace.json) must
 # keep the disabled-tracer cost under 2%. The result-serving gates: the
 # lrserved smoke (miss -> hit -> restart -> warm hit over real HTTP, bodies
 # byte-identical), the lrsweep incremental-store rerun (warm pass all-cached
@@ -195,9 +195,17 @@ echo "==> lrtrace on a churn-fault run (summary golden + every subcommand)"
 go run ./cmd/lrsim -proto lr-seluge -kb 4 -receivers 5 -seed 1 -runs 1 \
     -trace "$tmpdir/base.jsonl" > /dev/null
 go run ./cmd/lrsim -proto lr-seluge -kb 4 -receivers 5 -seed 1 -runs 1 \
-    -faults examples/faults/churn.json -trace "$tmpdir/churn.jsonl" > /dev/null
+    -faults examples/faults/churn.json -trace "$tmpdir/churn.jsonl" > "$tmpdir/churn_lrsim.txt"
 go run ./cmd/lrtrace summary -json "$tmpdir/churn.jsonl" > "$tmpdir/churn_summary.json"
 diff -u cmd/lrtrace/testdata/churn_summary.golden.json "$tmpdir/churn_summary.json"
+# The run's counters and its trace come from one report per event, so
+# lrsim's fault-drop count must equal the trace's fault-drop bucket.
+sim_fault=$(sed -n 's/^fault drops: *\([0-9]*\)\.0$/\1/p' "$tmpdir/churn_lrsim.txt")
+trace_fault=$(sed -n 's/.*"drops":{[^}]*"fault":\([0-9]*\).*/\1/p' "$tmpdir/churn_summary.json")
+if [ -z "$sim_fault" ] || [ "$sim_fault" != "$trace_fault" ]; then
+    echo "lrsim fault drops '$sim_fault' != lrtrace drops.fault '$trace_fault'" >&2
+    exit 1
+fi
 go run ./cmd/lrtrace summary "$tmpdir/churn.jsonl" > /dev/null
 go run ./cmd/lrtrace timeline -node 2 "$tmpdir/churn.jsonl" > /dev/null
 go run ./cmd/lrtrace latency -csv "$tmpdir/fetch.csv" "$tmpdir/churn.jsonl" > /dev/null
