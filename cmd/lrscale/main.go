@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -125,12 +126,20 @@ func main() {
 			Seed:         *seed,
 			Queue:        queue,
 			CompactRNG:   true,
-			Board:        board,
 		}
 		if *obsOn {
 			cfg.Obs = obs.NewTimers()
 		}
-		var snapFile *os.File
+		// Each progress slice observes the heap peak (-obs-dir), prints a
+		// line (unless -q), then samples the runtime and publishes the
+		// sample to the live /progress board (-http); under -obs-dir the
+		// samples also go to the snapshot stream.
+		var (
+			snapFile *os.File
+			sampler  *obs.Sampler
+			peak     *obs.HeapPeak
+			peakErr  error
+		)
 		if *obsDir != "" {
 			f, err := os.Create(filepath.Join(*obsDir, fmt.Sprintf("n%d.snapshots.jsonl", n)))
 			if err != nil {
@@ -138,29 +147,31 @@ func main() {
 				os.Exit(1)
 			}
 			snapFile = f
-			cfg.Sampler = obs.NewSampler(f)
+			sampler = obs.NewSampler(f)
+			peak = &obs.HeapPeak{}
+		} else if board != nil {
+			sampler = obs.NewSampler(io.Discard)
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "lrscale: n=%d queue=%s ...\n", n, queue)
-			cfg.Progress = func(s scale.Snapshot) {
-				fmt.Fprintf(os.Stderr, "  t=%v completed=%d events=%d wall=%v\n",
-					s.Now, s.Completed, s.Events, s.WallElapsed.Round(1000000))
-			}
 		}
-		var (
-			peak    *obs.HeapPeak
-			peakErr error
-		)
-		if *obsDir != "" {
-			peak = &obs.HeapPeak{}
-			show := cfg.Progress
-			cfg.Progress = func(s scale.Snapshot) {
+		cfg.Progress = func(s scale.Snapshot) {
+			if peak != nil {
 				if err := peak.Observe(); err != nil && peakErr == nil {
 					peakErr = err
 				}
-				if show != nil {
-					show(s)
-				}
+			}
+			if !*quiet {
+				fmt.Fprintf(os.Stderr, "  t=%v completed=%d events=%d wall=%v\n",
+					s.Now, s.Completed, s.Events, s.WallElapsed.Round(1000000))
+			}
+			if sampler != nil {
+				board.Publish(sampler.Sample(obs.Gauges{
+					SimNS:     int64(s.Now),
+					Events:    s.Events,
+					Pending:   s.Pending,
+					Completed: s.Completed,
+				}))
 			}
 		}
 		rep, err := scale.Run(cfg)
@@ -183,7 +194,7 @@ func main() {
 			}
 		}
 		if snapFile != nil {
-			if err := cfg.Sampler.Flush(); err == nil {
+			if err := sampler.Flush(); err == nil {
 				err = snapFile.Close()
 			}
 			if err != nil {

@@ -528,7 +528,7 @@ func runTracebench(path, sweep string, entries []experiment.GridEntry, timeout t
 	nilNs := bench.NsPerOp(func(n int) {
 		var tr *trace.Tracer
 		for i := 0; i < n; i++ {
-			tr.Fault("", i, i, 0)
+			tr.Fault("", i, i)
 		}
 	})
 	rep := traceBenchReport{

@@ -30,23 +30,21 @@ type Injector struct {
 	rng      *rand.Rand
 	interval sim.Time
 
-	template  *packet.Data
-	timer     sim.Timer
-	sent      int64
-	stopped   bool
-	intensity float64
+	template *packet.Data
+	timer    sim.Timer
+	sent     int64
+	stopped  bool
 }
 
 // NewInjector creates an injector that transmits one forged packet per
 // interval once it has overheard a template.
 func NewInjector(id packet.NodeID, nw *radio.Network, interval sim.Time, seed int64) (*Injector, error) {
 	a := &Injector{
-		id:        id,
-		nw:        nw,
-		eng:       nw.Engine(),
-		rng:       rand.New(rand.NewSource(seed)),
-		interval:  interval,
-		intensity: 1,
+		id:       id,
+		nw:       nw,
+		eng:      nw.Engine(),
+		rng:      rand.New(rand.NewSource(seed)),
+		interval: interval,
 	}
 	if err := nw.Attach(id, a); err != nil {
 		return nil, err
@@ -68,18 +66,6 @@ func (a *Injector) Stop() {
 // Sent returns the number of forged packets transmitted.
 func (a *Injector) Sent() int64 { return a.sent }
 
-// SetIntensity scales the injection rate: the effective interval is the base
-// interval divided by intensity, so 2 doubles the flood and 0 pauses it (the
-// loop keeps ticking idle at the base interval, ready for the next ramp-up).
-// Driven by fault-plan adversary-ramp events to model a time-varying
-// attacker.
-func (a *Injector) SetIntensity(intensity float64) {
-	if intensity < 0 {
-		intensity = 0
-	}
-	a.intensity = intensity
-}
-
 // HandlePacket implements radio.Receiver: learn the shape of current
 // traffic so forgeries target exactly the unit receivers are assembling.
 func (a *Injector) HandlePacket(_ packet.NodeID, p packet.Packet) {
@@ -95,12 +81,6 @@ func (a *Injector) tick() {
 	if a.stopped {
 		return
 	}
-	if a.intensity <= 0 {
-		// Paused by an adversary ramp: tick idle at the base interval so a
-		// later ramp-up resumes without rescheduling bookkeeping.
-		a.timer = a.eng.Schedule(a.interval, a.tick)
-		return
-	}
 	if a.template != nil {
 		f := *a.template
 		f.Src = a.id
@@ -113,7 +93,7 @@ func (a *Injector) tick() {
 		a.nw.Broadcast(a.id, &f)
 		a.sent++
 	}
-	a.timer = a.eng.Schedule(sim.Time(float64(a.interval)/a.intensity), a.tick)
+	a.timer = a.eng.Schedule(a.interval, a.tick)
 }
 
 // SigFlooder floods forged signature packets to coerce nodes into expensive

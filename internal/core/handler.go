@@ -371,11 +371,11 @@ func (h *Handler) SigPacket(src packet.NodeID) *packet.Sig {
 	return &out
 }
 
-// Packets implements dissem.ObjectHandler: a serving node re-applies the
+// Packet implements dissem.ObjectHandler: a serving node re-applies the
 // same erasure code to the recovered page to regenerate ANY of the n
 // encoded packets, exactly as the base station built them (paper §IV-D.3).
 // Every holder of a unit serves the one encoding cached on its entry.
-func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
+func (h *Handler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 	if u < 1 || u >= h.CompleteUnits() {
 		return nil, fmt.Errorf("core: unit %d not held", u)
 	}
@@ -388,23 +388,19 @@ func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Da
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*packet.Data, 0, len(indices))
-	for _, idx := range indices {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("core: unit %d index %d out of range", u, idx)
-		}
-		d := &packet.Data{
-			Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
-			Payload: enc[idx],
-		}
-		if u == 1 {
-			if d.Proof, err = entry.tree.Proof(idx); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, d)
+	if idx < 0 || idx >= n {
+		return nil, fmt.Errorf("core: unit %d index %d out of range", u, idx)
 	}
-	return out, nil
+	d := &packet.Data{
+		Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
+		Payload: enc[idx],
+	}
+	if u == 1 {
+		if d.Proof, err = entry.tree.Proof(idx); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
 }
 
 // encoded returns a page entry's n encoded packets, encoding them on the

@@ -111,11 +111,11 @@ func deliverSubset(t *testing.T, src, dst *Handler, rng *rand.Rand) {
 		idxs := rng.Perm(n)[:need]
 		before := dst.CompleteUnits()
 		for _, idx := range idxs {
-			pkts, err := src.Packets(u, []int{idx}, 0)
+			pkts, err := src.Packet(u, idx, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res := dst.Ingest(pkts[0]); res == dissem.Rejected {
+			if res := dst.Ingest(pkts); res == dissem.Rejected {
 				t.Fatalf("unit %d idx %d rejected", u, idx)
 			}
 		}
@@ -172,12 +172,12 @@ func TestHashImagePosition(t *testing.T) {
 		src := Preload(f.obj, f.store, f.sigCtx())
 		plain := image.Join(f.obj.units[1].blocks)
 		for j := 0; j < s.n; j++ {
-			pkts, err := src.Packets(3, []int{j}, 0)
+			pkts, err := src.Packet(3, j, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			at := s.imgOff + j*s.imgStride
-			if hashx.FromBytes(plain[at:]) != hashx.Sum(pkts[0].AuthBody()) {
+			if hashx.FromBytes(plain[at:]) != hashx.Sum(pkts.AuthBody()) {
 				t.Fatalf("image %d not at byte %d", j, at)
 			}
 		}
@@ -219,15 +219,15 @@ func TestReceiverRegeneratesIdenticalPackets(t *testing.T) {
 
 		for u := 1; u < mid.TotalUnits(); u++ {
 			for idx := 0; idx < mid.PacketsInUnit(u); idx++ {
-				a, err := src.Packets(u, []int{idx}, 0)
+				a, err := src.Packet(u, idx, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := mid.Packets(u, []int{idx}, 0)
+				b, err := mid.Packet(u, idx, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(a[0].Payload, b[0].Payload) {
+				if !bytes.Equal(a.Payload, b.Payload) {
 					t.Fatalf("unit %d idx %d: regenerated payload differs", u, idx)
 				}
 			}
@@ -344,9 +344,9 @@ func TestForgedPacketsRejected(t *testing.T) {
 		src := bootstrap(t, f, dst)
 
 		// Forged M0 shard.
-		m0, _ := src.Packets(1, []int{0}, 0)
-		forged := *m0[0]
-		forged.Payload = append([]byte(nil), m0[0].Payload...)
+		m0, _ := src.Packet(1, 0, 0)
+		forged := *m0
+		forged.Payload = append([]byte(nil), m0.Payload...)
 		forged.Payload[0] ^= 1
 		if res := dst.Ingest(&forged); res != dissem.Rejected {
 			t.Fatalf("forged M0: %v", res)
@@ -354,30 +354,30 @@ func TestForgedPacketsRejected(t *testing.T) {
 
 		// Complete M0, then forge page packets.
 		for idx := 0; idx < dst.NeededInUnit(1); idx++ {
-			pkts, _ := src.Packets(1, []int{idx}, 0)
-			dst.Ingest(pkts[0])
+			pkts, _ := src.Packet(1, idx, 0)
+			dst.Ingest(pkts)
 		}
 		if dst.CompleteUnits() != 2 {
 			t.Fatal("M0 should be complete")
 		}
-		page, _ := src.Packets(2, []int{1}, 0)
-		for _, at := range []int{3, len(page[0].Payload) - 1} {
-			fp := *page[0]
-			fp.Payload = append([]byte(nil), page[0].Payload...)
+		page, _ := src.Packet(2, 1, 0)
+		for _, at := range []int{3, len(page.Payload) - 1} {
+			fp := *page
+			fp.Payload = append([]byte(nil), page.Payload...)
 			fp.Payload[at] ^= 0x80
 			if res := dst.Ingest(&fp); res != dissem.Rejected {
 				t.Fatalf("page packet forged at byte %d: %v", at, res)
 			}
 		}
 		// Position replay.
-		misplaced := *page[0]
+		misplaced := *page
 		misplaced.Index = 2
 		if res := dst.Ingest(&misplaced); res != dissem.Rejected {
 			t.Fatalf("misplaced page packet: %v", res)
 		}
 		// Wrong payload length.
-		short := *page[0]
-		short.Payload = page[0].Payload[:len(page[0].Payload)-1]
+		short := *page
+		short.Payload = page.Payload[:len(page.Payload)-1]
 		if res := dst.Ingest(&short); res != dissem.Rejected {
 			t.Fatalf("short page packet: %v", res)
 		}
@@ -390,12 +390,12 @@ func TestDuplicateShardsDoNotComplete(t *testing.T) {
 		dst := f.receiver(t)
 		src := bootstrap(t, f, dst)
 		// Feed the same M0 shard repeatedly: the unit must not complete.
-		pkts, _ := src.Packets(1, []int{0}, 0)
-		if res := dst.Ingest(pkts[0]); res == dissem.Rejected {
+		pkts, _ := src.Packet(1, 0, 0)
+		if res := dst.Ingest(pkts); res == dissem.Rejected {
 			t.Fatal("genuine shard rejected")
 		}
 		for i := 0; i < 10; i++ {
-			if res := dst.Ingest(pkts[0]); res != dissem.Duplicate {
+			if res := dst.Ingest(pkts); res != dissem.Duplicate {
 				t.Fatalf("duplicate ingest: %v", res)
 			}
 		}
@@ -411,13 +411,13 @@ func TestPageByPageGating(t *testing.T) {
 		dst := f.receiver(t)
 		src := Preload(f.obj, f.store, f.sigCtx())
 		// Data before the signature: nothing can be authenticated.
-		m0, _ := src.Packets(1, []int{0}, 0)
-		if res := dst.Ingest(m0[0]); res != dissem.Stale {
+		m0, _ := src.Packet(1, 0, 0)
+		if res := dst.Ingest(m0); res != dissem.Stale {
 			t.Fatalf("M0 before the signature: %v", res)
 		}
 		bootstrap(t, f, dst)
-		page, _ := src.Packets(2, []int{0}, 0)
-		if res := dst.Ingest(page[0]); res != dissem.Stale {
+		page, _ := src.Packet(2, 0, 0)
+		if res := dst.Ingest(page); res != dissem.Stale {
 			t.Fatalf("page before M0: %v", res)
 		}
 	})
@@ -536,14 +536,14 @@ func TestPacketsErrors(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 300, s)
 		src := Preload(f.obj, f.store, f.sigCtx())
-		if _, err := src.Packets(99, []int{0}, 0); err == nil {
+		if _, err := src.Packet(99, 0, 0); err == nil {
 			t.Fatal("unheld unit served")
 		}
-		if _, err := src.Packets(2, []int{77}, 0); err == nil {
+		if _, err := src.Packet(2, 77, 0); err == nil {
 			t.Fatal("bad index served")
 		}
 		empty := f.receiver(t)
-		if _, err := empty.Packets(1, []int{0}, 0); err == nil {
+		if _, err := empty.Packet(1, 0, 0); err == nil {
 			t.Fatal("empty handler served")
 		}
 	})

@@ -63,8 +63,8 @@ func TestStoreNeverInternsUnverifiedBytes(t *testing.T) {
 		src := bootstrap(t, f, dst)
 		// Forged M0 shards are all rejected and leave the store empty.
 		for idx := 0; idx < dst.PacketsInUnit(1); idx++ {
-			pkts, _ := src.Packets(1, []int{idx}, 0)
-			forged := *pkts[0]
+			pkts, _ := src.Packet(1, idx, 0)
+			forged := *pkts
 			forged.Payload = append([]byte(nil), forged.Payload...)
 			forged.Payload[0] ^= 1
 			if res := dst.Ingest(&forged); res != dissem.Rejected {
@@ -73,8 +73,8 @@ func TestStoreNeverInternsUnverifiedBytes(t *testing.T) {
 		}
 		// One genuine shard short of k0' decodes nothing and interns nothing.
 		for idx := 0; idx < dst.NeededInUnit(1)-1; idx++ {
-			pkts, _ := src.Packets(1, []int{idx}, 0)
-			if res := dst.Ingest(pkts[0]); res != dissem.Stored {
+			pkts, _ := src.Packet(1, idx, 0)
+			if res := dst.Ingest(pkts); res != dissem.Stored {
 				t.Fatalf("genuine M0 shard %d: %v", idx, res)
 			}
 		}
@@ -103,14 +103,14 @@ func TestPlantedCorruptEntryRejected(t *testing.T) {
 			src := bootstrap(t, f, dst)
 			for u := 1; u < unit; u++ {
 				for idx := 0; idx < dst.NeededInUnit(u); idx++ {
-					pkts, _ := src.Packets(u, []int{idx}, 0)
-					dst.Ingest(pkts[0])
+					pkts, _ := src.Packet(u, idx, 0)
+					dst.Ingest(pkts)
 				}
 			}
 			rejected := false
 			for idx := 0; idx < dst.PacketsInUnit(unit); idx++ {
-				pkts, _ := src.Packets(unit, []int{idx}, 0)
-				if dst.Ingest(pkts[0]) == dissem.Rejected {
+				pkts, _ := src.Packet(unit, idx, 0)
+				if dst.Ingest(pkts) == dissem.Rejected {
 					rejected = true
 				}
 				if dst.CompleteUnits() > unit {
@@ -135,13 +135,13 @@ func TestCrashKeepsHeldEntriesWipesBuffer(t *testing.T) {
 		// Hold M0 and page 1, then two packets of page 2.
 		for u := 1; u <= 2; u++ {
 			for idx := 0; idx < dst.NeededInUnit(u); idx++ {
-				pkts, _ := src.Packets(u, []int{idx}, 0)
-				dst.Ingest(pkts[0])
+				pkts, _ := src.Packet(u, idx, 0)
+				dst.Ingest(pkts)
 			}
 		}
 		for idx := 0; idx < 2; idx++ {
-			pkts, _ := src.Packets(3, []int{idx}, 0)
-			if res := dst.Ingest(pkts[0]); res != dissem.Stored {
+			pkts, _ := src.Packet(3, idx, 0)
+			if res := dst.Ingest(pkts); res != dissem.Stored {
 				t.Fatalf("page 2 packet %d: %v", idx, res)
 			}
 		}
@@ -219,15 +219,15 @@ func TestForgeryAfterValidInOneBatch(t *testing.T) {
 			rcv[i] = f.receiver(t)
 			src = bootstrap(t, f, rcv[i])
 			for idx := 0; idx < rcv[i].NeededInUnit(1); idx++ {
-				pkts, _ := src.Packets(1, []int{idx}, 0)
-				rcv[i].Ingest(pkts[0])
+				pkts, _ := src.Packet(1, idx, 0)
+				rcv[i].Ingest(pkts)
 			}
 		}
-		page, err := src.Packets(2, []int{1}, 0)
+		page, err := src.Packet(2, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		valid := page[0]
+		valid := page
 		forged := *valid
 		forged.Payload = make([]byte, len(valid.Payload))
 		for i := range forged.Payload {

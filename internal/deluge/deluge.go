@@ -182,27 +182,22 @@ func (h *Handler) IngestSig(*packet.Sig) dissem.IngestResult { return dissem.Sta
 // SigPacket implements dissem.ObjectHandler.
 func (h *Handler) SigPacket(packet.NodeID) *packet.Sig { return nil }
 
-// Packets implements dissem.ObjectHandler: regenerate page packets by
+// Packet implements dissem.ObjectHandler: regenerate a page packet by
 // slicing the stored page.
-func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
+func (h *Handler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 	if u < 0 || u >= len(h.pages) {
 		return nil, fmt.Errorf("deluge: unit %d not held (have %d)", u, len(h.pages))
 	}
-	page := h.pages[u]
-	out := make([]*packet.Data, 0, len(indices))
-	for _, idx := range indices {
-		if idx < 0 || idx >= h.params.K {
-			return nil, fmt.Errorf("deluge: packet index %d out of range", idx)
-		}
-		out = append(out, &packet.Data{
-			Src:     src,
-			Version: h.version,
-			Unit:    packet.Unit(u),
-			Index:   uint8(idx),
-			Payload: page[idx*h.params.PacketPayload : (idx+1)*h.params.PacketPayload],
-		})
+	if idx < 0 || idx >= h.params.K {
+		return nil, fmt.Errorf("deluge: packet index %d out of range", idx)
 	}
-	return out, nil
+	return &packet.Data{
+		Src:     src,
+		Version: h.version,
+		Unit:    packet.Unit(u),
+		Index:   uint8(idx),
+		Payload: h.pages[u][idx*h.params.PacketPayload : (idx+1)*h.params.PacketPayload],
+	}, nil
 }
 
 // MatchesImage reports whether the node holds every page and the pages,

@@ -50,11 +50,11 @@ func transferAll(t *testing.T, src, dst *Handler, pages int) {
 	t.Helper()
 	for u := 0; u < pages; u++ {
 		for idx := 0; idx < testParams().K; idx++ {
-			pkts, err := src.Packets(u, []int{idx}, 0)
+			pkts, err := src.Packet(u, idx, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := dst.Ingest(pkts[0])
+			res := dst.Ingest(pkts)
 			wantLast := idx == testParams().K-1
 			if wantLast && res != dissem.UnitComplete {
 				t.Fatalf("unit %d idx %d: result %v, want complete", u, idx, res)
@@ -86,24 +86,24 @@ func TestIngestRules(t *testing.T) {
 	dst, _ := NewHandler(1, testParams())
 	dst.LearnTotal(4)
 
-	pkts, _ := src.Packets(0, []int{0}, 0)
-	if res := dst.Ingest(pkts[0]); res != dissem.Stored {
+	pkts, _ := src.Packet(0, 0, 0)
+	if res := dst.Ingest(pkts); res != dissem.Stored {
 		t.Fatalf("first ingest: %v", res)
 	}
-	if res := dst.Ingest(pkts[0]); res != dissem.Duplicate {
+	if res := dst.Ingest(pkts); res != dissem.Duplicate {
 		t.Fatalf("duplicate ingest: %v", res)
 	}
-	future, _ := src.Packets(2, []int{0}, 0)
-	if res := dst.Ingest(future[0]); res != dissem.Stale {
+	future, _ := src.Packet(2, 0, 0)
+	if res := dst.Ingest(future); res != dissem.Stale {
 		t.Fatalf("future-page ingest: %v", res)
 	}
 	short := &packet.Data{Version: 1, Unit: 0, Index: 1, Payload: []byte("short")}
 	if res := dst.Ingest(short); res != dissem.Rejected {
 		t.Fatalf("short payload ingest: %v", res)
 	}
-	badIdx, _ := src.Packets(0, []int{1}, 0)
-	badIdx[0].Index = 200
-	if res := dst.Ingest(badIdx[0]); res != dissem.Rejected {
+	badIdx, _ := src.Packet(0, 1, 0)
+	badIdx.Index = 200
+	if res := dst.Ingest(badIdx); res != dissem.Rejected {
 		t.Fatalf("bad index ingest: %v", res)
 	}
 }
@@ -116,8 +116,8 @@ func TestHasPacketTracking(t *testing.T) {
 	if dst.HasPacket(0, 0) {
 		t.Fatal("fresh handler claims a packet")
 	}
-	pkts, _ := src.Packets(0, []int{2}, 0)
-	dst.Ingest(pkts[0])
+	pkts, _ := src.Packet(0, 2, 0)
+	dst.Ingest(pkts)
 	if !dst.HasPacket(0, 2) || dst.HasPacket(0, 1) {
 		t.Fatal("HasPacket wrong for current page")
 	}
@@ -151,14 +151,14 @@ func TestNoSignatureMachinery(t *testing.T) {
 func TestPacketsErrors(t *testing.T) {
 	obj, _ := buildObject(t, 200)
 	src := Preload(obj)
-	if _, err := src.Packets(9, []int{0}, 0); err == nil {
+	if _, err := src.Packet(9, 0, 0); err == nil {
 		t.Fatal("unheld unit served")
 	}
-	if _, err := src.Packets(0, []int{99}, 0); err == nil {
+	if _, err := src.Packet(0, 99, 0); err == nil {
 		t.Fatal("out-of-range index served")
 	}
 	empty, _ := NewHandler(1, testParams())
-	if _, err := empty.Packets(0, []int{0}, 0); err == nil {
+	if _, err := empty.Packet(0, 0, 0); err == nil {
 		t.Fatal("empty handler served a unit")
 	}
 }

@@ -114,9 +114,9 @@ type ObjectHandler interface {
 	// signature unit becomes complete.
 	IngestSig(s *packet.Sig) IngestResult
 
-	// Packets regenerates the data packets with the given indices of a
-	// complete unit for transmission, stamped with src as the sender.
-	Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error)
+	// Packet regenerates data packet idx of a complete unit for
+	// transmission, stamped with src as the sender.
+	Packet(u, idx int, src packet.NodeID) (*packet.Data, error)
 
 	// SigPacket returns the signature packet if held (for serving unit 0),
 	// else nil.

@@ -77,10 +77,6 @@ type Node struct {
 	markForged func(packet.NodeID) bool
 	onComplete func(packet.NodeID, sim.Time)
 	completed  bool
-	// reported latches the first completion: a node that crashes after
-	// completing re-derives completed from flash on reboot without firing
-	// the completion callback (or the collector report) twice.
-	reported bool
 
 	// Power-cycle state (fault.Restartable). epoch invalidates callbacks
 	// scheduled before a crash (e.g. an in-flight signature verification);
@@ -151,7 +147,8 @@ func (n *Node) Handler() ObjectHandler { return n.handler }
 // Completed reports whether this node holds the full object.
 func (n *Node) Completed() bool { return n.completed }
 
-// SetOnComplete registers a callback invoked once when the node completes.
+// SetOnComplete registers a callback invoked when the node first completes
+// each version.
 func (n *Node) SetOnComplete(fn func(packet.NodeID, sim.Time)) { n.onComplete = fn }
 
 // SetForgedSource registers a predicate identifying adversarial senders so
@@ -706,13 +703,11 @@ func (n *Node) checkComplete() {
 		n.setRequesting(false)
 		n.retryTimer.Stop()
 		n.snackTimer.Stop()
-		if n.reported {
-			return
-		}
-		n.reported = true
+		// The collector accepts one report per node and version, so a node
+		// that re-derives completion from flash after a reboot fires
+		// nothing twice.
 		now := n.eng.Now()
-		n.col.Complete(n.id, now)
-		if n.onComplete != nil {
+		if n.col.Complete(n.id, n.handler.Version(), now) && n.onComplete != nil {
 			n.onComplete(n.id, now)
 		}
 	}
@@ -758,16 +753,18 @@ func (n *Node) txStep() {
 		n.setTxActive(false)
 		return
 	}
-	if sig := n.handler.SigPacket(n.id); sig != nil && unit == 0 && n.handler.PacketsInUnit(0) == 1 {
-		n.nw.Broadcast(n.id, sig)
-	} else {
-		pkts, err := n.handler.Packets(unit, []int{idx}, n.id)
-		if err != nil || len(pkts) == 0 {
-			// The unit became unservable (should not happen); drop work.
+	// A secure handler's unit 0 is its signature packet; handlers without
+	// one serve unit 0 as a page.
+	if unit == 0 {
+		if sig := n.handler.SigPacket(n.id); sig != nil {
+			n.nw.Broadcast(n.id, sig)
 			n.scheduleTxStep()
 			return
 		}
-		n.nw.Broadcast(n.id, pkts[0])
+	}
+	// An unservable unit (should not happen) drops the work.
+	if d, err := n.handler.Packet(unit, idx, n.id); err == nil {
+		n.nw.Broadcast(n.id, d)
 	}
 	n.scheduleTxStep()
 }

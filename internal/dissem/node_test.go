@@ -72,18 +72,14 @@ func (h *fakeHandler) Ingest(d *packet.Data) dissem.IngestResult {
 	return dissem.UnitComplete
 }
 
-func (h *fakeHandler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
+func (h *fakeHandler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 	if u >= h.complete {
 		return nil, fmt.Errorf("fake: unit %d not held", u)
 	}
-	out := make([]*packet.Data, 0, len(indices))
-	for _, idx := range indices {
-		out = append(out, &packet.Data{
-			Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
-			Payload: []byte{byte(u), byte(idx)},
-		})
-	}
-	return out, nil
+	return &packet.Data{
+		Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
+		Payload: []byte{byte(u), byte(idx)},
+	}, nil
 }
 
 type harness struct {

@@ -28,9 +28,6 @@ func (n *Node) Upgrade(handler ObjectHandler, policy TxPolicy) {
 	n.handler = handler
 	n.policy = policy
 	n.resetRAM()
-	// A new version is a new image: its completion must be reported even if
-	// the node already latched a completion for the previous version.
-	n.reported = false
 	n.trk.Reset()
 	n.checkComplete()
 }

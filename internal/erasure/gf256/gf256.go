@@ -193,15 +193,6 @@ func (m Matrix) Mul(other Matrix) Matrix {
 	return out
 }
 
-// SubMatrix returns a copy of rows [r0,r1) and columns [c0,c1).
-func (m Matrix) SubMatrix(r0, r1, c0, c1 int) Matrix {
-	out := NewMatrix(r1-r0, c1-c0)
-	for r := r0; r < r1; r++ {
-		copy(out.Row(r-r0), m.Row(r)[c0:c1])
-	}
-	return out
-}
-
 // SelectRows returns a copy of the given rows, in order.
 func (m Matrix) SelectRows(rows []int) Matrix {
 	out := NewMatrix(len(rows), m.Cols)

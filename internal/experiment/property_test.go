@@ -7,7 +7,6 @@ import (
 
 	"lrseluge/internal/image"
 	"lrseluge/internal/radio"
-	"lrseluge/internal/sim"
 )
 
 // TestRandomScenariosProperty is the system-level invariant: for ANY sane
@@ -54,30 +53,6 @@ func TestRandomScenariosProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTraceLossScenario exercises the trace-replay channel end to end.
-func TestTraceLossScenario(t *testing.T) {
-	params := image.Params{PacketPayload: 72, K: 8, N: 12}
-	res, err := Run(Scenario{
-		Protocol:  LRSeluge,
-		ImageSize: 2048,
-		Params:    params,
-		Receivers: 4,
-		LossFactory: func() radio.LossModel {
-			return radio.TraceLoss{Trace: radio.SyntheticHeavyTrace(600, 100*sim.Millisecond, 7)}
-		},
-		Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != res.Nodes || !res.ImagesOK {
-		t.Fatalf("trace-loss run failed: %+v", res)
-	}
-	if res.ChannelLosses == 0 {
-		t.Fatal("trace produced no losses; vacuous")
 	}
 }
 

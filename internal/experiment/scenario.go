@@ -227,10 +227,12 @@ type Env struct {
 	pageUnit0   int // first image-page unit (0 for Deluge, 2 for secure)
 	started     bool
 
-	// version is the code version the run disseminates, and completed
-	// counts the nodes that hold it; Upgrade moves both on.
-	version   uint16
-	completed int
+	// version is the code version the run disseminates; Upgrade moves it
+	// on. The collector counts the nodes that hold it.
+	version uint16
+	// onComplete is every node's completion callback, stopWhenDone bound
+	// once for the run.
+	onComplete func(packet.NodeID, sim.Time)
 
 	// key and chain are the run's signing key and puzzle key chain
 	// (Seluge and LR-Seluge only): every version Upgrade signs come from
@@ -329,6 +331,7 @@ func Build(s Scenario) (*Env, error) {
 		store:     core.NewStore(),
 		version:   version,
 	}
+	e.onComplete = e.stopWhenDone
 
 	numNodes := graph.NumNodes() - s.ExtraNodes
 	if numNodes < 2 {
@@ -504,22 +507,25 @@ func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dis
 	if err != nil {
 		return err
 	}
-	node.SetOnComplete(func(packet.NodeID, sim.Time) {
-		// A node still finishing an older version does not count.
-		if node.Handler().Version() != e.version {
-			return
-		}
-		e.completed++
-		if e.completed == len(e.nodes) {
-			e.eng.Stop()
-		}
-	})
+	node.SetOnComplete(e.onComplete)
 	e.nodes = append(e.nodes, node)
 	if id == 0 {
 		e.baseHandler = handler
 	}
 	return nil
 }
+
+// stopWhenDone stops the engine once every node holds the current version.
+// The collector counts only the newest version, so a node still finishing
+// an older one does not count.
+func (e *Env) stopWhenDone(packet.NodeID, sim.Time) {
+	if e.allDone() {
+		e.eng.Stop()
+	}
+}
+
+// allDone reports whether every node holds the current version.
+func (e *Env) allDone() bool { return e.col.Completions() == len(e.nodes) }
 
 // puzzle is the run's weak-authenticator difficulty.
 func (e *Env) puzzle() puzzle.Params {
@@ -572,7 +578,6 @@ func (e *Env) Upgrade(img []byte) error {
 	e.version++
 	e.imageData = img
 	e.units = obj.TotalUnits()
-	e.completed = 0
 	h := core.Preload(obj, e.store, e.sig)
 	e.baseHandler = h
 	e.nodes[0].Upgrade(h, e.txPolicy(h))
@@ -615,7 +620,7 @@ func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
 		// horizon whenever no event lands exactly on it (e.g. an isolated
 		// node keeps the network from completing and the run must end at
 		// the horizon).
-		if e.completed == len(e.nodes) || next >= horizon || e.eng.Pending() == 0 {
+		if e.allDone() || next >= horizon || e.eng.Pending() == 0 {
 			return
 		}
 	}
@@ -624,11 +629,14 @@ func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
 // run drives the scenario to completion or horizon in one slice and collects
 // the result.
 func (e *Env) run() Result {
-	s := e.scenario
-	e.Drive(s.Horizon, nil)
+	e.Drive(e.scenario.Horizon, nil)
+	return e.result()
+}
 
-	res := Result{
-		Protocol:         s.Protocol,
+// result collects the run's counters as they stand.
+func (e *Env) result() Result {
+	return Result{
+		Protocol:         e.scenario.Protocol,
 		Nodes:            len(e.nodes),
 		Completed:        e.col.Completions(),
 		DataPkts:         e.col.TxOf(packet.TypeData),
@@ -653,7 +661,6 @@ func (e *Env) run() Result {
 		ImagesOK:         e.ImagesOK(),
 		FaultDrops:       e.col.Drops(trace.DropFault),
 	}
-	return res
 }
 
 // ImagesOK reports whether every node's current handler holds exactly the

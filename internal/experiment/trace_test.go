@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lrseluge/internal/harness"
+	"lrseluge/internal/image"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/trace"
 )
@@ -180,13 +181,17 @@ func (c *tallySink) Flush() error { return nil }
 
 // TestCountersMatchTrace checks that the collector's counters and the trace
 // stream agree on every run path: all four protocols on the one-hop,
-// multihop and churn runs, and LR-Seluge under each adversary. Radio and
-// the protocol nodes report each packet event once, to the collector, which
-// counts it and traces it, so any disagreement is a second reporting path.
+// multihop and churn runs, LR-Seluge under each adversary, and an
+// LR-Seluge version upgrade. Radio and the protocol nodes report each
+// packet event once, to the collector, which counts it and traces it, so
+// any disagreement is a second reporting path.
 func TestCountersMatchTrace(t *testing.T) {
 	type run struct {
 		name  string
 		build func(sink *tallySink) (*Env, error)
+		// upgrade, when set, drives the env through upgradeRun instead of
+		// run.
+		upgrade bool
 	}
 	var runs []run
 	for _, name := range []string{"onehop", "multihop", "churn"} {
@@ -195,7 +200,7 @@ func TestCountersMatchTrace(t *testing.T) {
 			runs = append(runs, run{name + "/" + p.String(), func(sink *tallySink) (*Env, error) {
 				s.Trace = sink
 				return Build(s)
-			}})
+			}, false})
 		}
 	}
 	for _, g := range attackGolden {
@@ -205,8 +210,12 @@ func TestCountersMatchTrace(t *testing.T) {
 			s.Trace = sink
 			e, _, err := attackEnv(kind, s)
 			return e, err
-		}})
+		}, false})
 	}
+	runs = append(runs, run{"upgrade/LR-Seluge", func(sink *tallySink) (*Env, error) {
+		return Build(Scenario{Protocol: LRSeluge, Image: image.Random(2048, 3^0x11),
+			Params: image.Params{PacketPayload: 72, K: 8, N: 12}, Receivers: 4, LossP: 0.1, Seed: 3, Trace: sink})
+	}, true})
 	var puzzleRejects, authDrops, faultDrops int64
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -215,7 +224,30 @@ func TestCountersMatchTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := e.run()
+			var res Result
+			if r.upgrade {
+				up, err := e.upgradeRun(image.Random(2048, 3^0x22))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = e.result()
+				// upgradeRun upgrades only once every node reported
+				// version 1, so the complete events past that point are
+				// the trace's count of version 2.
+				after := sink.kinds[trace.KindComplete] - int64(res.Nodes)
+				if up.Upgraded != res.Nodes || int64(res.Completed) != after {
+					t.Fatalf("after the upgrade: Completions %d, %d complete events, %d nodes",
+						res.Completed, after, res.Nodes)
+				}
+				// The engine stops at the last completion of each
+				// version, so Latency is version 2's last completion.
+				if want := up.V1Latency + up.UpgradeLatency; res.Latency != want {
+					t.Fatalf("Latency %v after the upgrade, want version 2's last completion at %v", res.Latency, want)
+				}
+				sink.kinds[trace.KindComplete] = after
+			} else {
+				res = e.run()
+			}
 			for _, c := range []struct {
 				what        string
 				got, traced int64

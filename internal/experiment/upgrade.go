@@ -51,8 +51,8 @@ func VersionUpgrade(params image.Params, imageSize, receivers int, lossP float64
 // version, upgrades it to img and drives it again.
 func (e *Env) upgradeRun(img []byte) (UpgradeResult, error) {
 	e.Drive(0, nil)
-	if e.completed != len(e.nodes) {
-		return UpgradeResult{}, fmt.Errorf("experiment: version 1 incomplete (%d/%d)", e.completed, len(e.nodes))
+	if !e.allDone() {
+		return UpgradeResult{}, fmt.Errorf("experiment: version 1 incomplete (%d/%d)", e.col.Completions(), len(e.nodes))
 	}
 	out := UpgradeResult{Nodes: len(e.nodes), V1Latency: e.col.Latency()}
 
@@ -61,7 +61,7 @@ func (e *Env) upgradeRun(img []byte) (UpgradeResult, error) {
 		return UpgradeResult{}, err
 	}
 	e.Drive(0, nil)
-	out.Upgraded = e.completed
+	out.Upgraded = e.col.Completions()
 	out.UpgradeLatency = e.eng.Now() - start
 	out.UpgradeBytes = e.col.TotalBytes() - bytesBefore
 	out.SigVerifications = e.col.SigVerifications()

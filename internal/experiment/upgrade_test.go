@@ -104,12 +104,12 @@ func TestImagesOKTracksUpgrade(t *testing.T) {
 	slices := 0
 	e.Drive(sim.Second, func(sim.Time) {
 		slices++
-		if all := e.completed == len(e.nodes); e.ImagesOK() != all {
-			t.Fatalf("slice %d: ImagesOK = %v with %d/%d nodes on v2", slices, !all, e.completed, len(e.nodes))
+		if all := e.allDone(); e.ImagesOK() != all {
+			t.Fatalf("slice %d: ImagesOK = %v with %d/%d nodes on v2", slices, !all, e.col.Completions(), len(e.nodes))
 		}
 	})
-	if slices < 2 || e.completed != len(e.nodes) || !e.ImagesOK() {
-		t.Fatalf("upgrade did not finish observably: %d slices, %d/%d nodes, ImagesOK %v", slices, e.completed, len(e.nodes), e.ImagesOK())
+	if slices < 2 || !e.allDone() || !e.ImagesOK() {
+		t.Fatalf("upgrade did not finish observably: %d slices, %d/%d nodes, ImagesOK %v", slices, e.col.Completions(), len(e.nodes), e.ImagesOK())
 	}
 }
 

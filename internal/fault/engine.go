@@ -27,8 +27,6 @@ type Engine struct {
 	ov    *radio.FaultOverlay
 	nodes map[int]Restartable
 
-	onRamp func(intensity float64)
-
 	// tr records fault events; nil disables tracing.
 	tr *trace.Tracer
 }
@@ -50,10 +48,6 @@ func (f *Engine) Register(id int, n Restartable) {
 		f.nodes[id] = n
 	}
 }
-
-// OnAdversaryRamp registers the consumer of adversary-ramp events (usually
-// an adversary.Injector's SetIntensity).
-func (f *Engine) OnAdversaryRamp(fn func(intensity float64)) { f.onRamp = fn }
 
 // Install validates the plan against the overlay's topology and schedules
 // every event. The plan is read-only: installing the same plan into several
@@ -98,29 +92,22 @@ func (f *Engine) apply(e Event) {
 		f.ov.SetPartition(e.Groups)
 	case Heal:
 		f.ov.ClearPartition()
-	case AdversaryRamp:
-		if f.onRamp != nil {
-			f.onRamp(e.Intensity)
-		}
 	}
 }
 
 // traceEvent maps a fault-plan event onto a KindFault trace record: the
-// subject node goes in Node, the link target in Peer, the ramp intensity in
-// Value. Partition/heal events have no single node subject.
+// subject node goes in Node, the link target in Peer. Partition/heal events
+// have no single node subject.
 func (f *Engine) traceEvent(e Event) {
 	if !f.tr.Enabled() {
 		return
 	}
 	node, peer := trace.NoNode, trace.NoNode
-	value := 0.0
 	switch e.Kind {
 	case NodeCrash, NodeReboot:
 		node = e.Node
 	case LinkDown, LinkUp:
 		node, peer = e.From, e.To
-	case AdversaryRamp:
-		value = e.Intensity
 	}
-	f.tr.Fault(string(e.Kind), node, peer, value)
+	f.tr.Fault(string(e.Kind), node, peer)
 }

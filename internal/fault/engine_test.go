@@ -41,13 +41,9 @@ func TestEngineAppliesPlan(t *testing.T) {
 	fe.Register(1, n1)
 	fe.Register(2, nil) // no-op registration
 
-	var ramps []float64
-	fe.OnAdversaryRamp(func(x float64) { ramps = append(ramps, x) })
-
 	plan := &Plan{Events: []Event{
 		{AtSec: 1, Kind: NodeCrash, Node: 1},
 		{AtSec: 2, Kind: LinkDown, From: 0, To: 2, Bidir: true},
-		{AtSec: 3, Kind: AdversaryRamp, Intensity: 2},
 		{AtSec: 4, Kind: NodeReboot, Node: 1},
 		{AtSec: 5, Kind: LinkUp, From: 0, To: 2, Bidir: true},
 		{AtSec: 6, Kind: Partition, Groups: [][]int{{0, 1}}},
@@ -66,10 +62,6 @@ func TestEngineAppliesPlan(t *testing.T) {
 	step(2500 * sim.Millisecond)
 	if !ov.Blocked(0, 2) || !ov.Blocked(2, 0) {
 		t.Fatal("bidir link outage not applied")
-	}
-	step(3500 * sim.Millisecond)
-	if len(ramps) != 1 || ramps[0] != 2 {
-		t.Fatalf("ramp callback not applied: %v", ramps)
 	}
 	step(4500 * sim.Millisecond)
 	if ov.NodeDown(1) || n1.reboots != 1 {

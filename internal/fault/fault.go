@@ -1,13 +1,12 @@
 // Package fault is a deterministic fault-injection engine for the
 // simulator: typed fault events — node crashes and reboots with the paper's
-// flash-vs-RAM mote semantics, link outage windows, network partitions, and
-// time-varying adversary intensity — scheduled on the sim clock from a
-// validated plan.
+// flash-vs-RAM mote semantics, link outage windows and network partitions —
+// scheduled on the sim clock from a validated plan.
 //
 // A Plan is an ordered list of events, loadable from JSON (scenario files
 // checked into experiments) or produced by the composable generators in
-// gen.go (periodic churn, random churn from a dedicated seeded stream, burst
-// outage trains). The Engine in engine.go installs a plan against a radio
+// gen.go (random churn from a dedicated seeded stream, burst outage
+// trains). The Engine in engine.go installs a plan against a radio
 // fault overlay and the registered protocol nodes.
 //
 // Determinism: a Plan is pure data; applying it consumes no randomness.
@@ -51,9 +50,6 @@ const (
 	Partition Kind = "partition"
 	// Heal removes the current partition.
 	Heal Kind = "heal"
-	// AdversaryRamp sets the forgery-injection intensity multiplier
-	// (1 = the attacker's base rate, 0 = paused).
-	AdversaryRamp Kind = "adversary-ramp"
 )
 
 // Event is one scheduled fault. Which fields are meaningful depends on Kind;
@@ -75,9 +71,6 @@ type Event struct {
 	// Groups are the partition cells (partition). Unlisted nodes form one
 	// implicit extra cell.
 	Groups [][]int `json:"groups,omitempty"`
-
-	// Intensity is the adversary rate multiplier (adversary-ramp).
-	Intensity float64 `json:"intensity,omitempty"`
 }
 
 // At returns the event's firing time on the sim clock.
@@ -238,10 +231,6 @@ func (p *Plan) Validate(numNodes int) error {
 				return fmt.Errorf("fault: event %d: heal without a partition", i)
 			}
 			partitioned = false
-		case AdversaryRamp:
-			if math.IsNaN(e.Intensity) || math.IsInf(e.Intensity, 0) || e.Intensity < 0 {
-				return fmt.Errorf("fault: event %d: adversary intensity %v must be finite and non-negative", i, e.Intensity)
-			}
 		default:
 			return fmt.Errorf("fault: event %d: unknown kind %q", i, e.Kind)
 		}

@@ -17,7 +17,6 @@ func TestValidateAcceptsWellFormedPlan(t *testing.T) {
 		{AtSec: 4, Kind: LinkUp, From: 0, To: 1, Bidir: true},
 		{AtSec: 5, Kind: Partition, Groups: [][]int{{0, 1}, {2}}},
 		{AtSec: 6, Kind: Heal},
-		{AtSec: 7, Kind: AdversaryRamp, Intensity: 2.5},
 	}}
 	if err := p.Validate(4); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)
@@ -62,7 +61,7 @@ func TestValidateRejections(t *testing.T) {
 		{"partition with no groups", []Event{{AtSec: 1, Kind: Partition}}, 0, "no groups"},
 		{"node in two groups", []Event{{AtSec: 1, Kind: Partition, Groups: [][]int{{0, 1}, {1}}}}, 0, "two partition groups"},
 		{"heal without partition", []Event{{AtSec: 1, Kind: Heal}}, 0, "without a partition"},
-		{"negative intensity", []Event{{AtSec: 1, Kind: AdversaryRamp, Intensity: -1}}, 0, "non-negative"},
+		{"adversary ramp", []Event{{AtSec: 1, Kind: "adversary-ramp"}}, 0, "unknown kind"},
 		{"unknown kind", []Event{{AtSec: 1, Kind: "meteor-strike"}}, 0, "unknown kind"},
 	}
 	for _, tc := range cases {

@@ -19,6 +19,7 @@ func FuzzPlan(f *testing.F) {
 	f.Add([]byte(`{"name":"ok","events":[{"at_sec":1,"kind":"node-crash","node":1},{"at_sec":2,"kind":"node-reboot","node":1}]}`))
 	f.Add([]byte(`{"events":[{"at_sec":0,"kind":"partition","groups":[[0],[1,2]]},{"at_sec":9,"kind":"heal"}]}`))
 	f.Add([]byte(`{"events":[{"at_sec":1,"kind":"link-down","from":0,"to":1,"bidir":true},{"at_sec":2,"kind":"link-up","from":0,"to":1,"bidir":true}]}`))
+	// The retired adversary-ramp kind: rejected like any unknown kind.
 	f.Add([]byte(`{"events":[{"at_sec":3.5,"kind":"adversary-ramp","intensity":0.5}]}`))
 	f.Add([]byte(`{"events":[]}`))
 

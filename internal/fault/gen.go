@@ -7,33 +7,6 @@ import (
 	"lrseluge/internal/sim"
 )
 
-// PeriodicChurn builds a plan in which each listed node crashes every
-// `period` and stays down for `downtime`, with crash phases staggered evenly
-// across the period so the network never loses all listed nodes at once.
-// Crashes whose reboot would land past the horizon are omitted, so every
-// generated crash is paired with a reboot.
-func PeriodicChurn(nodes []int, period, downtime, horizon sim.Time) (*Plan, error) {
-	if period <= 0 || downtime <= 0 || downtime >= period {
-		return nil, fmt.Errorf("fault: periodic churn needs 0 < downtime < period, got period=%v downtime=%v", period, downtime)
-	}
-	var events []Event
-	for i, id := range nodes {
-		offset := period * sim.Time(i+1) / sim.Time(len(nodes)+1)
-		for crash := offset; crash+downtime <= horizon; crash += period {
-			events = append(events,
-				Event{AtSec: crash.Seconds(), Kind: NodeCrash, Node: id},
-				Event{AtSec: (crash + downtime).Seconds(), Kind: NodeReboot, Node: id},
-			)
-		}
-	}
-	sortEvents(events)
-	p := &Plan{Name: "periodic-churn", Events: events}
-	if err := p.Validate(0); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // ChurnSpec parameterizes RandomChurn.
 type ChurnSpec struct {
 	// Nodes are the ids subject to churn (typically receivers only; the

@@ -37,33 +37,6 @@ func pairingInvariants(t *testing.T, p *Plan) {
 	}
 }
 
-func TestPeriodicChurn(t *testing.T) {
-	p, err := PeriodicChurn([]int{1, 2, 3}, 100*sim.Second, 10*sim.Second, 1000*sim.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Events) == 0 {
-		t.Fatal("no events generated")
-	}
-	pairingInvariants(t, p)
-	// Staggered phases: the three nodes' first crashes must differ.
-	first := make(map[int]float64)
-	for _, e := range p.Events {
-		if e.Kind == NodeCrash {
-			if _, ok := first[e.Node]; !ok {
-				first[e.Node] = e.AtSec
-			}
-		}
-	}
-	if first[1] == first[2] || first[2] == first[3] {
-		t.Fatalf("crash phases not staggered: %v", first)
-	}
-
-	if _, err := PeriodicChurn([]int{1}, 10*sim.Second, 10*sim.Second, 100*sim.Second); err == nil {
-		t.Fatal("downtime >= period accepted")
-	}
-}
-
 func TestRandomChurnDeterministicAndPaired(t *testing.T) {
 	spec := ChurnSpec{
 		Nodes:        []int{1, 2, 3, 4},

@@ -49,12 +49,16 @@ type Collector struct {
 	// of a unit like the per-node slices below.
 	dataTxByUnit []int64
 
-	// Per-node state is node-indexed, grown on first use of an id: ~16 B per
+	// Per-node state is node-indexed, grown on first use of an id: ~18 B per
 	// node instead of map entries, which matters at 100k nodes. Time slices
-	// hold t+1, so zero means "never". The completion count and latency are
-	// maintained incrementally so reporting never rescans the slices.
+	// hold t+1, so zero means "never"; doneVer is the version each done time
+	// belongs to. The completion count and latency cover version ver, the
+	// newest reported, and are maintained incrementally so reporting never
+	// rescans the slices.
 	nodeTx  []int64
 	done    []sim.Time
+	doneVer []uint16
+	ver     uint16
 	nDone   int
 	maxDone sim.Time
 
@@ -89,7 +93,7 @@ func New(tr *trace.Tracer) *Collector { return &Collector{tr: tr} }
 func (c *Collector) Tracer() *trace.Tracer { return c.tr }
 
 // grow returns s extended with zeros so that index i is valid.
-func grow[T int64 | sim.Time](s []T, i int) []T {
+func grow[T int64 | sim.Time | uint16](s []T, i int) []T {
 	if i >= len(s) {
 		s = append(s, make([]T, i+1-len(s))...)
 	}
@@ -174,18 +178,27 @@ func (c *Collector) SigResult(node, from packet.NodeID, ok bool) {
 	c.tr.SigResult(node, from, ok)
 }
 
-// Complete reports that node finished receiving the image at time t. Every
-// report is traced; only the first completion per node is counted.
-func (c *Collector) Complete(node packet.NodeID, t sim.Time) {
+// Complete reports that node holds the full image of version at time t. It
+// records and traces only the node's first report of each version and
+// returns whether this was it. Completions and Latency count the newest
+// version reported, so the first report of a newer version starts a fresh
+// count and an older version's late reports are left out of it.
+func (c *Collector) Complete(node packet.NodeID, version uint16, t sim.Time) bool {
 	c.done = grow(c.done, int(node))
-	if c.done[node] == 0 {
-		c.done[node] = t + 1
+	c.doneVer = grow(c.doneVer, int(node))
+	if c.done[node] > 0 && c.doneVer[node] == version {
+		return false
+	}
+	c.done[node], c.doneVer[node] = t+1, version
+	if version > c.ver {
+		c.ver, c.nDone, c.maxDone = version, 0, 0
+	}
+	if version == c.ver {
 		c.nDone++
-		if t > c.maxDone {
-			c.maxDone = t
-		}
+		c.maxDone = max(c.maxDone, t)
 	}
 	c.tr.Complete(node)
+	return true
 }
 
 // RecordForgedAccepted accounts a forged packet that slipped past
@@ -293,10 +306,12 @@ func (c *Collector) NodeTx(id packet.NodeID) int64 {
 	return valueAt(c.nodeTx, id)
 }
 
-// Completions returns how many nodes have completed.
+// Completions returns how many nodes have completed the newest version
+// reported.
 func (c *Collector) Completions() int { return c.nDone }
 
-// CompletionTime returns when node finished, if it did.
+// CompletionTime returns when node finished the last version it completed,
+// if it did.
 func (c *Collector) CompletionTime(node packet.NodeID) (sim.Time, bool) {
 	if t := valueAt(c.done, node); t > 0 {
 		return t - 1, true
@@ -305,7 +320,7 @@ func (c *Collector) CompletionTime(node packet.NodeID) (sim.Time, bool) {
 }
 
 // Latency returns the overall dissemination latency: the maximum completion
-// time over all completed nodes.
+// time over the nodes that completed the newest version reported.
 func (c *Collector) Latency() sim.Time { return c.maxDone }
 
 // AuthDrops returns the count of authentication rejections: packets

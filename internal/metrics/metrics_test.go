@@ -38,11 +38,15 @@ func TestTxAccounting(t *testing.T) {
 	}
 }
 
+// TestCompletionKeepsFirst pins Complete's per-version latch: a node's first
+// report of each version counts, a repeat does not, and the first report of
+// a newer version starts a fresh count that an older version's late report
+// stays out of.
 func TestCompletionKeepsFirst(t *testing.T) {
 	c := New(nil)
-	c.Complete(4, 10*sim.Second)
-	c.Complete(4, 20*sim.Second)
-	c.Complete(5, 15*sim.Second)
+	if !c.Complete(4, 1, 10*sim.Second) || c.Complete(4, 1, 20*sim.Second) || !c.Complete(5, 1, 15*sim.Second) {
+		t.Fatal("Complete must accept each node's first report of a version and only that one")
+	}
 	if c.Completions() != 2 {
 		t.Fatal("completion count wrong")
 	}
@@ -51,6 +55,27 @@ func TestCompletionKeepsFirst(t *testing.T) {
 	}
 	if c.Latency() != 15*sim.Second {
 		t.Fatalf("latency %v, want max completion 15s", c.Latency())
+	}
+
+	// Version 2: node 5 (the base station, say) preloads it at 30 s, node 4
+	// completes it at 40 s, and node 6 finishes version 1 only at 50 s.
+	if !c.Complete(5, 2, 30*sim.Second) {
+		t.Fatal("first report of a new version refused")
+	}
+	if c.Completions() != 1 || c.Latency() != 30*sim.Second {
+		t.Fatalf("version 2 count: Completions %d Latency %v, want 1 and 30s", c.Completions(), c.Latency())
+	}
+	if !c.Complete(4, 2, 40*sim.Second) || c.Complete(4, 2, 45*sim.Second) {
+		t.Fatal("version 2 reports not latched per node")
+	}
+	if !c.Complete(6, 1, 50*sim.Second) {
+		t.Fatal("a node's first report of an older version refused")
+	}
+	if c.Completions() != 2 || c.Latency() != 40*sim.Second {
+		t.Fatalf("version 2 count: Completions %d Latency %v, want 2 and 40s", c.Completions(), c.Latency())
+	}
+	if got, ok := c.CompletionTime(4); !ok || got != 40*sim.Second {
+		t.Fatalf("CompletionTime(4) = %v, want its version 2 completion at 40s", got)
 	}
 }
 
@@ -100,7 +125,7 @@ func TestStringGolden(t *testing.T) {
 	c.Tx(0, 2, &packet.Data{Src: 2, Unit: 1, Index: 0, Payload: make([]byte, 4)})
 	c.Tx(0, 1, &packet.Adv{Src: 1})
 	c.Tx(0, 0, &packet.Sig{Src: 0, Signature: make([]byte, 64)})
-	c.Complete(1, 3*sim.Second)
+	c.Complete(1, 1, 3*sim.Second)
 
 	// Fault activity, with two nodes still down at the end inserted in
 	// descending id order to catch map-order leaks.
@@ -133,15 +158,15 @@ func TestFaultDropCounter(t *testing.T) {
 
 // TestPerNodeCounters pins the node-indexed per-node state: ids may arrive
 // in any order, ids never seen read as zero / not completed, and only the
-// first completion per node counts.
+// first completion per node and version counts.
 func TestPerNodeCounters(t *testing.T) {
 	c := New(nil)
 	c.Tx(0, 3, &packet.Adv{Src: 3})
 	c.Tx(0, 3, &packet.Adv{Src: 3})
 	c.Tx(0, 5, &packet.Adv{Src: 5})
-	c.Complete(2, 100)
-	c.Complete(2, 50) // first completion wins
-	c.Complete(7, 400)
+	c.Complete(2, 1, 100)
+	c.Complete(2, 1, 50) // first completion wins
+	c.Complete(7, 1, 400)
 	if got := c.NodeTx(3); got != 2 {
 		t.Fatalf("NodeTx(3) = %d, want 2", got)
 	}
@@ -162,8 +187,8 @@ func TestPerNodeCounters(t *testing.T) {
 }
 
 // TestReportsForwardToTracer pins the one reporting seam: each report is
-// counted and then traced exactly once, and a repeated completion is traced
-// but counted once.
+// counted and then traced exactly once, and a repeated completion of the
+// same version is neither counted nor traced.
 func TestReportsForwardToTracer(t *testing.T) {
 	ring := trace.NewRing(16)
 	tr, err := trace.New(sim.New(), ring)
@@ -179,10 +204,10 @@ func TestReportsForwardToTracer(t *testing.T) {
 	c.Rx(2, 1, d)
 	c.Drop(3, 1, d, trace.DropChannel)
 	c.SigResult(2, 1, false)
-	c.Complete(2, 5)
-	c.Complete(2, 9)
+	c.Complete(2, 1, 5)
+	c.Complete(2, 1, 9)
 	want := []trace.Kind{trace.KindTx, trace.KindRx, trace.KindDrop, trace.KindSigReject,
-		trace.KindComplete, trace.KindComplete}
+		trace.KindComplete}
 	events := ring.Events()
 	if len(events) != len(want) {
 		t.Fatalf("traced %d events, want %d", len(events), len(want))

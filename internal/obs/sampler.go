@@ -131,7 +131,7 @@ func WritePromSeries(w io.Writer, typ string, series ...PromSeries) {
 }
 
 // Sampler periodically captures Snapshots into a JSONL stream. It is driven
-// by the caller (internal/scale wires it into its Progress slices); obs
+// by the caller (cmd/lrscale samples from scale.Config.Progress); obs
 // imposes no timer of its own. Not safe for concurrent use.
 type Sampler struct {
 	w     *bufio.Writer

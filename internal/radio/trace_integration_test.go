@@ -10,37 +10,6 @@ import (
 	"lrseluge/internal/trace"
 )
 
-// TestTraceAtExactIntervalBoundaries pins the wrap-around arithmetic of
-// Trace.At at the exact sample and trace boundaries: the instant t = k*I
-// belongs to sample k (half-open intervals), and the instant t = Duration()
-// wraps to sample 0, not past the end of the slice.
-func TestTraceAtExactIntervalBoundaries(t *testing.T) {
-	const iv = sim.Second
-	tr := Trace{Interval: iv, Loss: []float64{0.1, 0.2, 0.3}}
-	d := tr.Duration()
-	cases := []struct {
-		t    sim.Time
-		want float64
-	}{
-		{0, 0.1},
-		{iv - 1, 0.1},          // last instant of sample 0
-		{iv, 0.2},              // exact sample boundary opens sample 1
-		{2*iv - 1, 0.2},        // last instant of sample 1
-		{2 * iv, 0.3},          // exact boundary into the last sample
-		{d - 1, 0.3},           // last instant before the trace wraps
-		{d, 0.1},               // exact trace boundary wraps to sample 0
-		{d + iv, 0.2},          // one sample into the second lap
-		{2 * d, 0.1},           // exact boundary of the second lap
-		{10*d + 2*iv, 0.3},     // deep wrap, exact sample boundary
-		{10*d + 2*iv - 1, 0.2}, // one instant earlier, previous sample
-	}
-	for _, c := range cases {
-		if got := tr.At(c.t); got != c.want {
-			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
-
 // TestDropAttributionSingleCount is the lost-delivery accounting contract:
 // every dropped delivery is attributed to exactly one cause, with the metrics
 // counters and the trace stream agreeing. Fault-blocked deliveries never

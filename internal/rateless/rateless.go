@@ -251,25 +251,20 @@ func (h *Handler) IngestSig(*packet.Sig) dissem.IngestResult { return dissem.Sta
 // SigPacket implements dissem.ObjectHandler.
 func (h *Handler) SigPacket(packet.NodeID) *packet.Sig { return nil }
 
-// Packets implements dissem.ObjectHandler: regenerate symbols from the
+// Packet implements dissem.ObjectHandler: regenerate a symbol from the
 // shared deterministic encoder.
-func (h *Handler) Packets(u int, indices []int, src packet.NodeID) ([]*packet.Data, error) {
+func (h *Handler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 	if u < 0 || u >= len(h.pages) {
 		return nil, fmt.Errorf("rateless: unit %d not held", u)
 	}
-	enc := h.encoders[u]
-	out := make([]*packet.Data, 0, len(indices))
-	for _, idx := range indices {
-		if idx < 0 || idx >= poolFactor*h.params.K {
-			return nil, fmt.Errorf("rateless: symbol index %d out of range", idx)
-		}
-		sym := enc.Symbol(symbolSeed(u, idx))
-		out = append(out, &packet.Data{
-			Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
-			Payload: sym.Data,
-		})
+	if idx < 0 || idx >= poolFactor*h.params.K {
+		return nil, fmt.Errorf("rateless: symbol index %d out of range", idx)
 	}
-	return out, nil
+	sym := h.encoders[u].Symbol(symbolSeed(u, idx))
+	return &packet.Data{
+		Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
+		Payload: sym.Data,
+	}, nil
 }
 
 // MatchesImage reports whether the node holds every page and the pages,

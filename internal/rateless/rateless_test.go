@@ -48,11 +48,11 @@ func TestSymbolTransferDecodes(t *testing.T) {
 		u := dst.CompleteUnits()
 		before := dst.CompleteUnits()
 		for idx := 0; idx < dst.PacketsInUnit(u); idx++ {
-			pkts, err := src.Packets(u, []int{idx}, 0)
+			pkts, err := src.Packet(u, idx, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := dst.Ingest(pkts[0])
+			res := dst.Ingest(pkts)
 			if res == dissem.Rejected {
 				t.Fatalf("unit %d idx %d rejected", u, idx)
 			}
@@ -79,20 +79,20 @@ func TestRelayedSymbolsIdentical(t *testing.T) {
 	dst.LearnTotal(obj.NumPages())
 	for dst.CompleteUnits() < 1 {
 		for idx := 0; idx < dst.PacketsInUnit(0) && dst.CompleteUnits() < 1; idx++ {
-			pkts, _ := src.Packets(0, []int{idx}, 0)
-			dst.Ingest(pkts[0])
+			pkts, _ := src.Packet(0, idx, 0)
+			dst.Ingest(pkts)
 		}
 	}
 	for idx := 0; idx < dst.PacketsInUnit(0); idx++ {
-		a, err := src.Packets(0, []int{idx}, 0)
+		a, err := src.Packet(0, idx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dst.Packets(0, []int{idx}, 0)
+		b, err := dst.Packet(0, idx, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a[0].Payload, b[0].Payload) {
+		if !bytes.Equal(a.Payload, b.Payload) {
 			t.Fatalf("symbol %d differs between nodes", idx)
 		}
 	}
@@ -105,15 +105,15 @@ func TestIngestRules(t *testing.T) {
 	dst, _ := NewHandler(1, testParams())
 	dst.LearnTotal(obj.NumPages())
 
-	pkts, _ := src.Packets(0, []int{0}, 0)
-	if res := dst.Ingest(pkts[0]); res != dissem.Stored {
+	pkts, _ := src.Packet(0, 0, 0)
+	if res := dst.Ingest(pkts); res != dissem.Stored {
 		t.Fatalf("first symbol: %v", res)
 	}
-	if res := dst.Ingest(pkts[0]); res != dissem.Duplicate {
+	if res := dst.Ingest(pkts); res != dissem.Duplicate {
 		t.Fatalf("duplicate symbol: %v", res)
 	}
-	future, _ := src.Packets(1, []int{0}, 0)
-	if res := dst.Ingest(future[0]); res != dissem.Stale {
+	future, _ := src.Packet(1, 0, 0)
+	if res := dst.Ingest(future); res != dissem.Stale {
 		t.Fatalf("future page: %v", res)
 	}
 	bad := &packet.Data{Version: 1, Unit: 0, Index: 200, Payload: make([]byte, 24)}

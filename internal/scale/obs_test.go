@@ -10,8 +10,9 @@ import (
 )
 
 // TestObsDoesNotPerturbRun is the determinism contract: installing phase
-// timers, the sampler and the progress board must leave the same-seed run
-// byte-identical — same transmission-trace hash, same metrics.
+// timers, and sampling into the progress board from the Progress callback
+// as lrscale does, must leave the same-seed run byte-identical — same
+// transmission-trace hash, same metrics.
 func TestObsDoesNotPerturbRun(t *testing.T) {
 	plain, err := Run(baseConfig(sim.CalendarQueue))
 	if err != nil {
@@ -19,8 +20,12 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 	}
 	cfg := baseConfig(sim.CalendarQueue)
 	cfg.Obs = obs.NewTimers()
-	cfg.Sampler = obs.NewSampler(&bytes.Buffer{})
-	cfg.Board = &obs.Board{}
+	sampler, board := obs.NewSampler(&bytes.Buffer{}), &obs.Board{}
+	cfg.Progress = func(s Snapshot) {
+		board.Publish(sampler.Sample(obs.Gauges{
+			SimNS: int64(s.Now), Events: s.Events, Pending: s.Pending, Completed: s.Completed,
+		}))
+	}
 	cfg.SliceEvery = 5 * sim.Second
 	observed, err := Run(cfg)
 	if err != nil {
@@ -94,43 +99,42 @@ func TestObsAttributionCoverage(t *testing.T) {
 	}
 }
 
-// TestSamplerWiredIntoSlices pins that the scale loop drives the sampler
-// once per progress slice with live gauges.
+// TestSamplerWiredIntoSlices pins the one per-slice hook callers sample and
+// publish from: Run streams one Progress snapshot per slice, and each
+// carries the engine's pending, events and completed values, as read by a
+// twin env driven over the same slices.
 func TestSamplerWiredIntoSlices(t *testing.T) {
-	var buf bytes.Buffer
 	cfg := baseConfig(sim.CalendarQueue)
 	cfg.TraceHash = false
 	cfg.SliceEvery = 5 * sim.Second
-	cfg.Sampler = obs.NewSampler(&buf)
-	board := &obs.Board{}
-	cfg.Board = board
+	var got []Snapshot
+	cfg.Progress = func(s Snapshot) { got = append(got, s) }
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Sampler.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	snaps, err := obs.ReadSnapshots(&buf)
+	env, _, err := build(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots sampled")
+	var want []Snapshot
+	env.Drive(cfg.SliceEvery, func(now sim.Time) {
+		eng := env.Engine()
+		want = append(want, Snapshot{Now: now, Completed: env.Collector().Completions(),
+			Events: eng.Events(), Pending: eng.Pending()})
+	})
+	if len(got) != len(want) || len(got) < 2 {
+		t.Fatalf("%d progress snapshots, want one per slice: %d", len(got), len(want))
 	}
-	last := snaps[len(snaps)-1]
-	if last.Completed != rep.Completed {
-		t.Errorf("final snapshot completed %d, report %d", last.Completed, rep.Completed)
+	for i, g := range got {
+		g.WallElapsed = 0
+		if g != want[i] {
+			t.Errorf("slice %d: snapshot %+v, engine reads %+v", i, g, want[i])
+		}
 	}
-	if last.Events == 0 || last.SimNS <= 0 {
-		t.Errorf("gauges not wired: %+v", last)
-	}
-	published, ok := board.Load().(obs.Snapshot)
-	if !ok {
-		t.Fatalf("board holds %T, want obs.Snapshot", board.Load())
-	}
-	if published.Events != last.Events {
-		t.Errorf("board snapshot events %d, sampler %d", published.Events, last.Events)
+	last := got[len(got)-1]
+	if last.Completed != rep.Completed || last.Events != rep.Events || last.Pending == 0 {
+		t.Errorf("final snapshot %+v, report completed %d events %d", last, rep.Completed, rep.Events)
 	}
 }
 

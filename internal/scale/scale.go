@@ -7,7 +7,7 @@
 // (dissem.Config.CompactRNG) and a selectable event-queue implementation
 // (sim.QueueKind), so heap-vs-calendar runs can be compared for both speed
 // and byte identity — driven by the experiment builder's sliced run loop.
-// This package adds only the progress, sampling and report layer on top.
+// This package adds only the progress and report layer on top.
 package scale
 
 import (
@@ -57,18 +57,13 @@ type Config struct {
 	SliceEvery sim.Time
 	// Progress, when non-nil, streams a snapshot after each slice, so
 	// 100k-node runs report liveness without accumulating per-slice state.
+	// Callers sample the runtime or publish live progress from it.
 	Progress func(Snapshot)
 	// Obs, when non-nil, installs wall-time phase timers through the
 	// engine, radio, crypto and codec layers; Report.Obs carries the
 	// resulting attribution table. Measurements never feed back into
 	// the simulation, so same-seed runs stay byte-identical either way.
 	Obs *obs.Timers
-	// Sampler, when non-nil, captures one runtime snapshot per progress
-	// slice (JSONL; see obs.Sampler).
-	Sampler *obs.Sampler
-	// Board, when non-nil, receives the latest obs.Snapshot each slice for
-	// the live HTTP /progress endpoint.
-	Board *obs.Board
 }
 
 // Snapshot is one incremental progress observation.
@@ -79,6 +74,8 @@ type Snapshot struct {
 	Completed int
 	// Events is the cumulative count of executed engine events.
 	Events uint64
+	// Pending is the number of live scheduled events.
+	Pending int
 	// WallElapsed is real time since the run loop started.
 	WallElapsed time.Duration
 }
@@ -158,17 +155,9 @@ func Run(cfg Config) (Report, error) {
 				Now:         now,
 				Completed:   col.Completions(),
 				Events:      eng.Events(),
+				Pending:     eng.Pending(),
 				WallElapsed: time.Since(start),
 			})
-		}
-		if cfg.Sampler != nil || cfg.Board != nil {
-			snap := cfg.Sampler.Sample(obs.Gauges{
-				SimNS:     int64(now),
-				Events:    eng.Events(),
-				Pending:   eng.Pending(),
-				Completed: col.Completions(),
-			})
-			cfg.Board.Publish(snap)
 		}
 	})
 	wall := time.Since(start)

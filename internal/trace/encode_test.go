@@ -46,8 +46,8 @@ func TestEncodeGolden(t *testing.T) {
 		{
 			name: "fault with value",
 			e: Event{SchemaV: 1, At: 3, Kind: KindFault, Node: NoNode, Peer: NoNode,
-				Unit: NoUnit, Index: NoUnit, Name: "adversary-ramp", Value: 0.5},
-			want: `{"v":1,"t":3,"k":"fault","name":"adversary-ramp","x":0.5}`,
+				Unit: NoUnit, Index: NoUnit, Name: "heal", Value: 0.5},
+			want: `{"v":1,"t":3,"k":"fault","name":"heal","x":0.5}`,
 		},
 		{
 			name: "complete bare",
@@ -139,11 +139,11 @@ func TestReadAll(t *testing.T) {
 // rather than producing invalid JSON.
 func TestEncodeNonFinite(t *testing.T) {
 	inf := Event{SchemaV: 1, At: 0, Kind: KindFault, Node: NoNode, Peer: NoNode,
-		Unit: NoUnit, Index: NoUnit, Name: "adversary-ramp"}
+		Unit: NoUnit, Index: NoUnit, Name: "heal"}
 	inf.Value = 1.0
 	inf.Value = inf.Value / 0 // +Inf without a constant-division compile error
 	got := encodeLine(inf)
-	want := `{"v":1,"t":0,"k":"fault","name":"adversary-ramp"}`
+	want := `{"v":1,"t":0,"k":"fault","name":"heal"}`
 	if got != want {
 		t.Fatalf("non-finite value leaked into JSON: %s", got)
 	}

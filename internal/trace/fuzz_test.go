@@ -22,7 +22,7 @@ func FuzzEvent(f *testing.F) {
 	f.Add([]byte(`{"v":1,"t":2,"k":"drop","n":5,"pe":1,"pk":"adv","r":"fault"}`))
 	f.Add([]byte(`{"v":1,"t":0,"k":"state","n":9,"from":"maintain","to":"rx","name":"rx"}`))
 	f.Add([]byte(`{"v":1,"t":7,"k":"span-begin","n":1,"u":4,"sp":12,"name":"page-fetch"}`))
-	f.Add([]byte(`{"v":1,"t":3,"k":"fault","name":"adversary-ramp","x":0.5}`))
+	f.Add([]byte(`{"v":1,"t":3,"k":"fault","name":"heal","x":0.5}`))
 	f.Add([]byte(`{"v":1,"t":42,"k":"complete","n":3}`))
 	f.Add([]byte(`{"v":1,"t":9,"k":"sig-accept","n":6,"pe":0,"pk":"sig"}`))
 	f.Add([]byte(`{"k":"tx","t":0,"v":1,"x":0,"sp":0,"n":-1}`)) // shuffled keys, explicit zeros

@@ -63,10 +63,11 @@ const (
 	KindSigAccept
 	// KindSigReject: a signature packet failed the expensive verification.
 	KindSigReject
-	// KindComplete: the node holds the full image (first completion only).
+	// KindComplete: the node holds the full image (its first completion of
+	// each version).
 	KindComplete
 	// KindFault: a fault-plan event fired (crash/reboot/link/partition/
-	// heal/adversary-ramp); Name carries the fault kind.
+	// heal); Name carries the fault kind.
 	KindFault
 	// KindSpanBegin / KindSpanEnd bracket an interval (page fetch,
 	// signature verification); Span pairs them.
@@ -233,7 +234,8 @@ type Event struct {
 	// Name labels spans ("page-fetch", "sig-verify"), state machines
 	// ("rx", "tx") and fault kinds ("node-crash", ...).
 	Name string
-	// Value carries a scalar payload (adversary-ramp intensity).
+	// Value carries the schema's scalar payload, "x". No event the
+	// simulator emits sets it; it round-trips through files.
 	Value float64
 }
 
@@ -357,7 +359,7 @@ func (t *Tracer) SigResult(node, from packet.NodeID, ok bool) {
 		Pkt: packet.TypeSig, Unit: NoUnit, Index: NoUnit})
 }
 
-// Complete records a node's first completion of the full image.
+// Complete records a node's first completion of a version of the image.
 func (t *Tracer) Complete(node packet.NodeID) {
 	if t == nil {
 		return
@@ -368,13 +370,13 @@ func (t *Tracer) Complete(node packet.NodeID) {
 
 // Fault records a fault-plan event firing. kind is the fault vocabulary
 // ("node-crash", "link-down", ...); node/peer are NoNode when the fault has
-// no node subject; value carries scalar payloads (ramp intensity).
-func (t *Tracer) Fault(kind string, node, peer int, value float64) {
+// no node subject.
+func (t *Tracer) Fault(kind string, node, peer int) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{Kind: KindFault, Node: node, Peer: peer,
-		Unit: NoUnit, Index: NoUnit, Name: kind, Value: value})
+		Unit: NoUnit, Index: NoUnit, Name: kind})
 }
 
 // Span is a begin/end pair in flight. The zero Span (from a nil tracer) is

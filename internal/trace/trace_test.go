@@ -26,7 +26,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.UnitEvent(KindUnitFirst, 1, 0)
 	tr.SigResult(1, 0, true)
 	tr.Complete(1)
-	tr.Fault("node-crash", 1, NoNode, 0)
+	tr.Fault("node-crash", 1, NoNode)
 	sp := tr.Begin(1, "page-fetch", 2)
 	if sp.Active() {
 		t.Fatal("nil tracer returned an active span")
@@ -47,7 +47,7 @@ func TestTracerStampsEngineTime(t *testing.T) {
 		t.Fatal("constructed tracer not enabled")
 	}
 	eng.Schedule(5*sim.Second, func() { tr.Complete(3) })
-	eng.Schedule(7*sim.Second, func() { tr.Fault("heal", NoNode, NoNode, 0) })
+	eng.Schedule(7*sim.Second, func() { tr.Fault("heal", NoNode, NoNode) })
 	eng.RunUntilIdle()
 
 	evs := ring.Events()

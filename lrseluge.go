@@ -152,8 +152,8 @@ func HeavyNoise() LossModel { return radio.HeavyNoise() }
 // Fault injection (Scenario.Faults).
 
 // FaultPlan is a validated, time-ordered fault scenario: node crashes and
-// reboots with flash-vs-RAM mote semantics, link outage windows, network
-// partitions and adversary-intensity ramps. Assign one to Scenario.Faults.
+// reboots with flash-vs-RAM mote semantics, link outage windows and network
+// partitions. Assign one to Scenario.Faults.
 type FaultPlan = fault.Plan
 
 // FaultEvent is one scheduled fault in a plan.

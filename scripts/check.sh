@@ -7,8 +7,8 @@
 # BENCH_lint.json with per-pass timings and a <2x gate-cost regression check,
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
-# tests, 10 s fuzz smokes of the RS decoder (FuzzDecode) and the hash-image
-# memo (FuzzSumBody), lrsweep golden-JSONL
+# tests, 10 s fuzz smokes of the RS decoder (FuzzDecode), the hash-image
+# memo (FuzzSumBody) and the fault-plan loader (FuzzPlan), lrsweep golden-JSONL
 # diff, the seeded cmd/figures run diffed against figures_output.txt,
 # lrsim and examples/multihop probes that an unknown grid density exits 2, the
 # serial-vs-parallel sweep bench, the churn-sweep fault-injection bench
@@ -155,6 +155,9 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/erasure/rs
 
 echo "==> FuzzSumBody smoke (hash-image memo vs hashing every packet's AuthBody)"
 go test -run '^$' -fuzz '^FuzzSumBody$' -fuzztime 10s ./internal/crypt/hashx
+
+echo "==> FuzzPlan smoke (fault-plan loader: accepted plans re-validate, rejected ones error cleanly)"
+go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime 10s ./internal/fault
 
 echo "==> go test -race ./internal/harness/... ./internal/fault/... ./internal/trace/... ./internal/obs/... (concurrency-sensitive packages, verbose gate)"
 go test -race -count=1 ./internal/harness/... ./internal/fault/... ./internal/trace/... ./internal/obs/...
