@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/packet"
 )
@@ -189,25 +191,7 @@ func (s *Scheduler) Next() (int, int, bool) {
 			return 0, 0, false
 		}
 		n := s.sizeOf(u)
-		if cap(s.pop) < n {
-			s.pop = make([]int, n)
-		}
-		pop := s.pop[:n]
-		for j := range pop {
-			pop[j] = 0
-		}
-		maxPop := 0
-		for i := range tbl.entries {
-			e := &tbl.entries[i]
-			for j := 0; j < n; j++ {
-				if e.bits.Get(j) {
-					pop[j]++
-					if pop[j] > maxPop {
-						maxPop = pop[j]
-					}
-				}
-			}
-		}
+		pop, maxPop := s.popularity(tbl, n)
 		if maxPop == 0 {
 			// Entries with positive distance but no wanted bits cannot
 			// occur for well-formed requests; drop the stale table.
@@ -239,6 +223,35 @@ func (s *Scheduler) Next() (int, int, bool) {
 		}
 		return u, choice, true
 	}
+}
+
+// popularity tallies, for each of the unit's n packets, how many entries
+// want it, and returns the tally with its maximum. It walks each entry's
+// set bits only; slack bits past n in the last byte are ignored.
+func (s *Scheduler) popularity(tbl *trackTable, n int) ([]int, int) {
+	if cap(s.pop) < n {
+		s.pop = make([]int, n)
+	}
+	pop := s.pop[:n]
+	for j := range pop {
+		pop[j] = 0
+	}
+	maxPop := 0
+	for i := range tbl.entries {
+		for k, b := range tbl.entries[i].bits.Bytes() {
+			for ; b != 0; b &= b - 1 {
+				j := k*8 + bits.TrailingZeros8(b)
+				if j >= n {
+					break
+				}
+				pop[j]++
+				if pop[j] > maxPop {
+					maxPop = pop[j]
+				}
+			}
+		}
+	}
+	return pop, maxPop
 }
 
 // Pending implements dissem.TxPolicy.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"lrseluge/internal/packet"
@@ -236,5 +238,124 @@ func drainAll(s *Scheduler) []int {
 			return out
 		}
 		out = append(out, idx)
+	}
+}
+
+// getLoopPopularity is the oracle for Scheduler.popularity: the per-index
+// Get loop Next used before it walked set bits.
+func getLoopPopularity(tbl *trackTable, n int) ([]int, int) {
+	pop := make([]int, n)
+	maxPop := 0
+	for i := range tbl.entries {
+		e := &tbl.entries[i]
+		for j := 0; j < n; j++ {
+			if e.bits.Get(j) {
+				pop[j]++
+				if pop[j] > maxPop {
+					maxPop = pop[j]
+				}
+			}
+		}
+	}
+	return pop, maxPop
+}
+
+// getLoopNext is Next with the oracle tally.
+func getLoopNext(s *Scheduler) (int, int, bool) {
+	for {
+		u, tbl, ok := s.lowestUnit()
+		if !ok {
+			return 0, 0, false
+		}
+		n := s.sizeOf(u)
+		pop, maxPop := getLoopPopularity(tbl, n)
+		if maxPop == 0 {
+			s.units[u] = nil
+			continue
+		}
+		start := 0
+		if tbl.last >= 0 {
+			start = (tbl.last + 1) % n
+		}
+		choice := -1
+		for off := 0; off < n; off++ {
+			j := (start + off) % n
+			if pop[j] == maxPop {
+				choice = j
+				break
+			}
+		}
+		s.clearColumn(tbl, choice)
+		tbl.last = choice
+		s.lastIdx[u] = choice
+		if len(tbl.entries) == 0 {
+			s.units[u] = nil
+		}
+		return u, choice, true
+	}
+}
+
+// TestPopularityMatchesGetLoop drives Next and the Get-loop oracle over the
+// same random tracking tables, with SNACKs and overheard packets arriving
+// between transmissions (new requests stop after 20 steps, so the tables
+// drain). Requests may carry slack bits past n in their last
+// byte, which both tallies must ignore (an entry wanting nothing else is
+// dropped by both). The tallies and the choice sequences must be identical.
+func TestPopularityMatchesGetLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 7, 8, 9, 48, 64} {
+		for trial := 0; trial < 40; trial++ {
+			kprime := 1 + rng.Intn(n)
+			got, want := schedFor(n, kprime), schedFor(n, kprime)
+			request := func() {
+				v := packet.NewBitVector(n)
+				density := rng.Float64()
+				for j := 0; j < n; j++ {
+					v.Set(j, rng.Float64() < density)
+				}
+				if n%8 != 0 && rng.Intn(4) == 0 {
+					b := v.Bytes()
+					b[len(b)-1] |= ^byte(0) << uint(n%8)
+				}
+				from, u := packet.NodeID(1+rng.Intn(8)), rng.Intn(3)
+				got.OnSNACK(from, u, v)
+				want.OnSNACK(from, u, v)
+			}
+			for i := rng.Intn(12); i >= 0; i-- {
+				request()
+			}
+			for step := 0; ; step++ {
+				for u, tbl := range got.units {
+					if tbl == nil {
+						continue
+					}
+					g, gmax := got.popularity(tbl, n)
+					w, wmax := getLoopPopularity(tbl, n)
+					if fmt.Sprint(g) != fmt.Sprint(w) || gmax != wmax {
+						t.Fatalf("n=%d trial %d step %d unit %d: tally %v max %d, Get loop %v max %d",
+							n, trial, step, u, g, gmax, w, wmax)
+					}
+				}
+				gu, gi, gok := got.Next()
+				wu, wi, wok := getLoopNext(want)
+				if gu != wu || gi != wi || gok != wok {
+					t.Fatalf("n=%d trial %d step %d: Next (%d,%d,%v), Get loop (%d,%d,%v)",
+						n, trial, step, gu, gi, gok, wu, wi, wok)
+				}
+				if !gok {
+					break
+				}
+				switch rng.Intn(4) {
+				case 0:
+					if step < 20 {
+						request()
+					}
+				case 1:
+					u, idx := rng.Intn(3), rng.Intn(n)
+					got.OnDataOverheard(u, idx)
+					want.OnDataOverheard(u, idx)
+				}
+			}
+		}
 	}
 }

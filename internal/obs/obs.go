@@ -47,7 +47,7 @@ type Phase uint8
 // times sum to at most the run's wall time.
 const (
 	// PhaseQueuePop: event-queue PopLE calls in the engine run loop, one
-	// per loop iteration (stale records and the final empty pop included).
+	// per loop iteration (the final empty pop included).
 	PhaseQueuePop Phase = iota
 	// PhaseQueuePush: event-queue Push calls.
 	PhaseQueuePush

@@ -20,9 +20,12 @@ import (
 // wall clock), and internal layout can never leak into results.
 //
 // The scan's lower bound (lastAt) must be a true floor over queue content.
-// Pops raise it; Push lowers it when a record predates it — which happens
-// when a cancelled (lazily deleted) future event was popped for recycling
-// while the engine clock, which only advances on live events, lagged behind.
+// Pops raise it, and nothing can push below it: every pop is an executed
+// event, so lastAt never exceeds the engine clock, and pushes never predate
+// the clock.
+//
+// Each record's pos locates it for Remove: the index in its bucket
+// (bucketOf(at) names the bucket) or, while it is staged, its stage slot.
 type calendarQueue struct {
 	buckets [][]*timer
 	mask    int  // len(buckets)-1; bucket count is a power of two
@@ -44,7 +47,10 @@ type calendarQueue struct {
 	// index. Invariants: every staged event has at == stageAt == lastAt;
 	// no queued event is earlier; stage seqs ascend, and any later push at
 	// stageAt carries a larger seq than everything staged (engine seqs are
-	// monotone), so appending preserves the order.
+	// monotone), so appending preserves the order. While the stage is
+	// nonempty it holds every queued event at stageAt, and
+	// stage[stagePos] is live: Remove leaves a nil tombstone, which the
+	// stage head skips.
 	stage    []*timer
 	stagePos int
 	stageAt  Time
@@ -92,33 +98,62 @@ func (q *calendarQueue) Push(ev *timer) {
 	if q.n >= 2*len(q.buckets) {
 		q.resize(2 * len(q.buckets))
 	}
-	if q.stagePos < len(q.stage) && ev.at == q.stageAt {
+	q.n++
+	if q.staged(ev) {
+		ev.pos = len(q.stage)
 		q.stage = append(q.stage, ev)
-		q.n++
 		return
 	}
-	if ev.at < q.lastAt {
-		// A push below the floor also invalidates the stage (staged events
-		// sit at lastAt and must no longer pop first): spill it back.
-		q.unstage()
-		q.lastAt = ev.at
-	}
-	i := q.bucketOf(ev.at)
-	q.buckets[i] = append(q.buckets[i], ev)
-	q.occ[i>>6] |= 1 << (uint(i) & 63)
-	q.n++
+	q.insert(ev)
 }
 
-// unstage returns staged events to their bucket (rare: only a below-floor
-// push while a same-instant burst is draining).
-func (q *calendarQueue) unstage() {
-	for _, ev := range q.stage[q.stagePos:] {
-		i := q.bucketOf(ev.at)
-		q.buckets[i] = append(q.buckets[i], ev)
-		q.occ[i>>6] |= 1 << (uint(i) & 63)
+// insert appends ev to its bucket.
+func (q *calendarQueue) insert(ev *timer) {
+	i := q.bucketOf(ev.at)
+	ev.pos = len(q.buckets[i])
+	q.buckets[i] = append(q.buckets[i], ev)
+	q.occ[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// staged reports whether ev belongs in the stage: a burst is draining and
+// ev fires at its instant.
+func (q *calendarQueue) staged(ev *timer) bool {
+	return q.stagePos < len(q.stage) && ev.at == q.stageAt
+}
+
+// Remove implements Queue: a staged record leaves a tombstone, a bucketed
+// one is swap-removed.
+//
+//lrlint:hotpath one call per cancelled timer
+func (q *calendarQueue) Remove(ev *timer) {
+	q.n--
+	if q.staged(ev) {
+		q.stage[ev.pos] = nil
+		q.skipTombstones()
+		return
 	}
-	q.stage = q.stage[:0]
-	q.stagePos = 0
+	i := q.bucketOf(ev.at)
+	b := q.buckets[i]
+	last := len(b) - 1
+	b[ev.pos] = b[last]
+	b[ev.pos].pos = ev.pos
+	b[last] = nil
+	q.buckets[i] = b[:last]
+	if last == 0 {
+		q.occ[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}
+
+// skipTombstones advances the stage head past removed records and resets
+// the stage once it is drained.
+func (q *calendarQueue) skipTombstones() {
+	for q.stagePos < len(q.stage) && q.stage[q.stagePos] == nil {
+		q.stagePos++
+	}
+	if q.stagePos == len(q.stage) {
+		q.stage = q.stage[:0]
+		q.stagePos = 0
+	}
 }
 
 // PopLE implements Queue.
@@ -135,10 +170,7 @@ func (q *calendarQueue) PopLE(horizon Time) *timer {
 		ev := q.stage[q.stagePos]
 		q.stage[q.stagePos] = nil
 		q.stagePos++
-		if q.stagePos == len(q.stage) {
-			q.stage = q.stage[:0]
-			q.stagePos = 0
-		}
+		q.skipTombstones()
 		q.n--
 		q.pops++
 		q.lastAt = ev.at
@@ -188,7 +220,7 @@ func (q *calendarQueue) PopLE(horizon Time) *timer {
 	var best *timer
 	for ii := range q.buckets {
 		for jj, ev := range q.buckets[ii] {
-			if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
+			if best == nil || before(ev, best) {
 				best, bi, bj = ev, ii, jj
 			}
 		}
@@ -233,7 +265,7 @@ func (q *calendarQueue) minInBucketBelow(i int, top Time) int {
 		if ev.at >= top {
 			continue
 		}
-		if best == nil || ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
+		if best == nil || before(ev, best) {
 			best, bestIdx = ev, j
 		}
 	}
@@ -261,6 +293,7 @@ func (q *calendarQueue) take(i, j int, horizon Time) *timer {
 		if e.at == ev.at {
 			q.stage = append(q.stage, e)
 		} else {
+			e.pos = len(keep)
 			keep = append(keep, e)
 		}
 	}
@@ -273,6 +306,9 @@ func (q *calendarQueue) take(i, j int, horizon Time) *timer {
 	}
 	if len(q.stage) > 0 {
 		sort.Slice(q.stage, func(a, c int) bool { return q.stage[a].seq < q.stage[c].seq })
+		for k, e := range q.stage {
+			e.pos = k
+		}
 		q.stageAt = ev.at
 		q.stagePos = 0
 	}
@@ -327,9 +363,7 @@ func (q *calendarQueue) resize(newNB int) {
 	// not an alloc-hotpath root.
 	for _, b := range old {
 		for _, ev := range b {
-			i := q.bucketOf(ev.at)
-			q.buckets[i] = append(q.buckets[i], ev)
-			q.occ[i>>6] |= 1 << (uint(i) & 63)
+			q.insert(ev)
 		}
 	}
 }

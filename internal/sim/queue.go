@@ -3,7 +3,9 @@ package sim
 // heapQueue is the reference Queue: a hand-rolled binary min-heap over
 // (at, seq). It is hand-rolled rather than container/heap so Push and PopLE
 // take the concrete *timer without interface indirection and the sift code
-// stays visible to the alloc-hotpath pass.
+// stays visible to the alloc-hotpath pass. Each record's pos is its slot;
+// the sifts move a hole rather than swapping, writing each displaced
+// record and its pos once, so Remove is O(log n).
 type heapQueue struct {
 	evs []*timer
 }
@@ -13,8 +15,8 @@ func newHeapQueue() *heapQueue { return &heapQueue{} }
 // Len implements Queue.
 func (q *heapQueue) Len() int { return len(q.evs) }
 
-func (q *heapQueue) less(i, j int) bool {
-	a, b := q.evs[i], q.evs[j]
+// before orders records by (at, seq).
+func before(a, b *timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -26,7 +28,7 @@ func (q *heapQueue) less(i, j int) bool {
 //lrlint:hotpath one call per scheduled event
 func (q *heapQueue) Push(ev *timer) {
 	q.evs = append(q.evs, ev)
-	q.up(len(q.evs) - 1)
+	q.up(ev, len(q.evs)-1)
 }
 
 // PopLE implements Queue.
@@ -37,42 +39,62 @@ func (q *heapQueue) PopLE(horizon Time) *timer {
 		return nil
 	}
 	ev := q.evs[0]
-	last := len(q.evs) - 1
-	q.evs[0] = q.evs[last]
-	q.evs[last] = nil
-	q.evs = q.evs[:last]
-	if last > 0 {
-		q.down(0)
-	}
+	q.Remove(ev)
 	return ev
 }
 
-func (q *heapQueue) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.evs[i], q.evs[parent] = q.evs[parent], q.evs[i]
-		i = parent
+// Remove implements Queue: the last record fills the vacated slot and
+// sifts whichever way restores the heap order.
+//
+//lrlint:hotpath one call per executed or cancelled event
+func (q *heapQueue) Remove(ev *timer) {
+	last := len(q.evs) - 1
+	moved := q.evs[last]
+	q.evs[last] = nil
+	q.evs = q.evs[:last]
+	if i := ev.pos; i < last {
+		q.up(moved, q.down(moved, i))
 	}
 }
 
-func (q *heapQueue) down(i int) {
+// up places ev, bound for slot i, by moving the hole at i toward the root
+// past every parent that ev precedes.
+func (q *heapQueue) up(ev *timer, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := q.evs[parent]
+		if !before(ev, p) {
+			break
+		}
+		q.evs[i] = p
+		p.pos = i
+		i = parent
+	}
+	q.evs[i] = ev
+	ev.pos = i
+}
+
+// down places ev, bound for slot i, by moving the hole at i toward the
+// leaves past every smaller child, and returns the slot it settles in.
+func (q *heapQueue) down(ev *timer, i int) int {
 	n := len(q.evs)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
-		min := l
-		if r := l + 1; r < n && q.less(r, l) {
-			min = r
+		c := q.evs[l]
+		if r := l + 1; r < n && before(q.evs[r], c) {
+			l, c = r, q.evs[r]
 		}
-		if !q.less(min, i) {
+		if !before(c, ev) {
 			break
 		}
-		q.evs[i], q.evs[min] = q.evs[min], q.evs[i]
-		i = min
+		q.evs[i] = c
+		c.pos = i
+		i = l
 	}
+	q.evs[i] = ev
+	ev.pos = i
+	return i
 }

@@ -11,6 +11,12 @@
 // schedule/pop for large-scale runs. Both pop events in exactly the same
 // (time, sequence) order, so the choice cannot affect simulation results;
 // TestQueueEquivalence and FuzzQueueEquivalence pin this.
+//
+// Cancellation is eager: Timer.Stop takes the record out of the queue at
+// once, so the queue holds only live events and Engine.Pending is its
+// length. One consequence is visible to callers: Run(until) with nothing
+// live left advances the clock to until, even when the cancelled timers
+// were scheduled past it.
 package sim
 
 import (
@@ -48,16 +54,20 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // timer is the pooled event record that lives inside the queue. Records are
-// recycled through the engine free list once popped (fired or lazily deleted),
-// with gen incremented at each recycle so stale Timer handles cannot touch
-// the record's next life.
+// recycled through the engine free list once popped or stopped, with gen
+// incremented at each recycle so stale Timer handles cannot touch the
+// record's next life. A record is queued exactly while a handle's gen
+// matches it.
 type timer struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	eng     *Engine
-	gen     uint32
-	stopped bool
+	at  Time
+	seq uint64
+	fn  func()
+	eng *Engine
+	gen uint32
+	// pos is the record's position inside its queue, kept current by the
+	// queue so Remove finds it without a search: the heap slot, the index
+	// in its calendar bucket, or its calendar stage slot.
+	pos int
 }
 
 // Timer is a value handle to a scheduled event. The zero value is an inert
@@ -72,22 +82,22 @@ type Timer struct {
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending.
-// Cancellation is lazy: the record stays queued until its firing time and is
-// discarded (and recycled) when popped.
+// The record leaves the queue and returns to the free list at once.
+//
+//lrlint:hotpath one call per cancelled timer
 func (t Timer) Stop() bool {
 	ev := t.ev
-	if ev == nil || ev.gen != t.gen || ev.stopped {
+	if ev == nil || ev.gen != t.gen {
 		return false
 	}
-	ev.stopped = true
-	ev.fn = nil
-	ev.eng.live--
+	ev.eng.queue.Remove(ev)
+	ev.eng.recycle(ev)
 	return true
 }
 
 // Active reports whether the timer is still scheduled to fire.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.stopped
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
 // At reports the virtual time the timer is (or was) scheduled to fire.
@@ -134,15 +144,15 @@ func ParseQueueKind(s string) (QueueKind, error) {
 // implementations live in this package and are selected via QueueKind.
 type Queue interface {
 	// Push inserts an event record. The engine guarantees ev.at is never
-	// earlier than the engine clock, but it may predate the most recently
-	// popped record: cancelled future events are popped (for recycling)
-	// without advancing the clock.
+	// earlier than the engine clock, and so never earlier than the most
+	// recently popped record: every pop is an executed event.
 	Push(ev *timer)
 	// PopLE removes and returns the earliest event if its time is at or
 	// before horizon, or returns nil (leaving the queue untouched).
 	PopLE(horizon Time) *timer
-	// Len reports the number of queued records, including lazily deleted
-	// (stopped but not yet popped) ones.
+	// Remove takes a queued record out of the queue.
+	Remove(ev *timer)
+	// Len reports the number of queued records.
 	Len() int
 }
 
@@ -153,7 +163,6 @@ type Engine struct {
 	seq     uint64
 	queue   Queue
 	free    []*timer
-	live    int
 	running bool
 	stopped bool
 	events  uint64
@@ -192,9 +201,14 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of events executed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
-// Pending returns the number of live (scheduled and not stopped) timers.
-// Lazily deleted records still inside the queue are not counted.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of live (scheduled and not stopped) timers,
+// which is the queue's length.
+func (e *Engine) Pending() int {
+	if e.queue == nil {
+		return 0
+	}
+	return e.queue.Len()
+}
 
 // Schedule arranges for fn to run after the given delay. A negative delay is
 // treated as zero. It returns a Timer that may be used to cancel the event.
@@ -233,17 +247,16 @@ func (e *Engine) At(at Time, fn func()) Timer {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.stopped = false
 	e.seq++
-	e.live++
 	e.obs.Start(obs.PhaseQueuePush)
 	e.queue.Push(ev)
 	e.obs.End(obs.PhaseQueuePush)
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
-// recycle returns a popped record to the free list. The generation bump
-// invalidates every outstanding handle to the record's previous life.
+// recycle returns a popped or removed record to the free list. The
+// generation bump invalidates every outstanding handle to the record's
+// previous life.
 func (e *Engine) recycle(ev *timer) {
 	ev.gen++
 	ev.fn = nil
@@ -257,7 +270,8 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in timestamp order until the queue drains, the clock
 // would pass the until horizon, or Stop is called. It returns the virtual
-// time at which execution ceased.
+// time at which execution ceased. When the queue drains before until (every
+// remaining timer fired or was stopped), the clock advances to until.
 func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run called reentrantly")
@@ -274,7 +288,7 @@ func (e *Engine) Run(until Time) Time {
 			break
 		}
 	}
-	if e.now < until && until != MaxTime && (e.queue == nil || e.queue.Len() == 0) {
+	if e.now < until && until != MaxTime && e.Pending() == 0 {
 		// The queue drained before the horizon: advance the clock so
 		// repeated Run calls observe monotonic time.
 		e.now = until
@@ -282,8 +296,8 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// step pops the next event due by until and, unless it was cancelled, runs
-// it. It reports false once no event is due.
+// step pops the next event due by until and runs it. It reports false once
+// no event is due.
 func (e *Engine) step(until Time) bool {
 	e.obs.Start(obs.PhaseQueuePop)
 	ev := e.queue.PopLE(until)
@@ -291,13 +305,8 @@ func (e *Engine) step(until Time) bool {
 	if ev == nil {
 		return false
 	}
-	if ev.stopped {
-		e.recycle(ev)
-		return true
-	}
 	e.now = ev.at
 	e.events++
-	e.live--
 	fn := ev.fn
 	e.recycle(ev)
 	e.obs.Start(obs.PhaseDispatch)
@@ -311,5 +320,5 @@ func (e *Engine) RunUntilIdle() Time { return e.Run(MaxTime) }
 
 // String summarizes engine state, mostly for debugging.
 func (e *Engine) String() string {
-	return fmt.Sprintf("sim.Engine{now=%v pending=%d executed=%d}", e.now, e.live, e.events)
+	return fmt.Sprintf("sim.Engine{now=%v pending=%d executed=%d}", e.now, e.Pending(), e.events)
 }

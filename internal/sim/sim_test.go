@@ -168,9 +168,9 @@ func TestTimerPoolReusesRecords(t *testing.T) {
 	}
 	eng.RunUntilIdle()
 	allocs := testing.AllocsPerRun(100, func() {
-		tm := eng.Schedule(Millisecond, fn)
-		tm.Stop()
-		eng.RunUntilIdle() // reap so the record returns to the pool
+		eng.Schedule(Millisecond, fn).Stop() // Stop returns the record to the pool
+		eng.Schedule(Millisecond, fn)
+		eng.RunUntilIdle()
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule/stop/run allocated %.1f times per op, want 0", allocs)

@@ -7,8 +7,9 @@
 # BENCH_lint.json with per-pass timings and a <2x gate-cost regression check,
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
-# tests, 10 s fuzz smokes of the RS decoder (FuzzDecode), the hash-image
-# memo (FuzzSumBody) and the fault-plan loader (FuzzPlan), lrsweep golden-JSONL
+# tests, 10 s fuzz smokes of the RS decoder (FuzzDecode), the event queues
+# (FuzzQueueEquivalence), the hash-image memo (FuzzSumBody) and the
+# fault-plan loader (FuzzPlan), lrsweep golden-JSONL
 # diff, the seeded cmd/figures run diffed against figures_output.txt,
 # lrsim and examples/multihop probes that an unknown grid density exits 2, the
 # serial-vs-parallel sweep bench, the churn-sweep fault-injection bench
@@ -152,6 +153,9 @@ go test -race ./...
 
 echo "==> FuzzDecode smoke (reduced RS decode vs the full-inversion reference decoder)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/erasure/rs
+
+echo "==> FuzzQueueEquivalence smoke (heap vs calendar pop order; the queue holds exactly the live timers)"
+go test -run '^$' -fuzz '^FuzzQueueEquivalence$' -fuzztime 10s ./internal/sim
 
 echo "==> FuzzSumBody smoke (hash-image memo vs hashing every packet's AuthBody)"
 go test -run '^$' -fuzz '^FuzzSumBody$' -fuzztime 10s ./internal/crypt/hashx
