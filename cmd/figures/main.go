@@ -1,24 +1,65 @@
 // Command figures regenerates every table and figure of the paper's
 // evaluation (§V-VI): Fig. 3 (analysis vs simulation, one page), Figs. 4-6
 // (one-hop sweeps over loss rate, receiver count and erasure-coding rate),
-// and Tables II-III (multi-hop grids). Output is textual series matching the
-// paper's axes; EXPERIMENTS.md records the comparison with the paper.
+// and Tables II-III (multi-hop grids). Each grid artifact runs its sweep
+// from the experiment catalog (the one lrsweep and lrserved run), so its
+// axes are defined once. Output is textual series matching the paper's
+// axes; EXPERIMENTS.md records the comparison with the paper.
 //
 // Usage:
 //
-//	figures [-fig 3a|3b|4|5|6|table2|table3|all] [-runs N] [-seed S] [-quick]
+//	figures [-fig 3a|3b|4|5|6|table2|table3|attacks|ablation|upgrade|all] [-runs N] [-seed S] [-quick] [-parallel W]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
+	"lrseluge/internal/analysis"
 	"lrseluge/internal/experiment"
+	"lrseluge/internal/harness"
 	"lrseluge/internal/image"
-	"lrseluge/internal/topo"
 )
+
+// config is what every artifact runs under.
+type config struct {
+	spec experiment.SweepSpec
+	pool harness.Config
+}
+
+// artifact is one table or figure, in output order.
+type artifact struct {
+	name string
+	run  func(config) error
+}
+
+var artifacts = []artifact{
+	{"3a", func(c config) error {
+		return fig3(c, "fig3a", "Fig. 3(a): data packets for one page vs packet-loss rate (N=10 receivers)",
+			"p", "%8.2f", func(s experiment.Scenario) float64 { return s.LossP })
+	}},
+	{"3b", func(c config) error {
+		return fig3(c, "fig3b", "Fig. 3(b): data packets for one page vs number of receivers (p=0.2)",
+			"N", "%8.0f", func(s experiment.Scenario) float64 { return float64(s.Receivers) })
+	}},
+	{"4", func(c config) error {
+		return comparison(c, "fig4", fmt.Sprintf("Fig. 4(a)-(e): impact of packet-loss rate (N=20, %d KB image)", c.spec.ImageSize()/1024),
+			"p", func(s experiment.Scenario) float64 { return s.LossP })
+	}},
+	{"5", func(c config) error {
+		return comparison(c, "fig5", fmt.Sprintf("Fig. 5(a)-(e): impact of receiver count (p=0.1, %d KB image)", c.spec.ImageSize()/1024),
+			"N", func(s experiment.Scenario) float64 { return float64(s.Receivers) })
+	}},
+	{"6", fig6},
+	{"table2", func(c config) error { return multihop(c, "multihop", "Table II (15x15 tight grid, high density)") }},
+	{"table3", func(c config) error {
+		return multihop(c, "multihop-medium", "Table III (15x15 medium grid, low density)")
+	}},
+	{"attacks", attacks},
+	{"ablation", ablation},
+	{"upgrade", upgrade},
+}
 
 func main() {
 	var (
@@ -29,187 +70,119 @@ func main() {
 		parallel = flag.Int("parallel", 0, "cap on concurrent simulation runs (0 = all cores); output is identical for any value")
 	)
 	flag.Parse()
-	if *parallel > 0 {
-		// Sweeps fan out on GOMAXPROCS-wide harness pools; capping
-		// GOMAXPROCS caps the sweep concurrency.
-		runtime.GOMAXPROCS(*parallel)
-	}
 
-	cfg := sweepConfig{runs: *runs, seed: *seed, quick: *quick}
-	artifacts := map[string]func(sweepConfig) error{
-		"3a":     fig3a,
-		"3b":     fig3b,
-		"4":      fig4,
-		"5":      fig5,
-		"6":      fig6,
-		"table2": func(c sweepConfig) error { return multihop(c, topo.Tight, "Table II (15x15 tight grid, high density)") },
-		"table3": func(c sweepConfig) error {
-			return multihop(c, topo.Medium, "Table III (15x15 medium grid, low density)")
-		},
-		"attacks": func(c sweepConfig) error {
-			return attacks(c)
-		},
-		"ablation": ablation,
-		"upgrade":  upgrade,
+	c := config{
+		spec: experiment.SweepSpec{Runs: *runs, Seed: *seed, Quick: *quick},
+		pool: harness.Config{Workers: *parallel},
 	}
-	order := []string{"3a", "3b", "4", "5", "6", "table2", "table3", "attacks", "ablation", "upgrade"}
-
-	run := func(name string) {
-		if err := artifacts[name](cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", name, err)
+	found := false
+	for _, a := range artifacts {
+		if *fig != "all" && *fig != a.name {
+			continue
+		}
+		found = true
+		if err := a.run(c); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", a.name, err)
 			os.Exit(1)
 		}
 	}
-	if *fig == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
-	}
-	if _, ok := artifacts[*fig]; !ok {
+	if !found {
 		fmt.Fprintf(os.Stderr, "figures: unknown artifact %q\n", *fig)
 		os.Exit(2)
 	}
-	run(*fig)
 }
 
-type sweepConfig struct {
-	runs  int
-	seed  int64
-	quick bool
-}
-
-func (c sweepConfig) imageSize() int {
-	if c.quick {
-		return 4 * 1024
-	}
-	return 20 * 1024
-}
-
-func (c sweepConfig) params() image.Params { return image.DefaultParams() }
-
-func fig3a(c sweepConfig) error {
-	fmt.Println("=== Fig. 3(a): data packets for one page vs packet-loss rate (N=10 receivers) ===")
-	ps := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
-	if c.quick {
-		ps = []float64{0, 0.1, 0.2, 0.3, 0.4}
-	}
-	pts, err := experiment.Fig3LossSweep(c.params(), 10, ps, c.runs, c.seed)
+// fig3 prints one panel of Fig. 3: the §V analysis at each x next to the
+// simulated one-page data packets. The catalog lists each x as a Seluge
+// entry followed by an LR-Seluge one, and every run must complete.
+func fig3(c config, sweep, title, xHead, xFmt string, x func(experiment.Scenario) float64) error {
+	fmt.Printf("=== %s ===\n", title)
+	entries, avgs, err := experiment.RunSweep(sweep, c.spec, c.pool)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%8s %16s %16s %12s %12s\n", "p", "Seluge(analysis)", "ACK-LR(analysis)", "Seluge(sim)", "LR(sim)")
-	for _, pt := range pts {
-		fmt.Printf("%8.2f %16.1f %16.1f %12.1f %12.1f\n", pt.X, pt.SelugeAnalysis, pt.ACKLRAnalysis, pt.SelugeSim, pt.LRSim)
+	fmt.Printf("%8s %16s %16s %12s %12s\n", xHead, "Seluge(analysis)", "ACK-LR(analysis)", "Seluge(sim)", "LR(sim)")
+	for i := 0; i < len(entries); i += 2 {
+		s := entries[i].Scenario
+		for _, avg := range avgs[i : i+2] {
+			if avg.Completed < 1 {
+				return fmt.Errorf("fig3 run incomplete (%.2f) proto=%v x=%v", avg.Completed, avg.Protocol, x(s))
+			}
+		}
+		sel, err := analysis.SelugeDataTx(s.Params.K, s.Receivers, s.LossP)
+		if err != nil {
+			return err
+		}
+		ackLR, err := analysis.ACKBasedLRDataTx(s.Params.K, s.Params.N, s.Params.K, s.Receivers, s.LossP)
+		if err != nil {
+			return err
+		}
+		fmt.Printf(xFmt+" %16.1f %16.1f %12.1f %12.1f\n", x(s), sel, ackLR, avgs[i].PageData, avgs[i+1].PageData)
 	}
 	fmt.Println()
 	return nil
 }
 
-func fig3b(c sweepConfig) error {
-	fmt.Println("=== Fig. 3(b): data packets for one page vs number of receivers (p=0.2) ===")
-	ns := []int{2, 5, 10, 15, 20, 25, 30, 35, 40}
-	if c.quick {
-		ns = []int{2, 10, 20, 40}
-	}
-	pts, err := experiment.Fig3ReceiverSweep(c.params(), ns, 0.2, c.runs, c.seed)
+// comparison prints Fig. 4 or 5: the five metrics of Seluge and LR-Seluge
+// at each x (Seluge entry first).
+func comparison(c config, sweep, title, xHead string, x func(experiment.Scenario) float64) error {
+	fmt.Printf("=== %s ===\n", title)
+	entries, avgs, err := experiment.RunSweep(sweep, c.spec, c.pool)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%8s %16s %16s %12s %12s\n", "N", "Seluge(analysis)", "ACK-LR(analysis)", "Seluge(sim)", "LR(sim)")
-	for _, pt := range pts {
-		fmt.Printf("%8.0f %16.1f %16.1f %12.1f %12.1f\n", pt.X, pt.SelugeAnalysis, pt.ACKLRAnalysis, pt.SelugeSim, pt.LRSim)
-	}
-	fmt.Println()
-	return nil
-}
-
-func printComparison(pts []experiment.ComparisonPoint, xLabel string) {
 	fmt.Printf("%8s | %10s %10s | %10s %10s | %9s %9s | %12s %12s | %10s %10s\n",
-		xLabel, "S:data", "LR:data", "S:snack", "LR:snack", "S:adv", "LR:adv", "S:bytes", "LR:bytes", "S:lat(s)", "LR:lat(s)")
-	for _, pt := range pts {
+		xHead, "S:data", "LR:data", "S:snack", "LR:snack", "S:adv", "LR:adv", "S:bytes", "LR:bytes", "S:lat(s)", "LR:lat(s)")
+	for i := 0; i < len(entries); i += 2 {
+		sel, lr := avgs[i], avgs[i+1]
 		fmt.Printf("%8.2f | %10.0f %10.0f | %10.0f %10.0f | %9.0f %9.0f | %12.0f %12.0f | %10.1f %10.1f\n",
-			pt.X,
-			pt.Seluge.DataPkts, pt.LR.DataPkts,
-			pt.Seluge.SnackPkts, pt.LR.SnackPkts,
-			pt.Seluge.AdvPkts, pt.LR.AdvPkts,
-			pt.Seluge.TotalBytes, pt.LR.TotalBytes,
-			pt.Seluge.LatencySec, pt.LR.LatencySec)
+			x(entries[i].Scenario),
+			sel.DataPkts, lr.DataPkts,
+			sel.SnackPkts, lr.SnackPkts,
+			sel.AdvPkts, lr.AdvPkts,
+			sel.TotalBytes, lr.TotalBytes,
+			sel.LatencySec, lr.LatencySec)
 	}
 	fmt.Println()
-}
-
-func fig4(c sweepConfig) error {
-	fmt.Printf("=== Fig. 4(a)-(e): impact of packet-loss rate (N=20, %d KB image) ===\n", c.imageSize()/1024)
-	ps := []float64{0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4}
-	if c.quick {
-		ps = []float64{0, 0.1, 0.3, 0.4}
-	}
-	pts, err := experiment.Fig4LossImpact(c.params(), c.imageSize(), 20, ps, c.runs, c.seed)
-	if err != nil {
-		return err
-	}
-	printComparison(pts, "p")
 	return nil
 }
 
-func fig5(c sweepConfig) error {
-	fmt.Printf("=== Fig. 5(a)-(e): impact of receiver count (p=0.1, %d KB image) ===\n", c.imageSize()/1024)
-	ns := []int{5, 10, 20, 30, 40}
-	if c.quick {
-		ns = []int{5, 20, 40}
-	}
-	pts, err := experiment.Fig5DensityImpact(c.params(), c.imageSize(), ns, 0.1, c.runs, c.seed)
-	if err != nil {
-		return err
-	}
-	printComparison(pts, "N")
-	return nil
-}
-
-func fig6(c sweepConfig) error {
-	fmt.Printf("=== Fig. 6(a)-(e): impact of erasure-coding rate n/k (k=32, N=20, %d KB image) ===\n", c.imageSize()/1024)
-	ns := []int{32, 40, 48, 56, 64, 72}
-	ps := []float64{0.05, 0.1, 0.2}
-	if c.quick {
-		ns = []int{32, 48, 64}
-		ps = []float64{0.1}
-	}
-	pts, err := experiment.Fig6RateImpact(c.params().PacketPayload, 32, c.imageSize(), 20, ns, ps, c.runs, c.seed)
+func fig6(c config) error {
+	fmt.Printf("=== Fig. 6(a)-(e): impact of erasure-coding rate n/k (k=32, N=20, %d KB image) ===\n", c.spec.ImageSize()/1024)
+	entries, avgs, err := experiment.RunSweep("fig6", c.spec, c.pool)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%6s %6s %6s | %10s %10s %9s %12s %10s\n", "p", "n", "n/k", "data", "snack", "adv", "bytes", "lat(s)")
-	for _, pt := range pts {
+	for i, e := range entries {
+		s, lr := e.Scenario, avgs[i]
 		fmt.Printf("%6.2f %6d %6.2f | %10.0f %10.0f %9.0f %12.0f %10.1f\n",
-			pt.P, pt.N, pt.Rate, pt.LR.DataPkts, pt.LR.SnackPkts, pt.LR.AdvPkts, pt.LR.TotalBytes, pt.LR.LatencySec)
+			s.LossP, s.Params.N, float64(s.Params.N)/float64(s.Params.K),
+			lr.DataPkts, lr.SnackPkts, lr.AdvPkts, lr.TotalBytes, lr.LatencySec)
 	}
 	fmt.Println()
 	return nil
 }
 
-func multihop(c sweepConfig, density topo.GridDensity, title string) error {
+func multihop(c config, sweep, title string) error {
 	fmt.Printf("=== %s ===\n", title)
-	rows, cols := 15, 15
-	if c.quick {
-		rows, cols = 7, 7
-	}
-	sel, lr, err := experiment.MultiHopComparison(c.params(), c.imageSize(), density, rows, cols, c.runs, c.seed)
+	_, avgs, err := experiment.RunSweep(sweep, c.spec, c.pool)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-12s %10s %10s %9s %12s %10s %10s\n", "scheme", "data", "snack", "adv", "bytes", "lat(s)", "done")
-	fmt.Printf("%-12s %10.0f %10.0f %9.0f %12.0f %10.1f %9.0f%%\n", "Seluge",
-		sel.DataPkts, sel.SnackPkts, sel.AdvPkts, sel.TotalBytes, sel.LatencySec, 100*sel.Completed)
-	fmt.Printf("%-12s %10.0f %10.0f %9.0f %12.0f %10.1f %9.0f%%\n", "LR-Seluge",
-		lr.DataPkts, lr.SnackPkts, lr.AdvPkts, lr.TotalBytes, lr.LatencySec, 100*lr.Completed)
+	for i, name := range []string{"Seluge", "LR-Seluge"} {
+		r := avgs[i]
+		fmt.Printf("%-12s %10.0f %10.0f %9.0f %12.0f %10.1f %9.0f%%\n", name,
+			r.DataPkts, r.SnackPkts, r.AdvPkts, r.TotalBytes, r.LatencySec, 100*r.Completed)
+	}
 	fmt.Println()
 	return nil
 }
 
-func attacks(c sweepConfig) error {
+func attacks(c config) error {
 	fmt.Println("=== Attack resilience (§IV-E): forged data / signature flood / denial of receipt ===")
-	res, err := experiment.AttackResilience(c.params(), c.imageSize()/4, 10, 0.1, c.seed)
+	res, err := experiment.AttackResilience(image.DefaultParams(), c.spec.ImageSize()/4, 10, 0.1, c.spec.Seed)
 	if err != nil {
 		return err
 	}
@@ -223,24 +196,24 @@ func attacks(c sweepConfig) error {
 	return nil
 }
 
-func ablation(c sweepConfig) error {
+func ablation(c config) error {
 	fmt.Println("=== Scheduler ablation (§IV-D.3): greedy-RR vs union vs fresh-RR ===")
-	res, err := experiment.SchedulerAblation(c.params(), c.imageSize()/2, 20, 0.2, c.runs, c.seed)
+	entries, avgs, err := experiment.RunSweep("ablation", c.spec, c.pool)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%-10s %10s %10s %12s %10s\n", "policy", "data", "snack", "bytes", "lat(s)")
-	for _, policy := range []experiment.LRPolicy{experiment.GreedyRR, experiment.UnionBits, experiment.FreshRR} {
-		r := res[policy]
-		fmt.Printf("%-10s %10.0f %10.0f %12.0f %10.1f\n", policy, r.DataPkts, r.SnackPkts, r.TotalBytes, r.LatencySec)
+	for i, e := range entries {
+		r := avgs[i]
+		fmt.Printf("%-10s %10.0f %10.0f %12.0f %10.1f\n", e.Scenario.LRPolicy, r.DataPkts, r.SnackPkts, r.TotalBytes, r.LatencySec)
 	}
 	fmt.Println()
 	return nil
 }
 
-func upgrade(c sweepConfig) error {
+func upgrade(c config) error {
 	fmt.Println("=== Secure version upgrade: v1 network reprogrammed to v2 ===")
-	res, err := experiment.VersionUpgrade(c.params(), c.imageSize()/2, 10, 0.1, c.seed)
+	res, err := experiment.VersionUpgrade(image.DefaultParams(), c.spec.ImageSize()/2, 10, 0.1, c.spec.Seed)
 	if err != nil {
 		return err
 	}

@@ -34,10 +34,27 @@ func main() {
 	fmt.Printf("Seluge vs LR-Seluge on a %dx%d %s grid, %d KiB image, heavy bursty noise\n\n",
 		*rows, *cols, d, *kb)
 
-	sel, lr, err := lrseluge.MultiHopComparison(lrseluge.DefaultParams(), *kb*1024, d, *rows, *cols, 1, *seed)
+	graph, err := lrseluge.Grid(*rows, *cols, d)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if !graph.Connected() {
+		log.Fatalf("the %dx%d %s grid is not connected", *rows, *cols, d)
+	}
+	run := func(proto lrseluge.Protocol) lrseluge.AvgResult {
+		avg, err := lrseluge.RunAvg(lrseluge.Scenario{
+			Protocol:    proto,
+			ImageSize:   *kb * 1024,
+			Graph:       graph,
+			LossFactory: lrseluge.HeavyNoise,
+			Seed:        *seed,
+		}, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return avg
+	}
+	sel, lr := run(lrseluge.Seluge), run(lrseluge.LRSeluge)
 
 	fmt.Printf("%-10s %9s %9s %7s %11s %9s %6s\n", "scheme", "data", "snack", "adv", "bytes", "latency", "done")
 	for _, row := range []struct {

@@ -7,8 +7,9 @@
 //     is retransmitted until every receiver holds it, and
 //   - ACK-based LR-Seluge (Theorem 2 analogue): the sender transmits the n
 //     encoded packets in rounds until every receiver holds at least k'
-//     distinct packets; an upper bound on real (SNACK-driven, scheduled)
-//     LR-Seluge, which the simulation results stay below (paper Fig. 3).
+//     distinct packets. The paper (Fig. 3) finds it an upper bound on real
+//     (SNACK-driven, scheduled) LR-Seluge; in this simulator it bounds the
+//     data packets only on parts of the loss axis (EXPERIMENTS.md, Fig. 3(a)).
 package analysis
 
 import (

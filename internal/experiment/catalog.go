@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"lrseluge/internal/harness"
 	"lrseluge/internal/image"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/sim"
@@ -34,8 +35,9 @@ func (s SweepSpec) dims(full, quick int) int {
 	return full
 }
 
-// imageSize is the default evaluation image (20 KB; 4 KB in quick mode).
-func (s SweepSpec) imageSize() int { return s.dims(20, 4) * 1024 }
+// ImageSize is the default evaluation image in bytes (20 KB; 4 KB in quick
+// mode). cmd/figures sizes its attack and upgrade runs from it too.
+func (s SweepSpec) ImageSize() int { return s.dims(20, 4) * 1024 }
 
 // sweepCatalog lists every named sweep, in listing order.
 func sweepCatalog() []namedSweep {
@@ -79,18 +81,18 @@ func sweepCatalog() []namedSweep {
 		},
 		{
 			name: "multihop",
-			desc: "Tables II: Seluge vs LR-Seluge on a tight grid under bursty noise",
+			desc: "Table II: Seluge vs LR-Seluge on a tight grid under bursty noise",
 			build: func(s SweepSpec) ([]GridEntry, error) {
 				side := s.dims(15, 7)
-				return multihopEntries(image.DefaultParams(), s.imageSize(), topo.Tight, side, side, s.Runs, s.Seed)
+				return multihopEntries(image.DefaultParams(), s.ImageSize(), topo.Tight, side, side, s.Runs, s.Seed)
 			},
 		},
 		{
 			name: "multihop-medium",
-			desc: "Tables III: Seluge vs LR-Seluge on a medium-density grid under bursty noise",
+			desc: "Table III: Seluge vs LR-Seluge on a medium-density grid under bursty noise",
 			build: func(s SweepSpec) ([]GridEntry, error) {
 				side := s.dims(15, 7)
-				return multihopEntries(image.DefaultParams(), s.imageSize(), topo.Medium, side, side, s.Runs, s.Seed)
+				return multihopEntries(image.DefaultParams(), s.ImageSize(), topo.Medium, side, side, s.Runs, s.Seed)
 			},
 		},
 		{
@@ -135,7 +137,7 @@ func sweepCatalog() []namedSweep {
 				if s.Quick {
 					ps = []float64{0, 0.1, 0.3, 0.4}
 				}
-				return fig4Entries(image.DefaultParams(), s.imageSize(), 20, ps, s.Runs, s.Seed), nil
+				return fig4Entries(image.DefaultParams(), s.ImageSize(), 20, ps, s.Runs, s.Seed), nil
 			},
 		},
 		{
@@ -146,7 +148,7 @@ func sweepCatalog() []namedSweep {
 				if s.Quick {
 					ns = []int{5, 20, 40}
 				}
-				return fig5Entries(image.DefaultParams(), s.imageSize(), ns, 0.1, s.Runs, s.Seed), nil
+				return fig5Entries(image.DefaultParams(), s.ImageSize(), ns, 0.1, s.Runs, s.Seed), nil
 			},
 		},
 		{
@@ -159,14 +161,14 @@ func sweepCatalog() []namedSweep {
 					ns = []int{32, 48, 64}
 					ps = []float64{0.1}
 				}
-				return fig6Entries(image.DefaultParams().PacketPayload, 32, s.imageSize(), 20, ns, ps, s.Runs, s.Seed)
+				return fig6Entries(image.DefaultParams().PacketPayload, 32, s.ImageSize(), 20, ns, ps, s.Runs, s.Seed)
 			},
 		},
 		{
 			name: "ablation",
 			desc: "scheduler ablation: greedy-RR vs union vs fresh-RR (§IV-D.3)",
 			build: func(s SweepSpec) ([]GridEntry, error) {
-				return ablationEntries(image.DefaultParams(), s.imageSize()/2, 20, 0.2, s.Runs, s.Seed), nil
+				return ablationEntries(image.DefaultParams(), s.ImageSize()/2, 20, 0.2, s.Runs, s.Seed), nil
 			},
 		},
 		{
@@ -178,7 +180,7 @@ func sweepCatalog() []namedSweep {
 					rates = []float64{12, 60}
 				}
 				horizon := sim.Time(s.dims(4, 1)) * 3600 * sim.Second
-				return churnEntries(image.DefaultParams(), s.imageSize(), s.dims(20, 5), rates, 0.1, horizon, s.Runs, s.Seed), nil
+				return churnEntries(image.DefaultParams(), s.ImageSize(), s.dims(20, 5), rates, 0.1, horizon, s.Runs, s.Seed), nil
 			},
 		},
 		{
@@ -190,7 +192,7 @@ func sweepCatalog() []namedSweep {
 					duties = []float64{0.1, 0.5}
 				}
 				horizon := sim.Time(s.dims(4, 1)) * 3600 * sim.Second
-				return outageEntries(image.DefaultParams(), s.imageSize(), s.dims(20, 5), duties, 60*sim.Second, 0.1, horizon, s.Runs, s.Seed), nil
+				return outageEntries(image.DefaultParams(), s.ImageSize(), s.dims(20, 5), duties, 60*sim.Second, 0.1, horizon, s.Runs, s.Seed), nil
 			},
 		},
 	}
@@ -228,4 +230,19 @@ func NamedSweep(name string, spec SweepSpec) ([]GridEntry, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiment: unknown sweep %q (have %v)", name, SweepNames())
+}
+
+// RunSweep builds a catalog sweep and runs it through RunGrid. It returns
+// the entries with their averages, in catalog order; each entry's Scenario
+// carries its x value (LossP, Receivers, Params.N/K or LRPolicy).
+func RunSweep(name string, spec SweepSpec, cfg harness.Config) ([]GridEntry, []AvgResult, error) {
+	entries, err := NamedSweep(name, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	avgs, err := RunGrid(name, entries, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return entries, avgs, nil
 }

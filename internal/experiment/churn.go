@@ -101,23 +101,3 @@ func outageEntries(params image.Params, imageSize, receivers int, duties []float
 	}
 	return entries
 }
-
-// ChurnComparison runs the node-churn sweep and pairs the averages per crash
-// rate (Seluge vs LR-Seluge), the fault-injection counterpart of Fig. 4.
-func ChurnComparison(params image.Params, imageSize, receivers int, rates []float64, p float64, horizon sim.Time, runs int, seed int64) ([]ComparisonPoint, error) {
-	avgs, err := RunGrid("churn", churnEntries(params, imageSize, receivers, rates, p, horizon, runs, seed), harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return comparisonAssemble(rates, avgs), nil
-}
-
-// OutageComparison runs the link-outage sweep and pairs the averages per
-// duty cycle (Seluge vs LR-Seluge).
-func OutageComparison(params image.Params, imageSize, receivers int, duties []float64, period sim.Time, p float64, horizon sim.Time, runs int, seed int64) ([]ComparisonPoint, error) {
-	avgs, err := RunGrid("outage", outageEntries(params, imageSize, receivers, duties, period, p, horizon, runs, seed), harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return comparisonAssemble(duties, avgs), nil
-}

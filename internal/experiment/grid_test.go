@@ -105,24 +105,27 @@ func TestNamedSweepUnknown(t *testing.T) {
 	}
 }
 
-// TestCatalogEntriesBuildable builds every catalog sweep in quick mode and
-// sanity-checks the grids without running them.
+// TestCatalogEntriesBuildable builds every catalog sweep in quick and full
+// mode (full is what cmd/figures runs) and sanity-checks the grids without
+// running them.
 func TestCatalogEntriesBuildable(t *testing.T) {
-	for _, name := range SweepNames() {
-		entries, err := NamedSweep(name, SweepSpec{Runs: 2, Seed: 1, Quick: true})
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		if len(entries) == 0 {
-			t.Errorf("%s: empty grid", name)
-		}
-		jobs := GridJobs(name, entries)
-		if len(jobs) != 2*len(entries) {
-			t.Errorf("%s: %d jobs for %d entries at 2 runs", name, len(jobs), len(entries))
-		}
-		if SweepDescription(name) == "" {
-			t.Errorf("%s: missing description", name)
+	for _, quick := range []bool{true, false} {
+		for _, name := range SweepNames() {
+			entries, err := NamedSweep(name, SweepSpec{Runs: 2, Seed: 1, Quick: quick})
+			if err != nil {
+				t.Errorf("%s quick=%v: %v", name, quick, err)
+				continue
+			}
+			if len(entries) == 0 {
+				t.Errorf("%s quick=%v: empty grid", name, quick)
+			}
+			jobs := GridJobs(name, entries)
+			if len(jobs) != 2*len(entries) {
+				t.Errorf("%s quick=%v: %d jobs for %d entries at 2 runs", name, quick, len(jobs), len(entries))
+			}
+			if SweepDescription(name) == "" {
+				t.Errorf("%s: missing description", name)
+			}
 		}
 	}
 }

@@ -486,22 +486,6 @@ func ablationEntries(params image.Params, imageSize, receivers int, p float64, r
 	return entries
 }
 
-// SchedulerAblation compares LR-Seluge's greedy round-robin scheduler
-// against the union-of-bit-vectors and fresh-packet policies on the same
-// scenario, isolating the contribution of the paper's TX scheduling
-// (§IV-D.3).
-func SchedulerAblation(params image.Params, imageSize, receivers int, p float64, runs int, seed int64) (map[LRPolicy]AvgResult, error) {
-	avgs, err := RunGrid("ablation", ablationEntries(params, imageSize, receivers, p, runs, seed), harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[LRPolicy]AvgResult, len(ablationPolicies))
-	for i, policy := range ablationPolicies {
-		out[policy] = avgs[i]
-	}
-	return out, nil
-}
-
 func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dissem.TxPolicy) error {
 	node, err := dissem.NewNode(id, e.nw, e.scenario.Dissem, handler, policy, e.scenario.Seed^(int64(id)*0x9e3779b9+1))
 	if err != nil {

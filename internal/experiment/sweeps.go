@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"lrseluge/internal/analysis"
 	"lrseluge/internal/harness"
 	"lrseluge/internal/image"
 	"lrseluge/internal/radio"
@@ -66,16 +65,6 @@ func RunAvgParallel(s Scenario, runs, workers int) (AvgResult, error) {
 // fmtFloat renders sweep-axis values for job params and entry names.
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// Fig3Point is one x-position of Fig. 3: analytical and simulated data-packet
-// counts for transmitting ONE page to N one-hop receivers.
-type Fig3Point struct {
-	X              float64 // loss rate p (Fig 3a) or receiver count N (Fig 3b)
-	SelugeAnalysis float64
-	ACKLRAnalysis  float64
-	SelugeSim      float64
-	LRSim          float64
-}
-
 // fig3Entry builds the one-page scenario of Fig. 3 for one protocol: each
 // protocol gets an image sized to exactly one of ITS pages, and only
 // image-page data packets are counted (hash-page and signature excluded),
@@ -103,82 +92,6 @@ func fig3Entry(proto Protocol, params image.Params, receivers int, p float64, ru
 	}
 }
 
-// fig3Assemble turns the per-(x, protocol) averages back into Fig3Points,
-// enforcing the full-completion requirement of the one-page measurement.
-func fig3Assemble(xs []float64, avgs []AvgResult, points []Fig3Point) ([]Fig3Point, error) {
-	for i := range xs {
-		sel, lr := avgs[2*i], avgs[2*i+1]
-		for _, avg := range []AvgResult{sel, lr} {
-			if avg.Completed < 1 {
-				return nil, fmt.Errorf("experiment: fig3 run incomplete (%.2f) proto=%v x=%v", avg.Completed, avg.Protocol, xs[i])
-			}
-		}
-		points[i].SelugeSim = sel.PageData
-		points[i].LRSim = lr.PageData
-	}
-	return points, nil
-}
-
-// Fig3LossSweep reproduces Fig. 3(a): data packets for one page versus the
-// packet-loss rate, with N receivers.
-func Fig3LossSweep(params image.Params, receivers int, ps []float64, runs int, seed int64) ([]Fig3Point, error) {
-	points := make([]Fig3Point, len(ps))
-	entries := make([]GridEntry, 0, 2*len(ps))
-	for i, p := range ps {
-		points[i].X = p
-		var err error
-		if points[i].SelugeAnalysis, err = analysis.SelugeDataTx(params.K, receivers, p); err != nil {
-			return nil, err
-		}
-		if points[i].ACKLRAnalysis, err = analysis.ACKBasedLRDataTx(params.K, params.N, params.K, receivers, p); err != nil {
-			return nil, err
-		}
-		entries = append(entries,
-			fig3Entry(Seluge, params, receivers, p, runs, seed),
-			fig3Entry(LRSeluge, params, receivers, p, runs, seed))
-	}
-	avgs, err := RunGrid("fig3a", entries, harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return fig3Assemble(ps, avgs, points)
-}
-
-// Fig3ReceiverSweep reproduces Fig. 3(b): data packets for one page versus
-// the number of receivers, at loss rate p.
-func Fig3ReceiverSweep(params image.Params, ns []int, p float64, runs int, seed int64) ([]Fig3Point, error) {
-	points := make([]Fig3Point, len(ns))
-	xs := make([]float64, len(ns))
-	entries := make([]GridEntry, 0, 2*len(ns))
-	for i, n := range ns {
-		xs[i] = float64(n)
-		points[i].X = float64(n)
-		var err error
-		if points[i].SelugeAnalysis, err = analysis.SelugeDataTx(params.K, n, p); err != nil {
-			return nil, err
-		}
-		if points[i].ACKLRAnalysis, err = analysis.ACKBasedLRDataTx(params.K, params.N, params.K, n, p); err != nil {
-			return nil, err
-		}
-		entries = append(entries,
-			fig3Entry(Seluge, params, n, p, runs, seed),
-			fig3Entry(LRSeluge, params, n, p, runs, seed))
-	}
-	avgs, err := RunGrid("fig3b", entries, harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return fig3Assemble(xs, avgs, points)
-}
-
-// ComparisonPoint is one x-position of Figs. 4 and 5: all five paper metrics
-// for Seluge and LR-Seluge.
-type ComparisonPoint struct {
-	X      float64
-	Seluge AvgResult
-	LR     AvgResult
-}
-
 // comparisonEntries expands one x-position of a Seluge-vs-LR-Seluge sweep
 // into its two grid entries (Seluge first).
 func comparisonEntries(name string, params []harness.Param, base Scenario, runs int) []GridEntry {
@@ -190,15 +103,6 @@ func comparisonEntries(name string, params []harness.Param, base Scenario, runs 
 		{Name: name, Params: params, Scenario: sel, Runs: runs},
 		{Name: name, Params: params, Scenario: lr, Runs: runs},
 	}
-}
-
-// comparisonAssemble pairs the per-entry averages back into points.
-func comparisonAssemble(xs []float64, avgs []AvgResult) []ComparisonPoint {
-	out := make([]ComparisonPoint, len(xs))
-	for i, x := range xs {
-		out[i] = ComparisonPoint{X: x, Seluge: avgs[2*i], LR: avgs[2*i+1]}
-	}
-	return out
 }
 
 // fig4Entries builds the loss-rate sweep grid of Fig. 4.
@@ -214,16 +118,6 @@ func fig4Entries(params image.Params, imageSize, receivers int, ps []float64, ru
 	return entries
 }
 
-// Fig4LossImpact reproduces Fig. 4(a)-(e): the five metrics versus the
-// packet-loss rate for a 20 KB image and N = 20 one-hop receivers (§VI-B.1).
-func Fig4LossImpact(params image.Params, imageSize, receivers int, ps []float64, runs int, seed int64) ([]ComparisonPoint, error) {
-	avgs, err := RunGrid("fig4", fig4Entries(params, imageSize, receivers, ps, runs, seed), harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	return comparisonAssemble(ps, avgs), nil
-}
-
 // fig5Entries builds the receiver-count sweep grid of Fig. 5.
 func fig5Entries(params image.Params, imageSize int, receivers []int, p float64, runs int, seed int64) []GridEntry {
 	entries := make([]GridEntry, 0, 2*len(receivers))
@@ -235,29 +129,6 @@ func fig5Entries(params image.Params, imageSize int, receivers []int, p float64,
 			runs)...)
 	}
 	return entries
-}
-
-// Fig5DensityImpact reproduces Fig. 5(a)-(e): the five metrics versus the
-// number of local receivers at p = 0.1 (§VI-B.2).
-func Fig5DensityImpact(params image.Params, imageSize int, receivers []int, p float64, runs int, seed int64) ([]ComparisonPoint, error) {
-	avgs, err := RunGrid("fig5", fig5Entries(params, imageSize, receivers, p, runs, seed), harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]float64, len(receivers))
-	for i, n := range receivers {
-		xs[i] = float64(n)
-	}
-	return comparisonAssemble(xs, avgs), nil
-}
-
-// RatePoint is one (n, p) cell of Fig. 6: LR-Seluge's five metrics at a
-// given erasure-coding rate n/k.
-type RatePoint struct {
-	N    int
-	P    float64
-	Rate float64
-	LR   AvgResult
 }
 
 // fig6Entries builds the coding-rate grid of Fig. 6 (outer loop p, inner n,
@@ -291,29 +162,6 @@ func fig6Entries(payload, k, imageSize, receivers int, ns []int, ps []float64, r
 	return entries, nil
 }
 
-// Fig6RateImpact reproduces Fig. 6(a)-(e): the impact of the erasure-coding
-// rate n/k on LR-Seluge, k fixed (paper fixes k = 32), under several loss
-// rates (§VI-B.3).
-func Fig6RateImpact(payload, k, imageSize, receivers int, ns []int, ps []float64, runs int, seed int64) ([]RatePoint, error) {
-	entries, err := fig6Entries(payload, k, imageSize, receivers, ns, ps, runs, seed)
-	if err != nil {
-		return nil, err
-	}
-	avgs, err := RunGrid("fig6", entries, harness.Config{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RatePoint, 0, len(entries))
-	i := 0
-	for _, p := range ps {
-		for _, n := range ns {
-			out = append(out, RatePoint{N: n, P: p, Rate: float64(n) / float64(k), LR: avgs[i]})
-			i++
-		}
-	}
-	return out, nil
-}
-
 // multihopEntries builds the Seluge-vs-LR-Seluge grid comparison of Tables
 // II and III, with a fresh bursty channel per run via LossFactory.
 func multihopEntries(params image.Params, imageSize int, density topo.GridDensity, rows, cols, runs int, seed int64) ([]GridEntry, error) {
@@ -337,19 +185,4 @@ func multihopEntries(params image.Params, imageSize int, density topo.GridDensit
 		{Key: "density", Value: fmt.Sprintf("%v", density)},
 	}
 	return comparisonEntries(name, params2, base, runs), nil
-}
-
-// MultiHopComparison reproduces Tables II and III: Seluge versus LR-Seluge
-// on a 15x15 grid with bursty (Gilbert-Elliott) noise substituting for the
-// paper's meyer-heavy.txt trace (§VI-C, DESIGN.md §5).
-func MultiHopComparison(params image.Params, imageSize int, density topo.GridDensity, rows, cols, runs int, seed int64) (selugeRes, lrRes AvgResult, err error) {
-	entries, err := multihopEntries(params, imageSize, density, rows, cols, runs, seed)
-	if err != nil {
-		return AvgResult{}, AvgResult{}, err
-	}
-	avgs, err := RunGrid("multihop", entries, harness.Config{})
-	if err != nil {
-		return AvgResult{}, AvgResult{}, err
-	}
-	return avgs[0], avgs[1], nil
 }

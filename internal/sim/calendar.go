@@ -324,46 +324,52 @@ func (q *calendarQueue) take(i, j int, horizon Time) *timer {
 // resize rehashes into newNB buckets, re-estimating the bucket width as ~3x
 // the mean inter-event gap of the current content (Brown's rule), clamped to
 // [calMinShift, calMaxShift]. The estimate depends only on queue content, so
-// resizing is deterministic.
+// resizing is deterministic. New bucket i reuses old bucket i's array (the
+// upper half starts empty after a doubling, and halving drops the upper
+// arrays), so the rehash regrows only the buckets that outgrow theirs.
 func (q *calendarQueue) resize(newNB int) {
-	old := q.buckets
+	pending := make([]*timer, 0, q.n)
+	for i, b := range q.buckets {
+		pending = append(pending, b...)
+		clear(b)
+		q.buckets[i] = b[:0]
+	}
 	if q.n > 0 {
+		// Staged events stay out of the estimate, as they stay out of the
+		// rehash.
 		var minAt, maxAt Time
-		first := true
-		for _, b := range old {
-			for _, ev := range b {
-				if first {
-					minAt, maxAt, first = ev.at, ev.at, false
-					continue
-				}
-				if ev.at < minAt {
-					minAt = ev.at
-				}
-				if ev.at > maxAt {
-					maxAt = ev.at
-				}
-			}
+		if len(pending) > 0 {
+			minAt, maxAt = pending[0].at, pending[0].at
+		}
+		for _, ev := range pending {
+			minAt = min(minAt, ev.at)
+			maxAt = max(maxAt, ev.at)
 		}
 		gap := (maxAt - minAt) * 3 / Time(q.n)
-		shift := uint(bits.Len64(uint64(gap)))
-		if shift < calMinShift {
-			shift = calMinShift
-		}
-		if shift > calMaxShift {
-			shift = calMaxShift
-		}
-		q.shift = shift
+		q.shift = min(max(uint(bits.Len64(uint64(gap))), calMinShift), calMaxShift)
 	}
-	q.buckets = make([][]*timer, newNB)
-	q.occ = make([]uint64, (newNB+63)/64)
+	if newNB == len(q.buckets) {
+		clear(q.occ)
+	} else {
+		buckets := make([][]*timer, newNB)
+		copy(buckets, q.buckets)
+		q.buckets = buckets
+		q.occ = make([]uint64, (newNB+63)/64)
+	}
 	q.mask = newNB - 1
 	q.scanned, q.pops = 0, 0
 	// Rehash appends are amortized: each pending event moves once per
 	// doubling/halving, not per scheduled event, so resize is deliberately
 	// not an alloc-hotpath root.
-	for _, b := range old {
-		for _, ev := range b {
-			q.insert(ev)
+	for _, ev := range pending {
+		q.insert(ev)
+	}
+	// A reused array may be far larger than its new content. Trim it to
+	// under twice its length, the bound append's own growth keeps, so the
+	// rehash holds no more than one that regrew every bucket from empty.
+	for i, b := range q.buckets {
+		if cap(b) >= 2*len(b) && cap(b) > 0 {
+			q.buckets[i] = append([]*timer(nil), b...)
 		}
 	}
 }

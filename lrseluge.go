@@ -22,8 +22,10 @@
 // # Structure
 //
 //   - Scenario/Run/RunAvg: end-to-end simulations (internal/experiment).
-//   - Fig3LossSweep .. MultiHopComparison: regenerate every figure and
-//     table of the paper's evaluation.
+//   - RunSweep: runs one named sweep of the evaluation catalog, the single
+//     definition of every grid figure and table (Figs. 3-6, Tables II-III,
+//     the scheduler ablation, churn and outage) that cmd/figures, cmd/lrsweep
+//     and cmd/lrserved run too.
 //   - AttackResilience: the adversarial experiments backing the paper's
 //     security claims (§IV-E).
 //   - SelugeExpectedDataTx / ACKLRExpectedDataTx: the closed-form models of
@@ -44,6 +46,7 @@ import (
 	"lrseluge/internal/analysis"
 	"lrseluge/internal/experiment"
 	"lrseluge/internal/fault"
+	"lrseluge/internal/harness"
 	"lrseluge/internal/image"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/runstore"
@@ -171,18 +174,6 @@ func LoadFaultPlan(path string) (*FaultPlan, error) { return fault.LoadPlan(path
 // the same spec always yields the same plan.
 func RandomChurn(spec ChurnSpec) (*FaultPlan, error) { return fault.RandomChurn(spec) }
 
-// ChurnComparison sweeps completion latency and overhead versus node crash
-// rate (crashes/hour) for LR-Seluge against Seluge.
-func ChurnComparison(params Params, imageSize, receivers int, rates []float64, p float64, horizon Time, runs int, seed int64) ([]ComparisonPoint, error) {
-	return experiment.ChurnComparison(params, imageSize, receivers, rates, p, horizon, runs, seed)
-}
-
-// OutageComparison sweeps the same metrics versus link outage duty-cycle on
-// the base station's links.
-func OutageComparison(params Params, imageSize, receivers int, duties []float64, period Time, p float64, horizon Time, runs int, seed int64) ([]ComparisonPoint, error) {
-	return experiment.OutageComparison(params, imageSize, receivers, duties, period, p, horizon, runs, seed)
-}
-
 // Protocol tracing (Scenario.Trace; analyzed offline by cmd/lrtrace).
 
 // TraceSink receives the structured protocol event stream of a traced run
@@ -217,56 +208,29 @@ func SelugeExpectedDataTx(k, receivers int, p float64) (float64, error) {
 	return analysis.SelugeDataTx(k, receivers, p)
 }
 
-// ACKLRExpectedDataTx returns the ACK-based LR-Seluge upper bound on
-// data-packet transmissions per page (rounds of n encoded packets until
-// every receiver holds k').
+// ACKLRExpectedDataTx returns the expected data-packet transmissions per
+// page of ACK-based LR-Seluge (rounds of n encoded packets until every
+// receiver holds k'), the paper's upper bound on LR-Seluge.
 func ACKLRExpectedDataTx(k, n, kprime, receivers int, p float64) (float64, error) {
 	return analysis.ACKBasedLRDataTx(k, n, kprime, receivers, p)
 }
 
-// Evaluation sweeps: one function per paper artifact.
+// Evaluation sweeps.
 
-// Fig3Point is one x-position of Fig. 3.
-type Fig3Point = experiment.Fig3Point
+// SweepSpec picks the runs per entry, the base seed and the scale (Quick
+// shrinks images, grids and axes) of a catalog sweep.
+type SweepSpec = experiment.SweepSpec
 
-// ComparisonPoint is one x-position of Figs. 4-5.
-type ComparisonPoint = experiment.ComparisonPoint
-
-// RatePoint is one (n, p) cell of Fig. 6.
-type RatePoint = experiment.RatePoint
+// RunSweep runs a named sweep of the evaluation catalog (`lrsweep -list`
+// prints the names) on a GOMAXPROCS-wide worker pool. It returns the grid
+// entries with their averages, in catalog order; each entry's Scenario
+// carries its x value (LossP, Receivers, Params.N/K or LRPolicy).
+func RunSweep(name string, spec SweepSpec) ([]experiment.GridEntry, []AvgResult, error) {
+	return experiment.RunSweep(name, spec, harness.Config{})
+}
 
 // AttackReport summarizes the adversarial experiments.
 type AttackReport = experiment.AttackReport
-
-// Fig3LossSweep regenerates Fig. 3(a).
-func Fig3LossSweep(params Params, receivers int, ps []float64, runs int, seed int64) ([]Fig3Point, error) {
-	return experiment.Fig3LossSweep(params, receivers, ps, runs, seed)
-}
-
-// Fig3ReceiverSweep regenerates Fig. 3(b).
-func Fig3ReceiverSweep(params Params, ns []int, p float64, runs int, seed int64) ([]Fig3Point, error) {
-	return experiment.Fig3ReceiverSweep(params, ns, p, runs, seed)
-}
-
-// Fig4LossImpact regenerates Fig. 4(a)-(e).
-func Fig4LossImpact(params Params, imageSize, receivers int, ps []float64, runs int, seed int64) ([]ComparisonPoint, error) {
-	return experiment.Fig4LossImpact(params, imageSize, receivers, ps, runs, seed)
-}
-
-// Fig5DensityImpact regenerates Fig. 5(a)-(e).
-func Fig5DensityImpact(params Params, imageSize int, receivers []int, p float64, runs int, seed int64) ([]ComparisonPoint, error) {
-	return experiment.Fig5DensityImpact(params, imageSize, receivers, p, runs, seed)
-}
-
-// Fig6RateImpact regenerates Fig. 6(a)-(e).
-func Fig6RateImpact(payload, k, imageSize, receivers int, ns []int, ps []float64, runs int, seed int64) ([]RatePoint, error) {
-	return experiment.Fig6RateImpact(payload, k, imageSize, receivers, ns, ps, runs, seed)
-}
-
-// MultiHopComparison regenerates Tables II/III on a rows x cols grid.
-func MultiHopComparison(params Params, imageSize int, density GridDensity, rows, cols, runs int, seed int64) (seluge, lr AvgResult, err error) {
-	return experiment.MultiHopComparison(params, imageSize, density, rows, cols, runs, seed)
-}
 
 // AttackResilience runs the forged-data, signature-flood and
 // denial-of-receipt experiments against LR-Seluge.
@@ -274,8 +238,8 @@ func AttackResilience(params Params, imageSize, receivers int, lossP float64, se
 	return experiment.AttackResilience(params, imageSize, receivers, lossP, seed)
 }
 
-// SchedPolicy selects LR-Seluge's transmission scheduling policy, for the
-// ablation of the paper's greedy round-robin scheduler.
+// SchedPolicy selects LR-Seluge's transmission scheduling policy
+// (Scenario.LRPolicy); the "ablation" sweep compares all three.
 type SchedPolicy = experiment.LRPolicy
 
 // LR-Seluge scheduling policies.
@@ -287,12 +251,6 @@ const (
 	// FreshRR is the rateless-style fresh-packet policy.
 	FreshRR = experiment.FreshRR
 )
-
-// SchedulerAblationRun compares the three scheduling policies on the same
-// LR-Seluge scenario.
-func SchedulerAblationRun(params Params, imageSize, receivers int, p float64, runs int, seed int64) (map[SchedPolicy]AvgResult, error) {
-	return experiment.SchedulerAblation(params, imageSize, receivers, p, runs, seed)
-}
 
 // UpgradeResult reports a secure version-upgrade experiment.
 type UpgradeResult = experiment.UpgradeResult

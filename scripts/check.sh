@@ -7,7 +7,8 @@
 # BENCH_lint.json with per-pass timings and a <2x gate-cost regression check,
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
-# tests, 10 s fuzz smokes of the RS decoder (FuzzDecode), the event queues
+# tests, one iteration of every root benchmark (BenchmarkSweep runs each
+# catalog sweep at quick scale), 10 s fuzz smokes of the RS decoder (FuzzDecode), the event queues
 # (FuzzQueueEquivalence), the hash-image memo (FuzzSumBody) and the
 # fault-plan loader (FuzzPlan), lrsweep golden-JSONL
 # diff, the seeded cmd/figures run diffed against figures_output.txt,
@@ -150,6 +151,9 @@ go run ./cmd/lrlint -baseline "$tmpdir/scanprobe-baseline.json" "$tmpdir/scanpro
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> root benchmarks, one iteration each (BenchmarkSweep: every catalog sweep at quick scale)"
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> FuzzDecode smoke (reduced RS decode vs the full-inversion reference decoder)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/erasure/rs
