@@ -5,6 +5,9 @@
 // cmd/figures and cmd/lrsweep at its quick scale (so `go test -bench=.`
 // completes quickly) and reports the last x position through
 // b.ReportMetric; set LRSELUGE_BENCH_FULL=1 for the paper-scale sweeps.
+// The quick multihop sweeps run a 7x7 grid with a 4 KB image, where Seluge
+// sends fewer bytes than LR-Seluge; Tables II/III's ordering shows only at
+// paper scale (15x15, 20 KB).
 //
 // The reported custom metrics use the paper's units:
 //

@@ -6,6 +6,10 @@
 // axes are defined once. Output is textual series matching the paper's
 // axes; EXPERIMENTS.md records the comparison with the paper.
 //
+// -quick shrinks images to 4 KB and the multi-hop grids to 7x7 (the titles
+// still name the paper's 15x15). At that scale LR-Seluge sends more bytes
+// than Seluge multi-hop; Tables II/III's ordering holds only at full scale.
+//
 // Usage:
 //
 //	figures [-fig 3a|3b|4|5|6|table2|table3|attacks|ablation|upgrade|all] [-runs N] [-seed S] [-quick] [-parallel W]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"lrseluge/internal/crypt/hashx"
@@ -12,13 +13,14 @@ import (
 )
 
 // Handler is a node's object state under a Scheme, implementing
-// dissem.ObjectHandler: immediate per-packet authentication plus
-// erasure-decoding once any k' authenticated packets of a page arrive
-// (paper §IV-E).
+// dissem.ObjectHandler: immediate per-packet authentication, and completion
+// of a unit once any k' authenticated packets of it arrive (paper §IV-E).
 //
 // Completed units live in the run's Store, shared with every other node
 // that holds them; the handler keeps pointers to its entries, the buffer of
-// the unit in progress, and the verified signature.
+// the unit in progress, and the verified signature. A unit's first
+// completer erasure-decodes it and interns the entry; every later completer
+// checks its authenticated packets against that entry instead (DESIGN §18).
 type Handler struct {
 	Scheme
 	version uint16
@@ -37,9 +39,14 @@ type Handler struct {
 
 	// RAM: the authenticated packets of the unit in progress (nil =
 	// missing): n0 slots while M0 assembles, n while a page does, none
-	// before the signature or once every unit is held.
+	// before the signature or once every unit is held. A packet ingested
+	// while the store holds the unit's entry aliases the entry's symbol;
+	// one ingested before is a copy.
 	shards [][]byte
 	count  int
+	// entry is the store's entry for the unit in progress, looked up on
+	// each ingest until one exists; nil again once the unit is held.
+	entry *Unit
 }
 
 var _ dissem.ObjectHandler = (*Handler)(nil)
@@ -191,8 +198,11 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 	return dissem.UnitComplete
 }
 
-// Ingest implements dissem.ObjectHandler: authenticate immediately, store,
-// and erasure-decode as soon as k' (or k0') authenticated packets are in.
+// Ingest implements dissem.ObjectHandler: authenticate immediately, then
+// store the packet. Once the store holds the unit's entry, the packet must
+// equal the entry's symbol and its slot aliases that symbol; before then it
+// is copied. With k' (or k0') packets in, the unit completes against the
+// entry, or, with no entry yet, by erasure-decoding.
 func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	u := int(d.Unit)
 	if u == 0 || u != h.CompleteUnits() {
@@ -205,11 +215,24 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	if h.shards[idx] != nil {
 		return dissem.Duplicate
 	}
-	h.shards[idx] = append([]byte(nil), d.Payload...)
+	if h.entry == nil {
+		h.entry = h.store.Lookup(h.sig.Root, u)
+	}
+	if h.entry == nil {
+		h.shards[idx] = append([]byte(nil), d.Payload...)
+	} else {
+		sym, err := h.symbol(u, h.entry, idx)
+		if err != nil || !bytes.Equal(sym, d.Payload) {
+			return dissem.Rejected // unreachable: the packet was authenticated
+		}
+		h.shards[idx] = sym
+	}
 	h.count++
 	switch {
 	case h.count < h.NeededInUnit(u):
 		return dissem.Stored
+	case h.entry != nil:
+		return h.completeByComparison(u)
 	case u == 1:
 		return h.completeM0()
 	default:
@@ -217,13 +240,32 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	}
 }
 
-// completeM0 decodes the hash page from the k0' authenticated shards in
-// hand and interns it. The first node to hold M0 also re-encodes it and
-// checks the Merkle root; later nodes check their decode against that
-// entry byte for byte.
+// completeByComparison completes unit u against the store's entry for it:
+// every held shard must equal the entry's symbol at its index, a pointer
+// compare for the shards that alias it and a byte compare for the ones
+// copied before the entry existed. The k' authenticated symbols then are
+// the entry's codeword (DESIGN §18), so the node holds the entry without
+// decoding. A mismatch wipes the buffer.
+func (h *Handler) completeByComparison(u int) dissem.IngestResult {
+	for idx, shard := range h.shards {
+		if shard == nil {
+			continue
+		}
+		sym, err := h.symbol(u, h.entry, idx)
+		if err != nil || (&shard[0] != &sym[0] && !bytes.Equal(shard, sym)) {
+			h.WipeVolatile()
+			return dissem.Rejected
+		}
+	}
+	return h.hold(h.entry)
+}
+
+// completeM0 is the hash page's first completer: it decodes M0 from the k0'
+// authenticated shards in hand, re-encodes it, checks the Merkle root and
+// interns the entry.
 func (h *Handler) completeM0() dissem.IngestResult {
 	ot := h.sigCtx.Obs
-	plain := h.store.scratchRows(h.geom.numPlain, h.geom.blockSize)
+	plain := newRows(h.geom.numPlain, h.geom.blockSize)
 	ot.Start(obs.PhaseRSDecode)
 	err := h.codec0.DecodeInto(h.shards, plain)
 	ot.End(obs.PhaseRSDecode)
@@ -244,9 +286,7 @@ func (h *Handler) completeM0() dissem.IngestResult {
 			return nil
 		}
 		// M0 is the concatenation of page 1's packet hash images.
-		u := NewUnit(plain, blockImages(plain, 0, hashx.Size, h.n), tree)
-		u.enc = enc
-		return u
+		return &Unit{next: blockImages(plain, 0, hashx.Size, h.n), tree: tree, enc: enc}
 	})
 	if !ok {
 		// All shards were individually authenticated, so this is
@@ -257,12 +297,11 @@ func (h *Handler) completeM0() dissem.IngestResult {
 	return h.hold(m0)
 }
 
-// completePage decodes the current page from the k' authenticated packets
-// in hand and interns it: the first node to hold the page builds its entry,
-// later nodes check their decode against it byte for byte.
+// completePage is the current page's first completer: it decodes the page
+// from the k' authenticated packets in hand and interns the entry.
 func (h *Handler) completePage() dissem.IngestResult {
 	ot := h.sigCtx.Obs
-	blocks := h.store.scratchRows(h.params.K, h.params.PacketPayload)
+	blocks := newRows(h.params.K, h.params.PacketPayload)
 	ot.Start(obs.PhaseRSDecode)
 	err := h.codec.DecodeInto(h.shards, blocks)
 	ot.End(obs.PhaseRSDecode)
@@ -272,11 +311,11 @@ func (h *Handler) completePage() dissem.IngestResult {
 	page := len(h.units) // 1-based number of the page just decoded
 	entry, ok := h.store.Intern(h.sig.Root, page+1, blocks, func() *Unit {
 		if page == int(h.sig.Pages) {
-			return NewUnit(blocks, nil, nil)
+			return &Unit{}
 		}
 		// The decoded plaintext carries the hash images of the NEXT
 		// page's encoded packets.
-		return NewUnit(blocks, blockImages(blocks, h.imgOff, h.imgStride, h.n), nil)
+		return &Unit{next: blockImages(blocks, h.imgOff, h.imgStride, h.n)}
 	})
 	if !ok {
 		h.WipeVolatile() // unreachable: every packet was authenticated
@@ -298,6 +337,7 @@ func (h *Handler) hold(entry *Unit) dissem.IngestResult {
 		clear(h.shards)
 	}
 	h.count = 0
+	h.entry = nil
 	return dissem.UnitComplete
 }
 
@@ -380,16 +420,12 @@ func (h *Handler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 		return nil, fmt.Errorf("core: unit %d not held", u)
 	}
 	entry := h.units[u-1]
-	n := h.n
-	if u == 1 {
-		n = h.geom.numEnc
+	if idx < 0 || idx >= h.PacketsInUnit(u) {
+		return nil, fmt.Errorf("core: unit %d index %d out of range", u, idx)
 	}
-	enc, err := h.encoded(entry)
+	enc, err := h.encoded(u, entry)
 	if err != nil {
 		return nil, err
-	}
-	if idx < 0 || idx >= n {
-		return nil, fmt.Errorf("core: unit %d index %d out of range", u, idx)
 	}
 	d := &packet.Data{
 		Src: src, Version: h.version, Unit: packet.Unit(u), Index: uint8(idx),
@@ -403,16 +439,35 @@ func (h *Handler) Packet(u, idx int, src packet.NodeID) (*packet.Data, error) {
 	return d, nil
 }
 
-// encoded returns a page entry's n encoded packets, encoding them on the
-// first serve by any node of the run. M0 entries carry theirs from the
-// Merkle check.
-func (h *Handler) encoded(entry *Unit) ([][]byte, error) {
+// symbol returns encoded packet idx of unit u's entry. The code is
+// systematic, so a data index reads the entry's blocks and only a parity
+// index needs the encoding.
+func (h *Handler) symbol(u int, entry *Unit, idx int) ([]byte, error) {
+	if idx < len(entry.blocks) {
+		return entry.blocks[idx], nil
+	}
+	enc, err := h.encoded(u, entry)
+	if err != nil {
+		return nil, err
+	}
+	return enc[idx], nil
+}
+
+// encoded returns unit u's encoded packets, encoding the entry on the first
+// use by any node of the run: a serve, or a later completer's check of a
+// parity packet. M0 entries interned by a node carry theirs from the Merkle
+// check.
+func (h *Handler) encoded(u int, entry *Unit) ([][]byte, error) {
 	if entry.enc != nil {
 		return entry.enc, nil
 	}
+	codec := h.codec
+	if u == 1 {
+		codec = h.codec0
+	}
 	ot := h.sigCtx.Obs
 	ot.Start(obs.PhaseRSEncode)
-	enc, err := h.codec.Encode(entry.blocks)
+	enc, err := codec.Encode(entry.blocks)
 	ot.End(obs.PhaseRSEncode)
 	if err != nil {
 		return nil, err

@@ -15,14 +15,16 @@ import (
 )
 
 // schemes are the configurations every handler and store test runs under:
-// LR-Seluge with a 4-6-4 page code, and Seluge at rate 1 with a payload
-// small enough that M0 needs a two-leaf Merkle tree.
+// LR-Seluge with a 4-6-4 page code, LR-Seluge at rate 1/2 (4-8-4, so some
+// k'-subsets are parity only), and Seluge at rate 1 with a payload small
+// enough that M0 needs a two-leaf Merkle tree.
 var schemes = []struct {
 	name   string
 	new    func(image.Params) (Scheme, error)
 	params image.Params
 }{
 	{"LR-Seluge", LRSeluge, image.Params{PacketPayload: 32, K: 4, N: 6}},
+	{"LR-Seluge-half", LRSeluge, image.Params{PacketPayload: 32, K: 4, N: 8}},
 	{"Seluge", Seluge, image.Params{PacketPayload: 24, K: 4, N: 4}},
 }
 
@@ -51,7 +53,7 @@ type fixture struct {
 	sigCtx func() *dissem.SigContext
 }
 
-func newFixture(t *testing.T, size int, s Scheme) *fixture {
+func newFixture(t testing.TB, size int, s Scheme) *fixture {
 	t.Helper()
 	key, err := sign.GenerateDeterministic(6)
 	if err != nil {

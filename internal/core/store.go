@@ -12,18 +12,17 @@ import (
 // admits exactly one content for each (signed Merkle root, unit) pair, so
 // every node of a run that holds a unit can share one immutable copy of it
 // instead of keeping its own. The store also owns one codec per (k, n)
-// geometry, the decode scratch rows and the run's page-packet hash memo.
+// geometry and the run's page-packet hash memo.
 //
-// A node still authenticates every packet and decodes every unit itself;
-// only then does it intern the unit (Intern). Nothing else ever enters the
-// store, so unverified bytes never do. A store belongs to one run and is not
-// safe for concurrent use: a run is single-goroutine.
+// A node still authenticates every packet itself. A unit's first completer
+// decodes it from authenticated packets and interns it (Intern); every later
+// completer checks its authenticated packets against that entry byte for
+// byte and holds it (DESIGN §18). Nothing else ever enters the store, so
+// unverified bytes never do. A store belongs to one run and is not safe for
+// concurrent use: a run is single-goroutine.
 type Store struct {
 	codecs map[[2]int]erasure.Codec
 	units  map[unitKey]*Unit
-
-	scratch []byte
-	rows    [][]byte
 
 	// hashes computes every handler's page-packet hash images: the
 	// receivers of one broadcast check the same bytes in turn, so one
@@ -65,46 +64,31 @@ func (s *Store) Lookup(root hashx.Image, unit int) *Unit {
 	return s.units[unitKey{root, unit}]
 }
 
-// Intern returns the entry a node holds for unit of the object signed with
-// root, once the node has authenticated every packet of the unit and
-// rebuilt its blocks itself. An existing entry is returned only when its
-// blocks equal the node's; ok is false on a mismatch. Without an entry,
-// fresh builds one from the node's blocks (NewUnit copies them) and the
-// store keeps it; a nil result means the blocks failed the node's own
-// checks, nothing is stored and ok is false.
+// Intern makes blocks, which the unit's first completer decoded from its
+// authenticated packets, the run's entry for unit of the object signed with
+// root. The entry keeps blocks themselves, not a copy; fresh builds the rest
+// of it (next images, Merkle tree) and runs the node's own checks, and any
+// blocks it sets are replaced. Nothing is stored and ok is false when fresh
+// returns nil or the unit already has an entry: a node that finds one
+// completes by comparison and never interns.
 func (s *Store) Intern(root hashx.Image, unit int, blocks [][]byte, fresh func() *Unit) (*Unit, bool) {
 	key := unitKey{root, unit}
-	if u, ok := s.units[key]; ok {
-		return u, u.Equal(blocks)
+	if _, held := s.units[key]; held {
+		return nil, false
 	}
 	u := fresh()
 	if u == nil {
 		return nil, false
 	}
+	u.blocks = blocks
 	s.units[key] = u
 	return u, true
 }
 
-// scratchRows returns k store-owned rows of size bytes to decode into. The
-// next call overwrites them, so the caller interns (copies) or drops the
-// decoded blocks before it returns.
-func (s *Store) scratchRows(k, size int) [][]byte {
-	if cap(s.scratch) < k*size {
-		s.scratch = make([]byte, k*size)
-	}
-	if cap(s.rows) < k {
-		s.rows = make([][]byte, k)
-	}
-	rows := s.rows[:k]
-	for i := range rows {
-		rows[i] = s.scratch[i*size : (i+1)*size : (i+1)*size]
-	}
-	return rows
-}
-
 // Unit is the authenticated content of one unit of one signed object. It is
 // immutable once built, apart from two caches: the encoded packets, filled
-// on the first serve by any node, and the image-check memo.
+// on the first serve or parity check by any node, and the image-check memo.
+// Handlers' shard slots alias its blocks and encoded packets.
 type Unit struct {
 	// blocks are the unit's recovered blocks: a page's k plaintext blocks
 	// (image bytes and the next page's hash images) or M0's k0 plain
@@ -121,38 +105,14 @@ type Unit struct {
 	matched []byte
 }
 
-// NewUnit builds an entry from a copy of blocks, which must share one
-// length. next and tree are kept as given.
-func NewUnit(blocks [][]byte, next []hashx.Image, tree *merkle.Tree) *Unit {
-	return &Unit{blocks: copyBlocks(blocks), next: next, tree: tree}
-}
-
-// copyBlocks copies equal-length blocks into one backing array.
-func copyBlocks(blocks [][]byte) [][]byte {
-	size := 0
-	if len(blocks) > 0 {
-		size = len(blocks[0])
+// newRows returns k rows of size bytes over one backing array.
+func newRows(k, size int) [][]byte {
+	buf := make([]byte, k*size)
+	rows := make([][]byte, k)
+	for i := range rows {
+		rows[i] = buf[i*size : (i+1)*size : (i+1)*size]
 	}
-	buf := make([]byte, len(blocks)*size)
-	out := make([][]byte, len(blocks))
-	for i, b := range blocks {
-		out[i] = buf[i*size : (i+1)*size : (i+1)*size]
-		copy(out[i], b)
-	}
-	return out
-}
-
-// Equal reports whether blocks are byte-equal to the unit's.
-func (u *Unit) Equal(blocks [][]byte) bool {
-	if len(blocks) != len(u.blocks) {
-		return false
-	}
-	for i, b := range blocks {
-		if !bytes.Equal(b, u.blocks[i]) {
-			return false
-		}
-	}
-	return true
+	return rows
 }
 
 // Matches reports whether want, the unit's share of the original image, is

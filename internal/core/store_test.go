@@ -1,21 +1,50 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"lrseluge/internal/crypt/hashx"
+	"lrseluge/internal/crypt/merkle"
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/image"
 )
+
+// NewUnit builds an entry from a copy of blocks, which must share one
+// length, for tests that plant entries. next and tree are kept as given.
+func NewUnit(blocks [][]byte, next []hashx.Image, tree *merkle.Tree) *Unit {
+	return &Unit{blocks: copyBlocks(blocks), next: next, tree: tree}
+}
+
+// copyBlocks copies equal-length blocks into one backing array.
+func copyBlocks(blocks [][]byte) [][]byte {
+	size := 0
+	if len(blocks) > 0 {
+		size = len(blocks[0])
+	}
+	out := newRows(len(blocks), size)
+	for i, b := range blocks {
+		copy(out[i], b)
+	}
+	return out
+}
 
 // relay has dst fetch the signature and then a random k'-subset of every
 // unit from src.
 func relay(t *testing.T, src, dst *Handler, rng *rand.Rand) {
 	t.Helper()
+	relaySig(t, src, dst)
+	deliverSubset(t, src, dst, rng)
+}
+
+// relaySig has dst verify src's signature.
+func relaySig(t *testing.T, src, dst *Handler) {
+	t.Helper()
 	if sig := src.SigPacket(0); !dst.PreVerifySig(sig) || dst.IngestSig(sig) != dissem.UnitComplete {
 		t.Fatal("genuine signature rejected")
 	}
-	deliverSubset(t, src, dst, rng)
 }
 
 func TestStoreSharesVerifiedUnits(t *testing.T) {
@@ -41,7 +70,7 @@ func TestStoreSharesVerifiedUnits(t *testing.T) {
 				if entry == nil || h.units[u-1] != entry {
 					t.Fatalf("node %d unit %d: held entry is not the store's", i+1, u)
 				}
-				if !entry.Equal(f.obj.units[u-1].blocks) {
+				if !slices.EqualFunc(entry.blocks, f.obj.units[u-1].blocks, bytes.Equal) {
 					t.Fatalf("unit %d: store entry differs from the base station's object", u)
 				}
 			}

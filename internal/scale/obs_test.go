@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"lrseluge/internal/image"
 	"lrseluge/internal/obs"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
@@ -71,10 +72,18 @@ func TestObsAttributionCoverage(t *testing.T) {
 	if a.GCNS <= 0 {
 		t.Errorf("gc_ns = %d on an n=2000 run, want > 0", a.GCNS)
 	}
+	// Only a unit's first completer decodes it; every later one completes
+	// by comparison with the store's entry (DESIGN §18). Calls are counted
+	// exactly, so this holds on any host: one decode for M0 and one per
+	// page, however many of the 2000 nodes complete them.
+	decodes := uint64(1 + image.PagesFor(cfg.ImageKB*1024, image.DefaultParams().LRPageBytes()))
 	seen := map[string]bool{}
 	var sum int64
 	for _, row := range a.Phases {
 		seen[row.Phase] = true
+		if row.Phase == "erasure.rs-decode" && row.Calls != decodes {
+			t.Errorf("erasure.rs-decode: %d calls, want %d, one per unit", row.Calls, decodes)
+		}
 		sum += row.NS
 		if row.Calls > 100_000 && row.FracSE <= 0 {
 			t.Errorf("%s: %d calls but no standard error", row.Phase, row.Calls)

@@ -8,7 +8,8 @@
 # and scratch-module probes proving a fresh hot-path allocation and a fresh
 # O(nodes) per-event scan still fail through the baseline), race-enabled
 # tests, one iteration of every root benchmark (BenchmarkSweep runs each
-# catalog sweep at quick scale), 10 s fuzz smokes of the RS decoder (FuzzDecode), the event queues
+# catalog sweep at quick scale), 10 s fuzz smokes of the RS decoder (FuzzDecode),
+# completion by comparison against the store's entry (FuzzIngestCompare), the event queues
 # (FuzzQueueEquivalence), the hash-image memo (FuzzSumBody) and the
 # fault-plan loader (FuzzPlan), lrsweep golden-JSONL
 # diff, the seeded cmd/figures run diffed against figures_output.txt,
@@ -157,6 +158,9 @@ go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> FuzzDecode smoke (reduced RS decode vs the full-inversion reference decoder)"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/erasure/rs
+
+echo "==> FuzzIngestCompare smoke (two handlers on one store: completion by comparison iff k' distinct authentic packets)"
+go test -run '^$' -fuzz '^FuzzIngestCompare$' -fuzztime 10s ./internal/core
 
 echo "==> FuzzQueueEquivalence smoke (heap vs calendar pop order; the queue holds exactly the live timers)"
 go test -run '^$' -fuzz '^FuzzQueueEquivalence$' -fuzztime 10s ./internal/sim
