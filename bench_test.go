@@ -18,6 +18,7 @@
 package lrseluge
 
 import (
+	"fmt"
 	"os"
 	"testing"
 
@@ -114,32 +115,54 @@ func BenchmarkOneHopDissemination(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4Mix times the Fig. 4 operation mix one dissemination at a
-// time: a 20 KB image to 20 one-hop receivers, Seluge and LR-Seluge
-// alternating, the loss rate cycling through 0-0.4. Its ns/op, B/op and
-// allocs/op are the per-run costs of the protocol path under loss, and
-// `-cpuprofile` on it shows where they go.
-func BenchmarkFig4Mix(b *testing.B) {
+// fig4MixRun is run i of the Fig. 4 operation mix: a 20 KB image to 20
+// one-hop receivers, Seluge on even i and LR-Seluge on odd i, the loss rate
+// cycling through 0-0.4, so runs 0-11 cover every (protocol, loss) pair
+// once. It fails unless every node completes holding the exact image.
+func fig4MixRun(i int, queue QueueKind) error {
 	losses := []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4}
+	proto := Seluge
+	if i%2 == 1 {
+		proto = LRSeluge
+	}
+	res, err := Run(Scenario{
+		Protocol:  proto,
+		ImageSize: 20 * 1024,
+		Receivers: 20,
+		LossP:     losses[(i/2)%len(losses)],
+		Seed:      int64(i) + 1,
+		Queue:     queue,
+	})
+	if err != nil {
+		return err
+	}
+	if res.Completed != res.Nodes || !res.ImagesOK || res.ForgedAccepted != 0 {
+		return fmt.Errorf("run %d: completed %d/%d, images ok %v, forged accepted %d",
+			i, res.Completed, res.Nodes, res.ImagesOK, res.ForgedAccepted)
+	}
+	return nil
+}
+
+// BenchmarkFig4Mix times the Fig. 4 operation mix (fig4MixRun) one
+// dissemination at a time. Its ns/op, B/op and allocs/op are the per-run
+// costs of the protocol path under loss, and `-cpuprofile` on it shows
+// where they go.
+func BenchmarkFig4Mix(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		proto := Seluge
-		if i%2 == 1 {
-			proto = LRSeluge
-		}
-		res, err := Run(Scenario{
-			Protocol:  proto,
-			ImageSize: 20 * 1024,
-			Receivers: 20,
-			LossP:     losses[(i/2)%len(losses)],
-			Seed:      int64(i) + 1,
-		})
-		if err != nil {
+		if err := fig4MixRun(i, HeapQueue); err != nil {
 			b.Fatal(err)
 		}
-		if res.Completed != res.Nodes || !res.ImagesOK || res.ForgedAccepted != 0 {
-			b.Fatalf("run %d: completed %d/%d, images ok %v, forged accepted %d",
-				i, res.Completed, res.Nodes, res.ImagesOK, res.ForgedAccepted)
+	}
+}
+
+// BenchmarkFig4MixCalendar is BenchmarkFig4Mix on the calendar queue, the
+// one large runs use; its allocs/op include the calendar's bucket growth.
+func BenchmarkFig4MixCalendar(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := fig4MixRun(i, CalendarQueue); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

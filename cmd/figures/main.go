@@ -6,9 +6,10 @@
 // axes are defined once. Output is textual series matching the paper's
 // axes; EXPERIMENTS.md records the comparison with the paper.
 //
-// -quick shrinks images to 4 KB and the multi-hop grids to 7x7 (the titles
-// still name the paper's 15x15). At that scale LR-Seluge sends more bytes
-// than Seluge multi-hop; Tables II/III's ordering holds only at full scale.
+// -quick shrinks images to 4 KB and the multi-hop grids to 7x7 (the table
+// titles name the grid their sweep ran). At that scale LR-Seluge sends more
+// bytes than Seluge multi-hop; Tables II/III's ordering holds only at full
+// scale.
 //
 // Usage:
 //
@@ -56,9 +57,9 @@ var artifacts = []artifact{
 			"N", func(s experiment.Scenario) float64 { return float64(s.Receivers) })
 	}},
 	{"6", fig6},
-	{"table2", func(c config) error { return multihop(c, "multihop", "Table II (15x15 tight grid, high density)") }},
+	{"table2", func(c config) error { return multihop(c, "multihop", "Table II (%s tight grid, high density)") }},
 	{"table3", func(c config) error {
-		return multihop(c, "multihop-medium", "Table III (15x15 medium grid, low density)")
+		return multihop(c, "multihop-medium", "Table III (%s medium grid, low density)")
 	}},
 	{"attacks", attacks},
 	{"ablation", ablation},
@@ -168,12 +169,20 @@ func fig6(c config) error {
 	return nil
 }
 
+// multihop prints one multi-hop table. The title's %s verb takes the grid
+// size the sweep's scenarios ran on (its "grid" label, e.g. 15x15).
 func multihop(c config, sweep, title string) error {
-	fmt.Printf("=== %s ===\n", title)
-	_, avgs, err := experiment.RunSweep(sweep, c.spec, c.pool)
+	entries, avgs, err := experiment.RunSweep(sweep, c.spec, c.pool)
 	if err != nil {
 		return err
 	}
+	grid := ""
+	for _, p := range entries[0].Params {
+		if p.Key == "grid" {
+			grid = p.Value
+		}
+	}
+	fmt.Printf("=== "+title+" ===\n", grid)
 	fmt.Printf("%-12s %10s %10s %9s %12s %10s %10s\n", "scheme", "data", "snack", "adv", "bytes", "lat(s)", "done")
 	for i, name := range []string{"Seluge", "LR-Seluge"} {
 		r := avgs[i]

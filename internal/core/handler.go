@@ -41,7 +41,8 @@ type Handler struct {
 	// missing): n0 slots while M0 assembles, n while a page does, none
 	// before the signature or once every unit is held. A packet ingested
 	// while the store holds the unit's entry aliases the entry's symbol;
-	// one ingested before is a copy.
+	// one ingested before aliases the authenticated payload itself, whose
+	// bytes a broadcast packet never changes (radio.Receiver).
 	shards [][]byte
 	count  int
 	// entry is the store's entry for the unit in progress, looked up on
@@ -201,8 +202,9 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 // Ingest implements dissem.ObjectHandler: authenticate immediately, then
 // store the packet. Once the store holds the unit's entry, the packet must
 // equal the entry's symbol and its slot aliases that symbol; before then it
-// is copied. With k' (or k0') packets in, the unit completes against the
-// entry, or, with no entry yet, by erasure-decoding.
+// aliases the payload, which is immutable (DESIGN §18). With k' (or k0')
+// packets in, the unit completes against the entry, or, with no entry yet,
+// by erasure-decoding.
 func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	u := int(d.Unit)
 	if u == 0 || u != h.CompleteUnits() {
@@ -219,7 +221,7 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 		h.entry = h.store.Lookup(h.sig.Root, u)
 	}
 	if h.entry == nil {
-		h.shards[idx] = append([]byte(nil), d.Payload...)
+		h.shards[idx] = d.Payload
 	} else {
 		sym, err := h.symbol(u, h.entry, idx)
 		if err != nil || !bytes.Equal(sym, d.Payload) {
@@ -242,8 +244,8 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 
 // completeByComparison completes unit u against the store's entry for it:
 // every held shard must equal the entry's symbol at its index, a pointer
-// compare for the shards that alias it and a byte compare for the ones
-// copied before the entry existed. The k' authenticated symbols then are
+// compare for the shards that alias it and a byte compare for the payloads
+// kept before the entry existed. The k' authenticated symbols then are
 // the entry's codeword (DESIGN §18), so the node holds the entry without
 // decoding. A mismatch wipes the buffer.
 func (h *Handler) completeByComparison(u int) dissem.IngestResult {

@@ -299,7 +299,7 @@ func (n *Node) handleSNACK(from packet.NodeID, s *packet.SNACK) {
 		// A request for our unit (or an earlier one) means data we can
 		// overhear is about to flow, so push our own SNACK back.
 		if n.requesting && unit <= n.handler.CompleteUnits() && n.suppressions < n.cfg.MaxSuppressions {
-			if n.snackTimer.Stop() {
+			if n.snackTimer.Active() {
 				n.suppressions++
 				n.scheduleSNACK(n.backoff())
 			}
@@ -411,7 +411,7 @@ func (n *Node) handleData(from packet.NodeID, d *packet.Data) {
 // postponePendingSNACK pushes back a not-yet-sent SNACK while authenticated
 // data is in the air (Deluge request suppression).
 func (n *Node) postponePendingSNACK() {
-	if n.requesting && n.snackTimer.Stop() {
+	if n.requesting && n.snackTimer.Active() {
 		n.scheduleSNACK(n.backoff())
 	}
 }
@@ -582,9 +582,10 @@ func (n *Node) backoff() sim.Time {
 	return n.cfg.RxBackoffMin + sim.Time(n.rng.Int63n(span+1))
 }
 
+// scheduleSNACK (re-)arms the SNACK timer to fire after d, replacing any
+// pending one.
 func (n *Node) scheduleSNACK(d sim.Time) {
-	n.snackTimer.Stop()
-	n.snackTimer = n.eng.Schedule(d, n.onSNACK)
+	n.snackTimer = n.eng.Reschedule(n.snackTimer, d, n.onSNACK)
 }
 
 func (n *Node) sendSNACK() {
@@ -640,8 +641,8 @@ func (n *Node) sendSNACK() {
 	n.armRetry()
 }
 
+// armRetry (re-)arms the retry timer, replacing any pending one.
 func (n *Node) armRetry() {
-	n.retryTimer.Stop()
 	// Exponential backoff on consecutive unanswered retries keeps SNACK
 	// storms bounded when losses are heavy (a lost SNACK costs a timeout,
 	// not a flood).
@@ -649,7 +650,7 @@ func (n *Node) armRetry() {
 	for i := 0; i < n.retries && i < 2; i++ {
 		timeout *= 2
 	}
-	n.retryTimer = n.eng.Schedule(timeout, n.onRetry)
+	n.retryTimer = n.eng.Reschedule(n.retryTimer, timeout, n.onRetry)
 }
 
 // retryExpired fires when a SNACK went unanswered for the retry timeout.

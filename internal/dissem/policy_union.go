@@ -1,9 +1,6 @@
 package dissem
 
-import (
-	"lrseluge/internal/detmap"
-	"lrseluge/internal/packet"
-)
+import "lrseluge/internal/packet"
 
 // UnionPolicy is the Deluge/Seluge transmission policy: "a node in Deluge
 // and Seluge simply transmits packets corresponding to the union of bit
@@ -12,7 +9,10 @@ import (
 // simply set the bits again.
 type UnionPolicy struct {
 	sizeOf func(unit int) int
-	units  map[int]packet.BitVector
+	// units[u] is unit u's pending-packet vector, made on the unit's first
+	// request and cleared, not freed, once served, so a re-request reuses
+	// it. A unit never requested has the zero (empty) vector.
+	units []packet.BitVector
 }
 
 var _ TxPolicy = (*UnionPolicy)(nil)
@@ -20,13 +20,16 @@ var _ TxPolicy = (*UnionPolicy)(nil)
 // NewUnionPolicy creates a union policy; sizeOf maps a unit to its packet
 // count (for allocating bit vectors).
 func NewUnionPolicy(sizeOf func(unit int) int) *UnionPolicy {
-	return &UnionPolicy{sizeOf: sizeOf, units: make(map[int]packet.BitVector)}
+	return &UnionPolicy{sizeOf: sizeOf}
 }
 
 // OnSNACK implements TxPolicy.
 func (p *UnionPolicy) OnSNACK(_ packet.NodeID, u int, bits packet.BitVector) {
-	cur, ok := p.units[u]
-	if !ok {
+	for len(p.units) <= u {
+		p.units = append(p.units, packet.BitVector{})
+	}
+	cur := p.units[u]
+	if cur.Len() == 0 {
 		cur = packet.NewBitVector(p.sizeOf(u))
 		p.units[u] = cur
 	}
@@ -40,14 +43,10 @@ func (p *UnionPolicy) OnSNACK(_ packet.NodeID, u int, bits packet.BitVector) {
 // exact packet, so drop it from our queue (data suppression; requesters
 // that missed the overheard copy will re-request it).
 func (p *UnionPolicy) OnDataOverheard(u, idx int) {
-	bits, ok := p.units[u]
-	if !ok || idx < 0 || idx >= bits.Len() {
+	if u >= len(p.units) || idx < 0 || idx >= p.units[u].Len() {
 		return
 	}
-	bits.Set(idx, false)
-	if !bits.Any() {
-		delete(p.units, u)
-	}
+	p.units[u].Set(idx, false)
 }
 
 // Next implements TxPolicy: lowest pending unit, lowest pending index.
@@ -60,13 +59,9 @@ func (p *UnionPolicy) Next() (int, int, bool) {
 	for i := 0; i < bits.Len(); i++ {
 		if bits.Get(i) {
 			bits.Set(i, false)
-			if !bits.Any() {
-				delete(p.units, u)
-			}
 			return u, i, true
 		}
 	}
-	delete(p.units, u)
 	return 0, 0, false
 }
 
@@ -82,11 +77,14 @@ func (p *UnionPolicy) Pending() bool {
 func (p *UnionPolicy) DropRequester(packet.NodeID) {}
 
 // Reset implements TxPolicy.
-func (p *UnionPolicy) Reset() { p.units = make(map[int]packet.BitVector) }
+func (p *UnionPolicy) Reset() {
+	clear(p.units)
+	p.units = p.units[:0]
+}
 
 func (p *UnionPolicy) lowestPendingUnit() (int, bool) {
-	for _, u := range detmap.SortedKeys(p.units) {
-		if p.units[u].Any() {
+	for u, bits := range p.units {
+		if bits.Any() {
 			return u, true
 		}
 	}

@@ -22,8 +22,12 @@ import (
 )
 
 // Receiver is implemented by protocol nodes attached to the network.
-// HandlePacket runs inside the simulation loop; the packet must be treated
-// as read-only.
+// HandlePacket runs inside the simulation loop. Every receiver of one
+// transmission gets the same packet value, so it must be treated as
+// read-only; its bytes are immutable, and a receiver may keep them (a
+// payload slice, say) past the call. Senders hand the radio bytes nothing
+// writes afterwards: a protocol serves its stored or encoded units, and
+// the adversary and WireCheck build fresh buffers for every packet.
 type Receiver interface {
 	HandlePacket(from packet.NodeID, p packet.Packet)
 }
@@ -72,10 +76,10 @@ type Network struct {
 	// silences down nodes (see override.go).
 	fault *FaultOverlay
 
-	// batchPool recycles per-transmission delivery scratch buffers.
-	// Multiple transmissions can be airborne at once (PropDelay overlaps),
-	// so this is a free list, not a single buffer.
-	batchPool [][]delivery
+	// txPool recycles transmission records. Multiple transmissions can be
+	// airborne at once (PropDelay overlaps), so this is a free list, not a
+	// single record.
+	txPool []*transmission
 
 	// obs attributes delivery fan-out wall time: the engine's timers, read
 	// at construction. nil (the default) disables the phase timers at one
@@ -155,60 +159,86 @@ func (nw *Network) Broadcast(from packet.NodeID, p packet.Packet) {
 	done := start + txDur
 	nw.busyUntil[from] = done
 
-	nw.eng.At(done, func() {
-		if nw.fault != nil && nw.fault.NodeDown(int(from)) {
-			return // the sender lost power mid-transmission
-		}
-		nw.col.Tx(done, from, p)
-		nw.deliver(from, p)
-	})
+	tx := nw.getTx()
+	tx.from, tx.p = from, p
+	nw.eng.At(done, tx.onSent)
 }
 
 // TxBusyUntil reports when the node's transmitter frees up; protocols use it
 // to pace multi-packet responses.
 func (nw *Network) TxBusyUntil(id packet.NodeID) sim.Time { return nw.busyUntil[id] }
 
-// delivery is one surviving receiver of a transmission, collected into a
-// pooled per-transmission batch.
+// delivery is one surviving receiver of a transmission.
 type delivery struct {
 	to  int
 	rcv Receiver
 }
 
-// getBatch hands out a recycled delivery buffer (possibly nil or undersized:
-// the caller pre-sizes it from the sender's degree).
-func (nw *Network) getBatch() []delivery {
-	if n := len(nw.batchPool); n > 0 {
-		batch := nw.batchPool[n-1]
-		nw.batchPool[n-1] = nil
-		nw.batchPool = nw.batchPool[:n-1]
-		return batch
-	}
-	return nil
+// transmission is one packet on the air, from the end of its airtime to
+// its arrival at the receivers that survived the channel. Records are
+// pooled, and their two event callbacks are bound once, when the record is
+// made, so a transmission allocates nothing in steady state.
+type transmission struct {
+	nw   *Network
+	from packet.NodeID
+	p    packet.Packet
+	// batch lists the surviving receivers; its array is kept across the
+	// record's lives.
+	batch            []delivery
+	onSent, onArrive func()
 }
 
-// putBatch returns a delivery buffer to the pool.
-func (nw *Network) putBatch(batch []delivery) {
-	for i := range batch {
-		batch[i] = delivery{}
+// getTx hands out a recycled transmission record, or makes one.
+func (nw *Network) getTx() *transmission {
+	if n := len(nw.txPool); n > 0 {
+		tx := nw.txPool[n-1]
+		nw.txPool[n-1] = nil
+		nw.txPool = nw.txPool[:n-1]
+		return tx
 	}
-	nw.batchPool = append(nw.batchPool, batch[:0])
+	tx := &transmission{nw: nw}
+	tx.onSent, tx.onArrive = tx.sent, tx.arrive
+	return tx
 }
 
-func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
+// putTx returns a record to the pool, dropping its packet and receivers.
+func (nw *Network) putTx(tx *transmission) {
+	clear(tx.batch)
+	tx.batch = tx.batch[:0]
+	tx.p = nil
+	nw.txPool = append(nw.txPool, tx)
+}
+
+// sent runs when the packet's airtime ends: the transmission is counted
+// and handed to the channel, unless the sender lost power mid-transmission.
+func (tx *transmission) sent() {
+	nw := tx.nw
+	if nw.fault != nil && nw.fault.NodeDown(int(tx.from)) {
+		nw.putTx(tx)
+		return
+	}
+	nw.col.Tx(nw.eng.Now(), tx.from, tx.p)
+	nw.deliver(tx)
+}
+
+// deliver runs the channel model over the sender's neighbors and schedules
+// the arrival of the survivors.
+func (nw *Network) deliver(tx *transmission) {
 	// Manual End at each exit instead of defer: deliver is on the hot path
 	// and defer is banned there (alloc-hotpath lint).
 	nw.obs.Start(obs.PhaseRadioDeliver)
+	from := tx.from
 	if nw.cfg.WireCheck {
-		parsed, err := packet.Unmarshal(p.Marshal())
+		parsed, err := packet.Unmarshal(tx.p.Marshal())
 		if err != nil {
 			panic(fmt.Sprintf("radio: packet failed wire round-trip: %v", err))
 		}
-		p = parsed
+		tx.p = parsed
 	}
+	p := tx.p
 	now := nw.eng.Now()
 	neighbors := nw.graph.Neighbors(int(from))
-	batch := nw.getBatch()
+	batch := tx.batch
 	if cap(batch) < len(neighbors) {
 		batch = make([]delivery, 0, len(neighbors))
 	}
@@ -231,8 +261,9 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 		}
 		batch = append(batch, delivery{to: to, rcv: rcv})
 	}
+	tx.batch = batch
 	if len(batch) == 0 {
-		nw.putBatch(batch)
+		nw.putTx(tx)
 		nw.obs.End(obs.PhaseRadioDeliver)
 		return
 	}
@@ -242,17 +273,20 @@ func (nw *Network) deliver(from packet.NodeID, p packet.Packet) {
 	// between them, so they executed back-to-back in neighbor order — the
 	// same order the batch loop uses — and every event a handler schedules
 	// draws a later sequence number either way.
-	// The batch walk is attributed to radio.deliver too; phases the
-	// receiver handlers open (crypt, erasure) nest inside and account their
-	// own time exclusively.
-	nw.eng.Schedule(nw.cfg.PropDelay, func() {
-		nw.obs.Start(obs.PhaseRadioDeliver)
-		for _, d := range batch {
-			nw.col.Rx(packet.NodeID(d.to), from, p)
-			d.rcv.HandlePacket(from, p)
-		}
-		nw.putBatch(batch)
-		nw.obs.End(obs.PhaseRadioDeliver)
-	})
+	nw.eng.Schedule(nw.cfg.PropDelay, tx.onArrive)
+	nw.obs.End(obs.PhaseRadioDeliver)
+}
+
+// arrive hands the packet to every surviving receiver. The batch walk is
+// attributed to radio.deliver too; phases the receiver handlers open
+// (crypt, erasure) nest inside and account their own time exclusively.
+func (tx *transmission) arrive() {
+	nw := tx.nw
+	nw.obs.Start(obs.PhaseRadioDeliver)
+	for _, d := range tx.batch {
+		nw.col.Rx(packet.NodeID(d.to), tx.from, tx.p)
+		d.rcv.HandlePacket(tx.from, tx.p)
+	}
+	nw.putTx(tx)
 	nw.obs.End(obs.PhaseRadioDeliver)
 }

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // calendarQueue is a calendar queue (R. Brown, CACM 1988): events hash into
@@ -22,7 +23,9 @@ import (
 // The scan's lower bound (lastAt) must be a true floor over queue content.
 // Pops raise it, and nothing can push below it: every pop is an executed
 // event, so lastAt never exceeds the engine clock, and pushes never predate
-// the clock.
+// the clock. Re-keying a moved record (Engine.Reschedule) is not a pop and
+// leaves lastAt alone: the clock stays put, so a push between two Run
+// calls may still land below the re-keyed record's old time.
 //
 // Each record's pos locates it for Remove: the index in its bucket
 // (bucketOf(at) names the bucket) or, while it is staged, its stage slot.
@@ -47,10 +50,11 @@ type calendarQueue struct {
 	// index. Invariants: every staged event has at == stageAt == lastAt;
 	// no queued event is earlier; stage seqs ascend, and any later push at
 	// stageAt carries a larger seq than everything staged (engine seqs are
-	// monotone), so appending preserves the order. While the stage is
-	// nonempty it holds every queued event at stageAt, and
-	// stage[stagePos] is live: Remove leaves a nil tombstone, which the
-	// stage head skips.
+	// monotone), so appending preserves the order. A re-keyed record that
+	// lands on stageAt drew its seq earlier than that, so it is inserted
+	// in seq order instead (requeue). While the stage is nonempty it holds
+	// every queued event at stageAt, and stage[stagePos] is live: Remove
+	// leaves a nil tombstone, which the stage head skips.
 	stage    []*timer
 	stagePos int
 	stageAt  Time
@@ -72,14 +76,42 @@ const (
 	// propagation/backoff delays; the first resize re-estimates from
 	// actual content.
 	calInitShift = 21
+	// calBucketCap is the least capacity a bucket array gets: resizes keep
+	// the mean load under two per bucket, and the protocol's bursts put a
+	// few more into one window, so most buckets never outgrow it.
+	calBucketCap = 4
 )
 
 func newCalendarQueue() *calendarQueue {
-	return &calendarQueue{
+	q := &calendarQueue{
 		buckets: make([][]*timer, calMinBuckets),
 		occ:     make([]uint64, (calMinBuckets+63)/64),
 		mask:    calMinBuckets - 1,
 		shift:   calInitShift,
+	}
+	q.fill()
+	return q
+}
+
+// fill gives every bucket without an array calBucketCap slots of one
+// shared array. Only buckets past the largest layout so far lack one:
+// resizes keep every other bucket's array, so shared arrays are made once
+// per new high-water bucket count.
+func (q *calendarQueue) fill() {
+	missing := 0
+	for _, b := range q.buckets {
+		if cap(b) == 0 {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	slots := make([]*timer, missing*calBucketCap)
+	for i, b := range q.buckets {
+		if cap(b) == 0 {
+			q.buckets[i], slots = slots[:0:calBucketCap], slots[calBucketCap:]
+		}
 	}
 }
 
@@ -132,16 +164,43 @@ func (q *calendarQueue) Remove(ev *timer) {
 		q.skipTombstones()
 		return
 	}
-	i := q.bucketOf(ev.at)
+	q.unbucket(q.bucketOf(ev.at), ev.pos)
+}
+
+// unbucket swap-removes entry j of bucket i.
+func (q *calendarQueue) unbucket(i, j int) {
 	b := q.buckets[i]
 	last := len(b) - 1
-	b[ev.pos] = b[last]
-	b[ev.pos].pos = ev.pos
+	b[j] = b[last]
+	b[j].pos = j
 	b[last] = nil
 	q.buckets[i] = b[:last]
 	if last == 0 {
 		q.occ[i>>6] &^= 1 << (uint(i) & 63)
 	}
+}
+
+// requeue re-keys a moved record that has just left the queue at its old
+// key and queues it again under its firing key. Staged at a draining
+// burst's instant, it goes to its seq-order slot; anywhere else it is a
+// plain insert. n, lastAt and the stage instant are unchanged.
+func (q *calendarQueue) requeue(ev *timer) {
+	ev.rekey()
+	q.pops++ // scan work was spent on it, as for a pop
+	if !q.staged(ev) {
+		q.insert(ev)
+		return
+	}
+	j := len(q.stage)
+	q.stage = append(q.stage, nil)
+	for ; j > q.stagePos && (q.stage[j-1] == nil || q.stage[j-1].seq > ev.seq); j-- {
+		if p := q.stage[j-1]; p != nil {
+			p.pos = j
+		}
+		q.stage[j] = q.stage[j-1]
+	}
+	q.stage[j] = ev
+	ev.pos = j
 }
 
 // skipTombstones advances the stage head past removed records and resets
@@ -156,26 +215,48 @@ func (q *calendarQueue) skipTombstones() {
 	}
 }
 
-// PopLE implements Queue.
+// PopLE implements Queue. A moved record found at the minimum leaves its
+// bucket or stage slot and is requeued under its firing key, and the
+// search starts over.
 //
 //lrlint:hotpath one call per executed event
 func (q *calendarQueue) PopLE(horizon Time) *timer {
-	if q.n == 0 {
-		return nil
-	}
-	if q.stagePos < len(q.stage) {
-		if q.stageAt > horizon {
+	for q.n > 0 {
+		if q.stagePos < len(q.stage) {
+			if q.stageAt > horizon {
+				return nil
+			}
+			ev := q.stage[q.stagePos]
+			q.stage[q.stagePos] = nil
+			q.stagePos++
+			q.skipTombstones()
+			if ev.moved {
+				q.requeue(ev)
+				continue
+			}
+			q.n--
+			q.pops++
+			q.lastAt = ev.at
+			return ev
+		}
+		i, j := q.findMin()
+		ev := q.buckets[i][j]
+		if ev.at > horizon {
 			return nil
 		}
-		ev := q.stage[q.stagePos]
-		q.stage[q.stagePos] = nil
-		q.stagePos++
-		q.skipTombstones()
-		q.n--
-		q.pops++
-		q.lastAt = ev.at
-		return ev
+		if ev.moved {
+			q.unbucket(i, j)
+			q.requeue(ev)
+			continue
+		}
+		return q.take(i, j)
 	}
+	return nil
+}
+
+// findMin locates the minimum-(at, seq) bucketed record of a nonempty
+// queue whose stage is drained, as (bucket, index).
+func (q *calendarQueue) findMin() (int, int) {
 	// Adaptive re-width: bucket width is derived from the event spread at
 	// resize time, but the spread drifts as the simulation evolves (e.g.
 	// Trickle intervals doubling from milliseconds to tens of seconds). A
@@ -206,7 +287,7 @@ func (q *calendarQueue) PopLE(horizon Time) *timer {
 		i = j
 		q.scanned += len(q.buckets[i]) + 1
 		if k := q.minInBucketBelow(i, top); k >= 0 {
-			return q.take(i, k, horizon)
+			return i, k
 		}
 		i = (i + 1) & q.mask
 		step++
@@ -225,7 +306,7 @@ func (q *calendarQueue) PopLE(horizon Time) *timer {
 			}
 		}
 	}
-	return q.take(bi, bj, horizon)
+	return bi, bj
 }
 
 // nextOccupied returns the index of the first nonempty bucket at or after i
@@ -272,15 +353,11 @@ func (q *calendarQueue) minInBucketBelow(i int, top Time) int {
 	return bestIdx
 }
 
-// take removes buckets[i][j] and returns it, unless its time is beyond the
-// horizon, in which case the queue is left untouched and take returns nil.
-// Further events in the bucket at the same instant move to the stage so the
-// burst drains in O(1) per pop instead of by repeated bucket rescans.
-func (q *calendarQueue) take(i, j int, horizon Time) *timer {
+// take pops buckets[i][j]. Further events in the bucket at the same
+// instant move to the stage so the burst drains in O(1) per pop instead of
+// by repeated bucket rescans.
+func (q *calendarQueue) take(i, j int) *timer {
 	ev := q.buckets[i][j]
-	if ev.at > horizon {
-		return nil
-	}
 	b := q.buckets[i]
 	last := len(b) - 1
 	b[j] = b[last]
@@ -305,7 +382,7 @@ func (q *calendarQueue) take(i, j int, horizon Time) *timer {
 		q.occ[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	if len(q.stage) > 0 {
-		sort.Slice(q.stage, func(a, c int) bool { return q.stage[a].seq < q.stage[c].seq })
+		slices.SortFunc(q.stage, func(a, c *timer) int { return cmp.Compare(a.seq, c.seq) })
 		for k, e := range q.stage {
 			e.pos = k
 		}
@@ -324,9 +401,10 @@ func (q *calendarQueue) take(i, j int, horizon Time) *timer {
 // resize rehashes into newNB buckets, re-estimating the bucket width as ~3x
 // the mean inter-event gap of the current content (Brown's rule), clamped to
 // [calMinShift, calMaxShift]. The estimate depends only on queue content, so
-// resizing is deterministic. New bucket i reuses old bucket i's array (the
-// upper half starts empty after a doubling, and halving drops the upper
-// arrays), so the rehash regrows only the buckets that outgrow theirs.
+// resizing is deterministic. Bucket i keeps its array across resizes, and a
+// halving only shortens the bucket slice, so the next doubling gets the
+// upper arrays back; the rehash regrows only the buckets that outgrow
+// theirs.
 func (q *calendarQueue) resize(newNB int) {
 	pending := make([]*timer, 0, q.n)
 	for i, b := range q.buckets {
@@ -348,14 +426,20 @@ func (q *calendarQueue) resize(newNB int) {
 		gap := (maxAt - minAt) * 3 / Time(q.n)
 		q.shift = min(max(uint(bits.Len64(uint64(gap))), calMinShift), calMaxShift)
 	}
-	if newNB == len(q.buckets) {
-		clear(q.occ)
+	if newNB <= cap(q.buckets) {
+		q.buckets = q.buckets[:newNB]
 	} else {
 		buckets := make([][]*timer, newNB)
-		copy(buckets, q.buckets)
+		copy(buckets, q.buckets[:cap(q.buckets)])
 		q.buckets = buckets
-		q.occ = make([]uint64, (newNB+63)/64)
 	}
+	if words := (newNB + 63) / 64; words <= cap(q.occ) {
+		q.occ = q.occ[:words]
+		clear(q.occ)
+	} else {
+		q.occ = make([]uint64, words)
+	}
+	q.fill()
 	q.mask = newNB - 1
 	q.scanned, q.pops = 0, 0
 	// Rehash appends are amortized: each pending event moves once per
@@ -364,12 +448,13 @@ func (q *calendarQueue) resize(newNB int) {
 	for _, ev := range pending {
 		q.insert(ev)
 	}
-	// A reused array may be far larger than its new content. Trim it to
-	// under twice its length, the bound append's own growth keeps, so the
-	// rehash holds no more than one that regrew every bucket from empty.
+	// A kept array may be far larger than its new content. Trim it to
+	// under twice its length, the bound append's own growth keeps, but not
+	// below calBucketCap, so the rehash holds no more than one that regrew
+	// every bucket from calBucketCap.
 	for i, b := range q.buckets {
-		if cap(b) >= 2*len(b) && cap(b) > 0 {
-			q.buckets[i] = append([]*timer(nil), b...)
+		if c := max(len(b), calBucketCap); cap(b) >= 2*c {
+			q.buckets[i] = append(make([]*timer, 0, c), b...)
 		}
 	}
 }

@@ -31,16 +31,21 @@ func (q *heapQueue) Push(ev *timer) {
 	q.up(ev, len(q.evs)-1)
 }
 
-// PopLE implements Queue.
+// PopLE implements Queue. A moved record at the root only grows its key,
+// so it re-keys in place and sifts down.
 //
 //lrlint:hotpath one call per executed event
 func (q *heapQueue) PopLE(horizon Time) *timer {
-	if len(q.evs) == 0 || q.evs[0].at > horizon {
-		return nil
+	for len(q.evs) > 0 && q.evs[0].at <= horizon {
+		ev := q.evs[0]
+		if !ev.moved {
+			q.Remove(ev)
+			return ev
+		}
+		ev.rekey()
+		q.down(ev, 0)
 	}
-	ev := q.evs[0]
-	q.Remove(ev)
-	return ev
+	return nil
 }
 
 // Remove implements Queue: the last record fills the vacated slot and

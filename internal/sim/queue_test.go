@@ -7,24 +7,70 @@ import (
 	"testing"
 )
 
+// rearmFunc re-arms a timer: Engine.Reschedule, or the Stop plus Schedule
+// it must be equivalent to.
+type rearmFunc func(eng *Engine, t Timer, delay Time, fn func()) Timer
+
+func rearmReschedule(eng *Engine, t Timer, delay Time, fn func()) Timer {
+	return eng.Reschedule(t, delay, fn)
+}
+
+func rearmStopSchedule(eng *Engine, t Timer, delay Time, fn func()) Timer {
+	t.Stop()
+	return eng.Schedule(delay, fn)
+}
+
+// oracleKey is a live timer's firing key as the script predicts it.
+type oracleKey struct {
+	at  Time
+	seq uint64
+}
+
 // runQueueScript drives one engine, built on the given queue kind, with a
 // deterministic op stream decoded from data, and returns the full firing log
 // plus final engine observables. Identical logs across queue kinds prove the
 // queues pop in identical (time, seq) order under scheduling, nested
-// scheduling, cancellation, and horizon-bounded runs. After every op the
-// queue must hold exactly the live timers the script counts (scheduled, not
-// yet fired, not stopped): a cancelled record left queued fails the run.
-func runQueueScript(t *testing.T, kind QueueKind, data []byte) []string {
+// scheduling, cancellation, re-arming (through rearm) and horizon-bounded
+// runs. A sorted oracle checks each firing too: it keeps every live timer's
+// predicted (time, seq), the seq being the engine's counter when the timer
+// was scheduled or re-armed, and the firing record must carry that key and
+// hold the least one.
+// After every op the queue must hold exactly the live timers (scheduled or
+// re-armed, not yet fired, not stopped): a cancelled record left queued
+// fails the run.
+func runQueueScript(t *testing.T, kind QueueKind, rearm rearmFunc, data []byte) []string {
 	eng := NewWithQueue(kind)
 	var log []string
 	var handles []Timer
-	live := 0
-	schedule := func(delay Time, fn func()) Timer {
-		live++
-		return eng.Schedule(delay, func() {
-			live--
+	var keys []int // the oracle entry of each handle
+	oracle := map[int]oracleKey{}
+	nextKey := 0
+	// schedule arms a timer through arm, registering its predicted key;
+	// the returned int names its oracle entry.
+	schedule := func(at Time, arm func(fn func()) Timer, fn func()) (Timer, int) {
+		k := nextKey
+		nextKey++
+		oracle[k] = oracleKey{at, eng.seq}
+		tm := arm(func() {
+			want := oracle[k]
+			for other, key := range oracle {
+				if key.at < want.at || key.at == want.at && key.seq < want.seq {
+					t.Fatalf("%v queue: timer (%v,%d) fired before live (%v,%d) (entry %d)", kind, want.at, want.seq, key.at, key.seq, other)
+				}
+			}
+			// The engine recycles a record just before running its
+			// callback, so the free list's top is the firing record.
+			if ev := eng.free[len(eng.free)-1]; eng.Now() != want.at || ev.at != want.at || ev.seq != want.seq {
+				t.Fatalf("%v queue: timer due at (%v,%d) fired as (%v,%d) at %v", kind, want.at, want.seq, ev.at, ev.seq, eng.Now())
+			}
+			delete(oracle, k)
+			log = append(log, fmt.Sprintf("seq %d", want.seq))
 			fn()
 		})
+		return tm, k
+	}
+	after := func(delay Time, fn func()) (Timer, int) {
+		return schedule(eng.Now()+max(delay, 0), func(f func()) Timer { return eng.Schedule(delay, f) }, fn)
 	}
 	nextID := 0
 	pos := 0
@@ -37,22 +83,23 @@ func runQueueScript(t *testing.T, kind QueueKind, data []byte) []string {
 		return b
 	}
 	for pos < len(data) {
-		switch op := next(); op % 5 {
+		switch op := next(); op % 6 {
 		case 0, 1: // schedule
 			id := nextID
 			nextID++
 			delay := Time(next()) * Millisecond / 3
-			handles = append(handles, schedule(delay, func() {
+			h, k := after(delay, func() {
 				log = append(log, fmt.Sprintf("fire %d @%d", id, eng.Now()))
-			}))
+			})
+			handles, keys = append(handles, h), append(keys, k)
 		case 2: // schedule an event that schedules another on firing
 			id := nextID
 			nextID++
 			delay := Time(next()) * Millisecond
 			inner := Time(next()) * Microsecond
-			schedule(delay, func() {
+			after(delay, func() {
 				log = append(log, fmt.Sprintf("outer %d @%d", id, eng.Now()))
-				schedule(inner, func() {
+				after(inner, func() {
 					log = append(log, fmt.Sprintf("inner %d @%d", id, eng.Now()))
 				})
 			})
@@ -60,18 +107,36 @@ func runQueueScript(t *testing.T, kind QueueKind, data []byte) []string {
 			if len(handles) > 0 {
 				i := int(next()) % len(handles)
 				stopped := handles[i].Stop()
-				if stopped {
-					live--
+				if _, live := oracle[keys[i]]; live != stopped {
+					t.Fatalf("%v queue: Stop reported %v for a timer live=%v", kind, stopped, live)
 				}
+				delete(oracle, keys[i])
 				log = append(log, fmt.Sprintf("stop %d %v", i, stopped))
 			}
 		case 4: // bounded run
 			h := eng.Now() + Time(next())*Millisecond/2
 			at := eng.Run(h)
 			log = append(log, fmt.Sprintf("ran to %d", at))
+		case 5: // re-arm one outstanding handle, live or not
+			if len(handles) > 0 {
+				i := int(next()) % len(handles)
+				id := nextID
+				nextID++
+				// Small delays, often zero, so re-arms hit the same
+				// instant, earlier instants and draining bursts.
+				delay := Time(next()%8) * Millisecond / 3
+				delete(oracle, keys[i])
+				old := handles[i]
+				handles[i], keys[i] = schedule(eng.Now()+delay, func(f func()) Timer { return rearm(eng, old, delay, f) }, func() {
+					log = append(log, fmt.Sprintf("rearmed %d @%d", id, eng.Now()))
+				})
+				if old.Active() {
+					t.Fatalf("%v queue: the re-armed handle is still active", kind)
+				}
+			}
 		}
-		if n := eng.queue.Len(); n != live || eng.Pending() != live {
-			t.Fatalf("%v queue: %d records queued, Pending %d, %d timers live", kind, n, eng.Pending(), live)
+		if n := eng.queue.Len(); n != len(oracle) || eng.Pending() != len(oracle) {
+			t.Fatalf("%v queue: %d records queued, Pending %d, %d timers live", kind, n, eng.Pending(), len(oracle))
 		}
 	}
 	at := eng.RunUntilIdle()
@@ -79,16 +144,29 @@ func runQueueScript(t *testing.T, kind QueueKind, data []byte) []string {
 	return log
 }
 
+// diffLogs runs data on both queues, re-arming by Reschedule and by Stop
+// plus Schedule: all four logs, (time, seq) firing sequence and event count
+// included, must be identical.
 func diffLogs(t *testing.T, data []byte) {
 	t.Helper()
-	h := runQueueScript(t, HeapQueue, data)
-	c := runQueueScript(t, CalendarQueue, data)
-	if len(h) != len(c) {
-		t.Fatalf("log lengths differ: heap %d vs calendar %d\nheap: %v\ncalendar: %v", len(h), len(c), h, c)
-	}
-	for i := range h {
-		if h[i] != c[i] {
-			t.Fatalf("logs diverge at %d: heap %q vs calendar %q", i, h[i], c[i])
+	ref := runQueueScript(t, HeapQueue, rearmStopSchedule, data)
+	for _, run := range []struct {
+		kind  QueueKind
+		rearm rearmFunc
+		name  string
+	}{
+		{HeapQueue, rearmReschedule, "heap/Reschedule"},
+		{CalendarQueue, rearmStopSchedule, "calendar/Stop+Schedule"},
+		{CalendarQueue, rearmReschedule, "calendar/Reschedule"},
+	} {
+		got := runQueueScript(t, run.kind, run.rearm, data)
+		if len(got) != len(ref) {
+			t.Fatalf("log lengths differ: heap/Stop+Schedule %d vs %s %d\nref: %v\ngot: %v", len(ref), run.name, len(got), ref, got)
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("logs diverge at %d: heap/Stop+Schedule %q vs %s %q", i, ref[i], run.name, got[i])
+			}
 		}
 	}
 }
@@ -203,6 +281,10 @@ func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte("scheduler stop run idle"))
 	f.Add([]byte{0, 200, 3, 7, 4, 250, 0, 0, 2, 90, 90, 3, 0, 4, 255})
 	f.Add([]byte{2, 255, 255, 2, 0, 1, 4, 1, 0, 128, 3, 1, 3, 2, 4, 64})
+	// Re-arms of live, fired and stopped timers, to the same instant, later
+	// and earlier, around bounded runs.
+	f.Add([]byte{0, 30, 0, 30, 0, 30, 5, 0, 0, 5, 1, 7, 4, 10, 5, 2, 3, 0, 90, 5, 3, 0, 4, 1, 5, 0, 6, 3, 3, 4, 255})
+	f.Add([]byte{2, 3, 0, 0, 9, 0, 9, 4, 7, 5, 1, 0, 5, 2, 0, 0, 9, 5, 4, 0, 4, 255, 5, 0, 7, 4, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip()
@@ -338,5 +420,155 @@ func TestStopMatchesSortedOracle(t *testing.T) {
 				t.Fatalf("%v round %d: pending %d, want %d", kind, round, eng.Pending(), len(live))
 			}
 		}
+	}
+}
+
+// rearmCase runs one re-arm scenario on both queues with both re-arm
+// functions and returns the four firing logs, which must agree.
+func rearmCase(t *testing.T, name string, script func(eng *Engine, rearm rearmFunc, log func(string))) string {
+	t.Helper()
+	var ref string
+	for _, kind := range []QueueKind{HeapQueue, CalendarQueue} {
+		for ri, rearm := range []rearmFunc{rearmStopSchedule, rearmReschedule} {
+			eng := NewWithQueue(kind)
+			var got []string
+			script(eng, rearm, func(s string) { got = append(got, fmt.Sprintf("%s@%v", s, eng.Now())) })
+			eng.RunUntilIdle()
+			if eng.Pending() != 0 || eng.queue.Len() != 0 {
+				t.Errorf("%s/%v/%d: %d records left queued", name, kind, ri, eng.queue.Len())
+			}
+			out := fmt.Sprintf("%v events=%d", got, eng.Events())
+			if ref == "" {
+				ref = out
+			} else if out != ref {
+				t.Errorf("%s/%v/%d: fired %s, want %s", name, kind, ri, out, ref)
+			}
+		}
+	}
+	return ref
+}
+
+// TestRescheduleSameAndEarlierInstant re-arms a live timer to the instant it
+// is queued at, where it must fire after a timer scheduled there before the
+// re-arm (its seq is the newer one), and to an earlier instant, the case
+// Reschedule serves by Remove plus Push.
+func TestRescheduleSameAndEarlierInstant(t *testing.T) {
+	got := rearmCase(t, "same", func(eng *Engine, rearm rearmFunc, log func(string)) {
+		a := eng.Schedule(Second, func() { log("a") })
+		eng.Schedule(Second, func() { log("b") })
+		rearm(eng, a, Second, func() { log("a2") })
+	})
+	if want := "[b@1s a2@1s] events=2"; got != want {
+		t.Errorf("same instant: fired %s, want %s", got, want)
+	}
+	got = rearmCase(t, "earlier", func(eng *Engine, rearm rearmFunc, log func(string)) {
+		a := eng.Schedule(2*Second, func() { log("a") })
+		eng.Schedule(1500*Millisecond, func() { log("b") })
+		a = rearm(eng, a, Second, func() { log("a2") })
+		if a.ev.moved {
+			t.Error("a re-arm to an earlier instant left the record moved")
+		}
+	})
+	if want := "[a2@1s b@1.5s] events=2"; got != want {
+		t.Errorf("earlier instant: fired %s, want %s", got, want)
+	}
+}
+
+// TestRescheduleIntoDrainingStage re-keys a record inside a draining
+// same-instant burst to that instant, after a later push at the instant
+// has been appended to the calendar's stage. The re-keyed record's seq is
+// older than the push's, so it must fire before it: the stage keeps its
+// ascending seq order.
+func TestRescheduleIntoDrainingStage(t *testing.T) {
+	staged := false
+	got := rearmCase(t, "stage", func(eng *Engine, rearm rearmFunc, log func(string)) {
+		var a Timer
+		eng.Schedule(Second, func() {
+			log("x")
+			if q, ok := eng.queue.(*calendarQueue); ok && q.stagePos < len(q.stage) {
+				staged = true
+			}
+			rearm(eng, a, 0, func() { log("a2") })
+			eng.Schedule(0, func() { log("c") })
+		})
+		a = eng.Schedule(Second, func() { log("a") })
+		eng.Schedule(Second, func() { log("b") })
+	})
+	if want := "[x@1s b@1s a2@1s c@1s] events=4"; got != want {
+		t.Errorf("fired %s, want %s", got, want)
+	}
+	if !staged {
+		t.Error("the calendar queue never staged the burst; the case is not exercised")
+	}
+}
+
+// TestPushBelowPendingRekey re-keys a record during a bounded run that ends
+// without executing an event, so the clock stays below the record's old
+// time; a push made then, below that old time, must still fire first. This
+// is the pattern of Env.Upgrade and fault plans, which schedule between
+// Run(until) calls, and it fails if a re-key raises the calendar's floor.
+func TestPushBelowPendingRekey(t *testing.T) {
+	got := rearmCase(t, "floor", func(eng *Engine, rearm rearmFunc, log func(string)) {
+		// On the calendar's initial ~2.1 ms buckets the push lands a
+		// bucket below the old time's, and the new time lies inside the
+		// window a scan from the old time would accept first.
+		r := eng.Schedule(10*Millisecond, func() { log("r") })
+		rearm(eng, r, 12*Millisecond, func() { log("r2") })
+		if at := eng.Run(10500 * Microsecond); at != 0 {
+			t.Errorf("Run stopped at %v, want 0: no event was due", at)
+		}
+		eng.Schedule(8*Millisecond, func() { log("e") })
+	})
+	if want := "[e@8ms r2@12ms] events=2"; got != want {
+		t.Errorf("fired %s, want %s", got, want)
+	}
+}
+
+// TestStoppedRekeyDoesNotLeak re-arms a timer later, stops the new handle and
+// schedules another event, which reuses the recycled record. The record's
+// pending re-key must die with its life: the new event fires at its own
+// time, once.
+func TestStoppedRekeyDoesNotLeak(t *testing.T) {
+	for _, kind := range []QueueKind{HeapQueue, CalendarQueue} {
+		eng := NewWithQueue(kind)
+		a := eng.Schedule(10*Millisecond, func() {})
+		a = eng.Reschedule(a, 30*Millisecond, func() {})
+		if !a.Stop() {
+			t.Fatalf("%v: Stop of the re-armed timer reported false", kind)
+		}
+		var firedAt []Time
+		b := eng.Schedule(20*Millisecond, func() { firedAt = append(firedAt, eng.Now()) })
+		if b.ev != a.ev {
+			t.Fatalf("%v: the new event did not reuse the stopped record", kind)
+		}
+		eng.RunUntilIdle()
+		if fmt.Sprint(firedAt) != "[20ms]" || eng.Events() != 1 {
+			t.Errorf("%v: fired at %v with %d events, want [20ms] and 1", kind, firedAt, eng.Events())
+		}
+	}
+}
+
+// TestRescheduleHandles pins the handle semantics Reschedule shares with
+// Stop plus Schedule: the old handle goes stale, the new one is active and
+// reports the new time, and a re-arm of a stale handle just schedules.
+func TestRescheduleHandles(t *testing.T) {
+	eng := New()
+	fired := 0
+	a := eng.Schedule(Second, func() { fired += 10 })
+	b := eng.Reschedule(a, 2*Second, func() { fired++ })
+	if a.Active() || a.Stop() {
+		t.Error("the re-armed handle is still active")
+	}
+	if !b.Active() || b.At() != 2*Second {
+		t.Errorf("new handle active %v at %v, want true at 2s", b.Active(), b.At())
+	}
+	eng.RunUntilIdle()
+	c := eng.Reschedule(b, Second, func() { fired++ })
+	if !c.Active() || eng.Pending() != 1 {
+		t.Errorf("re-arm of a fired handle: active %v, pending %d", c.Active(), eng.Pending())
+	}
+	eng.RunUntilIdle()
+	if fired != 2 || eng.Events() != 2 || eng.Now() != 3*Second {
+		t.Errorf("fired %d, events %d, clock %v; want 2, 2, 3s", fired, eng.Events(), eng.Now())
 	}
 }

@@ -17,6 +17,11 @@
 // length. One consequence is visible to callers: Run(until) with nothing
 // live left advances the clock to until, even when the cancelled timers
 // were scheduled past it.
+//
+// Re-arming is lazy: Engine.Reschedule of a live timer to a later firing
+// key leaves the record where it is queued and notes the new key; the
+// queue re-keys the record when it surfaces at its old key. A re-key is
+// not an executed event: it neither counts in Events nor moves the clock.
 package sim
 
 import (
@@ -55,10 +60,11 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // timer is the pooled event record that lives inside the queue. Records are
 // recycled through the engine free list once popped or stopped, with gen
-// incremented at each recycle so stale Timer handles cannot touch the
-// record's next life. A record is queued exactly while a handle's gen
-// matches it.
+// incremented at each recycle (and at each Reschedule) so stale Timer
+// handles cannot touch the record's next life. A record is queued exactly
+// while a handle's gen matches it.
 type timer struct {
+	// at and seq are the key the record is queued under.
 	at  Time
 	seq uint64
 	fn  func()
@@ -68,6 +74,18 @@ type timer struct {
 	// queue so Remove finds it without a search: the heap slot, the index
 	// in its calendar bucket, or its calendar stage slot.
 	pos int
+	// moved marks a record Reschedule re-armed to the later firing key
+	// (nextAt, nextSeq). It stays queued under (at, seq) until it
+	// surfaces; the queue then re-keys it instead of popping it.
+	moved   bool
+	nextAt  Time
+	nextSeq uint64
+}
+
+// rekey moves a surfaced record to its firing key. The queue calls it on a
+// moved record it finds at its minimum, then re-queues the record.
+func (ev *timer) rekey() {
+	ev.at, ev.seq, ev.moved = ev.nextAt, ev.nextSeq, false
 }
 
 // Timer is a value handle to a scheduled event. The zero value is an inert
@@ -95,7 +113,8 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Active reports whether the timer is still scheduled to fire.
+// Active reports whether the timer is still scheduled to fire. Callers that
+// cancel only to re-arm test Active and then call Reschedule.
 func (t Timer) Active() bool {
 	return t.ev != nil && t.ev.gen == t.gen
 }
@@ -148,7 +167,11 @@ type Queue interface {
 	// recently popped record: every pop is an executed event.
 	Push(ev *timer)
 	// PopLE removes and returns the earliest event if its time is at or
-	// before horizon, or returns nil (leaving the queue untouched).
+	// before horizon, or returns nil (leaving the queue's live events
+	// untouched). A moved record that surfaces at or before horizon is
+	// re-keyed (timer.rekey) and re-queued in place of a pop; a re-key
+	// must not raise any lower bound the queue keeps on future pushes,
+	// because the engine clock does not move with it.
 	PopLE(horizon Time) *timer
 	// Remove takes a queued record out of the queue.
 	Remove(ev *timer)
@@ -254,12 +277,56 @@ func (e *Engine) At(at Time, fn func()) Timer {
 	return Timer{ev: ev, gen: ev.gen, at: at}
 }
 
+// Reschedule re-arms t to run fn after delay. Its effect is exactly that of
+// t.Stop() followed by Schedule(delay, fn): the event draws the next
+// sequence number, and the returned handle is the only live one (t is
+// stale afterwards). When t is live and the new firing key (now+delay,
+// seq) is later than the key t is queued under, which holds whenever the
+// new time is not earlier, the record stays queued and the queue re-keys
+// it once it surfaces (Queue.PopLE). An earlier time falls back to Remove
+// plus Push. Either way the record is reused, so a re-arm allocates
+// nothing, and a later re-arm costs no queue operation until the record
+// surfaces.
+//
+// Pop order is unchanged because a moved record's queued key never
+// exceeds its firing key: by the time it would be the earliest event it
+// has surfaced and been re-keyed, so every executed event still fires at
+// its own (time, seq).
+//
+//lrlint:hotpath one call per re-armed retry or request timer
+func (e *Engine) Reschedule(t Timer, delay Time, fn func()) Timer {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen {
+		return e.Schedule(delay, fn)
+	}
+	if fn == nil {
+		panic("sim: Reschedule called with nil callback")
+	}
+	at := e.now + max(delay, 0)
+	ev.gen++
+	ev.fn = fn
+	seq := e.seq
+	e.seq++
+	if at >= ev.at {
+		ev.moved, ev.nextAt, ev.nextSeq = true, at, seq
+	} else {
+		e.queue.Remove(ev)
+		ev.moved, ev.at, ev.seq = false, at, seq
+		e.obs.Start(obs.PhaseQueuePush)
+		e.queue.Push(ev)
+		e.obs.End(obs.PhaseQueuePush)
+	}
+	return Timer{ev: ev, gen: ev.gen, at: at}
+}
+
 // recycle returns a popped or removed record to the free list. The
 // generation bump invalidates every outstanding handle to the record's
-// previous life.
+// previous life, and clearing moved keeps a re-arm the record's last life
+// left pending from re-keying its next one.
 func (e *Engine) recycle(ev *timer) {
 	ev.gen++
 	ev.fn = nil
+	ev.moved = false
 	e.free = append(e.free, ev)
 }
 
