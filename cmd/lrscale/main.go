@@ -1,16 +1,10 @@
 // Command lrscale benchmarks LR-Seluge dissemination at large network
-// sizes and writes the BENCH_scale.json artifact consumed by check.sh.
+// sizes and writes the BENCH_scale.json artifact.
 //
 // Default mode runs one dissemination per requested network size (node 0
 // preloaded, everyone else fetching over a random-disk multi-hop graph) and
 // reports wall time, engine throughput (events/sec), communication cost per
-// node, and peak RSS per row. The flat events_per_sec_10k field mirrors the
-// n=10000 row so the shell gate can extract it with sed.
-//
-// The -identity flag instead runs the heap-vs-calendar byte-identity smoke:
-// the same seeded run under both event-queue implementations must produce
-// identical transmission-trace hashes and metrics. It exits non-zero on any
-// divergence, making it suitable as a CI gate.
+// node, and peak RSS per row.
 //
 // Observability: -obs installs internal/obs phase timers and prints each
 // run's wall-time attribution table (also embedded in the JSON row); -obs-dir
@@ -19,7 +13,7 @@
 // progress slice with the highest post-GC live heap (read it with
 // `go tool pprof -top heap_<n>.pb.gz`); -http serves live
 // pprof//metrics//progress while runs execute; -obsbench measures obs
-// overhead into BENCH_obs.json.
+// overhead into BENCH_obs.json and exits 1 when a gate fails.
 package main
 
 import (
@@ -43,9 +37,6 @@ type benchFile struct {
 	TargetDegree float64        `json:"target_degree"`
 	Seed         int64          `json:"seed"`
 	Rows         []scale.Report `json:"rows"`
-	// EventsPerSec10k mirrors the n=10000 row (zero when that size was not
-	// run); the shell regression gate extracts this flat field.
-	EventsPerSec10k float64 `json:"events_per_sec_10k"`
 }
 
 func main() {
@@ -56,24 +47,15 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base seed for all random streams")
 		degree    = flag.Float64("degree", 16, "target average node degree")
 		out       = flag.String("o", "BENCH_scale.json", "output JSON path")
-		identity  = flag.Bool("identity", false, "run the heap-vs-calendar byte-identity smoke and exit")
-		idNodes   = flag.Int("identity-nodes", 200, "network size for the -identity smoke")
 		quiet     = flag.Bool("q", false, "suppress progress output")
 		obsOn     = flag.Bool("obs", false, "install phase timers and print per-run wall-time attribution")
 		obsDir    = flag.String("obs-dir", "", "directory for per-size attribution JSON + snapshot JSONL artifacts (implies -obs)")
 		httpAddr  = flag.String("http", "", "serve live pprof//metrics//progress on this address while runs execute")
-		obsbench  = flag.Bool("obsbench", false, "measure obs overhead (disabled + enabled) and exit")
+		obsbench  = flag.Bool("obsbench", false, "measure obs overhead (disabled + enabled), gate it and exit")
 		obsbOut   = flag.String("obsbench-o", "BENCH_obs.json", "output path for -obsbench")
 	)
 	flag.Parse()
 
-	if *identity {
-		if err := runIdentity(*idNodes, *kb, *seed, *degree, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, "lrscale:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *obsbench {
 		if err := runObsbench(*kb, *seed, *degree, *obsbOut, *quiet); err != nil {
 			fmt.Fprintln(os.Stderr, "lrscale:", err)
@@ -225,9 +207,6 @@ func main() {
 			}
 		}
 		bf.Rows = append(bf.Rows, rep)
-		if n == 10000 {
-			bf.EventsPerSec10k = rep.EventsPerSec
-		}
 	}
 
 	if err := bench.WriteJSON(*out, bf); err != nil {
@@ -237,42 +216,6 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "lrscale: wrote %s\n", *out)
 	}
-}
-
-// runIdentity executes the same seeded run under both queue kinds and fails
-// on any divergence in trace hash or metrics.
-func runIdentity(nodes, kb int, seed int64, degree float64, quiet bool) error {
-	mk := func(q sim.QueueKind) scale.Config {
-		return scale.Config{
-			Nodes:        nodes,
-			TargetDegree: degree,
-			ImageKB:      kb,
-			Seed:         seed,
-			Queue:        q,
-			CompactRNG:   true,
-			TraceHash:    true,
-		}
-	}
-	heap, err := scale.Run(mk(sim.HeapQueue))
-	if err != nil {
-		return err
-	}
-	cal, err := scale.Run(mk(sim.CalendarQueue))
-	if err != nil {
-		return err
-	}
-	if heap.TraceHash == "" || heap.TraceHash != cal.TraceHash {
-		return fmt.Errorf("identity: trace hash mismatch: heap %s calendar %s", heap.TraceHash, cal.TraceHash)
-	}
-	if heap.Events != cal.Events || heap.Completed != cal.Completed ||
-		heap.LatencySec != cal.LatencySec || heap.TotalBytes != cal.TotalBytes {
-		return fmt.Errorf("identity: metrics mismatch:\n heap     %+v\n calendar %+v", heap, cal)
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "lrscale: identity OK at n=%d (hash %s, %d events, %d completed)\n",
-			nodes, heap.TraceHash[:16], heap.Events, heap.Completed)
-	}
-	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

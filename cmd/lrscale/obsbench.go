@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -12,6 +13,16 @@ import (
 
 // obsBenchNodes is the network size -obsbench measures at.
 const obsBenchNodes = 2000
+
+// The -obsbench gates. The enabled overhead is a ratio of medians and is
+// judged by bench.AtMost against the obs-off side's noise; the disabled
+// overhead is a nil-receiver microbenchmark and coverage a sampled
+// estimate with its own standard error, so both keep plain bounds.
+const (
+	maxEnabledOverhead  = 0.10
+	maxDisabledOverhead = 0.01
+	minCoveredFrac      = 0.8
+)
 
 // obsBenchReport is the BENCH_obs.json schema. Mirrors BENCH_trace.json's
 // methodology: enabled overhead from interleaved obs-off/obs-on runs,
@@ -41,11 +52,12 @@ type obsBenchReport struct {
 	NilPairNS            float64 `json:"nil_pair_ns"`
 	DisabledOverheadFrac float64 `json:"disabled_overhead_frac"`
 
-	// CoveredFrac is the last obs-on run's attribution coverage: the
-	// fraction of wall time the instrumented subsystems account for.
-	// CoveredSE is its standard error from event sampling.
-	CoveredFrac float64 `json:"covered_frac"`
-	CoveredSE   float64 `json:"covered_se"`
+	// CoveredFrac is each obs-on run's attribution coverage, in call order:
+	// the fraction of wall time the instrumented subsystems account for.
+	// CoveredSE is its standard error from event sampling. The coverage
+	// gate reads the last run.
+	CoveredFrac []float64 `json:"covered_frac"`
+	CoveredSE   []float64 `json:"covered_se"`
 
 	// TraceIdentical pins the determinism contract: every run above hashed
 	// its transmission trace to TraceHash.
@@ -59,9 +71,14 @@ type obsBenchReport struct {
 // inlined checks away.
 var disabledTimers *obs.Timers
 
-// runObsbench measures obs instrumentation overhead and writes BENCH_obs.json.
+// runObsbench measures obs instrumentation overhead, writes BENCH_obs.json
+// and returns every gate that failed.
 func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) error {
-	var attr *obs.Attribution
+	var (
+		attr    *obs.Attribution
+		covered []float64
+		se      []float64
+	)
 	pass := func(withObs bool) bench.Func {
 		return func() (string, error) {
 			cfg := scale.Config{
@@ -77,8 +94,10 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 				cfg.Obs = obs.NewTimers()
 			}
 			r, err := scale.Run(cfg)
-			if withObs {
+			if withObs && err == nil {
 				attr = r.Obs
+				covered = append(covered, attr.CoveredFrac)
+				se = append(se, attr.CoveredSE)
 			}
 			return r.TraceHash, err
 		}
@@ -95,9 +114,9 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 		ObsOff:              res.A,
 		ObsOn:               res.B,
 		EnabledOverheadFrac: res.B.MedianSec/res.A.MedianSec - 1,
-		NoiseFrac:           res.A.IQRSec / res.A.MedianSec,
-		CoveredFrac:         attr.CoveredFrac,
-		CoveredSE:           attr.CoveredSE,
+		NoiseFrac:           res.A.Noise(),
+		CoveredFrac:         covered,
+		CoveredSE:           se,
 		Regions:             attr.Events,
 		TraceIdentical:      true,
 		TraceHash:           res.Digest,
@@ -113,8 +132,19 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 	})
 	rep.DisabledOverheadFrac = float64(rep.Regions) * rep.NilPairNS / (res.A.MedianSec * 1e9)
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.1f%% ± %.1f%% -> %s\n",
-			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, 100*rep.CoveredFrac, 100*rep.CoveredSE, out)
+		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.3f ± %.3f -> %s\n",
+			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, covered, se, out)
 	}
-	return bench.WriteJSON(out, rep)
+	if err := bench.WriteJSON(out, rep); err != nil {
+		return err
+	}
+	errs := []error{bench.AtMost("obsbench: enabled overhead ratio", res.B.MedianSec/res.A.MedianSec, 1+maxEnabledOverhead, res.A)}
+	if !(rep.DisabledOverheadFrac < maxDisabledOverhead) {
+		errs = append(errs, fmt.Errorf("obsbench: disabled_overhead_frac %.4g >= %g", rep.DisabledOverheadFrac, maxDisabledOverhead))
+	}
+	if !(attr.CoveredFrac >= minCoveredFrac) || attr.CoveredFrac-2*attr.CoveredSE > 1 {
+		errs = append(errs, fmt.Errorf("obsbench: covered_frac %.4f ± %.4f outside [%g, 1 + 2 se]: a region is missing or double-counted",
+			attr.CoveredFrac, attr.CoveredSE, minCoveredFrac))
+	}
+	return errors.Join(errs...)
 }

@@ -12,7 +12,7 @@
 //	lrserved -selfbench BENCH_served.json
 //
 // Exit codes: 0 success (including clean shutdown on SIGINT/SIGTERM),
-// 1 runtime failure, 2 usage errors.
+// 1 runtime failure or a failed -selfbench gate, 2 usage errors.
 package main
 
 import (
@@ -53,7 +53,7 @@ func run() int {
 		maxBytes    = flag.Int64("max-store-bytes", 0, "store size cap in bytes; LRU-evict past it (0 = unbounded)")
 		codeVersion = flag.String("code-version", "dev", "code-version stamp mixed into every run key")
 		smoke       = flag.Bool("smoke", false, "self-test mode: start on an ephemeral port, drive miss->hit->restart->warm-hit over real HTTP, exit")
-		selfbench   = flag.String("selfbench", "", "benchmark mode: measure cold-miss vs cache-hit latency under concurrent clients, write timings to this JSON file, exit")
+		selfbench   = flag.String("selfbench", "", "benchmark mode: measure cold-miss vs cache-hit latency under concurrent clients, write timings to this JSON file, gate the ratio, exit")
 	)
 	flag.Parse()
 
@@ -258,8 +258,13 @@ func runSmoke(dir string, workers int, maxBytes int64, codeVersion string) error
 	return nil
 }
 
+// minColdToHit is the -selfbench gate: the cold-miss median must stay at
+// least this many times the hit p50, judged by bench.AtLeast against the
+// cold-miss side's noise.
+const minColdToHit = 100
+
 // servedBenchReport is the schema of the -selfbench JSON artifact
-// (BENCH_served.json in check.sh).
+// (BENCH_served.json).
 type servedBenchReport struct {
 	bench.Header
 	Clients           int `json:"clients"`
@@ -277,16 +282,17 @@ type servedBenchReport struct {
 	HitMaxSec float64 `json:"hit_max_sec"`
 	// HitThroughputRPS is hits served per hammer wall-clock second.
 	HitThroughputRPS float64 `json:"hit_throughput_rps"`
-	// ColdToHitP99 is the economics headline: how many times faster the
-	// cached path is than recomputing (cold-miss median / hit p99).
-	ColdToHitP99 float64 `json:"cold_to_hit_p99"`
+	// ColdToHitP50 is the economics headline: how many times faster the
+	// cached path is than recomputing (cold-miss median / hit p50).
+	ColdToHitP50 float64 `json:"cold_to_hit_p50"`
 	// Identical is true when every cold and hit body matched byte for byte.
 	Identical bool `json:"identical"`
 }
 
 // runSelfbench measures the cold-miss vs cache-hit latency split over real
 // loopback HTTP, interleaving cold POSTs (each to its own server over a
-// fresh store) with rounds of concurrent clients hammering a warm server.
+// fresh store) with rounds of concurrent clients hammering a warm server,
+// and gates the ratio at minColdToHit.
 func runSelfbench(path, dir string, workers int, maxBytes int64, codeVersion string) error {
 	client := &http.Client{Timeout: 120 * time.Second}
 	// bases[0] is the warm server; bases[1:] serve one cold POST each. All
@@ -370,10 +376,13 @@ func runSelfbench(path, dir string, workers int, maxBytes int64, codeVersion str
 		HitP99Sec:         bench.Quantile(lats, 0.99),
 		HitMaxSec:         lats[len(lats)-1],
 		HitThroughputRPS:  float64(clients*perClient) / res.B.MedianSec,
-		ColdToHitP99:      res.A.MedianSec / bench.Quantile(lats, 0.99),
+		ColdToHitP50:      res.A.MedianSec / bench.Quantile(lats, 0.50),
 		Identical:         true,
 	}
-	fmt.Fprintf(os.Stderr, "lrserved: selfbench: cold miss %.3fs, hit p50 %.2fms p99 %.2fms (%.0f rps, %d clients), cold/hit-p99 %.0fx -> %s\n",
-		res.A.MedianSec, 1e3*rep.HitP50Sec, 1e3*rep.HitP99Sec, rep.HitThroughputRPS, clients, rep.ColdToHitP99, path)
-	return bench.WriteJSON(path, rep)
+	fmt.Fprintf(os.Stderr, "lrserved: selfbench: cold miss %.3fs (noise %.1f%%), hit p50 %.2fms p99 %.2fms (%.0f rps, %d clients), cold/hit-p50 %.0fx -> %s\n",
+		res.A.MedianSec, 100*res.A.Noise(), 1e3*rep.HitP50Sec, 1e3*rep.HitP99Sec, rep.HitThroughputRPS, clients, rep.ColdToHitP50, path)
+	if err := bench.WriteJSON(path, rep); err != nil {
+		return err
+	}
+	return bench.AtLeast("selfbench: cold_to_hit_p50", rep.ColdToHitP50, minColdToHit, res.A)
 }

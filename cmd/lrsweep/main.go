@@ -22,8 +22,8 @@
 // warm rerun reproduces the cold run's file exactly.
 //
 // Exit codes: 0 success, 1 a run failed (panic/timeout/error; all other
-// records are still written), 2 usage errors such as an unknown sweep or
-// noise model.
+// records are still written) or the -tracebench gate failed, 2 usage
+// errors such as an unknown sweep or noise model.
 package main
 
 import (
@@ -67,7 +67,7 @@ func run() int {
 		selfbench  = flag.String("selfbench", "", "benchmark mode: time interleaved serial and -parallel passes of the sweep, verify byte-identical JSONL, write timings to this JSON file")
 		traceDir   = flag.String("trace-dir", "", "write one JSONL protocol trace per run into this directory (analyze with lrtrace)")
 		flightDir  = flag.String("flight-dir", "", "keep a bounded flight record per run; when a run panics or times out, dump its last trace events and state into this directory")
-		tracebench = flag.String("tracebench", "", "benchmark mode: time interleaved untraced and traced passes of the sweep, verify identical metrics, write tracer-overhead timings to this JSON file")
+		tracebench = flag.String("tracebench", "", "benchmark mode: time interleaved untraced and traced passes of the sweep, verify identical metrics, write tracer-overhead timings to this JSON file, gate the disabled-tracer cost")
 		storeDir   = flag.String("store", "", "incremental mode: consult this run-store directory per cell, compute only the misses, and emit one JSONL line per cell (see lrserved)")
 		codeVer    = flag.String("code-version", "dev", "code-version stamp mixed into store keys (with -store)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
@@ -476,8 +476,12 @@ func runSelfbench(path, sweep string, entries []experiment.GridEntry, parallel i
 	return bench.WriteJSON(path, rep)
 }
 
+// maxTraceDisabledOverhead is the -tracebench gate on the nil-tracer cost
+// as a fraction of the untraced run.
+const maxTraceDisabledOverhead = 0.02
+
 // traceBenchReport is the schema of the -tracebench JSON artifact
-// (BENCH_trace.json in check.sh).
+// (BENCH_trace.json).
 type traceBenchReport struct {
 	Sweep string `json:"sweep"`
 	Jobs  int    `json:"jobs"`
@@ -508,7 +512,8 @@ type traceBenchReport struct {
 
 // runTracebench measures the tracer's overhead on a real sweep from
 // interleaved serial untraced and traced passes plus a nil-call
-// microbenchmark, verifying that tracing leaves the metrics byte-identical.
+// microbenchmark, verifying that tracing leaves the metrics byte-identical,
+// and gates the disabled overhead at maxTraceDisabledOverhead.
 func runTracebench(path, sweep string, entries []experiment.GridEntry, timeout time.Duration) error {
 	if len(entries) == 0 {
 		return fmt.Errorf("sweep %q has no entries", sweep)
@@ -537,7 +542,7 @@ func runTracebench(path, sweep string, entries []experiment.GridEntry, timeout t
 		Header:               res.Header,
 		Untraced:             res.A,
 		Traced:               res.B,
-		NoiseFrac:            res.A.IQRSec / res.A.MedianSec,
+		NoiseFrac:            res.A.Noise(),
 		EventsTotal:          events,
 		TracedOverheadFrac:   res.B.MedianSec/res.A.MedianSec - 1,
 		DisabledNsPerSite:    nilNs,
@@ -547,5 +552,8 @@ func runTracebench(path, sweep string, entries []experiment.GridEntry, timeout t
 	fmt.Fprintf(os.Stderr, "lrsweep: tracebench %s: untraced %.3fs, traced %.3fs (%+.1f%%, noise %.1f%%), %d events, disabled site %.2fns (%.4f%% of run) -> %s\n",
 		sweep, res.A.MedianSec, res.B.MedianSec, 100*rep.TracedOverheadFrac, 100*rep.NoiseFrac, events,
 		nilNs, 100*rep.DisabledOverheadFrac, path)
-	return bench.WriteJSON(path, rep)
+	if err := bench.WriteJSON(path, rep); err != nil || rep.DisabledOverheadFrac < maxTraceDisabledOverhead {
+		return err
+	}
+	return fmt.Errorf("tracebench: disabled_overhead_frac %.4g >= %g", rep.DisabledOverheadFrac, maxTraceDisabledOverhead)
 }

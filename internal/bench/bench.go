@@ -1,8 +1,9 @@
 // Package bench is the one timing harness behind the self-benchmark modes of
 // lrsweep, lrserved, lrscale and lrlint. A figure is the median of Pairs
 // interleaved repetitions with its interquartile range beside it, every
-// repetition's output digest must agree, and each BENCH file records the
-// host it was measured on.
+// repetition's output digest must agree, each BENCH file records the host
+// it was measured on, and a timing gate judges a ratio of medians against
+// its bound through AtMost or AtLeast.
 package bench
 
 import (
@@ -56,6 +57,33 @@ func newSide(samples []float64) Side {
 		IQRSec:     Quantile(sorted, 0.75) - Quantile(sorted, 0.25),
 		SamplesSec: samples,
 	}
+}
+
+// Noise is the side's IQR over its median: the run-to-run spread that a
+// ratio against this side cannot resolve.
+func (s Side) Noise() float64 { return s.IQRSec / s.MedianSec }
+
+// AtMost fails when ratio, a ratio of medians over the same interleaved
+// pairs, exceeds bound by more than a factor of 1 + ref.Noise(), where ref
+// is the side the ratio is measured against.
+func AtMost(name string, ratio, bound float64, ref Side) error {
+	return judge(name, ratio <= bound*(1+ref.Noise()), "above", ratio, bound, ref)
+}
+
+// AtLeast fails when ratio falls below bound by more than a factor of
+// 1 + ref.Noise().
+func AtLeast(name string, ratio, bound float64, ref Side) error {
+	return judge(name, ratio*(1+ref.Noise()) >= bound, "below", ratio, bound, ref)
+}
+
+// judge turns a comparison into the gate's verdict; a NaN ratio or noise
+// compares false and so fails.
+func judge(name string, ok bool, beyond string, ratio, bound float64, ref Side) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%s %.4g is %s its bound %.4g by more than the reference side's noise %.1f%%",
+		name, ratio, beyond, bound, 100*ref.Noise())
 }
 
 // Result is the outcome of AB: both sides' samples and the digest every

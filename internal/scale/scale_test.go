@@ -23,27 +23,34 @@ func baseConfig(queue sim.QueueKind) Config {
 // TestHeapCalendarByteIdentity is the queue-equivalence gate at the full
 // protocol level: the same seeded run under the heap and calendar queues
 // must produce identical run bytes — the same transmission trace hash and
-// the same metrics — not merely the same aggregate outcome.
+// the same metrics — not merely the same aggregate outcome. The inputs are
+// baseConfig and lrscale's defaults (degree 16, 8 KiB, seed 1) at 200 nodes.
 func TestHeapCalendarByteIdentity(t *testing.T) {
-	heap, err := Run(baseConfig(sim.HeapQueue))
-	if err != nil {
-		t.Fatal(err)
+	lrscale := func(q sim.QueueKind) Config {
+		return Config{Nodes: 200, TargetDegree: 16, ImageKB: 8, Seed: 1, Queue: q, CompactRNG: true, TraceHash: true}
 	}
-	cal, err := Run(baseConfig(sim.CalendarQueue))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heap.TraceHash == "" || heap.TraceHash != cal.TraceHash {
-		t.Errorf("trace hash differs: heap %s calendar %s", heap.TraceHash, cal.TraceHash)
-	}
-	if heap.Events != cal.Events {
-		t.Errorf("event count differs: heap %d calendar %d", heap.Events, cal.Events)
-	}
-	if heap.Completed != cal.Completed || heap.LatencySec != cal.LatencySec || heap.TotalBytes != cal.TotalBytes {
-		t.Errorf("metrics differ: heap %+v calendar %+v", heap, cal)
-	}
-	if heap.Queue != "heap" || cal.Queue != "calendar" {
-		t.Errorf("queue labels: %q, %q", heap.Queue, cal.Queue)
+	for _, mk := range []func(sim.QueueKind) Config{baseConfig, lrscale} {
+		heap, err := Run(mk(sim.HeapQueue))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal, err := Run(mk(sim.CalendarQueue))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := heap.Nodes
+		if heap.TraceHash == "" || heap.TraceHash != cal.TraceHash {
+			t.Errorf("n=%d: trace hash differs: heap %s calendar %s", n, heap.TraceHash, cal.TraceHash)
+		}
+		if heap.Events != cal.Events {
+			t.Errorf("n=%d: event count differs: heap %d calendar %d", n, heap.Events, cal.Events)
+		}
+		if heap.Completed != cal.Completed || heap.LatencySec != cal.LatencySec || heap.TotalBytes != cal.TotalBytes {
+			t.Errorf("n=%d: metrics differ: heap %+v calendar %+v", n, heap, cal)
+		}
+		if heap.Queue != "heap" || cal.Queue != "calendar" {
+			t.Errorf("n=%d: queue labels: %q, %q", n, heap.Queue, cal.Queue)
+		}
 	}
 }
 

@@ -3,47 +3,37 @@
 # artifact is the gate — diffed against its committed golden, so any new
 # finding shows up in the diff — filtered through the committed
 # lint-baseline.json so only drift fails, with stale-directive detection on,
-# a SARIF 2.1.0 artifact smoke-checked, the analyzer selfbench written to
-# BENCH_lint.json with per-pass timings and a <2x gate-cost regression check,
-# and scratch-module probes proving a fresh hot-path allocation and a fresh
-# O(nodes) per-event scan still fail through the baseline), race-enabled
-# tests, one iteration of every root benchmark (BenchmarkSweep runs each
-# catalog sweep at quick scale), 10 s fuzz smokes of the RS decoder (FuzzDecode),
-# completion by comparison against the store's entry (FuzzIngestCompare), the event queues
-# (FuzzQueueEquivalence), the hash-image memo (FuzzSumBody) and the
-# fault-plan loader (FuzzPlan), lrsweep golden-JSONL
-# diff, the seeded cmd/figures run diffed against figures_output.txt,
-# lrsim and examples/multihop probes that an unknown grid density exits 2, the
-# serial-vs-parallel sweep bench, the churn-sweep fault-injection bench
-# (BENCH_fault.json), and the tracing gates: traced-sweep metrics must stay
-# byte-equal to the untraced golden, per-run trace directories must be
-# worker-invariant, lrtrace must reproduce its committed summary golden on
-# a churn-fault run whose lrsim fault-drop count equals the trace's, and the tracer overhead bench (BENCH_trace.json) must
-# keep the disabled-tracer cost under 2%. The result-serving gates: the
-# lrserved smoke (miss -> hit -> restart -> warm hit over real HTTP, bodies
-# byte-identical), the lrsweep incremental-store rerun (warm pass all-cached
-# and byte-identical to the cold pass), and the lrserved load bench
-# (BENCH_served.json), whose cache-hit p99 must sit at least 100x below the
-# cold-miss compute time. The scale gates: the lrscale -identity smoke (one
-# seeded run under the heap and calendar event queues must produce identical
-# transmission-trace hashes and metrics) and an n=10k benchmark rerun whose
-# events/sec must not regress below half the committed BENCH_scale.json
-# figure, whose events and total_bytes must equal the committed row, and
-# whose every node must complete holding the exact image (images_ok true,
-# incomplete 0). The observability gates: lrscale -obsbench (BENCH_obs.json) must reproduce the
-# committed trace_hash, keep the nil-timer (disabled) overhead under 1% and
-# the fully-instrumented (enabled) overhead under 10%, attribute at least
-# 80% of wall time to the instrumented subsystems, and leave same-seed trace
-# hashes byte-identical with obs on, and keep coverage from exceeding wall
-# time by more than its sampling error (covered_frac - 2*covered_se <= 1:
-# a double-counted region trips it); internal/obs runs under -race with the
-# other concurrency-sensitive packages. The self-bench timings behind these
-# gates are medians over internal/bench's interleaved A/B pairs (DESIGN.md
-# §16), and every BENCH field is read through the field helper below.
-# After the lint, the tests and the fuzz smokes, every deterministic gate
-# (goldens, byte identity, exit codes, the n=10k row's counts) runs before
-# any timing gate (the self-benchmarks and their bounds), so a timing gate
-# tripping on a noisy host cannot hide a correctness break.
+# a SARIF 2.1.0 artifact smoke-checked, the analyzer selfbench's gate cost
+# held under 2x the committed BENCH_lint.json figure, and scratch-module
+# probes proving a fresh hot-path allocation and a fresh O(nodes) per-event
+# scan still fail through the baseline), race-enabled tests (the
+# heap-vs-calendar byte identity is internal/scale's
+# TestHeapCalendarByteIdentity), one iteration of every root benchmark,
+# 10 s fuzz smokes of the RS decoder, completion by comparison against the
+# store's entry, the event queues, the hash-image memo and the fault-plan
+# loader, then every deterministic gate: the lrsweep golden JSONL, the
+# seeded cmd/figures run diffed against figures_output.txt, exit-2 probes
+# for an unknown grid density, traced-sweep metrics byte-equal to the
+# untraced golden with worker-invariant trace directories, the lrtrace
+# summary golden on a churn-fault run whose lrsim fault-drop count equals
+# the trace's, the lrserved smoke (miss -> hit -> restart -> warm hit,
+# byte-identical), the lrsweep incremental-store rerun, and an n=10k lrscale
+# run whose events and total_bytes must equal the committed BENCH_scale.json
+# row with every node complete holding the exact image.
+#
+# Then the timing gates. Each self-bench mode judges its own figures and
+# exits 1 on failure, so this script only runs them: lrsweep -selfbench
+# (multihop and churn sweeps), lrsweep -tracebench (disabled-tracer cost
+# under 2%), lrserved -selfbench (the cold-miss median at least 100x the
+# hit p50, beyond the cold side's noise) and lrscale -obsbench (nil-timer
+# cost under 1%, enabled overhead within 10% of the obs-off runs beyond
+# their noise, coverage between 80% and 100% + 2 standard errors, and the
+# committed trace_hash reproduced). A ratio of medians over internal/bench's
+# interleaved pairs fails only when it crosses its bound by more than the
+# reference side's IQR/median (DESIGN.md §16); no timing gate compares a
+# fresh figure with a committed one except lrlint's gate cost. Every BENCH
+# artifact a run writes goes to a temporary directory, so a check.sh run
+# leaves the committed files alone (README says how to refresh them).
 # Run from anywhere inside the repository; exits non-zero on the first failure.
 set -eu
 
@@ -69,16 +59,14 @@ field() {
     sed -n "s/.*\"$2\": \"*\([^\",]*\)\"*,*\$/\1/p" "$1" | head -n 1
 }
 
-echo "==> lrlint -json artifact vs golden (baseline-filtered, selfbench -> BENCH_lint.json, SARIF smoke)"
+echo "==> lrlint -json artifact vs golden (baseline-filtered, selfbench, SARIF smoke)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-# Remember the committed gate cost before the selfbench overwrites it; the
-# regression gate below compares the fresh run against it.
 prev_gate_ms=$(field BENCH_lint.json gate_total_ms 2>/dev/null || true)
 # `|| true`: when findings exist the diff below fails with the findings
 # visible in context, which is a more useful gate report than the bare exit.
 go run ./cmd/lrlint -json -unused-ignores -baseline lint-baseline.json \
-    -sarif "$tmpdir/lint.sarif" -selfbench BENCH_lint.json ./... > "$tmpdir/lint.json" || true
+    -sarif "$tmpdir/lint.sarif" -selfbench "$tmpdir/BENCH_lint.json" ./... > "$tmpdir/lint.json" || true
 diff -u cmd/lrlint/testdata/lint_clean.golden.json "$tmpdir/lint.json"
 
 echo "==> lrlint SARIF artifact structure"
@@ -90,8 +78,8 @@ grep -q '"id": "effect-purity"' "$tmpdir/lint.sarif"
 grep -q '"id": "scan-complexity"' "$tmpdir/lint.sarif"
 
 echo "==> lrlint selfbench regression gate (gate_total_ms < 2x committed)"
-new_gate_ms=$(field BENCH_lint.json gate_total_ms)
-grep -q '"alloc-hotpath"' BENCH_lint.json  # pass_ms must carry the new passes
+new_gate_ms=$(field "$tmpdir/BENCH_lint.json" gate_total_ms)
+grep -q '"alloc-hotpath"' "$tmpdir/BENCH_lint.json"  # pass_ms must carry the new passes
 awk -v prev="$prev_gate_ms" -v new="$new_gate_ms" 'BEGIN {
     if (new == "") { print "selfbench gate: missing gate_total_ms"; exit 1 }
     if (prev != "" && new + 0 > 2 * (prev + 0)) {
@@ -238,9 +226,6 @@ go run ./cmd/lrsweep -sweep smoke -quick -runs 2 -seed 1 -store "$tmpdir/rs" -co
 cmp "$tmpdir/cells_cold.jsonl" "$tmpdir/cells_warm.jsonl"
 grep -q '0 computed' "$tmpdir/cells_warm.err"
 
-echo "==> lrscale identity smoke (heap vs calendar queue, byte-identical run)"
-go run ./cmd/lrscale -identity
-
 echo "==> lrscale n=10k run: events and total_bytes equal to the committed row, every node complete with the exact image"
 # row10k FILE FIELD prints FIELD of the "nodes": 10000 row.
 row10k() {
@@ -265,59 +250,32 @@ awk -v pe="$prev_events" -v ne="$new_events" -v pb="$prev_bytes" -v nb="$new_byt
     }
 }'
 
-# Timing gates: self-benchmarks whose bounds compare wall-clock figures.
-# The served gate runs last: on a 2-vCPU host its ratio sits near its bound.
-echo "==> lrsweep selfbench (serial vs parallel wall-clock -> BENCH_sweep.json)"
-go run ./cmd/lrsweep -sweep multihop -quick -runs 8 -parallel 8 -selfbench BENCH_sweep.json
+# Timing gates: each mode judges its own figures and exits 1 on failure.
+echo "==> lrsweep selfbench (serial vs parallel wall-clock)"
+go run ./cmd/lrsweep -sweep multihop -quick -runs 8 -parallel 8 -selfbench "$tmpdir/BENCH_sweep.json"
 
-echo "==> lrsweep churn-sweep selfbench (fault subsystem -> BENCH_fault.json)"
-go run ./cmd/lrsweep -sweep churn -quick -runs 4 -parallel 4 -selfbench BENCH_fault.json
+echo "==> lrsweep churn-sweep selfbench (fault subsystem)"
+go run ./cmd/lrsweep -sweep churn -quick -runs 4 -parallel 4 -selfbench "$tmpdir/BENCH_fault.json"
 
-echo "==> lrsweep tracebench (tracer overhead -> BENCH_trace.json, disabled overhead < 2%)"
-go run ./cmd/lrsweep -sweep smoke -runs 2 -seed 1 -tracebench BENCH_trace.json
-frac=$(field BENCH_trace.json disabled_overhead_frac)
-awk -v f="$frac" 'BEGIN { if (f == "" || f >= 0.02) { print "disabled_overhead_frac gate failed: " f; exit 1 } }'
+echo "==> lrsweep tracebench (tracer overhead: disabled < 2%)"
+go run ./cmd/lrsweep -sweep smoke -runs 2 -seed 1 -tracebench "$tmpdir/BENCH_trace.json"
 
-echo "==> lrscale n=10k events/sec floor (the run above: at least half the committed figure)"
-prev_eps=$(field BENCH_scale.json events_per_sec_10k 2>/dev/null || true)
-new_eps=$(field "$tmpdir/scale.json" events_per_sec_10k)
-awk -v prev="$prev_eps" -v new="$new_eps" 'BEGIN {
-    if (new == "" || new + 0 <= 0) { print "scale gate: missing events_per_sec_10k"; exit 1 }
-    if (prev != "" && new + 0 < (prev + 0) / 2) {
-        print "scale gate: events/sec regressed to " new " vs committed " prev; exit 1
-    }
-}'
+echo "==> lrserved selfbench (cold-miss median >= 100x hit p50 beyond noise, hit bodies byte-identical)"
+go run ./cmd/lrserved -selfbench "$tmpdir/BENCH_served.json"
 
-echo "==> lrscale obsbench (obs overhead -> BENCH_obs.json: disabled < 1%, enabled < 10%, 80% <= coverage <= 100% + 2 se)"
-# Remember the committed trace hash before the bench overwrites it: the
-# seeded run must reproduce it byte for byte.
-prev_obs_hash=$(field BENCH_obs.json trace_hash 2>/dev/null || true)
-go run ./cmd/lrscale -obsbench -obsbench-o BENCH_obs.json
-new_obs_hash=$(field BENCH_obs.json trace_hash)
+# obsbench runs last: its coverage gate can trip on an unchanged tree
+# (CHANGES.md), and here that hides no other gate.
+echo "==> lrscale obsbench (disabled < 1%, enabled <= 10% beyond noise, 80% <= coverage <= 100% + 2 se, committed trace_hash)"
+# The bench writes its file before judging its timings, so the trace-hash
+# comparison, a deterministic gate, runs even when a timing gate failed.
+obs_rc=0
+go run ./cmd/lrscale -obsbench -obsbench-o "$tmpdir/BENCH_obs.json" || obs_rc=$?
+prev_obs_hash=$(field BENCH_obs.json trace_hash)
+new_obs_hash=$(field "$tmpdir/BENCH_obs.json" trace_hash 2>/dev/null || true)
 if [ -z "$prev_obs_hash" ] || [ "$new_obs_hash" != "$prev_obs_hash" ]; then
-    echo "obs gate: trace_hash $new_obs_hash differs from committed $prev_obs_hash" >&2
+    echo "obs gate: trace_hash '$new_obs_hash' differs from committed $prev_obs_hash" >&2
     exit 1
 fi
-dfrac=$(field BENCH_obs.json disabled_overhead_frac)
-efrac=$(field BENCH_obs.json enabled_overhead_frac)
-cfrac=$(field BENCH_obs.json covered_frac)
-cse=$(field BENCH_obs.json covered_se)
-oident=$(field BENCH_obs.json trace_identical)
-awk -v d="$dfrac" -v e="$efrac" -v c="$cfrac" -v se="$cse" -v id="$oident" 'BEGIN {
-    if (d == "" || d + 0 >= 0.01) { print "obs gate: disabled_overhead_frac " d " >= 1%"; exit 1 }
-    if (e == "" || e + 0 >= 0.10) { print "obs gate: enabled_overhead_frac " e " >= 10%"; exit 1 }
-    if (c == "" || c + 0 < 0.8) { print "obs gate: covered_frac " c " < 80%"; exit 1 }
-    if (se == "" || c - 2 * se > 1) { print "obs gate: covered_frac " c " exceeds 1 by more than 2 covered_se " se; exit 1 }
-    if (id != "true") { print "obs gate: same-seed trace hashes differ with obs enabled"; exit 1 }
-}'
-
-echo "==> lrserved selfbench (cold-miss vs hit latency -> BENCH_served.json, hit p99 >= 100x below cold)"
-go run ./cmd/lrserved -selfbench BENCH_served.json
-ratio=$(field BENCH_served.json cold_to_hit_p99)
-ident=$(field BENCH_served.json identical)
-awk -v r="$ratio" -v id="$ident" 'BEGIN {
-    if (r == "" || r + 0 < 100) { print "served gate: cold_to_hit_p99 " r " < 100"; exit 1 }
-    if (id != "true") { print "served gate: hit bodies not byte-identical"; exit 1 }
-}'
+[ "$obs_rc" -eq 0 ]
 
 echo "OK"
