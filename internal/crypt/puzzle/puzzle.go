@@ -12,6 +12,7 @@ package puzzle
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,10 +33,6 @@ type Params struct {
 	// cheap.
 	Strength uint
 }
-
-// DefaultParams is a simulation-friendly difficulty: strong enough to
-// demonstrate filtering, cheap enough to solve in microseconds.
-const DefaultStrength = 12
 
 // ErrUnsolvable is returned when no solution exists within the 64-bit search
 // space (practically impossible for sane strengths).
@@ -91,12 +88,35 @@ func VerifyKey(commitment, key Key, version int) bool {
 	return cur == commitment
 }
 
-// Solve brute-forces a solution s with H(msg || key || s) having
-// params.Strength leading zero bits. The base station runs this once per
-// code image; sensor nodes never do.
+// Solve brute-forces the least s with H(msg || key || s) having
+// params.Strength leading zero bits: the least s Verify accepts. The base
+// station runs it once per code image; a simulated signature flooder that
+// forges solved packets runs it once per forged packet, so its cost is the
+// attacker's.
+//
+// The search hashes msg || key once and saves that SHA-256 state (the
+// midstate). Each candidate restores it and hashes only the 8-byte s and the
+// padding: one compression when msg || key leaves at least 17 bytes in its
+// last block, where check does two for a Sig packet. The digest and the
+// saved state are allocated once per solve, nothing per candidate.
 func Solve(params Params, msg []byte, key Key) (uint64, error) {
+	h := sha256.New()
+	h.Write(msg)
+	h.Write(key[:])
+	mid, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
+	restore := h.(encoding.BinaryUnmarshaler)
+	var sbuf [SolutionSize]byte
+	var digest [sha256.Size]byte
 	for s := uint64(0); ; s++ {
-		if check(params, msg, key, s) {
+		if err := restore.UnmarshalBinary(mid); err != nil {
+			return 0, err
+		}
+		binary.BigEndian.PutUint64(sbuf[:], s)
+		h.Write(sbuf[:])
+		if leadingZeroBits(h.Sum(digest[:0])) >= int(params.Strength) {
 			return s, nil
 		}
 		if s == ^uint64(0) {

@@ -1,6 +1,8 @@
 package puzzle
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -122,4 +124,79 @@ func TestHigherStrengthHarder(t *testing.T) {
 		t.Fatal("stronger solution rejected at lower strength")
 	}
 	_ = solLow
+}
+
+// naiveSolve is the reference search: check every s from 0 upward, each a
+// full hash of msg || key || s, until one is accepted.
+func naiveSolve(params Params, msg []byte, key Key) uint64 {
+	s := uint64(0)
+	for !check(params, msg, key, s) {
+		s++
+	}
+	return s
+}
+
+// TestSolveLeastSolution checks the midstate search against the naive scan
+// for every message length from 0 to 200 bytes. With the key and solution
+// the hashed input is len+16 bytes, so the range crosses every placement of
+// the solution and the padding relative to a SHA-256 block boundary.
+func TestSolveLeastSolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	buf := make([]byte, 200)
+	for n := 0; n <= len(buf); n++ {
+		msg := buf[:n]
+		rng.Read(msg)
+		var key Key
+		rng.Read(key[:])
+		for strength := uint(0); strength <= 10; strength++ {
+			params := Params{Strength: strength}
+			got, err := Solve(params, msg, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naiveSolve(params, msg, key); got != want {
+				t.Fatalf("len %d strength %d: Solve %d, least accepted %d", n, strength, got, want)
+			}
+		}
+	}
+}
+
+// FuzzSolve holds Solve to the naive scan on arbitrary messages, keys and
+// strengths up to 10.
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte("signature packet bytes"), uint64(0), uint8(8))
+	f.Add([]byte{}, uint64(1), uint8(10))
+	f.Add(make([]byte, 47), ^uint64(0), uint8(5))  // msg || key ends 9 bytes before a block boundary
+	f.Add(make([]byte, 84), uint64(7), uint8(8))   // the Sig puzzle message size
+	f.Add(make([]byte, 120), uint64(42), uint8(3)) // msg || key fills two blocks exactly
+	f.Fuzz(func(t *testing.T, msg []byte, k uint64, strength uint8) {
+		var key Key
+		binary.BigEndian.PutUint64(key[:], k)
+		params := Params{Strength: uint(strength % 11)}
+		got, err := Solve(params, msg, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := naiveSolve(params, msg, key); got != want {
+			t.Fatalf("len %d strength %d: Solve %d, least accepted %d", len(msg), params.Strength, got, want)
+		}
+	})
+}
+
+// TestSolveAllocatesPerSolveOnly checks that a strength-10 search, which
+// scans about a thousand candidates, allocates no more than a strength-0
+// one, which accepts the first: nothing is allocated per candidate.
+func TestSolveAllocatesPerSolveOnly(t *testing.T) {
+	msg := make([]byte, 84)
+	var key Key
+	allocs := func(strength uint) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := Solve(Params{Strength: strength}, msg, key); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if weak, strong := allocs(0), allocs(10); weak != strong {
+		t.Fatalf("Solve allocates %.1f times at strength 0 but %.1f at strength 10", weak, strong)
+	}
 }

@@ -240,20 +240,23 @@ func (s *Sig) Marshal() []byte {
 // code version, page count and Merkle root so none can be swapped
 // independently.
 func (s *Sig) SignedMessage() []byte {
-	b := make([]byte, 0, 3+hashx.Size)
-	b = binary.BigEndian.AppendUint16(b, s.Version)
-	b = append(b, s.Pages)
-	b = append(b, s.Root[:]...)
-	return b
+	return s.appendSigned(make([]byte, 0, 3+hashx.Size))
 }
 
 // PuzzleMessage returns the byte string the puzzle covers (message-specific:
 // it includes the signature itself, so a forged signature needs a fresh
-// brute-force search).
+// brute-force search): SignedMessage followed by Signature, built in one
+// allocation.
 func (s *Sig) PuzzleMessage() []byte {
-	b := s.SignedMessage()
-	b = append(b, s.Signature...)
-	return b
+	b := s.appendSigned(make([]byte, 0, 3+hashx.Size+len(s.Signature)))
+	return append(b, s.Signature...)
+}
+
+// appendSigned appends SignedMessage's bytes to b.
+func (s *Sig) appendSigned(b []byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, s.Version)
+	b = append(b, s.Pages)
+	return append(b, s.Root[:]...)
 }
 
 // appendHeader appends the common app-layer prefix into b. Each Marshal owns

@@ -161,6 +161,20 @@ func TestSigMessagesBindFields(t *testing.T) {
 	}
 }
 
+// TestPuzzleMessageOneAlloc pins PuzzleMessage to SignedMessage followed by
+// the signature, built in a single allocation: it runs on every weak check
+// and every forged signature packet.
+func TestPuzzleMessageOneAlloc(t *testing.T) {
+	s := &Sig{Version: 3, Pages: 5, Root: hashx.Sum([]byte("r")), Signature: bytes.Repeat([]byte{0xa5}, sign.SignatureSize)}
+	want := append(s.SignedMessage(), s.Signature...)
+	if got := s.PuzzleMessage(); !bytes.Equal(got, want) {
+		t.Fatalf("PuzzleMessage %x, want SignedMessage || Signature %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.PuzzleMessage() }); n != 1 {
+		t.Fatalf("PuzzleMessage allocates %.1f times per call, want 1", n)
+	}
+}
+
 func TestSigWireSizeConstant(t *testing.T) {
 	s := &Sig{Signature: make([]byte, sign.SignatureSize)}
 	want := LinkOverhead + 5 + 1 + hashx.Size + sign.SignatureSize + puzzle.KeySize + puzzle.SolutionSize

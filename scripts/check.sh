@@ -10,11 +10,12 @@
 # heap-vs-calendar byte identity is internal/scale's
 # TestHeapCalendarByteIdentity), one iteration of every root benchmark,
 # 10 s fuzz smokes of the RS decoder, completion by comparison against the
-# store's entry, the event queues, the hash-image memo and the fault-plan
-# loader, then every deterministic gate: the lrsweep golden JSONL, the
-# seeded cmd/figures run diffed against figures_output.txt, exit-2 probes
-# for an unknown grid density, traced-sweep metrics byte-equal to the
-# untraced golden with worker-invariant trace directories, the lrtrace
+# store's entry, the event queues, the hash-image memo, the puzzle search
+# and the fault-plan loader, then every deterministic gate: the lrsweep
+# golden JSONL, the seeded cmd/figures run diffed against
+# figures_output.txt, exit-2 probes for an unknown grid density,
+# traced-sweep metrics byte-equal to the untraced golden with
+# worker-invariant trace directories, the lrtrace
 # summary golden on a churn-fault run whose lrsim fault-drop count equals
 # the trace's, the lrserved smoke (miss -> hit -> restart -> warm hit,
 # byte-identical), the lrsweep incremental-store rerun, and an n=10k lrscale
@@ -155,6 +156,9 @@ go test -run '^$' -fuzz '^FuzzQueueEquivalence$' -fuzztime 10s ./internal/sim
 
 echo "==> FuzzSumBody smoke (hash-image memo vs hashing every packet's AuthBody)"
 go test -run '^$' -fuzz '^FuzzSumBody$' -fuzztime 10s ./internal/crypt/hashx
+
+echo "==> FuzzSolve smoke (midstate puzzle search vs the naive scan of check from 0 upward)"
+go test -run '^$' -fuzz '^FuzzSolve$' -fuzztime 10s ./internal/crypt/puzzle
 
 echo "==> FuzzPlan smoke (fault-plan loader: accepted plans re-validate, rejected ones error cleanly)"
 go test -run '^$' -fuzz '^FuzzPlan$' -fuzztime 10s ./internal/fault
