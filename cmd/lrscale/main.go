@@ -3,8 +3,8 @@
 //
 // Default mode runs one dissemination per requested network size (node 0
 // preloaded, everyone else fetching over a random-disk multi-hop graph) and
-// reports wall time, engine throughput (events/sec), communication cost per
-// node, and peak RSS per row.
+// reports set-up and event-loop wall time, engine throughput (events/sec),
+// communication cost per node, and peak RSS per row.
 //
 // Observability: -obs installs internal/obs phase timers and prints each
 // run's wall-time attribution table (also embedded in the JSON row); -obs-dir
@@ -185,8 +185,8 @@ func main() {
 			}
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "lrscale: n=%d done: completed=%d/%d wall=%dms events/sec=%.0f bytes/node=%.0f rss=%dKB\n",
-				n, rep.Completed, rep.Nodes, rep.WallMS, rep.EventsPerSec, rep.BytesPerNode, rep.PeakRSSKB)
+			fmt.Fprintf(os.Stderr, "lrscale: n=%d done: completed=%d/%d setup=%.1fms wall=%dms events/sec=%.0f bytes/node=%.0f rss=%dKB\n",
+				n, rep.Completed, rep.Nodes, rep.SetupMS, rep.WallMS, rep.EventsPerSec, rep.BytesPerNode, rep.PeakRSSKB)
 		}
 		// An incomplete run is never silent, -q or not: a benchmark row
 		// where nodes missed the image is a different experiment.

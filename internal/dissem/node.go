@@ -110,9 +110,13 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 	if nw == nil || handler == nil || policy == nil {
 		return nil, fmt.Errorf("dissem: nil dependency")
 	}
-	var src rand.Source = rand.NewSource(seed)
+	// Only the chosen source is built: a math/rand source is 4.9 KB seeded
+	// per node, pure garbage when CompactRNG replaces it.
+	var src rand.Source
 	if cfg.CompactRNG {
 		src = xrand.NewSplitMix(seed)
+	} else {
+		src = rand.NewSource(seed)
 	}
 	n := &Node{
 		id:      id,

@@ -150,7 +150,9 @@ func Random(size int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, size)
 	for i := range data {
-		data[i] = byte(rng.Intn(256))
+		// The byte rng.Intn(256) returns (Int31n masks Int31, the top 31
+		// bits of Int63, to its low 8), without the two calls around it.
+		data[i] = byte(rng.Int63() >> 32)
 	}
 	return data
 }

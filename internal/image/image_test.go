@@ -2,6 +2,7 @@ package image
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -116,6 +117,23 @@ func TestBlocksRequiresDivisibility(t *testing.T) {
 func TestReassembleTooShort(t *testing.T) {
 	if Matches([][]byte{{1, 2}}, []byte{1, 2, 0, 0, 0}) {
 		t.Fatal("short reassembly accepted")
+	}
+}
+
+// TestRandomMatchesIntn pins Random to one rng.Intn(256) draw per byte:
+// every image and golden built from it depends on these exact bytes.
+func TestRandomMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{0, 1, 9, -7, 1 << 40} {
+		for _, size := range []int{0, 1, 255, 4096, 20 * 1024} {
+			rng := rand.New(rand.NewSource(seed))
+			want := make([]byte, size)
+			for i := range want {
+				want[i] = byte(rng.Intn(256))
+			}
+			if got := Random(size, seed); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d size %d: Random differs from the Intn(256) loop", seed, size)
+			}
+		}
 	}
 }
 

@@ -45,8 +45,9 @@ type Config struct {
 	// simulated hours.
 	Horizon sim.Time
 	// CompactRNG backs per-node RNGs with 8-byte SplitMix64 state instead
-	// of math/rand's ~4.9 KB default. The stream differs from the default,
-	// so runs with it on are only comparable to other CompactRNG runs.
+	// of math/rand's ~4.9 KB default, which is then never built. The
+	// stream differs from the default, so runs with it on are only
+	// comparable to other CompactRNG runs.
 	CompactRNG bool
 	// TraceHash, when true, hashes every transmission (virtual time,
 	// sender, wire bytes) in global order; Report.TraceHash carries the
@@ -97,9 +98,13 @@ type Report struct {
 	Stalled int `json:"stalled"`
 	// ImagesOK is true when every node holds exactly the original image
 	// (experiment.Env.ImagesOK, checked after the event loop).
-	ImagesOK     bool    `json:"images_ok"`
-	LatencySec   float64 `json:"latency_sec"`
-	Events       uint64  `json:"events"`
+	ImagesOK   bool    `json:"images_ok"`
+	LatencySec float64 `json:"latency_sec"`
+	Events     uint64  `json:"events"`
+	// SetupMS is the wall time Run spends before its event loop: the
+	// topology, key material, the signed and encoded object and every
+	// node. WallMS covers the event loop alone.
+	SetupMS      float64 `json:"setup_ms"`
 	WallMS       int64   `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	TotalBytes   int64   `json:"total_bytes"`
@@ -133,6 +138,7 @@ func (c Config) withDefaults() Config {
 //
 //lrlint:effects(wallclock,fs) wall-clock time is the reported measurement (events/sec), never simulation input; fs reads /proc for the peak-RSS figure
 func Run(cfg Config) (Report, error) {
+	t0 := time.Now()
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 2 {
 		return Report{}, fmt.Errorf("scale: need >= 2 nodes, got %d", cfg.Nodes)
@@ -171,6 +177,7 @@ func Run(cfg Config) (Report, error) {
 		Unreachable:  graph.Unreachable(),
 		LatencySec:   col.Latency().Seconds(),
 		Events:       eng.Events(),
+		SetupMS:      float64(start.Sub(t0).Microseconds()) / 1e3,
 		WallMS:       wall.Milliseconds(),
 		TotalBytes:   col.TotalBytes(),
 		BytesPerNode: float64(col.TotalBytes()) / float64(cfg.Nodes),

@@ -152,3 +152,20 @@ func TestCompactRNGDeterministic(t *testing.T) {
 		t.Fatalf("same config, different trace hashes: %s vs %s", a.TraceHash, b.TraceHash)
 	}
 }
+
+// BenchmarkScaleSetup is set-up's layer row: a disk10k-sized run (the
+// _lrbench workload's n, degree and image) whose event loop ends at the
+// first nanosecond, so nearly all of its time is set-up. setup-ms is the
+// report's SetupMS.
+func BenchmarkScaleSetup(b *testing.B) {
+	b.ReportAllocs()
+	var setup float64
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(Config{Nodes: 10000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true, Horizon: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		setup += rep.SetupMS
+	}
+	b.ReportMetric(setup/float64(b.N), "setup-ms")
+}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Point is a node position in abstract distance units ("feet" in the mica2
@@ -150,7 +149,7 @@ func Grid(rows, cols int, density GridDensity) (*Graph, error) {
 // connects nodes within CommRange, the "theoretical propagation model"
 // topologies the paper mentions generating with the TinyOS tool.
 func RandomDisk(n int, side float64, seed int64) (*Graph, error) {
-	if n < 2 || side <= 0 {
+	if n < 2 || !(side > 0) || math.IsInf(side, 1) {
 		return nil, fmt.Errorf("topo: invalid random topology n=%d side=%f", n, side)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -179,42 +178,124 @@ func Disk(n int, targetDegree float64, seed int64) (*Graph, error) {
 // connectByRange links every pair of nodes within commRange. Candidates come
 // from a uniform grid of commRange-sized cells: a node's neighbors can only
 // live in its own cell or the eight surrounding ones, so each node examines
-// O(degree) candidates instead of all n. Candidate indices are sorted before
-// the distance test, so the emitted link lists are byte-identical
-// (To-ascending) to the former all-pairs scan.
+// O(degree) candidates instead of all n.
+//
+// The grid is dense: cells are indexed by (row, col) offset from the minimum
+// cell, and their members sit in one array with per-cell start offsets
+// (CSR), ascending by node index within a cell. A row's cells are adjacent
+// in that array, so a node's 3x3 neighborhood is three contiguous runs.
+// A cheap squared-distance bound counts each node's links and sizes one
+// backing array; the range test itself is an all-pairs scan's Hypot
+// comparison (a squared test can differ from it in the last ulp at the
+// range edge), and only the links found are ordered by To, so the link
+// lists are byte-identical (To-ascending) to that scan's. Every list is
+// carved from the backing array with cap == len, so a caller's append
+// cannot reach the next node's links; a node without links keeps a nil
+// list.
 func connectByRange(g *Graph, commRange float64) {
 	n := len(g.pos)
-	type cell struct{ cx, cy int }
-	cellOf := func(p Point) cell {
-		return cell{cx: int(math.Floor(p.X / commRange)), cy: int(math.Floor(p.Y / commRange))}
+	// Cell coordinates are floor(x / commRange). A sparse field (few nodes
+	// over a huge square) would have far more cells than nodes, so there
+	// the cells merge k x k: each merged neighborhood still covers the 3x3
+	// commRange cells, so no in-range pair is missed.
+	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
+	for _, p := range g.pos {
+		fx, fy := math.Floor(p.X/commRange), math.Floor(p.Y/commRange)
+		minX, maxX = math.Min(minX, fx), math.Max(maxX, fx)
+		minY, maxY = math.Min(minY, fy), math.Max(maxY, fy)
 	}
-	buckets := make(map[cell][]int, n)
+	k := 1.0
+	if cells, limit := (maxX-minX+1)*(maxY-minY+1), float64(4*n+64); cells > limit {
+		k = math.Ceil(math.Sqrt(cells / limit))
+	}
+	minX, minY = math.Floor(minX/k), math.Floor(minY/k)
+	cols := int(math.Floor(maxX/k)-minX) + 1
+	rows := int(math.Floor(maxY/k)-minY) + 1
+
+	// CSR bucket fill: count per cell, prefix-sum so start[c] is the end of
+	// cell c, then place nodes from the last down, which leaves start[c] at
+	// the cell's beginning and each cell ascending by node index.
+	cellOf := make([]int32, n)
+	start := make([]int32, rows*cols+1)
 	for i, p := range g.pos {
-		c := cellOf(p)
-		buckets[c] = append(buckets[c], i)
+		fx, fy := math.Floor(p.X/commRange), math.Floor(p.Y/commRange)
+		c := int32(int(math.Floor(fy/k)-minY)*cols + int(math.Floor(fx/k)-minX))
+		cellOf[i] = c
+		start[c]++
 	}
-	var cand []int
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	members := make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		c := cellOf[i]
+		start[c]--
+		members[start[c]] = int32(i)
+	}
+
+	// runs returns the three member runs (rows above, at and below, each
+	// three cells wide, clipped at the grid edge) holding i's candidates.
+	runs := func(i int) [3][]int32 {
+		c := int(cellOf[i])
+		row, col := c/cols, c%cols
+		c0, c1 := max(col-1, 0), min(col+1, cols-1)
+		run := func(r int) []int32 {
+			if r < 0 || r >= rows {
+				return nil
+			}
+			return members[start[r*cols+c0]:start[r*cols+c1+1]]
+		}
+		return [3][]int32{run(row - 1), run(row), run(row + 1)}
+	}
+
+	// Pass 1: an upper bound on each node's degree. The slack keeps the
+	// squared bound conservative against Hypot's rounding, so pass 2 never
+	// finds more links than counted here.
+	bound := commRange * commRange * (1 + 1e-9)
+	offset := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		c := cellOf(g.pos[i])
-		cand = cand[:0]
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				cand = append(cand, buckets[cell{cx: c.cx + dx, cy: c.cy + dy}]...)
+		pi := g.pos[i]
+		deg := 0
+		for _, run := range runs(i) {
+			for _, j := range run {
+				dx, dy := pi.X-g.pos[j].X, pi.Y-g.pos[j].Y
+				if dx*dx+dy*dy <= bound {
+					deg++
+				}
 			}
 		}
-		sort.Ints(cand)
-		var links []Link
-		for _, j := range cand {
-			if j == i {
-				continue
+		offset[i+1] = offset[i] + deg - 1 // i is its own candidate, at distance 0
+	}
+
+	// Pass 2: the exact range test, then order the node's links by To.
+	all := make([]Link, offset[n])
+	for i := 0; i < n; i++ {
+		pi := g.pos[i]
+		links := all[offset[i]:offset[i]:offset[i+1]]
+		for _, run := range runs(i) {
+			for _, j := range run {
+				dx, dy := pi.X-g.pos[j].X, pi.Y-g.pos[j].Y
+				if dx*dx+dy*dy > bound || int(j) == i {
+					continue
+				}
+				d := pi.Distance(g.pos[j])
+				if d > commRange {
+					continue
+				}
+				links = append(links, Link{To: int(j), Quality: qualityAt(d, commRange)})
 			}
-			d := g.pos[i].Distance(g.pos[j])
-			if d > commRange {
-				continue
-			}
-			links = append(links, Link{To: j, Quality: qualityAt(d, commRange)})
 		}
-		g.neighbors[i] = links
+		for a := 1; a < len(links); a++ {
+			for b := a; b > 0 && links[b].To < links[b-1].To; b-- {
+				links[b], links[b-1] = links[b-1], links[b]
+			}
+		}
+		if len(links) > 0 {
+			g.neighbors[i] = links[:len(links):len(links)]
+		} else {
+			g.neighbors[i] = nil
+		}
 	}
 }
 

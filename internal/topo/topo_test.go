@@ -193,31 +193,84 @@ func connectByRangeNaive(g *Graph, commRange float64) {
 }
 
 func TestConnectByRangeMatchesNaive(t *testing.T) {
+	type input struct {
+		name  string
+		build func() (*Graph, error)
+		// sparse inputs must leave some node without links.
+		sparse bool
+	}
+	var inputs []input
 	for _, n := range []int{2, 17, 200, 1000} {
-		g, err := RandomDisk(n, 200, int64(n))
+		inputs = append(inputs, input{fmt.Sprintf("RandomDisk(%d,200)", n), func() (*Graph, error) { return RandomDisk(n, 200, int64(n)) }, false})
+	}
+	inputs = append(inputs,
+		// Lattice positions sit exactly on cell boundaries (spacing 10 and
+		// 20 against 30-unit cells), and tight-grid pairs sit exactly at
+		// the range edge.
+		input{"Grid(15,15,Tight)", func() (*Graph, error) { return Grid(15, 15, Tight) }, false},
+		input{"Grid(15,15,Medium)", func() (*Graph, error) { return Grid(15, 15, Medium) }, false},
+		input{"Disk(4000,16)", func() (*Graph, error) { return Disk(4000, 16, 5) }, false},
+		// Average degree ~0.2: most nodes have no links at all.
+		input{"RandomDisk(300,2000)", func() (*Graph, error) { return RandomDisk(300, 2000, 9) }, true},
+		// A field with far more commRange cells than nodes merges cells.
+		input{"RandomDisk(40,1e6)", func() (*Graph, error) { return RandomDisk(40, 1e6, 4) }, true},
+		// Offsets from node 0 at the range edge where Hypot and the squared
+		// distance disagree, in both directions: only the Hypot test
+		// reproduces the reference.
+		input{"range-edge", func() (*Graph, error) {
+			pos := []Point{{0, 0},
+				{15.085889637051517, 25.930984051105767}, // Hypot 30.000000000000004, squared 900
+				{14.170026898910784, 26.44258568453821},  // Hypot 30, squared 900.0000000000001
+				{8.657120126593789, 28.723757955980005},  // Hypot 30.000000000000004, squared 899.9999999999999
+				{29.84068966051085, 3.0875946277127926},  // Hypot 30, squared 900.0000000000001
+			}
+			g := &Graph{pos: pos, neighbors: make([][]Link, len(pos))}
+			connectByRange(g, CommRange)
+			return g, nil
+		}, false},
+	)
+	for _, in := range inputs {
+		g, err := in.build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		n := g.NumNodes()
 		ref := &Graph{pos: g.pos, neighbors: make([][]Link, n)}
 		connectByRangeNaive(ref, CommRange)
+		isolated := 0
 		for i := 0; i < n; i++ {
 			got, want := g.Neighbors(i), ref.neighbors[i]
 			if len(got) != len(want) {
-				t.Fatalf("n=%d node %d: %d links, want %d", n, i, len(got), len(want))
+				t.Fatalf("%s node %d: %d links, want %d", in.name, i, len(got), len(want))
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("n=%d node %d link %d: %+v, want %+v", n, i, k, got[k], want[k])
+					t.Fatalf("%s node %d link %d: %+v, want %+v", in.name, i, k, got[k], want[k])
 				}
 			}
+			// Lists share one backing array: an append by a caller must
+			// never write into the next node's links.
+			if cap(got) != len(got) {
+				t.Fatalf("%s node %d: cap %d != len %d", in.name, i, cap(got), len(got))
+			}
+			if len(got) == 0 {
+				isolated++
+				if got != nil {
+					t.Fatalf("%s node %d: empty non-nil link list", in.name, i)
+				}
+			}
+		}
+		if in.sparse && isolated == 0 {
+			t.Fatalf("%s: no isolated node; the sparse case is not covered", in.name)
 		}
 	}
 }
 
 // BenchmarkConnectByRange pins the spatial index's advantage over the former
 // all-pairs scan; at constant density the indexed build is near-linear in n.
+// The all-pairs scan is skipped at n=10000, the disk10k scale.
 func BenchmarkConnectByRange(b *testing.B) {
-	for _, n := range []int{250, 1000, 4000} {
+	for _, n := range []int{250, 1000, 4000, 10000} {
 		// Side grows with sqrt(n) so node density — and thus average degree —
 		// stays constant across sizes.
 		g, err := RandomDisk(n, 14*math.Sqrt(float64(n)), int64(n))
@@ -225,10 +278,14 @@ func BenchmarkConnectByRange(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				connectByRange(g, CommRange)
 			}
 		})
+		if n > 4000 {
+			continue
+		}
 		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				connectByRangeNaive(g, CommRange)
@@ -267,6 +324,14 @@ func TestDiskDeterministic(t *testing.T) {
 		la, lb := a.Neighbors(i), b.Neighbors(i)
 		if len(la) != len(lb) {
 			t.Fatalf("node %d degree differs across identical seeds", i)
+		}
+	}
+}
+
+func TestRandomDiskRejectsNonFiniteSide(t *testing.T) {
+	for _, side := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := RandomDisk(10, side, 1); err == nil {
+			t.Fatalf("side %v accepted", side)
 		}
 	}
 }
