@@ -17,7 +17,8 @@ const obsBenchNodes = 2000
 // The -obsbench gates. The enabled overhead is a ratio of medians and is
 // judged by bench.AtMost against the obs-off side's noise; the disabled
 // overhead is a nil-receiver microbenchmark and coverage a sampled
-// estimate with its own standard error, so both keep plain bounds.
+// estimate with its own standard error, so both keep plain bounds. The
+// over-count gate is exact: any sampled event counted twice fails it.
 const (
 	maxEnabledOverhead  = 0.10
 	maxDisabledOverhead = 0.01
@@ -54,10 +55,15 @@ type obsBenchReport struct {
 
 	// CoveredFrac is each obs-on run's attribution coverage, in call order:
 	// the fraction of wall time the instrumented subsystems account for.
-	// CoveredSE is its standard error from event sampling. The coverage
-	// gate reads the last run.
-	CoveredFrac []float64 `json:"covered_frac"`
-	CoveredSE   []float64 `json:"covered_se"`
+	// CoveredSE is its standard error from event sampling, and
+	// SamplingFrac the run's timing cost, outside the covered fraction. The
+	// coverage gate reads the last run. OverCounted is each run's count of
+	// sampled events whose phase time exceeds their span; every entry must
+	// be zero.
+	CoveredFrac  []float64 `json:"covered_frac"`
+	CoveredSE    []float64 `json:"covered_se"`
+	SamplingFrac []float64 `json:"sampling_frac"`
+	OverCounted  []uint64  `json:"over_counted"`
 
 	// TraceIdentical pins the determinism contract: every run above hashed
 	// its transmission trace to TraceHash.
@@ -75,9 +81,11 @@ var disabledTimers *obs.Timers
 // and returns every gate that failed.
 func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) error {
 	var (
-		attr    *obs.Attribution
-		covered []float64
-		se      []float64
+		attr     *obs.Attribution
+		covered  []float64
+		se       []float64
+		sampling []float64
+		over     []uint64
 	)
 	pass := func(withObs bool) bench.Func {
 		return func() (string, error) {
@@ -98,6 +106,8 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 				attr = r.Obs
 				covered = append(covered, attr.CoveredFrac)
 				se = append(se, attr.CoveredSE)
+				sampling = append(sampling, float64(attr.SamplingNS)/float64(attr.WallNS))
+				over = append(over, attr.OverCounted)
 			}
 			return r.TraceHash, err
 		}
@@ -117,6 +127,8 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 		NoiseFrac:           res.A.Noise(),
 		CoveredFrac:         covered,
 		CoveredSE:           se,
+		SamplingFrac:        sampling,
+		OverCounted:         over,
 		Regions:             attr.Events,
 		TraceIdentical:      true,
 		TraceHash:           res.Digest,
@@ -132,8 +144,8 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 	})
 	rep.DisabledOverheadFrac = float64(rep.Regions) * rep.NilPairNS / (res.A.MedianSec * 1e9)
 	if !quiet {
-		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.3f ± %.3f -> %s\n",
-			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, covered, se, out)
+		fmt.Fprintf(os.Stderr, "lrscale: obsbench: enabled %+.2f%% (noise %.2f%%), disabled %.4f%% (%d regions at %.1fns/pair), covered %.3f ± %.3f, sampling %.3f, over-counted %d -> %s\n",
+			100*rep.EnabledOverheadFrac, 100*rep.NoiseFrac, 100*rep.DisabledOverheadFrac, rep.Regions, rep.NilPairNS, covered, se, sampling, over, out)
 	}
 	if err := bench.WriteJSON(out, rep); err != nil {
 		return err
@@ -143,8 +155,13 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 		errs = append(errs, fmt.Errorf("obsbench: disabled_overhead_frac %.4g >= %g", rep.DisabledOverheadFrac, maxDisabledOverhead))
 	}
 	if !(attr.CoveredFrac >= minCoveredFrac) || attr.CoveredFrac-2*attr.CoveredSE > 1 {
-		errs = append(errs, fmt.Errorf("obsbench: covered_frac %.4f ± %.4f outside [%g, 1 + 2 se]: a region is missing or double-counted",
+		errs = append(errs, fmt.Errorf("obsbench: covered_frac %.4f ± %.4f outside [%g, 1 + 2 se]: timing swamps the run or the table exceeds its wall",
 			attr.CoveredFrac, attr.CoveredSE, minCoveredFrac))
+	}
+	for i, n := range over {
+		if n != 0 {
+			errs = append(errs, fmt.Errorf("obsbench: obs-on run %d counted %d sampled events twice", i+1, n))
+		}
 	}
 	return errors.Join(errs...)
 }

@@ -28,13 +28,12 @@ import (
 	"io"
 	"math"
 	"runtime/metrics"
-	"slices"
 	"time"
 )
 
 // AttrSchema is the attribution-table schema version, encoded as "v" in the
 // JSON artifact; lrobs refuses schemas it does not know.
-const AttrSchema = 2
+const AttrSchema = 3
 
 // Phase identifies one instrumented subsystem region. The string values are
 // the attribution table's wire vocabulary and must stay stable.
@@ -44,9 +43,10 @@ type Phase uint8
 // exclusive-by-construction: regions nest (a crypto verify runs inside a
 // radio delivery inside an event dispatch), and the Timers stamp-stack
 // attributes each nanosecond to the innermost open region only, so phase
-// times sum to at most the run's wall time.
+// times sum to at most the run's wall time less the cost of timing.
 const (
-	// PhaseQueuePop: event-queue PopLE calls in the engine run loop, one
+	// PhaseQueuePop: one engine run-loop step, exclusive of the callback's
+	// dispatch region: the queue's PopLE and the engine's bookkeeping, one
 	// per loop iteration (the final empty pop included).
 	PhaseQueuePop Phase = iota
 	// PhaseQueuePush: event-queue Push calls.
@@ -113,9 +113,8 @@ func Phases() []Phase {
 // accounting, never safety.
 const maxDepth = 32
 
-// sampleStride is the event sampling stride S: the engine times one popped
-// event in S, and every phase's time is its sampled total scaled by S.
-// Power of two.
+// sampleStride is the event sampling stride: the engine times one popped
+// event in sampleStride. Power of two.
 const sampleStride = 16
 
 // Timers is one run's phase accounting. A nil *Timers is the disabled
@@ -126,81 +125,50 @@ const sampleStride = 16
 // Sampling is per event, decided by the engine's run loop through
 // BeginEvent: inside a sampled event every region boundary reads the clock
 // and the stamp stack attributes each interval exclusively to the innermost
-// open region; anywhere else Start only counts the call.
+// open region; anywhere else Start only counts the call. Only sampled
+// events pay for clock reads; Table prices that cost (see Attribution).
 type Timers struct {
 	clock func() int64 // monotonic ns; the seam tests drive the estimator through
 	gc0   float64      // GC CPU seconds when the timers were created
 
-	// A sampled event pays its own clock reads, which the unsampled events
-	// it stands for do not; every interval it times is one boundary cost
-	// too long. boundary is the running mean of that cost over probes, one
-	// at the end of every sampleStride-th sampled event, and is deducted
-	// from every timed interval. A probe above four times the mean (a
-	// preemption mid-probe) is dropped.
-	boundary float64
-	probes   float64
-
 	events   uint64 // events begun
 	sampled  bool   // inside a sampled event
+	spanning bool   // the sampled event in flight has read the clock
+	first    int64  // clock at its first timed boundary
 	stamp    int64  // clock at the most recent timed boundary
 	depth    int
 	overflow int
 	stack    [maxDepth]Phase
 
 	calls [numPhases]uint64
-	// ev is the exclusive time of the sampled event in flight; EndEvent
+	// ev is the raw exclusive time of the sampled event in flight; EndEvent
 	// folds it into per-phase sums and sums of squares over the n sampled
-	// events, and the event's covered total into cov and covSq.
-	ev    [numPhases]float64
-	sum   [numPhases]float64
-	sq    [numPhases]float64
-	n     uint64
-	cov   float64
-	covSq float64
+	// events, and the event's covered total into cov and covSq. intervals
+	// counts the timed intervals each phase was given, span sums the
+	// sampled events' walls from first to last timed boundary, and over
+	// counts the sampled events whose raw time exceeds their span.
+	ev        [numPhases]int64
+	sum       [numPhases]float64
+	sq        [numPhases]float64
+	intervals [numPhases]float64
+	n         uint64
+	cov       float64
+	covSq     float64
+	span      float64
+	over      uint64
 }
 
-// NewTimers returns enabled phase timers with all counters at zero, their
-// boundary cost calibrated against the monotonic clock.
+// NewTimers returns enabled phase timers with all counters at zero.
 //
 //lrlint:effects(wallclock) the clock reads the monotonic time the region stamps are measured against; measurements never feed back into simulation
 func NewTimers() *Timers {
 	base := time.Now()
-	t := newTimers(func() int64 { return int64(time.Since(base)) })
-	t.calibrate()
-	return t
+	return newTimers(func() int64 { return int64(time.Since(base)) })
 }
 
-// newTimers returns timers reading the given clock with no boundary cost
-// yet measured.
+// newTimers returns timers reading the given clock.
 func newTimers(clock func() int64) *Timers {
 	return &Timers{clock: clock, gc0: gcCPUSeconds()}
-}
-
-// calibrate seeds the boundary cost with the median of a burst of probes,
-// which discards the probes a preemption landed in.
-func (t *Timers) calibrate() {
-	var c [31]float64
-	for i := range c {
-		c[i] = t.probe()
-	}
-	slices.Sort(c[:])
-	t.boundary, t.probes = c[len(c)/2], 1
-}
-
-// probe measures one boundary cost the way the instrumented sites pay it:
-// an empty region pair nested in another, three intervals of nothing but
-// boundaries. It leaves the counters as it found them.
-func (t *Timers) probe() float64 {
-	const p = PhaseDispatch
-	calls, ev, sampled := t.calls[p], t.ev[p], t.sampled
-	t.sampled = true
-	t.Start(p)
-	t.Start(p)
-	t.End(p)
-	t.End(p)
-	cost := (t.ev[p]-ev)/3 + t.boundary
-	t.calls[p], t.ev[p], t.sampled = calls, ev, sampled
-	return cost
 }
 
 // gcCPUSeconds reads the runtime's cumulative GC CPU estimate.
@@ -229,7 +197,8 @@ func (t *Timers) BeginEvent() {
 }
 
 // EndEvent closes the event opened by BeginEvent. A sampled event's
-// per-phase times are folded into the estimator's sums and sums of squares.
+// per-phase times, span and interval counts are folded into the
+// estimator's sums.
 func (t *Timers) EndEvent() {
 	if t != nil && t.sampled {
 		t.fold()
@@ -237,24 +206,24 @@ func (t *Timers) EndEvent() {
 }
 
 func (t *Timers) fold() {
-	t.depth, t.overflow = 0, 0
-	if t.n%sampleStride == 0 {
-		if c := t.probe(); c <= 4*t.boundary {
-			t.probes++
-			t.boundary += (c - t.boundary) / t.probes
-		}
-	}
-	t.sampled = false
-	var total float64
+	t.depth, t.overflow, t.sampled = 0, 0, false
+	var total, span int64
 	for p, x := range t.ev {
-		t.sum[p] += x
-		t.sq[p] += x * x
+		t.sum[p] += float64(x)
+		t.sq[p] += float64(x) * float64(x)
 		total += x
 		t.ev[p] = 0
 	}
+	if t.spanning {
+		span, t.spanning = t.stamp-t.first, false
+	}
+	if total > span {
+		t.over++
+	}
 	t.n++
-	t.cov += total
-	t.covSq += total * total
+	t.span += float64(span)
+	t.cov += float64(total)
+	t.covSq += float64(total) * float64(total)
 }
 
 // Start opens a region for phase p and counts the call. Inside a sampled
@@ -282,6 +251,8 @@ func (t *Timers) open(p Phase) {
 	now := t.clock()
 	if t.depth > 0 {
 		t.accrue(t.stack[t.depth-1], now)
+	} else if !t.spanning {
+		t.first, t.spanning = now, true
 	}
 	t.stack[t.depth] = p
 	t.depth++
@@ -311,10 +282,10 @@ func (t *Timers) close() {
 	t.stamp = now
 }
 
-// accrue attributes the interval since the last boundary, less the
-// boundary cost, to p.
+// accrue attributes the interval since the last boundary to p.
 func (t *Timers) accrue(p Phase, now int64) {
-	t.ev[p] += float64(now-t.stamp) - t.boundary
+	t.ev[p] += now - t.stamp
+	t.intervals[p]++
 }
 
 // Calls returns how many regions were opened for the phase.
@@ -325,18 +296,10 @@ func (t *Timers) Calls(p Phase) uint64 {
 	return t.calls[p]
 }
 
-// NS returns the estimated exclusive nanoseconds of the phase: its total
-// over the sampled events, scaled by the sampling stride.
-func (t *Timers) NS(p Phase) int64 {
-	if t == nil || p >= numPhases {
-		return 0
-	}
-	return int64(sampleStride * t.sum[p])
-}
-
-// stdErr is the standard error of the estimate sampleStride*sum, the
+// stdErr is the standard error of the raw estimate sampleStride*sum, the
 // sampled events treated as a simple random sample of n of the
-// sampleStride*n events (finite-population corrected).
+// sampleStride*n events (finite-population corrected). It leaves out the
+// error of the per-interval deduction.
 func (t *Timers) stdErr(sum, sq float64) float64 {
 	n := float64(t.n)
 	if n < 2 {
@@ -368,8 +331,14 @@ type PhaseStat struct {
 
 // Attribution is a per-run time-attribution table: subsystem phase rows plus
 // the covered fraction of wall time, each with its sampling standard error.
-// Phase accounting is exclusive, so CoveredFrac sits near and not
-// significantly above 1 on fully instrumented runs.
+//
+// Timing is priced from the run itself. A sampled event spans its first to
+// its last timed boundary; over n sampled events the unsampled mean is
+// u = (WallNS - sum span) / (Events - n), and SamplingNS = sum span - n*u
+// is what timing cost. Spread over the K timed intervals as c per interval,
+// a phase with raw sampled time raw_p over K_p intervals is estimated as
+// (Events/n)*(raw_p - c*K_p). Raw time sums to at most the spans, so
+// CoveredNS + SamplingNS <= WallNS holds on every run by algebra.
 type Attribution struct {
 	SchemaV int `json:"v"`
 	// WallNS is the measured run wall time the fractions are relative to.
@@ -388,6 +357,13 @@ type Attribution struct {
 	// other threads too, so it is reported beside the phases, in neither
 	// Phases nor CoveredNS.
 	GCNS int64 `json:"gc_ns"`
+	// SamplingNS is what timing cost the sampled events: their spans in
+	// excess of as many unsampled events. Like GCNS it is in neither
+	// Phases nor CoveredNS.
+	SamplingNS int64 `json:"sampling_ns"`
+	// OverCounted is the number of sampled events whose raw exclusive
+	// phase time exceeds their span, that is, time counted twice.
+	OverCounted uint64 `json:"over_counted"`
 	// Phases holds one row per phase with at least one call, catalog order.
 	Phases []PhaseStat `json:"phases"`
 }
@@ -399,32 +375,48 @@ func (t *Timers) Table(wallNS int64) Attribution {
 	if t == nil {
 		return a
 	}
-	a.Events = t.events
+	a.Events, a.OverCounted = t.events, t.over
 	a.GCNS = int64((gcCPUSeconds() - t.gc0) * 1e9)
-	frac := func(ns float64) float64 {
-		if wallNS <= 0 {
-			return 0
+	// With no unsampled event to compare against, nothing is deducted.
+	n, perInterval := float64(max(t.n, 1)), 0.0
+	if t.events > t.n {
+		excess := t.span - float64(t.n)*(float64(wallNS)-t.span)/float64(t.events-t.n)
+		a.SamplingNS = int64(math.Floor(excess))
+		var k float64
+		for _, x := range t.intervals {
+			k += x
 		}
-		return ns / float64(wallNS)
+		if k > 0 {
+			perInterval = excess / k
+		}
 	}
+	// Rows and SamplingNS round down, so the identity holds in whole ns.
 	for p := Phase(0); p < numPhases; p++ {
 		if t.calls[p] == 0 {
 			continue
 		}
-		ns := t.NS(p)
+		ns := int64(math.Floor(float64(t.events) * (t.sum[p] - perInterval*t.intervals[p]) / n))
 		a.Phases = append(a.Phases, PhaseStat{
 			Phase:     p.String(),
 			NS:        ns,
 			Calls:     t.calls[p],
 			NSPerCall: float64(ns) / float64(t.calls[p]),
-			Frac:      frac(float64(ns)),
-			FracSE:    frac(t.stdErr(t.sum[p], t.sq[p])),
+			Frac:      a.frac(float64(ns)),
+			FracSE:    a.frac(t.stdErr(t.sum[p], t.sq[p])),
 		})
 		a.CoveredNS += ns
 	}
-	a.CoveredFrac = frac(float64(a.CoveredNS))
-	a.CoveredSE = frac(t.stdErr(t.cov, t.covSq))
+	a.CoveredFrac = a.frac(float64(a.CoveredNS))
+	a.CoveredSE = a.frac(t.stdErr(t.cov, t.covSq))
 	return a
+}
+
+// frac returns ns as a fraction of the run's wall time.
+func (a Attribution) frac(ns float64) float64 {
+	if a.WallNS <= 0 {
+		return 0
+	}
+	return ns / float64(a.WallNS)
 }
 
 // DecodeAttribution strictly parses an attribution JSON artifact, rejecting
@@ -444,7 +436,8 @@ func DecodeAttribution(data []byte) (Attribution, error) {
 
 // WriteText renders the attribution table as aligned human-readable text:
 // rows in catalog order, each fraction with its standard error, then the
-// covered-fraction summary line and the GC line, which the total excludes.
+// covered-fraction summary line, and the GC and sampling lines, which the
+// total excludes.
 func (a Attribution) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%-18s %12s %12s %12s %7s %6s\n", "phase", "cum_ms", "calls", "ns/call", "frac", "±se"); err != nil {
 		return err
@@ -459,10 +452,11 @@ func (a Attribution) WriteText(w io.Writer) error {
 		"total", float64(a.CoveredNS)/1e6, "", 100*a.CoveredFrac, 100*a.CoveredSE, float64(a.WallNS)/1e6); err != nil {
 		return err
 	}
-	gcFrac := 0.0
-	if a.WallNS > 0 {
-		gcFrac = float64(a.GCNS) / float64(a.WallNS)
+	if _, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% GC CPU, not in total\n",
+		"gc", float64(a.GCNS)/1e6, "", 100*a.frac(float64(a.GCNS))); err != nil {
+		return err
 	}
-	_, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% GC CPU, not in total\n", "gc", float64(a.GCNS)/1e6, "", 100*gcFrac)
+	_, err := fmt.Fprintf(w, "%-18s %12.2f %38s %6.1f%% timing cost, not in total; %d events over-counted\n",
+		"sampling", float64(a.SamplingNS)/1e6, "", 100*a.frac(float64(a.SamplingNS)), a.OverCounted)
 	return err
 }

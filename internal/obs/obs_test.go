@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,75 @@ func sampledEvent(tm *Timers, body func()) {
 	tm.EndEvent()
 }
 
+// stride runs body in one sampled event and then the sampleStride-1
+// unsampled events after it, each costing what body took on the clock. The
+// unsampled mean then equals the sampled span, nothing is deducted, and a
+// row reads exactly its raw time times the stride.
+func stride(tm *Timers, c *fakeClock, body func()) {
+	t0 := c.now
+	sampledEvent(tm, body)
+	cost := c.now - t0
+	for i := 1; i < sampleStride; i++ {
+		tm.BeginEvent()
+		c.work(cost)
+		tm.EndEvent()
+	}
+}
+
+// strides runs m strides of events: the first of each is sampled and runs
+// timed, the other sampleStride-1 run untimed.
+func strides(tm *Timers, m int, timed, untimed func()) {
+	for i := 0; i < m; i++ {
+		sampledEvent(tm, timed)
+		for j := 1; j < sampleStride; j++ {
+			tm.BeginEvent()
+			untimed()
+			tm.EndEvent()
+		}
+	}
+}
+
+// event returns one event body: a dispatch region holding a hash check of
+// hash ns and a queue push, five timed intervals in all, each paying tick
+// on top of its work the way a sampled event pays for its clock reads.
+func event(tm *Timers, c *fakeClock, tick, hash int64) func() {
+	return func() {
+		tm.Start(PhaseDispatch)
+		c.work(20 + tick)
+		tm.Start(PhaseHashVerify)
+		c.work(hash + tick)
+		tm.End(PhaseHashVerify)
+		c.work(5 + tick)
+		tm.Start(PhaseQueuePush)
+		c.work(7 + tick)
+		tm.End(PhaseQueuePush)
+		c.work(1 + tick)
+		tm.End(PhaseDispatch)
+	}
+}
+
+// row returns the table's row for p, zero when p has none.
+func row(a Attribution, p Phase) PhaseStat {
+	for _, r := range a.Phases {
+		if r.Phase == p.String() {
+			return r
+		}
+	}
+	return PhaseStat{}
+}
+
+// checkIdentity fails unless the rows and the timing cost fit in the wall
+// and no sampled event was counted twice.
+func checkIdentity(t *testing.T, a Attribution) {
+	t.Helper()
+	if a.CoveredNS+a.SamplingNS > a.WallNS {
+		t.Errorf("covered %d + sampling %d > wall %d", a.CoveredNS, a.SamplingNS, a.WallNS)
+	}
+	if a.OverCounted != 0 {
+		t.Errorf("%d sampled events over-counted", a.OverCounted)
+	}
+}
+
 func TestNilTimersAreSafe(t *testing.T) {
 	var tm *Timers
 	if tm.Enabled() {
@@ -48,11 +118,8 @@ func TestNilTimersAreSafe(t *testing.T) {
 	if got := tm.Calls(PhaseDispatch); got != 0 {
 		t.Fatalf("nil Calls = %d, want 0", got)
 	}
-	if got := tm.NS(PhaseDispatch); got != 0 {
-		t.Fatalf("nil NS = %d, want 0", got)
-	}
 	a := tm.Table(1000)
-	if a.SchemaV != AttrSchema || len(a.Phases) != 0 || a.Events != 0 || a.GCNS != 0 {
+	if a.SchemaV != AttrSchema || len(a.Phases) != 0 || a.Events != 0 || a.GCNS != 0 || a.SamplingNS != 0 || a.OverCounted != 0 {
 		t.Fatalf("nil Table = %+v", a)
 	}
 }
@@ -97,7 +164,7 @@ func TestTimersCountsAndOrder(t *testing.T) {
 // its children, and nothing is counted twice.
 func TestTimersExclusiveAccounting(t *testing.T) {
 	tm, c := newFake()
-	sampledEvent(tm, func() {
+	stride(tm, c, func() {
 		tm.Start(PhaseDispatch)
 		c.work(10)
 		tm.Start(PhaseRadioDeliver)
@@ -113,15 +180,17 @@ func TestTimersExclusiveAccounting(t *testing.T) {
 		c.work(1)
 		tm.End(PhaseDispatch)
 	})
+	a := tm.Table(c.now)
 	want := map[Phase]int64{PhaseDispatch: 11, PhaseRadioDeliver: 25, PhaseHashVerify: 30, PhaseQueuePush: 7}
 	for _, p := range Phases() {
-		if got := tm.NS(p); got != sampleStride*want[p] {
+		if got := row(a, p).NS; got != sampleStride*want[p] {
 			t.Errorf("%v: NS = %d, want %d", p, got, sampleStride*want[p])
 		}
 	}
-	if got := tm.Table(0).CoveredNS; got != sampleStride*73 {
-		t.Errorf("covered = %d, want %d (the event's whole span, once)", got, sampleStride*73)
+	if a.CoveredNS != sampleStride*73 || a.SamplingNS != 0 {
+		t.Errorf("covered = %d, sampling = %d, want %d (the event's whole span, once) and 0", a.CoveredNS, a.SamplingNS, sampleStride*73)
 	}
+	checkIdentity(t, a)
 }
 
 // Outside a sampled event Start and End only count: they never read the
@@ -141,7 +210,6 @@ func TestUnsampledEventsCountOnly(t *testing.T) {
 		t.Fatalf("clock read %d times before any event", c.reads)
 	}
 	sampledEvent(tm, func() {})
-	c.reads = 0 // the sampled event's end probes the boundary cost
 	for i := 1; i < sampleStride; i++ {
 		tm.BeginEvent()
 		region()
@@ -154,34 +222,33 @@ func TestUnsampledEventsCountOnly(t *testing.T) {
 	if got, want := tm.Calls(PhaseSigVerify), uint64(sampleStride+1); got != want {
 		t.Fatalf("calls = %d, want %d (every call counted)", got, want)
 	}
-	if tm.NS(PhaseSigVerify) != 0 || tm.NS(PhaseRadioDeliver) != 0 {
-		t.Fatalf("unsampled regions got time: sig=%d radio=%d", tm.NS(PhaseSigVerify), tm.NS(PhaseRadioDeliver))
+	a := tm.Table(c.now)
+	if sig, radio := row(a, PhaseSigVerify).NS, row(a, PhaseRadioDeliver).NS; sig != 0 || radio != 0 {
+		t.Fatalf("unsampled regions got time: sig=%d radio=%d", sig, radio)
 	}
 }
 
-// One event in sampleStride is timed, and its time stands for the stride:
-// a phase's NS is its sampled total times sampleStride.
+// One event in sampleStride is timed, and the n sampled events stand for
+// all of them: a phase's time is its sampled total times events/n, which
+// is the stride only when the events fill whole strides.
 func TestEventSamplingScalesByStride(t *testing.T) {
 	tm, c := newFake()
-	const rounds = 5
-	for i := 0; i < rounds*sampleStride; i++ {
+	const events, cost = 5*sampleStride + 3, 7
+	for i := 0; i < events; i++ {
 		tm.BeginEvent()
 		tm.Start(PhaseDispatch)
-		c.work(int64(i))
+		c.work(cost)
 		tm.End(PhaseDispatch)
 		tm.EndEvent()
 	}
-	// The sampled events are 0, S, 2S, ...; their costs equal their index.
-	var sampled int64
-	for r := 0; r < rounds; r++ {
-		sampled += int64(r * sampleStride)
+	// Events 0, S, ..., 5S are sampled: n = 6 of 83, each costing 7 like
+	// the unsampled ones, so nothing is deducted.
+	a := tm.Table(c.now)
+	if a.Events != events || a.Phases[0].Calls != events {
+		t.Fatalf("events %d calls %d, want %d each", a.Events, a.Phases[0].Calls, events)
 	}
-	if got := tm.NS(PhaseDispatch); got != sampleStride*sampled {
-		t.Fatalf("NS = %d, want %d = %d x sampled %d", got, sampleStride*sampled, sampleStride, sampled)
-	}
-	a := tm.Table(1)
-	if a.Events != rounds*sampleStride || a.Phases[0].Calls != rounds*sampleStride {
-		t.Fatalf("events %d calls %d, want %d each", a.Events, a.Phases[0].Calls, rounds*sampleStride)
+	if got, want := a.Phases[0].NS, int64(events*cost); got != want || a.SamplingNS != 0 {
+		t.Fatalf("NS = %d, sampling = %d, want %d = 83/6 x sampled 42, and 0", got, a.SamplingNS, want)
 	}
 }
 
@@ -230,27 +297,96 @@ func TestStdErrFromSampledEvents(t *testing.T) {
 	}
 }
 
-// The calibrated boundary cost is what an empty region pair adds per
-// interval, and deducting it leaves empty regions with no time.
+// The per-interval cost comes from the run: sampled events that pay 3 ns
+// per timed interval, against unsampled events of known cost, price it at
+// exactly 3, report the excess as sampling and deduct it from every row.
 func TestBoundaryCostDeducted(t *testing.T) {
-	c := &fakeClock{}
-	tm := newTimers(func() int64 { c.now += 3; return c.now })
-	tm.calibrate()
-	if tm.boundary != 3 || tm.Calls(PhaseDispatch) != 0 {
-		t.Fatalf("calibrated boundary = %v with %d calls left behind, want 3 and 0", tm.boundary, tm.Calls(PhaseDispatch))
+	tm, c := newFake()
+	const m, tick, hash = 4, 3, 30
+	strides(tm, m, event(tm, c, tick, hash), event(tm, c, 0, hash))
+	a := tm.Table(c.now)
+	if want := int64(m * 5 * tick); a.SamplingNS != want {
+		t.Errorf("sampling = %d, want %d (five intervals at %d ns in each of %d sampled events)", a.SamplingNS, want, tick, m)
 	}
+	want := map[Phase]int64{PhaseDispatch: 26, PhaseHashVerify: hash, PhaseQueuePush: 7}
+	for _, p := range Phases() {
+		if got := row(a, p).NS; got != m*sampleStride*want[p] {
+			t.Errorf("%v: NS = %d, want %d", p, got, m*sampleStride*want[p])
+		}
+	}
+	if a.CoveredNS+a.SamplingNS != a.WallNS {
+		t.Errorf("covered %d + sampling %d != wall %d with no untimed gap", a.CoveredNS, a.SamplingNS, a.WallNS)
+	}
+	checkIdentity(t, a)
+}
+
+// Extra cost planted in one phase's regions, in every event, moves that
+// phase's row by exactly the cost and leaves every other row and the
+// sampling cost where they were.
+func TestPhaseCostMovesOnlyItsRow(t *testing.T) {
+	const m, tick, extra = 4, 3, 11
+	table := func(hash int64) Attribution {
+		tm, c := newFake()
+		strides(tm, m, event(tm, c, tick, hash), event(tm, c, 0, hash))
+		return tm.Table(c.now)
+	}
+	base, moved := table(30), table(30+extra)
+	for _, p := range Phases() {
+		want := row(base, p).NS
+		if p == PhaseHashVerify {
+			want += m * sampleStride * extra
+		}
+		if got := row(moved, p).NS; got != want {
+			t.Errorf("%v: NS = %d, want %d", p, got, want)
+		}
+	}
+	if base.SamplingNS != moved.SamplingNS {
+		t.Errorf("sampling moved: %d -> %d", base.SamplingNS, moved.SamplingNS)
+	}
+	checkIdentity(t, moved)
+}
+
+// A sampled event preempted for a millisecond inflates the run's excess
+// and with it the deduction, but the rows and the sampling cost still fit
+// in the wall, and nothing is over-counted.
+func TestPreemptedSampledEventKeepsIdentity(t *testing.T) {
+	tm, c := newFake()
+	strides(tm, 3, event(tm, c, 3, 30), event(tm, c, 0, 30))
 	sampledEvent(tm, func() {
 		tm.Start(PhaseDispatch)
-		tm.Start(PhaseQueuePush)
-		tm.End(PhaseQueuePush)
-		c.work(50)
+		tm.Start(PhaseHashVerify)
+		c.work(1_000_000)
+		tm.End(PhaseHashVerify)
 		tm.End(PhaseDispatch)
 	})
-	if got := tm.NS(PhaseQueuePush); got != 0 {
-		t.Errorf("empty region NS = %d, want 0", got)
+	strides(tm, 3, event(tm, c, 3, 30), event(tm, c, 0, 30))
+	a := tm.Table(c.now)
+	if a.SamplingNS < 1_000_000/2 {
+		t.Errorf("sampling = %d, want the preemption in it", a.SamplingNS)
 	}
-	if got := tm.NS(PhaseDispatch); got != sampleStride*50 {
-		t.Errorf("dispatch NS = %d, want %d", got, sampleStride*50)
+	checkIdentity(t, a)
+}
+
+// Time counted twice inside a sampled event trips the exact gate: here an
+// interval is accrued and then accrued again from the same stamp.
+func TestOverCountGate(t *testing.T) {
+	tm, c := newFake()
+	stride(tm, c, event(tm, c, 0, 30))
+	if a := tm.Table(c.now); a.OverCounted != 0 {
+		t.Fatalf("clean event over-counted: %d", a.OverCounted)
+	}
+	stride(tm, c, func() {
+		tm.Start(PhaseDispatch)
+		c.work(10)
+		tm.accrue(PhaseDispatch, c.now)
+		tm.Start(PhaseHashVerify)
+		c.work(5)
+		tm.End(PhaseHashVerify)
+		tm.End(PhaseDispatch)
+	})
+	stride(tm, c, event(tm, c, 0, 30))
+	if a := tm.Table(c.now); a.OverCounted != 1 {
+		t.Fatalf("over-counted = %d, want 1 (the planted event)", a.OverCounted)
 	}
 }
 
@@ -283,7 +419,7 @@ func TestTimersDepthOverflow(t *testing.T) {
 // its levels once and the event is covered exactly once.
 func TestSampledRegionNesting(t *testing.T) {
 	tm, c := newFake()
-	sampledEvent(tm, func() {
+	stride(tm, c, func() {
 		tm.Start(PhaseDispatch)
 		c.work(10)
 		tm.Start(PhaseDispatch)
@@ -301,15 +437,17 @@ func TestSampledRegionNesting(t *testing.T) {
 	if got := tm.Calls(PhaseDispatch); got != 3 {
 		t.Fatalf("dispatch calls = %d, want 3", got)
 	}
-	if got, want := tm.NS(PhaseDispatch), int64(sampleStride*65); got != want {
+	a := tm.Table(c.now)
+	if got, want := row(a, PhaseDispatch).NS, int64(sampleStride*65); got != want {
 		t.Errorf("dispatch NS = %d, want %d (10+20+30+5, each level once)", got, want)
 	}
-	if got, want := tm.NS(PhaseSigVerify), int64(sampleStride*4); got != want {
+	if got, want := row(a, PhaseSigVerify).NS, int64(sampleStride*4); got != want {
 		t.Errorf("sig-verify NS = %d, want %d", got, want)
 	}
-	if got, want := tm.Table(0).CoveredNS, int64(sampleStride*69); got != want {
+	if got, want := a.CoveredNS, int64(sampleStride*69); got != want {
 		t.Errorf("covered = %d, want %d", got, want)
 	}
+	checkIdentity(t, a)
 	if tm.depth != 0 {
 		t.Fatalf("depth = %d after the event, want 0", tm.depth)
 	}
@@ -321,7 +459,7 @@ func TestSampledRegionNesting(t *testing.T) {
 func TestSampledRegionOverflow(t *testing.T) {
 	tm, c := newFake()
 	const over = 3
-	sampledEvent(tm, func() {
+	stride(tm, c, func() {
 		for i := 0; i < maxDepth-1; i++ {
 			tm.Start(PhaseDispatch)
 		}
@@ -345,46 +483,47 @@ func TestSampledRegionOverflow(t *testing.T) {
 	if got := tm.Calls(PhaseHashVerify); got != over {
 		t.Fatalf("overflowed calls = %d, want %d", got, over)
 	}
+	a := tm.Table(c.now)
 	want := map[Phase]int64{PhaseRadioDeliver: 10*over + 2, PhaseQueuePush: 7}
 	for _, p := range Phases() {
-		if got := tm.NS(p); got != sampleStride*want[p] {
+		if got := row(a, p).NS; got != sampleStride*want[p] {
 			t.Errorf("%v: NS = %d, want %d", p, got, sampleStride*want[p])
 		}
 	}
+	checkIdentity(t, a)
 }
 
-// Every region boundary inside a sampled event costs a clock read; the
-// boundary cost deducted per interval gives a parent back exactly what
+// Every timed interval inside a sampled event pays for its boundaries; the
+// run-derived cost deducted per interval gives a parent back exactly what
 // its many short children's boundaries took from it.
 func TestLeafSamplingCompensatesParent(t *testing.T) {
-	c := &fakeClock{}
-	const tick = 3 // each clock read costs this much
-	tm := newTimers(func() int64 { c.now += tick; return c.now })
-	tm.calibrate()
-	if tm.boundary != tick {
-		t.Fatalf("calibrated boundary = %v, want %d", tm.boundary, tick)
-	}
-	const children = 50
-	sampledEvent(tm, func() {
-		tm.Start(PhaseRadioDeliver)
-		for i := 0; i < children; i++ {
-			c.work(2)
-			tm.Start(PhaseHashVerify)
-			c.work(5)
-			tm.End(PhaseHashVerify)
+	tm, c := newFake()
+	const children, m = 50, 2
+	body := func(tick int64) func() {
+		return func() {
+			tm.Start(PhaseRadioDeliver)
+			for i := 0; i < children; i++ {
+				c.work(2 + tick)
+				tm.Start(PhaseHashVerify)
+				c.work(5 + tick)
+				tm.End(PhaseHashVerify)
+			}
+			c.work(9 + tick)
+			tm.End(PhaseRadioDeliver)
 		}
-		c.work(9)
-		tm.End(PhaseRadioDeliver)
-	})
-	if got, want := tm.NS(PhaseRadioDeliver), int64(sampleStride*(2*children+9)); got != want {
+	}
+	strides(tm, m, body(3), body(0))
+	a := tm.Table(c.now)
+	if got, want := row(a, PhaseRadioDeliver).NS, int64(m*sampleStride*(2*children+9)); got != want {
 		t.Errorf("parent NS = %d, want %d (its own work only)", got, want)
 	}
-	if got, want := tm.NS(PhaseHashVerify), int64(sampleStride*5*children); got != want {
+	if got, want := row(a, PhaseHashVerify).NS, int64(m*sampleStride*5*children); got != want {
 		t.Errorf("children NS = %d, want %d", got, want)
 	}
-	if got := tm.Calls(PhaseHashVerify); got != children {
-		t.Errorf("children calls = %d, want %d", got, children)
+	if got := tm.Calls(PhaseHashVerify); got != m*sampleStride*children {
+		t.Errorf("children calls = %d, want %d", got, m*sampleStride*children)
 	}
+	checkIdentity(t, a)
 }
 
 // Nil timers take the whole sampled-event cycle, more events than one
@@ -400,7 +539,7 @@ func TestNilSampledSafe(t *testing.T) {
 		tm.EndEvent()
 	}
 	a := tm.Table(5000)
-	if a.SchemaV != AttrSchema || a.WallNS != 5000 || a.Events != 0 || a.CoveredNS != 0 || a.CoveredSE != 0 || len(a.Phases) != 0 {
+	if a.SchemaV != AttrSchema || a.WallNS != 5000 || a.Events != 0 || a.CoveredNS != 0 || a.CoveredSE != 0 || a.SamplingNS != 0 || len(a.Phases) != 0 {
 		t.Fatalf("nil Table = %+v", a)
 	}
 	var buf bytes.Buffer
@@ -420,9 +559,12 @@ func TestNilLeafSafe(t *testing.T) {
 		tm.End(PhaseHashVerify)
 	}
 	for _, p := range append(Phases(), Phase(200)) {
-		if tm.Calls(p) != 0 || tm.NS(p) != 0 {
-			t.Fatalf("%v: nil calls %d ns %d, want 0", p, tm.Calls(p), tm.NS(p))
+		if tm.Calls(p) != 0 {
+			t.Fatalf("%v: nil calls %d, want 0", p, tm.Calls(p))
 		}
+	}
+	if a := tm.Table(1000); len(a.Phases) != 0 || a.CoveredNS != 0 {
+		t.Fatalf("nil Table = %+v", a)
 	}
 }
 
@@ -433,7 +575,15 @@ func TestAttributionRoundTrip(t *testing.T) {
 		c.work(1000)
 		tm.End(PhaseRSDecode)
 	})
-	a := tm.Table(tm.NS(PhaseRSDecode) * 2)
+	a := tm.Table(2000)
+	if a.CoveredFrac != 0.5 {
+		t.Fatalf("covered frac = %v, want 0.5", a.CoveredFrac)
+	}
+	strides(tm, 2, event(tm, c, 3, 30), event(tm, c, 0, 30))
+	a = tm.Table(c.now)
+	if a.SamplingNS == 0 {
+		t.Fatal("no sampling cost to carry through the round trip")
+	}
 	data, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
@@ -442,17 +592,17 @@ func TestAttributionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.CoveredNS != a.CoveredNS || back.Events != 1 || len(back.Phases) != 1 || back.Phases[0].Phase != "erasure.rs-decode" {
-		t.Fatalf("round trip mismatch: %+v vs %+v", back, a)
-	}
-	if back.CoveredFrac != 0.5 {
-		t.Fatalf("covered frac = %v, want ~0.5", back.CoveredFrac)
+	if !reflect.DeepEqual(back, a) {
+		t.Fatalf("round trip mismatch:\n%+v\n%+v", back, a)
 	}
 }
 
 func TestDecodeAttributionStrict(t *testing.T) {
-	if _, err := DecodeAttribution([]byte(`{"v":2,"wall_ns":1,"covered_ns":0,"covered_frac":0,"phases":[],"bogus":1}`)); err == nil {
+	if _, err := DecodeAttribution([]byte(`{"v":3,"wall_ns":1,"covered_ns":0,"covered_frac":0,"phases":[],"bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	if _, err := DecodeAttribution([]byte(`{"v":2,"wall_ns":1,"covered_ns":0,"covered_frac":0,"phases":[]}`)); err == nil {
+		t.Fatal("schema v2, from before the sampling cost, accepted")
 	}
 	if _, err := DecodeAttribution([]byte(`{"v":99,"wall_ns":1,"covered_ns":0,"covered_frac":0,"phases":[]}`)); err == nil {
 		t.Fatal("unknown schema accepted")
@@ -467,11 +617,11 @@ func TestWriteText(t *testing.T) {
 		tm.End(PhaseSigVerify)
 	})
 	var buf bytes.Buffer
-	if err := tm.Table(tm.NS(PhaseSigVerify)).WriteText(&buf); err != nil {
+	if err := tm.Table(1000).WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"phase", "±se", "crypt.sig-verify", "total", "wall", "gc"} {
+	for _, want := range []string{"phase", "±se", "crypt.sig-verify", "total", "wall", "gc", "sampling", "0 events over-counted"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

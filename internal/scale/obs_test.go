@@ -49,7 +49,9 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 // the run must be long enough for that sample to hold every phase: a
 // 40-node run (~7 ms) samples none of its 39 signature verifications. CI
 // shares cores, so the coverage bound here is a loose sanity floor; the
-// calibrated >= 80% gate runs in lrscale -obsbench via check.sh.
+// >= 80% gate runs in lrscale -obsbench via check.sh. The rows plus the
+// sampling cost never exceed the wall and no sampled event is counted
+// twice: both hold by construction, on any host.
 func TestObsAttributionCoverage(t *testing.T) {
 	cfg := Config{Nodes: 2000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true, Obs: obs.NewTimers()}
 	rep, err := Run(cfg)
@@ -71,6 +73,12 @@ func TestObsAttributionCoverage(t *testing.T) {
 	}
 	if a.GCNS <= 0 {
 		t.Errorf("gc_ns = %d on an n=2000 run, want > 0", a.GCNS)
+	}
+	if a.CoveredNS+a.SamplingNS > a.WallNS {
+		t.Errorf("covered_ns %d + sampling_ns %d exceeds wall_ns %d", a.CoveredNS, a.SamplingNS, a.WallNS)
+	}
+	if a.OverCounted != 0 {
+		t.Errorf("%d sampled events counted twice", a.OverCounted)
 	}
 	// Only a unit's first completer decodes it; every later one completes
 	// by comparison with the store's entry (DESIGN §18). Calls are counted

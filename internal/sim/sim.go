@@ -347,9 +347,14 @@ func (e *Engine) Run(until Time) Time {
 	e.stopped = false
 	defer func() { e.running = false }()
 
+	// The pop region spans the whole step, exclusive of the callback's
+	// dispatch region, so a sampled event has no untimed gap between its
+	// first and last boundary.
 	for e.queue != nil && !e.stopped {
 		e.obs.BeginEvent()
+		e.obs.Start(obs.PhaseQueuePop)
 		ok := e.step(until)
+		e.obs.End(obs.PhaseQueuePop)
 		e.obs.EndEvent()
 		if !ok {
 			break
@@ -366,9 +371,7 @@ func (e *Engine) Run(until Time) Time {
 // step pops the next event due by until and runs it. It reports false once
 // no event is due.
 func (e *Engine) step(until Time) bool {
-	e.obs.Start(obs.PhaseQueuePop)
 	ev := e.queue.PopLE(until)
-	e.obs.End(obs.PhaseQueuePop)
 	if ev == nil {
 		return false
 	}

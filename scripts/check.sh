@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Expanded tier-1 gate: formatting, vet, build, lrlint (the JSON diagnostic
-# artifact is the gate — diffed against its committed golden, so any new
+# Expanded tier-1 gate: formatting, vet, build, the obs nil path's
+# inlining, lrlint (the JSON diagnostic artifact is the gate — diffed
+# against its committed golden, so any new
 # finding shows up in the diff — filtered through the committed
 # lint-baseline.json so only drift fails, with stale-directive detection on,
 # a SARIF 2.1.0 artifact smoke-checked, the analyzer selfbench's gate cost
@@ -28,8 +29,9 @@
 # under 2%), lrserved -selfbench (the cold-miss median at least 100x the
 # hit p50, beyond the cold side's noise) and lrscale -obsbench (nil-timer
 # cost under 1%, enabled overhead within 10% of the obs-off runs beyond
-# their noise, coverage between 80% and 100% + 2 standard errors, and the
-# committed trace_hash reproduced). A ratio of medians over internal/bench's
+# their noise, coverage between 80% and 100% + 2 standard errors, no
+# sampled event counted twice, and the committed trace_hash reproduced).
+# A ratio of medians over internal/bench's
 # interleaved pairs fails only when it crosses its bound by more than the
 # reference side's IQR/median (DESIGN.md §16); no timing gate compares a
 # fresh figure with a committed one except lrlint's gate cost. Every BENCH
@@ -53,6 +55,17 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+# Every run without phase timers passes each event through the nil checks
+# of these four methods; one that stops inlining costs a call per boundary.
+echo "==> obs nil path inlinable ((*Timers).Start, End, BeginEvent, EndEvent)"
+inlined=$(go build -gcflags=-m ./internal/obs 2>&1)
+for m in Start End BeginEvent EndEvent; do
+    if ! printf '%s\n' "$inlined" | grep -q "can inline (\*Timers)\.$m\$"; then
+        echo "obs: (*Timers).$m is no longer inlinable" >&2
+        exit 1
+    fi
+done
 
 # field FILE NAME prints the value of the first "NAME": line in FILE (a
 # number, boolean or string, quotes dropped); empty when there is none.
@@ -267,9 +280,9 @@ go run ./cmd/lrsweep -sweep smoke -runs 2 -seed 1 -tracebench "$tmpdir/BENCH_tra
 echo "==> lrserved selfbench (cold-miss median >= 100x hit p50 beyond noise, hit bodies byte-identical)"
 go run ./cmd/lrserved -selfbench "$tmpdir/BENCH_served.json"
 
-# obsbench runs last: its coverage gate can trip on an unchanged tree
-# (CHANGES.md), and here that hides no other gate.
-echo "==> lrscale obsbench (disabled < 1%, enabled <= 10% beyond noise, 80% <= coverage <= 100% + 2 se, committed trace_hash)"
+# obsbench runs last: its nil-pair and enabled-overhead gates are timings,
+# and here a failure hides no other gate.
+echo "==> lrscale obsbench (disabled < 1%, enabled <= 10% beyond noise, 80% <= coverage <= 100% + 2 se, zero over-count, committed trace_hash)"
 # The bench writes its file before judging its timings, so the trace-hash
 # comparison, a deterministic gate, runs even when a timing gate failed.
 obs_rc=0
