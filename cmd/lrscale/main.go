@@ -107,7 +107,6 @@ func main() {
 			ImageKB:      *kb,
 			Seed:         *seed,
 			Queue:        queue,
-			CompactRNG:   true,
 		}
 		if *obsOn {
 			cfg.Obs = obs.NewTimers()
@@ -191,7 +190,7 @@ func main() {
 		// An incomplete run is never silent, -q or not: a benchmark row
 		// where nodes missed the image is a different experiment.
 		if rep.Incomplete > 0 {
-			fmt.Fprintf(os.Stderr, "lrscale: WARNING: n=%d run incomplete: %d of %d nodes missing the image at the horizon (%d unreachable, %d stalled)\n",
+			fmt.Fprintf(os.Stderr, "lrscale: WARNING: n=%d run incomplete: %d of %d nodes missing the image at the end of the run (%d unreachable, %d stalled)\n",
 				n, rep.Incomplete, rep.Nodes, rep.Unreachable, rep.Stalled)
 		}
 		if rep.Obs != nil {

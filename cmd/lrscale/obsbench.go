@@ -95,7 +95,6 @@ func runObsbench(kb int, seed int64, degree float64, out string, quiet bool) err
 				ImageKB:      kb,
 				Seed:         seed,
 				Queue:        sim.CalendarQueue,
-				CompactRNG:   true,
 				TraceHash:    true,
 			}
 			if withObs {

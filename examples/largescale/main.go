@@ -43,7 +43,6 @@ func main() {
 		ImageKB:      *kb,
 		Seed:         *seed,
 		Queue:        q,
-		CompactRNG:   true,
 		Progress: func(s lrseluge.ScaleSnapshot) {
 			fmt.Printf("  t=%10.0fs  completed %6d  events %9d  (wall %v)\n",
 				s.Now.Seconds(), s.Completed, s.Events, s.WallElapsed.Round(1000000))

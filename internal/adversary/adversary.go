@@ -17,6 +17,7 @@ import (
 	"lrseluge/internal/packet"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/sim"
+	"lrseluge/internal/xrand"
 )
 
 // Injector floods forged data packets. It shapes forgeries after overheard
@@ -43,7 +44,7 @@ func NewInjector(id packet.NodeID, nw *radio.Network, interval sim.Time, seed in
 		id:       id,
 		nw:       nw,
 		eng:      nw.Engine(),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(xrand.NewSplitMix(seed)),
 		interval: interval,
 	}
 	if err := nw.Attach(id, a); err != nil {
@@ -129,7 +130,7 @@ func NewSigFlooder(id packet.NodeID, nw *radio.Network, version uint16, pages ui
 		id:       id,
 		nw:       nw,
 		eng:      nw.Engine(),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      rand.New(xrand.NewSplitMix(seed)),
 		interval: interval,
 		version:  version,
 		pages:    pages,

@@ -50,13 +50,6 @@ type Config struct {
 	// packets of one unit on behalf of a single neighbor, further SNACKs
 	// from that neighbor for that unit are ignored.
 	SNACKServeLimit int
-
-	// CompactRNG backs the node's random stream with the 8-byte SplitMix64
-	// source instead of math/rand's ~4.9 KB default source; NewNode then
-	// never builds the default one. The stream (and therefore run bytes)
-	// differs from the default, so this is an explicit opt-in used by the
-	// large-scale runner, never by the golden-pinned scenarios.
-	CompactRNG bool
 }
 
 // DefaultConfig returns timings modeled on Deluge over a mica2-class radio.

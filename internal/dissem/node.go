@@ -33,6 +33,9 @@ type Node struct {
 	// (states, unit milestones, spans); nil disables tracing (every call
 	// site is nil-safe).
 	tr *trace.Tracer
+	// src is the SplitMix64 state rng (shared with the Trickle timer)
+	// draws from, held in the node so it costs no allocation of its own.
+	src xrand.SplitMix
 
 	// servers lists in-range advertisers and their advertised complete-unit
 	// counts, id-sorted (see serverList).
@@ -110,25 +113,18 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 	if nw == nil || handler == nil || policy == nil {
 		return nil, fmt.Errorf("dissem: nil dependency")
 	}
-	// Only the chosen source is built: a math/rand source is 4.9 KB seeded
-	// per node, pure garbage when CompactRNG replaces it.
-	var src rand.Source
-	if cfg.CompactRNG {
-		src = xrand.NewSplitMix(seed)
-	} else {
-		src = rand.NewSource(seed)
-	}
 	n := &Node{
 		id:      id,
 		nw:      nw,
 		eng:     nw.Engine(),
-		rng:     rand.New(src),
 		cfg:     cfg,
 		handler: handler,
 		policy:  policy,
 		col:     nw.Collector(),
 		tr:      nw.Collector().Tracer(),
 	}
+	n.src.Seed(seed)
+	n.rng = rand.New(&n.src)
 	n.onSNACK, n.onRetry, n.onTxStep = n.sendSNACK, n.retryExpired, n.txStep
 	trk, err := trickle.New(n.eng, n.rng, cfg.Trickle, n.advertise)
 	if err != nil {

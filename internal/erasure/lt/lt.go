@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"lrseluge/internal/xrand"
 )
 
 // Symbol is one encoded symbol: the XOR of the source blocks listed in
@@ -95,7 +97,7 @@ func (e *Encoder) Symbol(seed int64) Symbol {
 
 // neighborsFor derives the symbol's neighbor set from its seed.
 func neighborsFor(seed int64, k int, cdf []float64) []int {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(xrand.NewSplitMix(seed))
 	degree := sampleDegree(rng, cdf)
 	perm := rng.Perm(k)
 	neighbors := append([]int(nil), perm[:degree]...)

@@ -199,8 +199,8 @@ type Result struct {
 	// completed after rebooting.
 	RecoverySec float64
 
-	// ImagesOK is true when every completed node reconstructed the exact
-	// original image bytes.
+	// ImagesOK is true when every node reachable from the base station
+	// holds the exact original image bytes.
 	ImagesOK bool
 
 	// Units is the object's total unit count (pages + overhead units).
@@ -226,6 +226,13 @@ type Env struct {
 	units       int
 	pageUnit0   int // first image-page unit (0 for Deluge, 2 for secure)
 	started     bool
+
+	// reached marks the protocol nodes with a path from the base station
+	// through protocol nodes, and numReached counts them. Fault plans only
+	// take links away, so no other node can ever complete: the run is done
+	// once every reached node holds the current version.
+	reached    []bool
+	numReached int
 
 	// version is the code version the run disseminates; Upgrade moves it
 	// on. The collector counts the nodes that hold it.
@@ -338,6 +345,12 @@ func Build(s Scenario) (*Env, error) {
 		return nil, fmt.Errorf("experiment: topology too small after reserving %d adversary slots", s.ExtraNodes)
 	}
 	e.nodes = make([]*dissem.Node, 0, numNodes)
+	e.reached = graph.Reached(numNodes)
+	for _, ok := range e.reached {
+		if ok {
+			e.numReached++
+		}
+	}
 
 	if s.Protocol == Seluge || s.Protocol == LRSeluge {
 		if e.key, err = sign.GenerateDeterministic(s.Seed ^ 0xec); err != nil {
@@ -499,17 +512,21 @@ func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dis
 	return nil
 }
 
-// stopWhenDone stops the engine once every node holds the current version.
-// The collector counts only the newest version, so a node still finishing
-// an older one does not count.
+// stopWhenDone stops the engine once every reached node holds the current
+// version. The collector counts only the newest version, so a node still
+// finishing an older one does not count.
 func (e *Env) stopWhenDone(packet.NodeID, sim.Time) {
 	if e.allDone() {
 		e.eng.Stop()
 	}
 }
 
-// allDone reports whether every node holds the current version.
-func (e *Env) allDone() bool { return e.col.Completions() == len(e.nodes) }
+// allDone reports whether every reached node holds the current version.
+func (e *Env) allDone() bool { return e.col.Completions() == e.numReached }
+
+// Unreachable counts the protocol nodes with no path from the base station
+// through protocol nodes: nodes no dissemination can reach.
+func (e *Env) Unreachable() int { return len(e.nodes) - e.numReached }
 
 // puzzle is the run's weak-authenticator difficulty.
 func (e *Env) puzzle() puzzle.Params {
@@ -576,9 +593,9 @@ func (e *Env) Collector() *metrics.Collector { return e.col }
 
 // Drive runs the engine in slices of virtual time, calling onSlice (when
 // non-nil) with the engine clock after each slice; the first call starts
-// every node. It returns once every node holds the current version, the
-// scenario horizon has passed since the call, or the event queue is empty.
-// A non-positive slice runs the whole horizon as one slice.
+// every node. It returns once every reached node holds the current version,
+// the scenario horizon has passed since the call, or the event queue is
+// empty. A non-positive slice runs the whole horizon as one slice.
 func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
 	if !e.started {
 		e.started = true
@@ -601,7 +618,7 @@ func (e *Env) Drive(slice sim.Time, onSlice func(now sim.Time)) {
 		}
 		// Break on the slice bound, not the engine clock: Run returns the
 		// time of the last executed event, which sits strictly below the
-		// horizon whenever no event lands exactly on it (e.g. an isolated
+		// horizon whenever no event lands exactly on it (e.g. a stalled
 		// node keeps the network from completing and the run must end at
 		// the horizon).
 		if e.allDone() || next >= horizon || e.eng.Pending() == 0 {
@@ -647,12 +664,15 @@ func (e *Env) result() Result {
 	}
 }
 
-// ImagesOK reports whether every node's current handler holds exactly the
-// image of the run's current version. It allocates nothing; on the
-// store-backed protocols each shared unit is compared against the image
-// once, so the per-node cost is one pointer compare per held unit.
+// ImagesOK reports whether every reached node's current handler holds
+// exactly the image of the run's current version. It allocates nothing; on
+// the store-backed protocols each shared unit is compared against the
+// image once, so the per-node cost is one pointer compare per held unit.
 func (e *Env) ImagesOK() bool {
-	for _, n := range e.nodes {
+	for i, n := range e.nodes {
+		if !e.reached[i] {
+			continue
+		}
 		h := n.Handler()
 		if h.Version() != e.version || !h.(imageMatcher).MatchesImage(e.imageData) {
 			return false

@@ -6,6 +6,7 @@ import (
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/image"
 	"lrseluge/internal/sim"
+	"lrseluge/internal/topo"
 )
 
 // smallParams keeps unit counts tiny so integration tests run fast.
@@ -80,31 +81,6 @@ func TestRunDeterministicForSeed(t *testing.T) {
 	}
 }
 
-func TestLRBeatsSelugeAtHighLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run comparison")
-	}
-	base := Scenario{ImageSize: 4096, Params: smallParams(), Receivers: 10, LossP: 0.3, Seed: 3}
-	sel := base
-	sel.Protocol = Seluge
-	lr := base
-	lr.Protocol = LRSeluge
-	rs, err := Run(sel)
-	if err != nil {
-		t.Fatalf("seluge: %v", err)
-	}
-	rl, err := Run(lr)
-	if err != nil {
-		t.Fatalf("lr-seluge: %v", err)
-	}
-	if rs.Completed != rs.Nodes || rl.Completed != rl.Nodes {
-		t.Fatalf("incomplete runs: seluge %d/%d, lr %d/%d", rs.Completed, rs.Nodes, rl.Completed, rl.Nodes)
-	}
-	if rl.DataPkts >= rs.DataPkts {
-		t.Errorf("expected LR-Seluge to send fewer data packets at p=0.3: lr=%d seluge=%d", rl.DataPkts, rs.DataPkts)
-	}
-}
-
 func TestHorizonCapsRuntime(t *testing.T) {
 	res, err := Run(Scenario{
 		Protocol:  Seluge,
@@ -132,10 +108,42 @@ func TestPartialDissemConfigRejected(t *testing.T) {
 		ImageSize: 2048,
 		Params:    smallParams(),
 		Receivers: 2,
-		Dissem:    dissem.Config{CompactRNG: true},
+		Dissem:    dissem.Config{SNACKServeLimit: 5},
 		Seed:      7,
 	})
 	if err == nil {
-		t.Fatal("Run accepted a Dissem config with only CompactRNG set")
+		t.Fatal("Run accepted a Dissem config with only SNACKServeLimit set")
+	}
+}
+
+// TestRunStopsAtLastReachableCompletion pins the stop rule: a node with no
+// path from the base station can never complete, so the run ends at the
+// last reachable node's completion instead of advertising until the
+// horizon, and the unreachable node is left out of ImagesOK.
+func TestRunStopsAtLastReachableCompletion(t *testing.T) {
+	// The first sparse random disk with exactly one node cut off.
+	var graph *topo.Graph
+	for seed := int64(1); graph == nil; seed++ {
+		g, err := topo.Disk(12, 4, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Unreachable() == 1 {
+			graph = g
+		}
+	}
+	e, err := Build(Scenario{Protocol: LRSeluge, Graph: graph, ImageSize: 2048, Params: smallParams(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.run()
+	if res.Completed != res.Nodes-1 || e.Unreachable() != 1 {
+		t.Fatalf("completed %d of %d with %d unreachable, want %d and 1", res.Completed, res.Nodes, e.Unreachable(), res.Nodes-1)
+	}
+	if now := e.eng.Now(); now != res.Latency {
+		t.Fatalf("run ended at %v, want the last completion at %v", now, res.Latency)
+	}
+	if !res.ImagesOK {
+		t.Fatal("a reachable node does not hold the image")
 	}
 }

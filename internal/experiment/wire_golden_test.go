@@ -11,27 +11,28 @@ import (
 
 // wireGolden pins every protocol's transmission trace (Collector.HashTx) and
 // Result on three scenarios: a lossy one-hop neighborhood, the bursty 4x4
-// multihop grid and a churn fault run. The values were recorded before
-// Seluge became core's rate-1 configuration, so any refactor of a protocol
-// path must leave every packet byte, its timing and every metric unchanged.
+// multihop grid and a churn fault run. The values were last re-recorded
+// when every random stream moved to SplitMix64 (a change of stream, not of
+// protocol), so any refactor of a protocol path must leave every packet
+// byte, its timing and every metric unchanged.
 var wireGolden = []struct {
 	scenario string
 	proto    Protocol
 	trace    string // Collector.HashTx of the whole run
 	result   string // sha256 of the Result's %+v rendering
 }{
-	{"onehop", Deluge, "dc7b55829390c4d0f28bb64620a5aeed9401b49793a9b0594a7e88728fd0df50", "0b4cce9814c94c045ff2fc357cfd3e04d9e7bcf773b364ea2727e248f8c7177f"},
-	{"onehop", Seluge, "e9f90de51e917aa7362de6d3f3a1a495683791ae9cfa29bf9eace5cd01da67ec", "c7f6146c3824bda4967221a5deff1e114dc3a7342d89f3ded703a72fd083d35f"},
-	{"onehop", LRSeluge, "9c5bc651db7aae0166df9dbd11454515915d19a3311338e67af827e7585a68d3", "f59d299c2040b0c26f6aa424fa6db23a0097b13daa68c6edbba2d7e00f91a9e2"},
-	{"onehop", RatelessDeluge, "6425725fcc50e096540c5d6ad99620cef474dfe4db86d282879cc7d5f4e29f5c", "8c94126b3ccf84d24a6aa613efaef68862acdd1dbd8231160e117b58d916df16"},
-	{"multihop", Deluge, "bcbef48cef27e81495dc28ec761772405cb60d647571c63000db16399d299d0b", "539b07097cb5fc9c77132db67c1656bc2194243ada2f036e92dec36f2a4136e9"},
-	{"multihop", Seluge, "66badbf1d4c77e7fa5e9ee3c76749417f047c7f8097e2db44d5b69f6ee7f38e7", "02ce91f717e3fbfa9042ac2da18bb06e8af162344bb7a6850b1f0b28dde9fe1f"},
-	{"multihop", LRSeluge, "b8ad1bac866ab743e5ef25e28c2ec96b143304c41dce435c2780d6ab7738d457", "d17f0851ab33aca464b62fa79f66d863461fd06cdc7d2b71284cf8723fa7f9f5"},
-	{"multihop", RatelessDeluge, "3b25d5885743bb656392ef7caeff9b89d8b1423328a5f04b7aa03bdf29d5d800", "f97f336ba014a75387b62cedd36f5855aeba47931b951cd4708aaf896f3bfafd"},
-	{"churn", Deluge, "60f765a0a40f2f126ae88cf3a50d95634612dd96a17088c372c6bc0cad0951d8", "773001b4d2a92e046c8bd57a22d00889b9e8b4a25c66ca8e677cf55e3800fee1"},
-	{"churn", Seluge, "93976f82f773e2b35244089ab814dac1d023666adecf6ad95ffeeb03a4f79e09", "d10a1d0d8f2f40bae0042e19042f6c42d8d37306db9ad69cbcb0211412341209"},
-	{"churn", LRSeluge, "2cbed7cf41c17080001139220cca0f6ebd3066e57a4cc38581f2c503a5d0a9ff", "297e62a35a2927b1484661e06fda5503f1f98f240b62ee7b3095cb485a1cc472"},
-	{"churn", RatelessDeluge, "f633cf5001ce816fe11a0f92186808aadc3016cf2e2751edb2d8282a4e2d29a5", "827a0000531ef120a797b0e1b1d44cad7b0a8ab5882d21b6f95f5892295d8d33"},
+	{"onehop", Deluge, "7c5e92188bd0bbe341e0d3c108668ecf1b5eec86b4ae03c89f82ab0649c0b705", "1f302295859390213f1e44c7081a9e574286c9a9b975888f3fb1d4f502ad4c79"},
+	{"onehop", Seluge, "e732bf7abcaf01a55384afbf191b551f373be4a8782e6eb1c5bb3932ca2684e5", "4c96d654d30e9cc39e732671fdb464d2a716373386f988045540adeea2de0674"},
+	{"onehop", LRSeluge, "2c9970ca1d1a6d7ade2c4900371b30f24756ed896c83b85385c03a7e10c16467", "3be6d8638f0b602f471027b3987a9c1b05727395d373813651760d6f61f17cf5"},
+	{"onehop", RatelessDeluge, "358842a20ffb16be2416eed5036d5f2fa9fce3132de24922b2e499c7d04f567e", "42c1377e867867510e154a5fd5623b5606c5a3ad2213fdda299b25c4ed21988f"},
+	{"multihop", Deluge, "839d7b97ff3c5a46f1162795564d12f1c499ed5bcb669597ccc0eb59eafa496b", "4f4eabe7d6932941e6f9fadeeed20b1130c2b64f5cefed889f93468d1b14e90f"},
+	{"multihop", Seluge, "f43c4b4f4f7c58688885e5a404d1d939a43963a57832e0764580632c98d71f19", "990431626c7aa51b00497f839e6ee03d66052e3b22bbc70e25cfc39abdc99e0f"},
+	{"multihop", LRSeluge, "0e3b11a022607ef86e75ff54f262b1cb7ce301e1ce9e46ec2d4bd262be52deb6", "d7fb7ac1f373eabcd0a235d02344a44b57afdebcfc734f893ef57c184d4fe21d"},
+	{"multihop", RatelessDeluge, "b1c6efdd705e2d456c996243e977575dc15b174f8608f9c369c17300967509cf", "e29f6c639ffb33057b0ab9c1c0b7ad6642b9d715f8a0aa579c81c057d550959e"},
+	{"churn", Deluge, "675eb737ae128ef208e331d27e744e0f903e46ee0a203cd61c3705d48eca07cb", "de071079bc18978ef06157af03c77e4323836eef2193f8de3e44016901059e9c"},
+	{"churn", Seluge, "225b6938292c51411e4c34b89f228a282710b3393c6fda89b982d2f3474686ce", "a91d2fda062044f85fcef5b7353da78c9383e04cf758e33b00a352ecf4112dbf"},
+	{"churn", LRSeluge, "e6fd16de1faf0a6e6b1c745d33d22bae7000a67f2732531430415e19ab3c4a14", "0b40581b46f8d3798dc981ac6a5101292d2214f22ba113ffa08714bda1de47b4"},
+	{"churn", RatelessDeluge, "843fa87fd344be2d8322f6e1b8c4dbad16a2ac01e1237dcad482046a9b9b0040", "4ca79b4a26af50bd2adff416efe9883e596081d21b53f9afb56fe1ca658b9351"},
 }
 
 // wireScenarios are the scenarios of wireGolden, by name.
@@ -58,8 +59,9 @@ func resultDigest(res Result) string {
 
 // attackGolden pins LR-Seluge's trace hash and result under each of
 // AttackResilience's adversaries, on TestAttackResilience's small network.
-// The values were recorded before per-transmission verification memos went
-// into the receive path: forged data, flooded signatures and replayed
+// The values were first recorded before per-transmission verification memos
+// went into the receive path, and re-recorded only for the move of every
+// stream to SplitMix64: forged data, flooded signatures and replayed
 // requests must be judged exactly as when every receiver verified from
 // scratch.
 var attackGolden = []struct {
@@ -68,11 +70,11 @@ var attackGolden = []struct {
 	trace  string
 	result string // sha256 of the attackRow's %+v rendering
 }{
-	{"injection", attackInjection, "0325cc62f0878e180326ce35064604789ced9718286cd02927573d73a2467b44", "fa179bef7a6b8dcb3a325b4ff9c37d57ab3e24e39f942c3b86033c40e6389636"},
-	{"sig-flood", attackSigFlood, "9882d1b8cc98ec29bd662c3805d0ad97e5318f8867f23cb04df58819c91599b0", "1138277aead0715c0d63329f689694689a5556d301d820f91cea9fb387c5f09c"},
-	{"sig-flood-solved", attackSigFloodSolved, "dfb15ae94f1cc7314ff2f82e500c93b892367a2108c75549c18a020a087d7a58", "0537f30b28f6727ecb1d12f6023cde9300a6c235de0eeb42123c73dbba5bae5f"},
-	{"dor", attackDoR, "0573118c394a08cc631fc925ad390282f75a0a40a0dd3b00ab9ccc11b39469fb", "e1fd22774f1d647a66b27d70abc1f763f2e25ff4528a08a10edbe6e04b8b21f5"},
-	{"dor-limited", attackDoRLimited, "bf76f643b3c841c5b06ed87348ee6c478cc1656dcf1fbbeef64090468ead5a15", "29aeac3fc660a34709fd75a931338a3b966c68b1d7daee9bc5d5f0315c0be9aa"},
+	{"injection", attackInjection, "17a7b4b3655ed82ef295099eff8c3d5ca33546d35d37c719e9e7b7b85602f339", "1da938d57159bb7c32f1fcf5d849a93cf79ee90314510bbb5bab70cd80e3ad4e"},
+	{"sig-flood", attackSigFlood, "f2ba0f907dc19b61cb66926a65f598b05597a968c9e87cbd663dbd30125f2e2e", "3ed4d0758254e7cb45ba320c9827c5cc99305533dc4a978a8d516a99e2596eb5"},
+	{"sig-flood-solved", attackSigFloodSolved, "fafe46d74f122843020755ab9ee44c6d0fae033f8ab03000a95360ab04c50599", "fee4dbfacd9ce71558f8f9210f2e0717f4b5d1daea7143e32837b1de23b1fc89"},
+	{"dor", attackDoR, "09c55c4728a94f778b3f6dc07cdbead70500efd575be0feab69fb59fbda44870", "819dcb75e1b22d1a67fafb8c0987926696fa8f88eb8599c8e42020106150ca42"},
+	{"dor-limited", attackDoRLimited, "b44d15c77b767f91cd40160634bda1fe41aeedb20691edc4f4b06e0fdfa855b0", "c08a4e8b0d9640a1b7797412fd9ddd9f3b0800d4868448e0923ba6ce76a2762f"},
 }
 
 // attackScenario is TestAttackResilience's small network, the base of every

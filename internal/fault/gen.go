@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"lrseluge/internal/sim"
+	"lrseluge/internal/xrand"
 )
 
 // ChurnSpec parameterizes RandomChurn.
@@ -34,7 +35,7 @@ func RandomChurn(spec ChurnSpec) (*Plan, error) {
 	if spec.Horizon <= 0 {
 		return nil, fmt.Errorf("fault: random churn needs a positive horizon, got %v", spec.Horizon)
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := rand.New(xrand.NewSplitMix(spec.Seed))
 	expDraw := func(mean sim.Time) sim.Time {
 		return sim.Time(rng.ExpFloat64() * float64(mean))
 	}

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 
 	"lrseluge/internal/crypt/hashx"
+	"lrseluge/internal/xrand"
 )
 
 // Params fixes the packet geometry shared by base station and nodes.
@@ -147,7 +148,7 @@ func Matches(pages [][]byte, img []byte) bool {
 // Random generates a deterministic pseudo-random code image for experiments
 // and tests.
 func Random(size int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(xrand.NewSplitMix(seed))
 	data := make([]byte, size)
 	for i := range data {
 		// The byte rng.Intn(256) returns (Int31n masks Int31, the top 31

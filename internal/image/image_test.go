@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"lrseluge/internal/crypt/hashx"
+	"lrseluge/internal/xrand"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -125,7 +126,7 @@ func TestReassembleTooShort(t *testing.T) {
 func TestRandomMatchesIntn(t *testing.T) {
 	for _, seed := range []int64{0, 1, 9, -7, 1 << 40} {
 		for _, size := range []int{0, 1, 255, 4096, 20 * 1024} {
-			rng := rand.New(rand.NewSource(seed))
+			rng := rand.New(xrand.NewSplitMix(seed))
 			want := make([]byte, size)
 			for i := range want {
 				want[i] = byte(rng.Intn(256))

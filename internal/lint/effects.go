@@ -312,7 +312,7 @@ func scopeMsg(s effectSite) string {
 	case effWallclock:
 		return s.what + "; simulated code must use virtual sim.Time"
 	case effRand:
-		return s.what + "; thread an explicitly seeded rand.New(rand.NewSource(seed)) stream instead"
+		return s.what + "; thread an explicitly seeded rand.New(xrand.NewSplitMix(seed)) stream instead"
 	case effMapOrder:
 		return s.what + "; iterate detmap.SortedKeys or justify with //lrlint:ignore " + RuleEffectPurity + " <reason>"
 	default:

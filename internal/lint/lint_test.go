@@ -193,6 +193,51 @@ func TestProvModuleFixtures(t *testing.T) {
 	}
 }
 
+// TestRNGSourceModuleFixtures exercises rng-stream-discipline's source
+// checks over the mini-module under testdata/src/srcmod, which carries its
+// own internal/xrand: a SplitMix64 source seeded with a constant and a
+// math/rand source are each reported in src_bad, and the seed-chained
+// SplitMix64 streams of src_clean (one held by value) stay silent.
+func TestRNGSourceModuleFixtures(t *testing.T) {
+	root := filepath.Join("testdata", "src", "srcmod")
+	absRoot, err := filepath.Abs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, modPath, err := LoadModule(root)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	cfg := DefaultConfig(modPath)
+	cfg.TrimPrefix = absRoot
+	var sb strings.Builder
+	for _, d := range Run(pkgs, cfg) {
+		sb.WriteString(d.String())
+		sb.WriteByte('\n')
+		if d.Rule != RuleRNG {
+			t.Errorf("finding of another rule in the source fixture module: %s", d)
+		}
+		if !strings.Contains(filepath.ToSlash(d.Pos.Filename), "src_bad/") {
+			t.Errorf("finding outside src_bad: %s", d)
+		}
+	}
+	got := sb.String()
+	golden := filepath.Join(root, "expect.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantBytes, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if want := string(wantBytes); got != want {
+		t.Errorf("diagnostics mismatch\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestEffectModuleFixtures exercises effect-purity over the mini-module
 // under testdata/src/effectmod: the pass is interprocedural by design, so
 // the whole pretend module is loaded and its experiment package stands in

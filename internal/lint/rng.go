@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // This file implements the rng-stream-discipline pass. The simulator's
@@ -11,9 +12,9 @@ import (
 // scenario seed through an explicit chain of ownership: the scenario splits
 // its seed per component (radio, per-node trickle, adversary, key
 // generation), each component owns exactly one *rand.Rand constructed as
-// rand.New(rand.NewSource(derivedSeed)), and streams never cross component
-// boundaries — two consumers interleaving draws from one stream make both
-// schedule-dependent.
+// rand.New(xrand.NewSplitMix(derivedSeed)), and streams never cross
+// component boundaries — two consumers interleaving draws from one stream
+// make both schedule-dependent.
 //
 // no-global-rand (PR 1) bans the process-global source; this pass closes the
 // remaining leaks, module-wide in non-test code:
@@ -35,9 +36,14 @@ import (
 //     more rand.New calls within one function. Each Rand advances the shared
 //     source, so the two streams are entangled and order-sensitive.
 //
-//   - rng-const-seed: rand.NewSource / rand.NewPCG / rand.NewChaCha8 called
-//     with all-constant arguments outside tests. A literal seed is a stream
-//     that ignores the scenario seed entirely.
+//   - rng-const-seed: rand.NewSource / rand.NewPCG / rand.NewChaCha8 /
+//     xrand.NewSplitMix called with all-constant arguments outside tests. A
+//     literal seed is a stream that ignores the scenario seed entirely.
+//
+//   - rng-source-family: rand.NewSource outside tests. Every stream draws
+//     from SplitMix64 (internal/xrand), so one set of goldens covers every
+//     run; a math/rand source would start a second stream family (and
+//     carry ~4.9 KB of state per stream).
 func checkRNG(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	report := func(n ast.Node, format string, args ...any) {
@@ -83,20 +89,19 @@ func checkRNG(pkg *Package) []Diagnostic {
 		}
 	}
 
-	// rng-const-seed applies to every construction site, wherever nested.
+	// rng-const-seed and rng-source-family apply to every construction
+	// site, wherever nested.
 	walkNonTest(pkg, func(f *ast.File, n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		fn := calleeOf(pkg, call)
-		if fn == nil || !isRandPkg(fn.Pkg()) {
+		if fn == nil || !isSourceCtor(fn) {
 			return true
 		}
-		switch fn.Name() {
-		case "NewSource", "NewPCG", "NewChaCha8":
-		default:
-			return true
+		if fn.Name() == "NewSource" && fn.Pkg().Path() == "math/rand" {
+			report(call, "rand.NewSource starts a math/rand stream family beside SplitMix64; build the stream as rand.New(xrand.NewSplitMix(seed))")
 		}
 		if len(call.Args) == 0 {
 			return true
@@ -106,10 +111,26 @@ func checkRNG(pkg *Package) []Diagnostic {
 				return true // at least one non-constant argument: seed flows in
 			}
 		}
-		report(call, "rand.%s with a constant seed ignores the scenario seed; derive the seed from the run's seed chain", fn.Name())
+		report(call, "%s.%s with a constant seed ignores the scenario seed; derive the seed from the run's seed chain", fn.Pkg().Name(), fn.Name())
 		return true
 	})
 	return diags
+}
+
+// isSourceCtor reports whether fn builds a seeded random source: math/rand's
+// NewSource, math/rand/v2's NewPCG and NewChaCha8, or the module's
+// xrand.NewSplitMix.
+func isSourceCtor(fn *types.Func) bool {
+	switch {
+	case isRandPkg(fn.Pkg()):
+		switch fn.Name() {
+		case "NewSource", "NewPCG", "NewChaCha8":
+			return true
+		}
+	case fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "/internal/xrand"):
+		return fn.Name() == "NewSplitMix"
+	}
+	return false
 }
 
 // checkExportedRandFields flags exported struct fields of RNG-bearing type

@@ -2,12 +2,16 @@
 // constructor-returned streams, locals, and fields filled from seeded calls.
 package prov_clean
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"prov/internal/xrand"
+)
 
 // newStream derives a stream from a seed; callers' consumptions trace
 // through this function's return statement.
 func newStream(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	return rand.New(xrand.NewSplitMix(seed))
 }
 
 // Draw consumes a stream obtained from a traced constructor call.
@@ -39,6 +43,6 @@ func pick(r *rand.Rand, n int) int {
 // UseBoth exercises the parameter trace through two call sites.
 func UseBoth(seed int64) int {
 	a := pick(newStream(seed), 10)
-	b := pick(rand.New(rand.NewSource(seed+1)), 10)
+	b := pick(rand.New(xrand.NewSplitMix(seed+1)), 10)
 	return a + b
 }

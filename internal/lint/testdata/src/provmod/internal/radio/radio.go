@@ -3,7 +3,11 @@
 // module-declared interface.
 package radio
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"prov/internal/xrand"
+)
 
 // Loss decides packet drops; implementations draw from the stream handed in.
 type Loss interface {
@@ -28,7 +32,7 @@ type Network struct {
 // New seeds the network stream from the scenario seed.
 func New(seed int64) *Network {
 	return &Network{
-		rng:  rand.New(rand.NewSource(seed)),
+		rng:  rand.New(xrand.NewSplitMix(seed)),
 		loss: Bernoulli{},
 	}
 }

@@ -19,7 +19,7 @@ type Node struct {
 func NewNode(id int, seed int64) *Node {
 	return &Node{
 		id:  id,
-		rng: rand.New(rand.NewSource(seed ^ (int64(id)*0x9e3779b9 + 1))),
+		rng: rand.New(newSplitMix(seed ^ (int64(id)*0x9e3779b9 + 1))),
 	}
 }
 
@@ -44,8 +44,20 @@ func newTimer(rng *rand.Rand) *timer {
 
 // Pair derives two INDEPENDENT streams from two sources.
 func Pair(seed int64) (a, b int) {
-	r1 := rand.New(rand.NewSource(seed))
-	r2 := rand.New(rand.NewSource(seed + 1))
+	r1 := rand.New(newSplitMix(seed))
+	r2 := rand.New(newSplitMix(seed + 1))
 	t := newTimer(r2)
 	return r1.Intn(10), t.rng.Intn(10)
+}
+
+// splitMix stands in for the module's xrand.SplitMix source.
+type splitMix struct{ state uint64 }
+
+func newSplitMix(seed int64) *splitMix { return &splitMix{state: uint64(seed)} }
+
+func (s *splitMix) Seed(seed int64) { s.state = uint64(seed) }
+
+func (s *splitMix) Int63() int64 {
+	s.state += 0x9e3779b97f4a7c15
+	return int64(s.state >> 1)
 }

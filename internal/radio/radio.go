@@ -19,6 +19,7 @@ import (
 	"lrseluge/internal/sim"
 	"lrseluge/internal/topo"
 	"lrseluge/internal/trace"
+	"lrseluge/internal/xrand"
 )
 
 // Receiver is implemented by protocol nodes attached to the network.
@@ -108,7 +109,7 @@ func New(eng *sim.Engine, graph *topo.Graph, loss LossModel, cfg Config, col *me
 		loss:      loss,
 		cfg:       cfg,
 		col:       col,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(xrand.NewSplitMix(seed)),
 		nodes:     make([]Receiver, graph.NumNodes()),
 		busyUntil: make([]sim.Time, graph.NumNodes()),
 	}, nil

@@ -25,7 +25,7 @@ func liveHeap() int64 {
 // shadow memory would skew the figure, so the guard is built without it.
 func TestLiveHeapPerNode(t *testing.T) {
 	const nodes, budget = 2000, 8 << 10
-	cfg := Config{Nodes: nodes, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true}.withDefaults()
+	cfg := Config{Nodes: nodes, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue}.withDefaults()
 	before := liveHeap()
 	env, _, err := build(cfg)
 	if err != nil {
@@ -43,14 +43,14 @@ func TestLiveHeapPerNode(t *testing.T) {
 	}
 }
 
-// TestScaleSetupAllocs bounds the bytes a CompactRNG run allocates before
-// its first event: topology, key material, the signed object and every
-// node. Set-up should pay only for state the run keeps. The budget is the
-// measured 1,617 B/node plus 10%; a per-node math/rand source built and
-// then replaced by SplitMix64 read 7,527 B/node.
+// TestScaleSetupAllocs bounds the bytes a run allocates before its first
+// event: topology, key material, the signed object and every node. Set-up
+// should pay only for state the run keeps. The budget is the measured
+// 1,614 B/node plus 10%; a per-node math/rand source built and then
+// replaced by SplitMix64 read 7,527 B/node.
 func TestScaleSetupAllocs(t *testing.T) {
-	const nodes, budget = 2000, 1780
-	cfg := Config{Nodes: nodes, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true}.withDefaults()
+	const nodes, budget = 2000, 1775
+	cfg := Config{Nodes: nodes, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue}.withDefaults()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -53,7 +53,7 @@ func TestObsDoesNotPerturbRun(t *testing.T) {
 // sampling cost never exceed the wall and no sampled event is counted
 // twice: both hold by construction, on any host.
 func TestObsAttributionCoverage(t *testing.T) {
-	cfg := Config{Nodes: 2000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true, Obs: obs.NewTimers()}
+	cfg := Config{Nodes: 2000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, Obs: obs.NewTimers()}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,8 @@ func TestIncompleteReported(t *testing.T) {
 	}
 
 	// A sparse disk graph with a node cut off from node 0: run to the
-	// horizon, the cut-off nodes are unreachable and nothing stalls.
+	// last reachable completion, the cut-off nodes are unreachable and
+	// nothing stalls.
 	sparse := baseConfig(sim.CalendarQueue)
 	sparse.TraceHash = false
 	sparse.TargetDegree = 8

@@ -2,11 +2,12 @@
 // (up to 100k nodes) and reports engine throughput and memory figures.
 //
 // It is the benchmark surface behind cmd/lrscale and BENCH_scale.json. A run
-// is an ordinary experiment.Scenario on a topo.Disk graph with the compact
-// large-run choices turned on — 8-byte SplitMix RNG state per node
-// (dissem.Config.CompactRNG) and a selectable event-queue implementation
-// (sim.QueueKind), so heap-vs-calendar runs can be compared for both speed
-// and byte identity — driven by the experiment builder's sliced run loop.
+// is an ordinary experiment.Scenario on a topo.Disk graph with a selectable
+// event-queue implementation (sim.QueueKind), so heap-vs-calendar runs can
+// be compared for both speed and byte identity, driven by the experiment
+// builder's sliced run loop. Its random streams are the ones every run
+// uses (8-byte SplitMix64 state, internal/xrand), so a scale run and a
+// small run are assembled the same way.
 // This package adds only the progress and report layer on top.
 package scale
 
@@ -44,10 +45,11 @@ type Config struct {
 	// Horizon bounds virtual time. Zero means the experiment default of 4
 	// simulated hours.
 	Horizon sim.Time
-	// CompactRNG backs per-node RNGs with 8-byte SplitMix64 state instead
-	// of math/rand's ~4.9 KB default, which is then never built. The
-	// stream differs from the default, so runs with it on are only
-	// comparable to other CompactRNG runs.
+	// CompactRNG has no effect: every run's streams now draw from 8-byte
+	// SplitMix64 state, so there is no larger source to opt out of.
+	//
+	// Deprecated: the field is kept only so existing callers that set it
+	// still compile; it will be removed once they stop setting it.
 	CompactRNG bool
 	// TraceHash, when true, hashes every transmission (virtual time,
 	// sender, wire bytes) in global order; Report.TraceHash carries the
@@ -96,8 +98,10 @@ type Report struct {
 	Unreachable int `json:"unreachable"`
 	// Stalled counts the reachable nodes that did not finish (horizon hit).
 	Stalled int `json:"stalled"`
-	// ImagesOK is true when every node holds exactly the original image
-	// (experiment.Env.ImagesOK, checked after the event loop).
+	// ImagesOK is true when every reachable node holds exactly the
+	// original image (experiment.Env.ImagesOK, checked after the event
+	// loop). The run ends once those nodes complete, so unreachable nodes
+	// never hold back its event count.
 	ImagesOK   bool    `json:"images_ok"`
 	LatencySec float64 `json:"latency_sec"`
 	Events     uint64  `json:"events"`
@@ -174,7 +178,7 @@ func Run(cfg Config) (Report, error) {
 		Queue:        cfg.Queue.String(),
 		Completed:    col.Completions(),
 		Incomplete:   cfg.Nodes - col.Completions(),
-		Unreachable:  graph.Unreachable(),
+		Unreachable:  env.Unreachable(),
 		LatencySec:   col.Latency().Seconds(),
 		Events:       eng.Events(),
 		SetupMS:      float64(start.Sub(t0).Microseconds()) / 1e3,
@@ -201,7 +205,7 @@ func Run(cfg Config) (Report, error) {
 }
 
 // build wires cfg's run: an LR-Seluge experiment.Scenario on a random-disk
-// graph with the compact large-run choices.
+// graph.
 func build(cfg Config) (*experiment.Env, *topo.Graph, error) {
 	graph, err := topo.Disk(cfg.Nodes, cfg.TargetDegree, cfg.Seed)
 	if err != nil {
@@ -217,7 +221,6 @@ func build(cfg Config) (*experiment.Env, *topo.Graph, error) {
 		Queue:     cfg.Queue,
 		Obs:       cfg.Obs,
 	}.WithDefaults()
-	sc.Dissem.CompactRNG = cfg.CompactRNG
 	env, err := experiment.Build(sc)
 	if err != nil {
 		return nil, nil, err

@@ -15,7 +15,6 @@ func baseConfig(queue sim.QueueKind) Config {
 		ImageKB:      2,
 		Seed:         11,
 		Queue:        queue,
-		CompactRNG:   true,
 		TraceHash:    true,
 	}
 }
@@ -27,7 +26,7 @@ func baseConfig(queue sim.QueueKind) Config {
 // baseConfig and lrscale's defaults (degree 16, 8 KiB, seed 1) at 200 nodes.
 func TestHeapCalendarByteIdentity(t *testing.T) {
 	lrscale := func(q sim.QueueKind) Config {
-		return Config{Nodes: 200, TargetDegree: 16, ImageKB: 8, Seed: 1, Queue: q, CompactRNG: true, TraceHash: true}
+		return Config{Nodes: 200, TargetDegree: 16, ImageKB: 8, Seed: 1, Queue: q, TraceHash: true}
 	}
 	for _, mk := range []func(sim.QueueKind) Config{baseConfig, lrscale} {
 		heap, err := Run(mk(sim.HeapQueue))
@@ -54,11 +53,12 @@ func TestHeapCalendarByteIdentity(t *testing.T) {
 	}
 }
 
-// baseTraceHash is baseConfig's transmission-trace hash, recorded when scale
-// still wired its own copy of the run. Unlike the heap-vs-calendar
+// baseTraceHash is baseConfig's transmission-trace hash, re-recorded when
+// the topology, radio and image streams moved to SplitMix64 (the per-node
+// streams already drew from it). Unlike the heap-vs-calendar
 // comparison, a constant catches wiring or seed drift that moves both
 // queues together.
-const baseTraceHash = "b1265e271ecdb17bc050dce8008ca2325aba045db3a426cb8653bddb2032a1fa"
+const baseTraceHash = "6ded7aee9c81f5c46152db911b1fe4e558fe3477ef41fd49ed430740f53e4b07"
 
 func TestTraceHashGolden(t *testing.T) {
 	for _, q := range []sim.QueueKind{sim.HeapQueue, sim.CalendarQueue} {
@@ -137,9 +137,9 @@ func TestRunRejectsTinyNetwork(t *testing.T) {
 	}
 }
 
-// TestCompactRNGDeterministic pins that compact-RNG runs are reproducible:
-// two identical configs yield identical trace hashes.
-func TestCompactRNGDeterministic(t *testing.T) {
+// TestSameSeedSameTraceHash pins that runs are reproducible: two identical
+// configs yield identical trace hashes.
+func TestSameSeedSameTraceHash(t *testing.T) {
 	a, err := Run(baseConfig(sim.CalendarQueue))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func BenchmarkScaleSetup(b *testing.B) {
 	b.ReportAllocs()
 	var setup float64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(Config{Nodes: 10000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, CompactRNG: true, Horizon: 1})
+		rep, err := Run(Config{Nodes: 10000, ImageKB: 8, Seed: 1, Queue: sim.CalendarQueue, Horizon: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

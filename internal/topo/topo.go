@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"lrseluge/internal/xrand"
 )
 
 // Point is a node position in abstract distance units ("feet" in the mica2
@@ -152,7 +154,7 @@ func RandomDisk(n int, side float64, seed int64) (*Graph, error) {
 	if n < 2 || !(side > 0) || math.IsInf(side, 1) {
 		return nil, fmt.Errorf("topo: invalid random topology n=%d side=%f", n, side)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(xrand.NewSplitMix(seed))
 	g := &Graph{pos: make([]Point, n), neighbors: make([][]Link, n)}
 	for i := range g.pos {
 		g.pos[i] = Point{X: rng.Float64() * side, Y: rng.Float64() * side}
@@ -317,24 +319,35 @@ func (g *Graph) Connected() bool { return g.Unreachable() == 0 }
 // Unreachable counts the nodes with no path from node 0 (the base station):
 // nodes no dissemination can reach.
 func (g *Graph) Unreachable() int {
-	n := len(g.pos)
-	if n == 0 {
-		return 0
+	reached := g.Reached(len(g.pos))
+	count := 0
+	for _, ok := range reached {
+		if !ok {
+			count++
+		}
 	}
+	return count
+}
+
+// Reached marks which of the first n nodes have a path from node 0 whose
+// every hop stays among the first n nodes; later nodes (adversary slots)
+// relay nothing.
+func (g *Graph) Reached(n int) []bool {
 	seen := make([]bool, n)
+	if n == 0 {
+		return seen
+	}
 	stack := []int{0}
 	seen[0] = true
-	count := 1
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, l := range g.neighbors[cur] {
-			if !seen[l.To] {
+			if l.To < n && !seen[l.To] {
 				seen[l.To] = true
-				count++
 				stack = append(stack, l.To)
 			}
 		}
 	}
-	return n - count
+	return seen
 }

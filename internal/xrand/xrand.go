@@ -1,15 +1,16 @@
-// Package xrand provides a compact deterministic random source for
-// large-scale simulations.
+// Package xrand provides the simulator's one deterministic random source.
 //
-// math/rand's default lagged-Fibonacci source carries ~4.9 KB of state; with
-// one independent stream per node, a 100k-node run would spend ~500 MB on
-// RNG state alone. SplitMix64 (Steele, Lea & Flood, OOPSLA 2013 — the
-// java.util.SplittableRandom finalizer) carries 8 bytes, passes BigCrush,
-// and is more than adequate for protocol jitter and server selection.
-//
-// The stream differs from math/rand's default source, so compact mode is an
-// explicit opt-in (scale.Config / dissem.Config.CompactRNG) and never flips
-// under the byte-identity goldens, which all pin the default source.
+// Every random stream in a run (each dissemination node and its Trickle
+// timer, radio loss, random topologies, fault generators, adversaries,
+// generated images and LT neighbour sets) is built from its own derived
+// seed as rand.New(xrand.NewSplitMix(seed)) (a dissemination node holds its
+// SplitMix by value), so small runs, goldens and 100k-node runs share one
+// stream family. SplitMix64
+// (Steele, Lea & Flood, OOPSLA 2013 — the java.util.SplittableRandom
+// finalizer) carries 8 bytes, passes BigCrush, and is more than adequate
+// for loss emulation, protocol jitter and server selection. math/rand's
+// default lagged-Fibonacci source carries ~4.9 KB and seeds 607 words per
+// stream; one per node would cost ~500 MB at 100k nodes.
 package xrand
 
 // SplitMix is a rand.Source64 implementing SplitMix64.

@@ -20,8 +20,9 @@
 # summary golden on a churn-fault run whose lrsim fault-drop count equals
 # the trace's, the lrserved smoke (miss -> hit -> restart -> warm hit,
 # byte-identical), the lrsweep incremental-store rerun, and an n=10k lrscale
-# run whose events and total_bytes must equal the committed BENCH_scale.json
-# row with every node complete holding the exact image.
+# run whose events, total_bytes and unreachable count must equal the
+# committed BENCH_scale.json row, with no reachable node stalled and every
+# reachable node holding the exact image.
 #
 # Then the timing gates. Each self-bench mode judges its own figures and
 # exits 1 on failure, so this script only runs them: lrsweep -selfbench
@@ -243,7 +244,7 @@ go run ./cmd/lrsweep -sweep smoke -quick -runs 2 -seed 1 -store "$tmpdir/rs" -co
 cmp "$tmpdir/cells_cold.jsonl" "$tmpdir/cells_warm.jsonl"
 grep -q '0 computed' "$tmpdir/cells_warm.err"
 
-echo "==> lrscale n=10k run: events and total_bytes equal to the committed row, every node complete with the exact image"
+echo "==> lrscale n=10k run: events, total_bytes and unreachable equal to the committed row, nothing stalled, every reachable node holds the exact image"
 # row10k FILE FIELD prints FIELD of the "nodes": 10000 row.
 row10k() {
     awk -v field="\"$2\":" '$1 == "\"nodes\":" { row = ($2 == "10000,") }
@@ -251,19 +252,22 @@ row10k() {
 }
 prev_events=$(row10k BENCH_scale.json events)
 prev_bytes=$(row10k BENCH_scale.json total_bytes)
+prev_unreachable=$(row10k BENCH_scale.json unreachable)
 go run ./cmd/lrscale -nodes 10000 -q -o "$tmpdir/scale.json"
 new_events=$(row10k "$tmpdir/scale.json" events)
 new_bytes=$(row10k "$tmpdir/scale.json" total_bytes)
+new_unreachable=$(row10k "$tmpdir/scale.json" unreachable)
 new_images=$(row10k "$tmpdir/scale.json" images_ok)
-new_incomplete=$(row10k "$tmpdir/scale.json" incomplete)
+new_stalled=$(row10k "$tmpdir/scale.json" stalled)
 awk -v pe="$prev_events" -v ne="$new_events" -v pb="$prev_bytes" -v nb="$new_bytes" \
-    -v img="$new_images" -v inc="$new_incomplete" 'BEGIN {
-    if (pe == "" || pb == "") { print "scale gate: committed n=10000 row missing events/total_bytes"; exit 1 }
-    if (ne != pe || nb != pb) {
-        print "scale gate: n=10000 run drifted: events " ne " total_bytes " nb " vs committed " pe " " pb; exit 1
+    -v pu="$prev_unreachable" -v nu="$new_unreachable" \
+    -v img="$new_images" -v st="$new_stalled" 'BEGIN {
+    if (pe == "" || pb == "" || pu == "") { print "scale gate: committed n=10000 row missing events/total_bytes/unreachable"; exit 1 }
+    if (ne != pe || nb != pb || nu != pu) {
+        print "scale gate: n=10000 run drifted: events " ne " total_bytes " nb " unreachable " nu " vs committed " pe " " pb " " pu; exit 1
     }
-    if (img != "true" || inc != "0") {
-        print "scale gate: n=10000 run images_ok " img " incomplete " inc "; want true and 0"; exit 1
+    if (img != "true" || st != "0") {
+        print "scale gate: n=10000 run images_ok " img " stalled " st "; want true and 0"; exit 1
     }
 }'
 
