@@ -7,7 +7,7 @@ import "testing"
 // once) must stay within a per-run allocation bound on each event queue.
 // Allocation counts are deterministic for a seed up to a few runtime
 // allocations, so the bound is the count the event path was measured at
-// plus 5% headroom: 3,885 allocations per run on the heap queue and 4,103
+// plus 5% headroom: 3,751 allocations per run on the heap queue and 3,967
 // on the calendar queue (whose bucket arrays add the difference). The race
 // detector adds about 32 per run, inside the headroom. A change that puts
 // an allocation back on a per-packet or per-event path adds thousands per
@@ -17,8 +17,8 @@ func TestFig4MixAllocs(t *testing.T) {
 		queue QueueKind
 		bound float64
 	}{
-		{HeapQueue, 4080},
-		{CalendarQueue, 4310},
+		{HeapQueue, 3940},
+		{CalendarQueue, 4165},
 	} {
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := 0; i < 12; i++ {

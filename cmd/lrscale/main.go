@@ -4,7 +4,10 @@
 // Default mode runs one dissemination per requested network size (node 0
 // preloaded, everyone else fetching over a random-disk multi-hop graph) and
 // reports set-up and event-loop wall time, engine throughput (events/sec),
-// communication cost per node, and peak RSS per row.
+// communication cost per node, peak RSS, and the per-component memory table
+// (bytes per node of node, Trickle, handler, scheduler, queue records,
+// topology, radio, store and metrics, from struct sizes and counts at the
+// slice where it peaked) per row.
 //
 // Observability: -obs installs internal/obs phase timers and prints each
 // run's wall-time attribution table (also embedded in the JSON row); -obs-dir
@@ -107,6 +110,7 @@ func main() {
 			ImageKB:      *kb,
 			Seed:         *seed,
 			Queue:        queue,
+			Memory:       true,
 		}
 		if *obsOn {
 			cfg.Obs = obs.NewTimers()
@@ -186,6 +190,11 @@ func main() {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "lrscale: n=%d done: completed=%d/%d setup=%.1fms wall=%dms events/sec=%.0f bytes/node=%.0f rss=%dKB\n",
 				n, rep.Completed, rep.Nodes, rep.SetupMS, rep.WallMS, rep.EventsPerSec, rep.BytesPerNode, rep.PeakRSSKB)
+		}
+		if !*quiet {
+			for _, r := range rep.Memory {
+				fmt.Fprintf(os.Stderr, "  memory %-10s %9.1f B/node\n", r.Component, r.BytesPerNode)
+			}
 		}
 		// An incomplete run is never silent, -q or not: a benchmark row
 		// where nodes missed the image is a different experiment.

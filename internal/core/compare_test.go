@@ -36,20 +36,20 @@ func mustPacket(t *testing.T, src *Handler, u, idx int) *packet.Data {
 	return d
 }
 
-// aliases reports whether h's shard at idx is the entry's symbol itself
-// rather than a copy of it.
-func aliases(h *Handler, u int, entry *Unit, idx int) bool {
-	sym, err := h.symbol(u, entry, idx)
-	return err == nil && len(sym) > 0 && len(h.shards[idx]) > 0 && &sym[0] == &h.shards[idx][0]
+// kept reports whether h keeps a pre-entry payload for packet idx of the
+// unit in progress, rather than only its held bit.
+func kept(h *Handler, idx int) bool {
+	return idx < len(h.pre) && h.pre[idx] != nil
 }
 
-// alterShard replaces the shard h holds at idx with a copy whose byte at
-// pos (mod its length) is XORed with mask: a white-box corruption after
-// authentication that leaves any entry the slot aliased untouched.
+// alterShard replaces the payload h keeps at pre-entry slot idx with a copy
+// whose byte at pos (mod its length) is XORed with mask: a white-box
+// corruption after authentication that leaves the packet's own bytes
+// untouched.
 func alterShard(h *Handler, idx, pos int, mask byte) {
-	c := bytes.Clone(h.shards[idx])
+	c := bytes.Clone(h.pre[idx])
 	c[pos%len(c)] ^= mask
-	h.shards[idx] = c
+	h.pre[idx] = c
 }
 
 // subsetKinds draw k'-subsets of a unit's n packet indices, the first k of
@@ -73,8 +73,9 @@ var subsetKinds = []struct {
 // TestCompletionByComparison is the differential test of the two ways a
 // unit completes. A first completer decodes every unit; then, for k'-subsets
 // of every kind, a later completer holds that node's entry without decoding,
-// each of its slots aliasing the entry, and the entry's blocks equal an
-// independent RS decode of the same packets.
+// keeping no payload (the entry existed before each packet, so no pre-entry
+// slot is ever allocated), and the entry's blocks equal an independent RS
+// decode of the same packets.
 func TestCompletionByComparison(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 600, s)
@@ -103,15 +104,15 @@ func TestCompletionByComparison(t *testing.T) {
 						shards[idx] = d.Payload
 						res := dst.Ingest(d)
 						if i < need-1 {
-							if res != dissem.Stored || !aliases(dst, u, entry, idx) {
-								t.Fatalf("unit %d %s %v: packet %d %v, aliased %v", u, kind.name, idxs, idx, res, aliases(dst, u, entry, idx))
+							if res != dissem.Stored || !dst.HasPacket(u, idx) || dst.pre != nil {
+								t.Fatalf("unit %d %s %v: packet %d %v, held %v, slots %v", u, kind.name, idxs, idx, res, dst.HasPacket(u, idx), dst.pre != nil)
 							}
 						} else if res != dissem.UnitComplete {
 							t.Fatalf("unit %d %s %v: completing packet %v", u, kind.name, idxs, res)
 						}
 					}
-					if dst.units[u-1] != entry {
-						t.Fatalf("unit %d %s %v: holds another entry than the first completer's", u, kind.name, idxs)
+					if dst.units[u-1] != entry || dst.pre != nil {
+						t.Fatalf("unit %d %s %v: holds another entry than the first completer's, or allocated slots", u, kind.name, idxs)
 					}
 					blocks, err := code.Decode(shards)
 					if err != nil {
@@ -127,10 +128,12 @@ func TestCompletionByComparison(t *testing.T) {
 }
 
 // TestEntryAppearsMidUnit has node A ingest j < k' packets of a unit, node B
-// complete and intern it, and A finish: A's copies from before the entry
-// are compared byte for byte and A holds B's entry. Replacing any one of A's
-// held shards, copied or aliased, with an altered copy makes the completing
-// packet Rejected and wipes the buffer instead.
+// complete and intern it, and A finish: A keeps the payloads from before the
+// entry, only the bits of the later packets, compares the kept payloads byte
+// for byte and holds B's entry. Replacing any one of A's kept payloads with
+// an altered copy makes the completing packet Rejected and wipes the unit in
+// progress instead. (A later packet keeps no bytes to alter: it was compared
+// with the entry on arrival.)
 func TestEntryAppearsMidUnit(t *testing.T) {
 	forEachScheme(t, func(t *testing.T, s Scheme) {
 		f := newFixture(t, 600, s)
@@ -139,9 +142,9 @@ func TestEntryAppearsMidUnit(t *testing.T) {
 		for _, u := range []int{1, 2} {
 			need, n := src.NeededInUnit(u), src.PacketsInUnit(u)
 			for j := 1; j < need; j++ {
-				// alter: -1 keeps every shard; otherwise the held shard at
-				// that position of the arrival order is altered.
-				for alter := -1; alter < need-1; alter++ {
+				// alter: -1 keeps every payload; otherwise the kept payload
+				// at that position of the arrival order is altered.
+				for alter := -1; alter < j; alter++ {
 					store := NewStore()
 					a, b := storeReceiver(t, f, store, src), storeReceiver(t, f, store, src)
 					reach(t, src, b, u)
@@ -163,8 +166,8 @@ func TestEntryAppearsMidUnit(t *testing.T) {
 						}
 					}
 					for i, idx := range idxs[:need-1] {
-						if got, want := aliases(a, u, entry, idx), i >= j; got != want {
-							t.Fatalf("unit %d j=%d: slot %d aliases the entry: %v, want %v", u, j, idx, got, want)
+						if got, want := kept(a, idx), i < j; got != want || !a.HasPacket(u, idx) {
+							t.Fatalf("unit %d j=%d: packet %d kept %v, want %v, held %v", u, j, idx, got, want, a.HasPacket(u, idx))
 						}
 					}
 					if alter >= 0 {
@@ -178,10 +181,10 @@ func TestEntryAppearsMidUnit(t *testing.T) {
 						continue
 					}
 					if res != dissem.Rejected || a.CompleteUnits() != u || a.count != 0 {
-						t.Fatalf("unit %d j=%d: altered shard %d gave %v, %d units, %d held", u, j, idxs[alter], res, a.CompleteUnits(), a.count)
+						t.Fatalf("unit %d j=%d: altered payload %d gave %v, %d units, %d held", u, j, idxs[alter], res, a.CompleteUnits(), a.count)
 					}
 					for idx := 0; idx < n; idx++ {
-						if a.HasPacket(u, idx) {
+						if a.HasPacket(u, idx) || kept(a, idx) {
 							t.Fatalf("unit %d: packet %d survived the rejected completion", u, idx)
 						}
 					}
@@ -256,9 +259,10 @@ func TestNoCompletionBelowKPrime(t *testing.T) {
 // optional one-byte flip of a shard A holds, applied once B's entry exists.
 // A must complete exactly when it holds k' distinct authentic packets,
 // every entry it holds must equal the Object's unit byte for byte, and a
-// completion over a flipped shard must be refused with the buffer wiped.
-// The first completer of a page has no entry to compare with, so flips
-// apply only against B's.
+// completion over a flipped payload must be refused with the unit wiped.
+// The first completer of a page has no entry to compare with, and a packet
+// ingested after B's entry appeared keeps no payload, so flips apply only
+// to payloads A kept before B's entry existed.
 func FuzzIngestCompare(f *testing.F) {
 	fixtures := make([]*fixture, len(schemes))
 	for i, c := range schemes {
@@ -278,7 +282,7 @@ func FuzzIngestCompare(f *testing.F) {
 		f.Add(pick, []byte{0, 4, 1}, uint8(2), uint16(0))
 		f.Add(pick, []byte{4, 0, 1, 3}, uint8(200), uint16(0))
 		f.Add(pick, []byte{1, 5, 0, 3, 4, 2}, uint8(2), uint16(0x0301))
-		f.Add(pick, []byte{1, 5, 0, 3, 4, 2}, uint8(0), uint16(0x1f80))
+		f.Add(pick, []byte{1, 5, 0, 3, 4, 2}, uint8(3), uint16(0x1f80))
 	}
 	f.Add(uint8(1), []byte{4, 5, 6, 7}, uint8(0), uint16(0))
 	f.Add(uint8(4), []byte{7, 6, 5, 4}, uint8(1), uint16(0x0201))
@@ -303,9 +307,9 @@ func FuzzIngestCompare(f *testing.F) {
 			if step == int(otherAt) {
 				reach(t, src, b, u+1)
 			}
-			if flip != 0 && !flipped && b.CompleteUnits() > u && len(held) > 0 {
-				// Alter the lowest-index shard A holds.
-				low := slices.IndexFunc(a.shards, func(s []byte) bool { return s != nil })
+			low := slices.IndexFunc(a.pre, func(s []byte) bool { return s != nil })
+			if flip != 0 && !flipped && b.CompleteUnits() > u && low >= 0 {
+				// Alter the lowest-index payload A kept.
 				alterShard(a, low, int(flip>>8), max(byte(flip), 1))
 				flipped = true
 			}
@@ -322,8 +326,9 @@ func FuzzIngestCompare(f *testing.F) {
 				}
 				held[idx] = true
 			case flipped:
-				if res != dissem.Rejected || a.count != 0 || a.CompleteUnits() != u {
-					t.Fatalf("completion over a flipped shard: %v, %d held", res, a.count)
+				if res != dissem.Rejected || a.count != 0 || a.CompleteUnits() != u ||
+					slices.ContainsFunc(a.pre, func(s []byte) bool { return s != nil }) {
+					t.Fatalf("completion over a flipped payload: %v, %d held", res, a.count)
 				}
 				clear(held)
 				flipped = false
@@ -347,4 +352,97 @@ func FuzzIngestCompare(f *testing.F) {
 			t.Fatalf("%d units complete, %d packets held, want %d and %d", a.CompleteUnits(), a.count, u, len(held))
 		}
 	})
+}
+
+// TestPartlyBeforeEntryCompletes has node A ingest part of a unit's k'
+// packets before node B interns the unit and the rest after: the early
+// payloads sit in A's pre-entry slots, the later packets leave only their
+// bits, and A completes by comparison holding B's entry, its slots cleared
+// in place for the next unit rather than released.
+func TestPartlyBeforeEntryCompletes(t *testing.T) {
+	forEachScheme(t, func(t *testing.T, s Scheme) {
+		f := newFixture(t, 600, s)
+		src := Preload(f.obj, f.store, f.sigCtx())
+		for _, u := range []int{1, 2} {
+			store := NewStore()
+			a, b := storeReceiver(t, f, store, src), storeReceiver(t, f, store, src)
+			reach(t, src, b, u)
+			reach(t, src, a, u)
+			need := a.NeededInUnit(u)
+			before := (need + 1) / 2
+			for idx := 0; idx < before; idx++ {
+				if res := a.Ingest(mustPacket(t, src, u, idx)); res != dissem.Stored || !kept(a, idx) {
+					t.Fatalf("unit %d: packet %d before the entry: %v, kept %v", u, idx, res, kept(a, idx))
+				}
+			}
+			slots := &a.pre[:1][0]
+			reach(t, src, b, u+1)
+			entry := store.Lookup(f.obj.Root(), u)
+			for idx := before; idx < need; idx++ {
+				res := a.Ingest(mustPacket(t, src, u, idx))
+				if kept(a, idx) {
+					t.Fatalf("unit %d: packet %d after the entry kept its payload", u, idx)
+				}
+				switch {
+				case idx == need-1 && res != dissem.UnitComplete:
+					t.Fatalf("unit %d: completing packet %v", u, res)
+				case idx < need-1 && (res != dissem.Stored || !a.HasPacket(u, idx)):
+					t.Fatalf("unit %d: packet %d after the entry: %v", u, idx, res)
+				}
+			}
+			if a.units[u-1] != entry || a.count != 0 {
+				t.Fatalf("unit %d: A holds another entry than B's, or %d packets", u, a.count)
+			}
+			if a.pre == nil || &a.pre[:1][0] != slots || slices.ContainsFunc(a.pre, func(s []byte) bool { return s != nil }) {
+				t.Fatalf("unit %d: pre-entry slots released or not cleared after completion", u)
+			}
+		}
+	})
+}
+
+// TestPreEntrySlotsReusedAcrossUnits has one node first-complete M0 and
+// then page 1, decoding both from its pre-entry slots. Under a scheme with
+// n0 != n the one slot array, allocated on M0's first packet, serves both
+// unit sizes; it is released once every unit is held.
+func TestPreEntrySlotsReusedAcrossUnits(t *testing.T) {
+	sized := false
+	forEachScheme(t, func(t *testing.T, s Scheme) {
+		f := newFixture(t, 600, s)
+		dst := f.receiver(t)
+		src := bootstrap(t, f, dst)
+		if dst.pre != nil {
+			t.Fatal("slots allocated before any packet")
+		}
+		n0, n := dst.PacketsInUnit(1), dst.PacketsInUnit(2)
+		sized = sized || n0 != n
+		var slots *[]byte
+		for u := 1; u <= 2; u++ {
+			for idx := 0; idx < dst.NeededInUnit(u); idx++ {
+				if res := dst.Ingest(mustPacket(t, src, u, idx)); res == dissem.Rejected {
+					t.Fatalf("unit %d packet %d rejected", u, idx)
+				}
+				if dst.CompleteUnits() == u && (!kept(dst, idx) || len(dst.slots(u)) != dst.PacketsInUnit(u)) {
+					t.Fatalf("unit %d packet %d: kept %v in %d slots", u, idx, kept(dst, idx), len(dst.slots(u)))
+				}
+			}
+			if dst.CompleteUnits() != u+1 || f.store.Lookup(f.obj.Root(), u) != dst.units[u-1] {
+				t.Fatalf("unit %d: not first-completed", u)
+			}
+			if cap(dst.pre) != max(n0, n) {
+				t.Fatalf("unit %d: %d slots, want room for max(n0=%d, n=%d)", u, cap(dst.pre), n0, n)
+			}
+			if slots == nil {
+				slots = &dst.pre[:1][0]
+			} else if &dst.pre[:1][0] != slots {
+				t.Fatalf("unit %d: slot array reallocated", u)
+			}
+		}
+		deliverSubset(t, src, dst, rand.New(rand.NewSource(6)))
+		if !dst.MatchesImage(f.data) || dst.pre != nil {
+			t.Fatalf("image ok %v, slots kept %v", dst.MatchesImage(f.data), dst.pre != nil)
+		}
+	})
+	if !sized {
+		t.Fatal("no scheme has n0 != n")
+	}
 }

@@ -17,19 +17,20 @@ import (
 // of a unit once any k' authenticated packets of it arrive (paper §IV-E).
 //
 // Completed units live in the run's Store, shared with every other node
-// that holds them; the handler keeps pointers to its entries, the buffer of
-// the unit in progress, and the verified signature. A unit's first
-// completer erasure-decodes it and interns the entry; every later completer
-// checks its authenticated packets against that entry instead (DESIGN §18).
+// that holds them; the handler keeps pointers to its entries, which packet
+// indices of the unit in progress it holds, and the verified signature. A
+// unit's first completer erasure-decodes it and interns the entry; every
+// later completer checks its authenticated packets against that entry
+// instead (DESIGN §18).
 type Handler struct {
-	Scheme
+	// shape is the scheme and codecs every handler of the run shares.
+	*shape
 	version uint16
-	codec   erasure.Codec
-	codec0  erasure.Codec
 	store   *Store
 	sigCtx  *dissem.SigContext
 
-	// Established by the verified signature packet.
+	// Established by the verified signature packet, which the handler
+	// keeps as received: a broadcast packet is immutable (radio.Receiver).
 	sig *packet.Sig
 
 	// Flash: the entries this node holds, in unit order. units[0] is the
@@ -37,17 +38,30 @@ type Handler struct {
 	// authenticate the page in progress.
 	units []*Unit
 
-	// RAM: the authenticated packets of the unit in progress (nil =
-	// missing): n0 slots while M0 assembles, n while a page does, none
-	// before the signature or once every unit is held. A packet ingested
-	// while the store holds the unit's entry aliases the entry's symbol;
-	// one ingested before aliases the authenticated payload itself, whose
-	// bytes a broadcast packet never changes (radio.Receiver).
-	shards [][]byte
-	count  int
+	// RAM: the authenticated packet indices of the unit in progress, one
+	// bit each (packet.Data.Index is a uint8, so a unit has at most 256).
+	held  [4]uint64
+	count int
+	// pre keeps the payload of each packet ingested while the store holds
+	// no entry for the unit (nil = none): the unit's first completer
+	// decodes from them, a later one byte-compares them with the entry. A
+	// packet ingested once the entry exists was compared with its symbol
+	// on arrival, so its bit is all it leaves. The slots are allocated on
+	// the first such packet, sized for M0 and pages alike, and cleared in
+	// place between units; the payloads are aliased, not copied, since a
+	// broadcast packet's bytes never change (radio.Receiver).
+	pre [][]byte
 	// entry is the store's entry for the unit in progress, looked up on
 	// each ingest until one exists; nil again once the unit is held.
 	entry *Unit
+}
+
+// shape is a scheme with its page and M0 codecs: the same for every
+// handler of the scheme, so a run's handlers share one (Store.shape).
+type shape struct {
+	Scheme
+	codec  erasure.Codec
+	codec0 erasure.Codec
 }
 
 var _ dissem.ObjectHandler = (*Handler)(nil)
@@ -62,19 +76,13 @@ func NewHandler(version uint16, s Scheme, store *Store, sigCtx *dissem.SigContex
 	if sigCtx == nil {
 		return nil, fmt.Errorf("core: nil signature context")
 	}
-	codec, err := store.Codec(s.params.K, s.n)
-	if err != nil {
-		return nil, err
-	}
-	codec0, err := store.Codec(s.geom.numPlain, s.geom.numEnc)
+	sh, err := store.shape(s)
 	if err != nil {
 		return nil, err
 	}
 	return &Handler{
-		Scheme:  s,
+		shape:   sh,
 		version: version,
-		codec:   codec,
-		codec0:  codec0,
 		store:   store,
 		sigCtx:  sigCtx,
 	}, nil
@@ -85,15 +93,21 @@ func NewHandler(version uint16, s Scheme, store *Store, sigCtx *dissem.SigContex
 // checks overheard packets through the run's store like every other node.
 func Preload(o *Object, store *Store, sigCtx *dissem.SigContext) *Handler {
 	return &Handler{
-		Scheme:  o.Scheme,
+		shape:   &shape{Scheme: o.Scheme, codec: o.codec, codec0: o.codec0},
 		version: o.version,
-		codec:   o.codec,
-		codec0:  o.codec0,
 		store:   store,
 		sigCtx:  sigCtx,
 		sig:     o.sig,
 		units:   o.units,
 	}
+}
+
+// HeapBytes returns the heap bytes the handler holds on its own
+// (obs.AllocBytes over struct sizes and counts): the struct, its list of
+// held entries and its pre-entry slots. The entries, the shape and the
+// signature are shared and not counted here.
+func (h *Handler) HeapBytes() int64 {
+	return obs.ObjectBytes(h) + obs.SliceBytes(h.units) + obs.SliceBytes(h.pre)
 }
 
 // WipeVolatile implements dissem.ObjectHandler: a power loss discards the
@@ -102,9 +116,13 @@ func Preload(o *Object, store *Store, sigCtx *dissem.SigContext) *Handler {
 // page and with them the expected hash images for the current page — and
 // the verified signature live in flash and survive.
 func (h *Handler) WipeVolatile() {
-	clear(h.shards)
+	h.held = [4]uint64{}
 	h.count = 0
+	clear(h.pre)
 }
+
+// has reports whether packet idx of the unit in progress is held.
+func (h *Handler) has(idx int) bool { return h.held[idx>>6]&(1<<(idx&63)) != 0 }
 
 // Version implements dissem.ObjectHandler.
 func (h *Handler) Version() uint16 { return h.version }
@@ -160,7 +178,7 @@ func (h *Handler) HasPacket(u, idx int) bool {
 	case u > cu, u == 0:
 		return false
 	default:
-		return idx >= 0 && idx < len(h.shards) && h.shards[idx] != nil
+		return idx >= 0 && idx < h.PacketsInUnit(u) && h.has(idx)
 	}
 }
 
@@ -187,24 +205,17 @@ func (h *Handler) IngestSig(s *packet.Sig) dissem.IngestResult {
 	if !h.sigCtx.FullVerify(s) || s.Pages == 0 {
 		return dissem.Rejected
 	}
-	h.sig = &packet.Sig{
-		Version:   s.Version,
-		Pages:     s.Pages,
-		Root:      s.Root,
-		Signature: append([]byte(nil), s.Signature...),
-		PuzzleKey: s.PuzzleKey,
-		PuzzleSol: s.PuzzleSol,
-	}
-	h.shards = make([][]byte, h.geom.numEnc)
+	h.sig = s
+	h.units = make([]*Unit, 0, int(s.Pages)+1)
 	return dissem.UnitComplete
 }
 
 // Ingest implements dissem.ObjectHandler: authenticate immediately, then
-// store the packet. Once the store holds the unit's entry, the packet must
-// equal the entry's symbol and its slot aliases that symbol; before then it
-// aliases the payload, which is immutable (DESIGN §18). With k' (or k0')
-// packets in, the unit completes against the entry, or, with no entry yet,
-// by erasure-decoding.
+// mark the packet held. Once the store holds the unit's entry, the packet
+// must equal the entry's symbol and its bit is all it leaves; before then
+// its payload is kept, aliased, in a pre-entry slot (DESIGN §18). With k'
+// (or k0') packets in, the unit completes against the entry, or, with no
+// entry yet, by erasure-decoding the kept payloads.
 func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	u := int(d.Unit)
 	if u == 0 || u != h.CompleteUnits() {
@@ -214,21 +225,18 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 		return dissem.Rejected
 	}
 	idx := int(d.Index)
-	if h.shards[idx] != nil {
+	if h.has(idx) {
 		return dissem.Duplicate
 	}
 	if h.entry == nil {
 		h.entry = h.store.Lookup(h.sig.Root, u)
 	}
 	if h.entry == nil {
-		h.shards[idx] = d.Payload
-	} else {
-		sym, err := h.symbol(u, h.entry, idx)
-		if err != nil || !bytes.Equal(sym, d.Payload) {
-			return dissem.Rejected // unreachable: the packet was authenticated
-		}
-		h.shards[idx] = sym
+		h.slots(u)[idx] = d.Payload
+	} else if sym, err := h.symbol(u, h.entry, idx); err != nil || !bytes.Equal(sym, d.Payload) {
+		return dissem.Rejected // unreachable: the packet was authenticated
 	}
+	h.held[idx>>6] |= 1 << (idx & 63)
 	h.count++
 	switch {
 	case h.count < h.NeededInUnit(u):
@@ -242,21 +250,32 @@ func (h *Handler) Ingest(d *packet.Data) dissem.IngestResult {
 	}
 }
 
+// slots returns unit u's pre-entry slots, allocating the array on first
+// use with room for M0's n0 packets and a page's n alike.
+func (h *Handler) slots(u int) [][]byte {
+	if h.pre == nil {
+		h.pre = make([][]byte, max(h.geom.numEnc, h.n))
+	}
+	return h.pre[:h.PacketsInUnit(u)]
+}
+
 // completeByComparison completes unit u against the store's entry for it:
-// every held shard must equal the entry's symbol at its index, a pointer
-// compare for the shards that alias it and a byte compare for the payloads
-// kept before the entry existed. The k' authenticated symbols then are
-// the entry's codeword (DESIGN §18), so the node holds the entry without
-// decoding. A mismatch wipes the buffer.
+// every payload kept before the entry existed must equal the entry's
+// symbol at its index, byte for byte; the packets ingested since were
+// compared on arrival. The k' authenticated symbols then are the entry's
+// codeword (DESIGN §18), so the node holds the entry without decoding. A
+// mismatch wipes the unit in progress.
 func (h *Handler) completeByComparison(u int) dissem.IngestResult {
-	for idx, shard := range h.shards {
-		if shard == nil {
-			continue
-		}
-		sym, err := h.symbol(u, h.entry, idx)
-		if err != nil || (&shard[0] != &sym[0] && !bytes.Equal(shard, sym)) {
-			h.WipeVolatile()
-			return dissem.Rejected
+	if h.pre != nil {
+		for idx, p := range h.slots(u) {
+			if p == nil {
+				continue
+			}
+			sym, err := h.symbol(u, h.entry, idx)
+			if err != nil || !bytes.Equal(p, sym) {
+				h.WipeVolatile()
+				return dissem.Rejected
+			}
 		}
 	}
 	return h.hold(h.entry)
@@ -269,7 +288,7 @@ func (h *Handler) completeM0() dissem.IngestResult {
 	ot := h.sigCtx.Obs
 	plain := newRows(h.geom.numPlain, h.geom.blockSize)
 	ot.Start(obs.PhaseRSDecode)
-	err := h.codec0.DecodeInto(h.shards, plain)
+	err := h.codec0.DecodeInto(h.slots(1), plain)
 	ot.End(obs.PhaseRSDecode)
 	if err != nil {
 		return dissem.Stored // cannot happen with an MDS code; wait for more
@@ -303,14 +322,14 @@ func (h *Handler) completeM0() dissem.IngestResult {
 // from the k' authenticated packets in hand and interns the entry.
 func (h *Handler) completePage() dissem.IngestResult {
 	ot := h.sigCtx.Obs
+	page := len(h.units) // 1-based number of the page just decoded
 	blocks := newRows(h.params.K, h.params.PacketPayload)
 	ot.Start(obs.PhaseRSDecode)
-	err := h.codec.DecodeInto(h.shards, blocks)
+	err := h.codec.DecodeInto(h.slots(page+1), blocks)
 	ot.End(obs.PhaseRSDecode)
 	if err != nil {
 		return dissem.Stored
 	}
-	page := len(h.units) // 1-based number of the page just decoded
 	entry, ok := h.store.Intern(h.sig.Root, page+1, blocks, func() *Unit {
 		if page == int(h.sig.Pages) {
 			return &Unit{}
@@ -326,19 +345,15 @@ func (h *Handler) completePage() dissem.IngestResult {
 	return h.hold(entry)
 }
 
-// hold appends a completed unit's entry and readies the buffer for the next
-// unit: n slots for the next page, none once every unit is held.
+// hold appends a completed unit's entry and readies the handler for the
+// next unit: no packet held and the pre-entry slots cleared in place, or
+// released once every unit is held.
 func (h *Handler) hold(entry *Unit) dissem.IngestResult {
 	h.units = append(h.units, entry)
-	switch {
-	case len(h.units) == int(h.sig.Pages)+1:
-		h.shards = nil
-	case len(h.units) == 1:
-		h.shards = make([][]byte, h.n)
-	default:
-		clear(h.shards)
+	h.WipeVolatile()
+	if len(h.units) == int(h.sig.Pages)+1 {
+		h.pre = nil
 	}
-	h.count = 0
 	h.entry = nil
 	return dissem.UnitComplete
 }
@@ -381,7 +396,7 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 		}
 		ot := h.sigCtx.Obs
 		ot.Start(obs.PhaseHashVerify)
-		ok := merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof)
+		ok := h.store.proofs.Verify(h.sig.Root, d.Payload, idx, d.Proof)
 		ot.End(obs.PhaseHashVerify)
 		return ok
 	case u >= 2:

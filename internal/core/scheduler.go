@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"lrseluge/internal/dissem"
+	"lrseluge/internal/obs"
 	"lrseluge/internal/packet"
 )
 
@@ -20,9 +21,9 @@ import (
 //
 // State is laid out for scale: tracking tables are slices indexed by unit,
 // entries are id-sorted slices (iteration order matches the old
-// detmap.SortedKeys map walk bit for bit), and entry bit vectors plus the
-// popularity tally are recycled, so a serving node's footprint is
-// O(pages + neighbors) with no steady-state allocation.
+// detmap.SortedKeys map walk bit for bit), entry bit vectors are recycled,
+// and the popularity tally lives on the stack, so a serving node's footprint
+// is O(pages + neighbors) with no steady-state allocation.
 type Scheduler struct {
 	sizeOf   func(unit int) int
 	neededOf func(unit int) int
@@ -35,8 +36,6 @@ type Scheduler struct {
 	// index 0 — fresh packets help every receiver that still needs any.
 	// -1 means never transmitted.
 	lastIdx []int
-	// pop is the reusable per-packet popularity tally for Next.
-	pop []int
 }
 
 // trackTable holds one unit's tracking entries, sorted by requester id.
@@ -62,6 +61,27 @@ func NewScheduler(sizeOf, neededOf func(unit int) int) *Scheduler {
 		sizeOf:   sizeOf,
 		neededOf: neededOf,
 	}
+}
+
+// HeapBytes returns the heap bytes the scheduler holds (obs.AllocBytes over
+// struct sizes and counts): the struct, its two unit callbacks, the
+// per-unit arrays, and each tracking table with its entries' and spare bit
+// vectors.
+func (s *Scheduler) HeapBytes() int64 {
+	b := obs.ObjectBytes(s) + 2*obs.MethodValueBytes + obs.SliceBytes(s.units) + obs.SliceBytes(s.lastIdx)
+	for _, tbl := range s.units {
+		if tbl == nil {
+			continue
+		}
+		b += obs.ObjectBytes(tbl) + obs.SliceBytes(tbl.entries) + obs.SliceBytes(tbl.spare)
+		for i := range tbl.entries {
+			b += obs.SliceBytes(tbl.entries[i].bits.Bytes())
+		}
+		for _, v := range tbl.spare {
+			b += obs.SliceBytes(v.Bytes())
+		}
+	}
+	return b
 }
 
 // tableOf returns the tracking table for a unit, or nil.
@@ -191,7 +211,10 @@ func (s *Scheduler) Next() (int, int, bool) {
 			return 0, 0, false
 		}
 		n := s.sizeOf(u)
-		pop, maxPop := s.popularity(tbl, n)
+		// A unit has at most 256 packets (packet.Data.Index is a uint8).
+		var tally [256]int32
+		pop := tally[:n]
+		maxPop := popularity(tbl, pop)
 		if maxPop == 0 {
 			// Entries with positive distance but no wanted bits cannot
 			// occur for well-formed requests; drop the stale table.
@@ -225,18 +248,13 @@ func (s *Scheduler) Next() (int, int, bool) {
 	}
 }
 
-// popularity tallies, for each of the unit's n packets, how many entries
-// want it, and returns the tally with its maximum. It walks each entry's
-// set bits only; slack bits past n in the last byte are ignored.
-func (s *Scheduler) popularity(tbl *trackTable, n int) ([]int, int) {
-	if cap(s.pop) < n {
-		s.pop = make([]int, n)
-	}
-	pop := s.pop[:n]
-	for j := range pop {
-		pop[j] = 0
-	}
-	maxPop := 0
+// popularity tallies into pop, which starts zeroed and has one count per
+// packet of the unit, how many entries want each packet, and returns the
+// maximum. It walks each entry's set bits only; slack bits past the unit's
+// last packet are ignored.
+func popularity(tbl *trackTable, pop []int32) int32 {
+	n := len(pop)
+	maxPop := int32(0)
 	for i := range tbl.entries {
 		for k, b := range tbl.entries[i].bits.Bytes() {
 			for ; b != 0; b &= b - 1 {
@@ -251,7 +269,7 @@ func (s *Scheduler) popularity(tbl *trackTable, n int) ([]int, int) {
 			}
 		}
 	}
-	return pop, maxPop
+	return maxPop
 }
 
 // Pending implements dissem.TxPolicy.

@@ -241,7 +241,7 @@ func drainAll(s *Scheduler) []int {
 	}
 }
 
-// getLoopPopularity is the oracle for Scheduler.popularity: the per-index
+// getLoopPopularity is the oracle for popularity: the per-index
 // Get loop Next used before it walked set bits.
 func getLoopPopularity(tbl *trackTable, n int) ([]int, int) {
 	pop := make([]int, n)
@@ -329,9 +329,10 @@ func TestPopularityMatchesGetLoop(t *testing.T) {
 					if tbl == nil {
 						continue
 					}
-					g, gmax := got.popularity(tbl, n)
+					g := make([]int32, n)
+					gmax := popularity(tbl, g)
 					w, wmax := getLoopPopularity(tbl, n)
-					if fmt.Sprint(g) != fmt.Sprint(w) || gmax != wmax {
+					if fmt.Sprint(g) != fmt.Sprint(w) || int(gmax) != wmax {
 						t.Fatalf("n=%d trial %d step %d unit %d: tally %v max %d, Get loop %v max %d",
 							n, trial, step, u, g, gmax, w, wmax)
 					}

@@ -6,6 +6,7 @@ import (
 	"lrseluge/internal/crypt/hashx"
 	"lrseluge/internal/crypt/merkle"
 	"lrseluge/internal/erasure"
+	"lrseluge/internal/obs"
 )
 
 // Store is a run's table of authenticated unit content. The hash chain
@@ -22,6 +23,7 @@ import (
 // concurrent use: a run is single-goroutine.
 type Store struct {
 	codecs map[[2]int]erasure.Codec
+	shapes []*shape // one per scheme; a run has one or two
 	units  map[unitKey]*Unit
 
 	// hashes computes every handler's page-packet hash images: the
@@ -29,6 +31,11 @@ type Store struct {
 	// remembered body spares all but the first a hash. Each receiver still
 	// compares the image with the one its own chain expects.
 	hashes hashx.Memo
+	// proofs checks every handler's M0 packets the same way: one
+	// remembered (root, index, payload, proof) spares the other receivers
+	// of a broadcast the Merkle walk. Each receiver passes its own signed
+	// root, and only a byte-identical check shares a verdict.
+	proofs merkle.Memo
 }
 
 type unitKey struct {
@@ -57,6 +64,48 @@ func (s *Store) Codec(k, n int) (erasure.Codec, error) {
 	}
 	s.codecs[key] = c
 	return c, nil
+}
+
+// shape returns the run's one shape for scheme sc, building it on first
+// use: every handler of the scheme shares it, codecs included.
+func (s *Store) shape(sc Scheme) (*shape, error) {
+	for _, sh := range s.shapes {
+		if sh.Scheme == sc {
+			return sh, nil
+		}
+	}
+	codec, err := s.Codec(sc.params.K, sc.n)
+	if err != nil {
+		return nil, err
+	}
+	codec0, err := s.Codec(sc.geom.numPlain, sc.geom.numEnc)
+	if err != nil {
+		return nil, err
+	}
+	sh := &shape{Scheme: sc, codec: codec, codec0: codec0}
+	s.shapes = append(s.shapes, sh)
+	return sh, nil
+}
+
+// HeapBytes returns the heap bytes of the store's entries and shapes
+// (obs.AllocBytes over struct sizes and counts). Map overhead, M0's Merkle
+// tree and the codecs' tables are not counted; rows of one unit are taken
+// to share one backing array, as decoded rows do.
+func (s *Store) HeapBytes() int64 {
+	b := obs.ObjectBytes(s) + obs.SliceBytes(s.shapes) + int64(len(s.shapes))*obs.ObjectBytes(&shape{})
+	//lrlint:ignore effect-purity a sum of sizes does not depend on the order it is taken in
+	for _, u := range s.units {
+		b += obs.ObjectBytes(u) + rowsBytes(u.blocks) + rowsBytes(u.enc) + obs.SliceBytes(u.next)
+	}
+	return b
+}
+
+// rowsBytes is the heap bytes of equal-length rows over one backing array.
+func rowsBytes(rows [][]byte) int64 {
+	if len(rows) == 0 {
+		return 0
+	}
+	return obs.SliceBytes(rows) + obs.AllocBytes(uintptr(len(rows)*len(rows[0])))
 }
 
 // Lookup returns the entry for unit of the object signed with root, or nil.
@@ -88,7 +137,6 @@ func (s *Store) Intern(root hashx.Image, unit int, blocks [][]byte, fresh func()
 // Unit is the authenticated content of one unit of one signed object. It is
 // immutable once built, apart from two caches: the encoded packets, filled
 // on the first serve or parity check by any node, and the image-check memo.
-// Handlers' shard slots alias its blocks and encoded packets.
 type Unit struct {
 	// blocks are the unit's recovered blocks: a page's k plaintext blocks
 	// (image bytes and the next page's hash images) or M0's k0 plain

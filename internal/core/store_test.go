@@ -193,8 +193,8 @@ func TestCrashKeepsHeldEntriesWipesBuffer(t *testing.T) {
 		if !dst.MatchesImage(f.data) {
 			t.Fatal("image mismatch after reboot")
 		}
-		if dst.shards != nil {
-			t.Fatal("in-progress buffer kept after every unit is held")
+		if dst.pre != nil {
+			t.Fatal("pre-entry slots kept after every unit is held")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"lrseluge/internal/metrics"
+	"lrseluge/internal/obs"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/radio"
 	"lrseluge/internal/sim"
@@ -18,11 +19,11 @@ import (
 // to the radio, Trickle advertisements, SNACK requests with suppression,
 // retry timers, and the optional denial-of-receipt defense.
 type Node struct {
-	id      packet.NodeID
-	nw      *radio.Network
-	eng     *sim.Engine
-	rng     *rand.Rand
-	cfg     Config
+	id  packet.NodeID
+	nw  *radio.Network
+	eng *sim.Engine
+	// cfg is the run's one configuration, shared by all its nodes.
+	cfg     *Config
 	handler ObjectHandler
 	policy  TxPolicy
 	trk     *trickle.Trickle
@@ -33,8 +34,10 @@ type Node struct {
 	// (states, unit milestones, spans); nil disables tracing (every call
 	// site is nil-safe).
 	tr *trace.Tracer
-	// src is the SplitMix64 state rng (shared with the Trickle timer)
-	// draws from, held in the node so it costs no allocation of its own.
+	// rng (shared with the Trickle timer) draws from the SplitMix64 state
+	// src; both are held in the node so they cost no allocation of their
+	// own.
+	rng rand.Rand
 	src xrand.SplitMix
 
 	// servers lists in-range advertisers and their advertised complete-unit
@@ -63,12 +66,8 @@ type Node struct {
 	onSNACK, onRetry, onTxStep func()
 
 	sigPending bool
-	// sigSpan brackets the in-flight signature verification; fetchSpan
-	// brackets the unit currently being assembled (fetchUnit). Both are
-	// inert when tracing is off.
-	sigSpan   trace.Span
-	fetchSpan trace.Span
-	fetchUnit int
+	// spans holds the node's open trace spans; nil when tracing is off.
+	spans *nodeSpans
 
 	// Denial-of-receipt defense state: data packets requested per
 	// (neighbor, unit) and neighbors being ignored. Both maps are nil
@@ -95,6 +94,13 @@ type Node struct {
 	lastSigAnnounce sim.Time
 }
 
+// nodeSpans are a traced node's open spans: sig brackets the in-flight
+// signature verification, fetch the unit being assembled (fetchUnit).
+type nodeSpans struct {
+	sig, fetch trace.Span
+	fetchUnit  int
+}
+
 type servedKey struct {
 	from packet.NodeID
 	unit int
@@ -105,8 +111,12 @@ type servedKey struct {
 const maxRetriesBeforeMaintain = 10
 
 // NewNode builds a dissemination node and attaches it to the network at the
-// given id. Call Start to begin operation.
-func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHandler, policy TxPolicy, seed int64) (*Node, error) {
+// given id. Call Start to begin operation. The node keeps cfg, which a run's
+// nodes share and which must not change once the run starts.
+func NewNode(id packet.NodeID, nw *radio.Network, cfg *Config, handler ObjectHandler, policy TxPolicy, seed int64) (*Node, error) {
+	if cfg == nil {
+		return nil, fmt.Errorf("dissem: nil config")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -124,9 +134,12 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 		tr:      nw.Collector().Tracer(),
 	}
 	n.src.Seed(seed)
-	n.rng = rand.New(&n.src)
+	n.rng = *rand.New(&n.src)
+	if n.tr.Enabled() {
+		n.spans = new(nodeSpans)
+	}
 	n.onSNACK, n.onRetry, n.onTxStep = n.sendSNACK, n.retryExpired, n.txStep
-	trk, err := trickle.New(n.eng, n.rng, cfg.Trickle, n.advertise)
+	trk, err := trickle.New(n.eng, &n.rng, cfg.Trickle, n.advertise)
 	if err != nil {
 		return nil, err
 	}
@@ -135,6 +148,38 @@ func NewNode(id packet.NodeID, nw *radio.Network, cfg Config, handler ObjectHand
 		return nil, err
 	}
 	return n, nil
+}
+
+// Footprint is the heap bytes one node holds, by component, from struct
+// sizes and counts (obs.AllocBytes). A handler or policy that cannot
+// account for itself (no HeapBytes method) counts zero.
+type Footprint struct {
+	Node, Trickle, Handler, Policy int64
+}
+
+// heapSizer is a component that reports its own heap bytes.
+type heapSizer interface{ HeapBytes() int64 }
+
+// Footprint returns the node's heap bytes by component. Node covers the
+// struct, its four bound callbacks, its neighbor and candidate tables and
+// its trace spans; the denial-of-receipt maps, nil unless the defense
+// records something, are not counted.
+func (n *Node) Footprint() Footprint {
+	f := Footprint{
+		Node: obs.ObjectBytes(n) + 4*obs.MethodValueBytes +
+			obs.SliceBytes(n.servers.entries) + obs.SliceBytes(n.snackCand),
+		Trickle: n.trk.HeapBytes(),
+	}
+	if n.spans != nil {
+		f.Node += obs.ObjectBytes(n.spans)
+	}
+	if h, ok := n.handler.(heapSizer); ok {
+		f.Handler = h.HeapBytes()
+	}
+	if p, ok := n.policy.(heapSizer); ok {
+		f.Policy = p.HeapBytes()
+	}
+	return f
 }
 
 // ID returns the node's identifier.
@@ -445,15 +490,19 @@ func (n *Node) handleSig(from packet.NodeID, s *packet.Sig) {
 // is in progress.
 func (n *Node) verifySig(from packet.NodeID, s *packet.Sig, h ObjectHandler, accepted func()) {
 	n.sigPending = true
-	n.sigSpan = n.tr.Begin(n.id, "sig-verify", trace.NoUnit)
+	if n.spans != nil {
+		n.spans.sig = n.tr.Begin(n.id, "sig-verify", trace.NoUnit)
+	}
 	epoch := n.epoch
 	n.eng.Schedule(n.cfg.SigVerifyDelay, func() {
 		if n.down || n.epoch != epoch {
 			return
 		}
 		n.sigPending = false
-		n.sigSpan.End()
-		n.sigSpan = trace.Span{}
+		if n.spans != nil {
+			n.spans.sig.End()
+			n.spans.sig = trace.Span{}
+		}
 		switch h.IngestSig(s) {
 		case Rejected:
 			n.col.SigResult(n.id, from, false)
@@ -481,8 +530,9 @@ func (n *Node) resetRAM() {
 	n.txTimer.Stop()
 	n.setTxActive(false)
 	n.sigPending = false
-	n.sigSpan = trace.Span{}
-	n.fetchSpan = trace.Span{}
+	if n.spans != nil {
+		*n.spans = nodeSpans{}
+	}
 	n.completed = false
 }
 
@@ -534,18 +584,19 @@ func (n *Node) heldAny(unit int) bool {
 
 // beginFetchSpan opens the page-fetch span for the unit being assembled.
 func (n *Node) beginFetchSpan(unit int) {
-	if !n.tr.Enabled() || (n.fetchSpan.Active() && n.fetchUnit == unit) {
+	sp := n.spans
+	if sp == nil || (sp.fetch.Active() && sp.fetchUnit == unit) {
 		return
 	}
-	n.fetchSpan = n.tr.Begin(n.id, "page-fetch", unit)
-	n.fetchUnit = unit
+	sp.fetch = n.tr.Begin(n.id, "page-fetch", unit)
+	sp.fetchUnit = unit
 }
 
 // endFetchSpan closes the page-fetch span if it covers this unit.
 func (n *Node) endFetchSpan(unit int) {
-	if n.fetchSpan.Active() && n.fetchUnit == unit {
-		n.fetchSpan.End()
-		n.fetchSpan = trace.Span{}
+	if sp := n.spans; sp != nil && sp.fetch.Active() && sp.fetchUnit == unit {
+		sp.fetch.End()
+		sp.fetch = trace.Span{}
 	}
 }
 

@@ -106,7 +106,7 @@ func newHarness(t *testing.T, nodes int, loss radio.LossModel, cfg dissem.Config
 	for i := 0; i < nodes; i++ {
 		fake := newFake(total, per, i == 0)
 		policy := dissem.NewUnionPolicy(fake.PacketsInUnit)
-		node, err := dissem.NewNode(packet.NodeID(i), nw, cfg, fake, policy, int64(i)+100)
+		node, err := dissem.NewNode(packet.NodeID(i), nw, &cfg, fake, policy, int64(i)+100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,12 +216,16 @@ func TestNewNodeValidation(t *testing.T) {
 	g, _ := topo.Complete(2)
 	nw, _ := radio.New(eng, g, nil, radio.DefaultConfig(), col, 1)
 	fake := newFake(1, 1, false)
-	if _, err := dissem.NewNode(0, nw, dissem.DefaultConfig(), nil, dissem.NewUnionPolicy(fake.PacketsInUnit), 1); err == nil {
+	cfg := dissem.DefaultConfig()
+	if _, err := dissem.NewNode(0, nw, &cfg, nil, dissem.NewUnionPolicy(fake.PacketsInUnit), 1); err == nil {
 		t.Fatal("nil handler accepted")
+	}
+	if _, err := dissem.NewNode(0, nw, nil, fake, dissem.NewUnionPolicy(fake.PacketsInUnit), 1); err == nil {
+		t.Fatal("nil config accepted")
 	}
 	bad := dissem.DefaultConfig()
 	bad.RxRetryTimeout = 0
-	if _, err := dissem.NewNode(0, nw, bad, fake, dissem.NewUnionPolicy(fake.PacketsInUnit), 1); err == nil {
+	if _, err := dissem.NewNode(0, nw, &bad, fake, dissem.NewUnionPolicy(fake.PacketsInUnit), 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

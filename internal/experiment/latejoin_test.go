@@ -41,7 +41,7 @@ func TestLateJoinerCatchesUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	lateID := packet.NodeID(4)
-	node, err := dissem.NewNode(lateID, e.nw, e.scenario.Dissem, h, h.NewPolicy(), 999)
+	node, err := dissem.NewNode(lateID, e.nw, &e.scenario.Dissem, h, h.NewPolicy(), 999)
 	if err != nil {
 		t.Fatal(err)
 	}

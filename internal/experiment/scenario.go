@@ -500,7 +500,7 @@ func ablationEntries(params image.Params, imageSize, receivers int, p float64, r
 }
 
 func (e *Env) addNode(id packet.NodeID, handler dissem.ObjectHandler, policy dissem.TxPolicy) error {
-	node, err := dissem.NewNode(id, e.nw, e.scenario.Dissem, handler, policy, e.scenario.Seed^(int64(id)*0x9e3779b9+1))
+	node, err := dissem.NewNode(id, e.nw, &e.scenario.Dissem, handler, policy, e.scenario.Seed^(int64(id)*0x9e3779b9+1))
 	if err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 //   - rand.New(...) is the seeded origin (rng-const-seed separately polices
 //     the seed expression itself);
 //   - a local variable traces through its assignments in the enclosing body;
+//   - &x and *x trace as x (a stream held by value is its pointer's);
 //   - a parameter traces through every static call site's argument — both
 //     direct calls and, for methods behind a module-declared interface,
 //     the call sites of the interface method, expanded via the implementers
@@ -153,6 +154,9 @@ func (p *provAnalysis) traceExpr(pkg *Package, fn *funcInfo, e ast.Expr) bool {
 			return p.traceExpr(pkg, fn, x.X)
 		}
 		return false
+	case *ast.StarExpr:
+		// A stream held by value is the one its pointer points to.
+		return p.traceExpr(pkg, fn, x.X)
 	default:
 		return false
 	}

@@ -42,3 +42,15 @@ func ConsumeField(n int) int {
 	h := &holder{rng: leak()}
 	return h.rng.Intn(n)
 }
+
+type valHolder struct {
+	rng rand.Rand
+}
+
+// ConsumeValueField draws from a value-held stream copied out of an
+// untraceable pointer.
+func ConsumeValueField(n int) int {
+	var h valHolder
+	h.rng = *leak()
+	return h.rng.Intn(n)
+}

@@ -46,3 +46,16 @@ func UseBoth(seed int64) int {
 	b := pick(rand.New(xrand.NewSplitMix(seed+1)), 10)
 	return a + b
 }
+
+// valComp holds its stream by value, filled from a seeded construction.
+type valComp struct {
+	rng rand.Rand
+}
+
+// SampleByValue consumes a value-held stream; the field traces through the
+// dereferenced construction it was assigned.
+func SampleByValue(seed int64) int {
+	var c valComp
+	c.rng = *newStream(seed)
+	return c.rng.Intn(10)
+}

@@ -18,6 +18,7 @@ import (
 	"math"
 	"strings"
 
+	"lrseluge/internal/obs"
 	"lrseluge/internal/packet"
 	"lrseluge/internal/sim"
 	"lrseluge/internal/trace"
@@ -87,6 +88,14 @@ const (
 // New returns an empty collector that forwards every reported event to tr;
 // a nil tr disables tracing.
 func New(tr *trace.Tracer) *Collector { return &Collector{tr: tr} }
+
+// HeapBytes returns the heap bytes of the collector's struct and its
+// per-node and per-unit arrays (obs.AllocBytes over struct sizes and
+// counts). The tracer and transmission hash are not counted.
+func (c *Collector) HeapBytes() int64 {
+	return obs.ObjectBytes(c) + obs.SliceBytes(c.dataTxByUnit) + obs.SliceBytes(c.nodeTx) +
+		obs.SliceBytes(c.done) + obs.SliceBytes(c.doneVer) + obs.SliceBytes(c.lastCrash) + obs.SliceBytes(c.lastReboot)
+}
 
 // Tracer returns the run's tracer; nil means tracing is off. Protocol nodes
 // and the fault engine pick it up here for the events only they see.

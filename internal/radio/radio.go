@@ -26,8 +26,9 @@ import (
 // HandlePacket runs inside the simulation loop. Every receiver of one
 // transmission gets the same packet value, so it must be treated as
 // read-only; its bytes are immutable, and a receiver may keep them (a
-// payload slice, say) past the call. Senders hand the radio bytes nothing
-// writes afterwards: a protocol serves its stored or encoded units, and
+// payload slice, say, or a whole signature packet) past the call. Senders
+// hand the radio bytes nothing writes afterwards: a protocol serves its
+// stored or encoded units and a fresh copy of its signature packet, and
 // the adversary and WireCheck build fresh buffers for every packet.
 type Receiver interface {
 	HandlePacket(from packet.NodeID, p packet.Packet)
@@ -136,6 +137,9 @@ func (nw *Network) Collector() *metrics.Collector { return nw.col }
 // NumNodes returns the topology size.
 func (nw *Network) NumNodes() int { return len(nw.nodes) }
 
+// Graph returns the topology the network runs over.
+func (nw *Network) Graph() *topo.Graph { return nw.graph }
+
 // Neighbors returns the topology neighbor list for a node.
 func (nw *Network) Neighbors(id packet.NodeID) []topo.Link { return nw.graph.Neighbors(int(id)) }
 
@@ -187,6 +191,18 @@ type transmission struct {
 	// record's lives.
 	batch            []delivery
 	onSent, onArrive func()
+}
+
+// HeapBytes returns the heap bytes the network holds (obs.AllocBytes over
+// struct sizes and counts): the struct, its per-node receiver and busy
+// arrays, and its pooled transmission records with their bound callbacks
+// and receiver batches. Records on the air are not counted.
+func (nw *Network) HeapBytes() int64 {
+	b := obs.ObjectBytes(nw) + obs.SliceBytes(nw.nodes) + obs.SliceBytes(nw.busyUntil) + obs.SliceBytes(nw.txPool)
+	for _, tx := range nw.txPool {
+		b += obs.ObjectBytes(tx) + 2*obs.MethodValueBytes + obs.SliceBytes(tx.batch)
+	}
+	return b
 }
 
 // getTx hands out a recycled transmission record, or makes one.

@@ -67,6 +67,10 @@ type Config struct {
 	// resulting attribution table. Measurements never feed back into
 	// the simulation, so same-seed runs stay byte-identical either way.
 	Obs *obs.Timers
+	// Memory, when true, takes the run's per-component memory table
+	// (experiment.Env.MemTable) after each slice; Report.Memory keeps the
+	// one with the largest total.
+	Memory bool
 }
 
 // Snapshot is one incremental progress observation.
@@ -123,6 +127,10 @@ type Report struct {
 	TraceHash string `json:"trace_hash,omitempty"`
 	// Obs is the wall-time attribution table when Config.Obs was set.
 	Obs *obs.Attribution `json:"obs,omitempty"`
+	// Memory is the per-component memory table at the slice where its
+	// total peaked, when Config.Memory was set: bytes and bytes per node
+	// from struct sizes and counts, not sampling.
+	Memory []obs.MemRow `json:"memory,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
@@ -158,8 +166,15 @@ func Run(cfg Config) (Report, error) {
 		traceHash = col.HashTx()
 	}
 
+	var memory []obs.MemRow
+	var memPeak int64
 	start := time.Now()
 	env.Drive(cfg.SliceEvery, func(now sim.Time) {
+		if cfg.Memory {
+			if rows := env.MemTable(); memTotal(rows) > memPeak {
+				memory, memPeak = rows, memTotal(rows)
+			}
+		}
 		if cfg.Progress != nil {
 			cfg.Progress(Snapshot{
 				Now:         now,
@@ -187,6 +202,7 @@ func Run(cfg Config) (Report, error) {
 		BytesPerNode: float64(col.TotalBytes()) / float64(cfg.Nodes),
 		ImagesOK:     env.ImagesOK(),
 		PeakRSSKB:    peakRSSKB(),
+		Memory:       memory,
 	}
 	// An unreachable node never receives a packet, so it is always among
 	// the incomplete ones.
@@ -202,6 +218,15 @@ func Run(cfg Config) (Report, error) {
 		rep.Obs = &table
 	}
 	return rep, nil
+}
+
+// memTotal sums a memory table's bytes.
+func memTotal(rows []obs.MemRow) int64 {
+	var total int64
+	for _, r := range rows {
+		total += r.Bytes
+	}
+	return total
 }
 
 // build wires cfg's run: an LR-Seluge experiment.Scenario on a random-disk

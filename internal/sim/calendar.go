@@ -4,6 +4,9 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"unsafe"
+
+	"lrseluge/internal/obs"
 )
 
 // calendarQueue is a calendar queue (R. Brown, CACM 1988): events hash into
@@ -117,6 +120,16 @@ func (q *calendarQueue) fill() {
 
 // Len implements Queue.
 func (q *calendarQueue) Len() int { return q.n }
+
+// heapBytes implements Queue. Buckets carved from one shared array count
+// their slots of it, so the figure is exact up to that array's rounding.
+func (q *calendarQueue) heapBytes() int64 {
+	b := obs.ObjectBytes(q) + obs.SliceBytes(q.buckets) + obs.SliceBytes(q.occ) + obs.SliceBytes(q.stage)
+	for _, bk := range q.buckets {
+		b += int64(cap(bk)) * int64(unsafe.Sizeof((*timer)(nil)))
+	}
+	return b
+}
 
 // bucketOf maps a firing time to its bucket index under the current layout.
 func (q *calendarQueue) bucketOf(at Time) int {

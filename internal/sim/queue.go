@@ -1,5 +1,7 @@
 package sim
 
+import "lrseluge/internal/obs"
+
 // heapQueue is the reference Queue: a hand-rolled binary min-heap over
 // (at, seq). It is hand-rolled rather than container/heap so Push and PopLE
 // take the concrete *timer without interface indirection and the sift code
@@ -14,6 +16,9 @@ func newHeapQueue() *heapQueue { return &heapQueue{} }
 
 // Len implements Queue.
 func (q *heapQueue) Len() int { return len(q.evs) }
+
+// heapBytes implements Queue.
+func (q *heapQueue) heapBytes() int64 { return obs.ObjectBytes(q) + obs.SliceBytes(q.evs) }
 
 // before orders records by (at, seq).
 func before(a, b *timer) bool {

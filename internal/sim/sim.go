@@ -177,6 +177,9 @@ type Queue interface {
 	Remove(ev *timer)
 	// Len reports the number of queued records.
 	Len() int
+	// heapBytes reports the queue's own arrays in heap bytes, not the
+	// records they point to.
+	heapBytes() int64
 }
 
 // Engine is a discrete-event simulation engine. The zero value is ready to
@@ -217,6 +220,18 @@ func (e *Engine) SetObs(t *obs.Timers) { e.obs = t }
 
 // Obs returns the installed phase timers (nil when disabled).
 func (e *Engine) Obs() *obs.Timers { return e.obs }
+
+// HeapBytes returns the heap bytes of the engine's event records, queued
+// and pooled, and of its queue's arrays (obs.AllocBytes over struct sizes
+// and counts). The callbacks the records point to belong to whoever
+// scheduled them and are not counted.
+func (e *Engine) HeapBytes() int64 {
+	b := obs.ObjectBytes(e) + obs.SliceBytes(e.free) + int64(len(e.free)+e.Pending())*obs.ObjectBytes(&timer{})
+	if e.queue != nil {
+		b += e.queue.heapBytes()
+	}
+	return b
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
