@@ -110,7 +110,6 @@ func main() {
 			ImageKB:      *kb,
 			Seed:         *seed,
 			Queue:        queue,
-			Memory:       true,
 		}
 		if *obsOn {
 			cfg.Obs = obs.NewTimers()

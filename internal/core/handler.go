@@ -90,10 +90,11 @@ func NewHandler(version uint16, s Scheme, store *Store, sigCtx *dissem.SigContex
 
 // Preload creates a handler that already possesses the whole object (the
 // base station). It holds the object's own units and never ingests; it
-// checks overheard packets through the run's store like every other node.
+// checks overheard packets through the run's store like every other node,
+// and shares its shape with them.
 func Preload(o *Object, store *Store, sigCtx *dissem.SigContext) *Handler {
 	return &Handler{
-		shape:   &shape{Scheme: o.Scheme, codec: o.codec, codec0: o.codec0},
+		shape:   store.adopt(o),
 		version: o.version,
 		store:   store,
 		sigCtx:  sigCtx,

@@ -87,6 +87,25 @@ func (s *Store) shape(sc Scheme) (*shape, error) {
 	return sh, nil
 }
 
+// adopt gives the store object o's codecs for the sizes it has none of,
+// then returns the shape of o's scheme: a base station's handler shares
+// shape and codecs with the run's receivers.
+func (s *Store) adopt(o *Object) *shape {
+	for _, c := range []struct {
+		k, n  int
+		codec erasure.Codec
+	}{{o.params.K, o.n, o.codec}, {o.geom.numPlain, o.geom.numEnc, o.codec0}} {
+		if _, ok := s.codecs[[2]int{c.k, c.n}]; !ok {
+			s.codecs[[2]int{c.k, c.n}] = c.codec
+		}
+	}
+	sh, err := s.shape(o.Scheme)
+	if err != nil {
+		panic("core: " + err.Error()) // unreachable: the store holds both codecs
+	}
+	return sh
+}
+
 // HeapBytes returns the heap bytes of the store's entries and shapes
 // (obs.AllocBytes over struct sizes and counts). Map overhead, M0's Merkle
 // tree and the codecs' tables are not counted; rows of one unit are taken

@@ -162,13 +162,14 @@ type heapSizer interface{ HeapBytes() int64 }
 
 // Footprint returns the node's heap bytes by component. Node covers the
 // struct, its four bound callbacks, its neighbor and candidate tables and
-// its trace spans; the denial-of-receipt maps, nil unless the defense
-// records something, are not counted.
+// its trace spans; Trickle the timer's struct and its two bound callbacks.
+// The denial-of-receipt maps, nil unless the defense records something,
+// are not counted.
 func (n *Node) Footprint() Footprint {
 	f := Footprint{
 		Node: obs.ObjectBytes(n) + 4*obs.MethodValueBytes +
 			obs.SliceBytes(n.servers.entries) + obs.SliceBytes(n.snackCand),
-		Trickle: n.trk.HeapBytes(),
+		Trickle: obs.ObjectBytes(n.trk) + 2*obs.MethodValueBytes,
 	}
 	if n.spans != nil {
 		f.Node += obs.ObjectBytes(n.spans)

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"unsafe"
+
 	"lrseluge/internal/dissem"
 	"lrseluge/internal/obs"
+	"lrseluge/internal/topo"
 )
 
 // MemTable returns where the run's heap goes as it stands, one row per
@@ -34,7 +37,7 @@ func (e *Env) MemTable() []obs.MemRow {
 		{Component: "handler", Bytes: f.Handler},
 		{Component: "scheduler", Bytes: f.Policy},
 		{Component: "queue", Bytes: e.eng.HeapBytes()},
-		{Component: "topology", Bytes: e.nw.Graph().HeapBytes()},
+		{Component: "topology", Bytes: graphBytes(e.nw.Graph())},
 		{Component: "radio", Bytes: e.nw.HeapBytes()},
 		{Component: "store", Bytes: store},
 		{Component: "metrics", Bytes: e.col.HeapBytes()},
@@ -43,4 +46,18 @@ func (e *Env) MemTable() []obs.MemRow {
 		rows[i].BytesPerNode = float64(rows[i].Bytes) / float64(len(e.nodes))
 	}
 	return rows
+}
+
+// graphBytes is the heap bytes of g: its struct, its position and
+// neighbor-list arrays, and the links of every list, summed over the lists'
+// capacities and rounded once, as a range-built graph cuts them all from
+// one array.
+func graphBytes(g *topo.Graph) int64 {
+	n := uintptr(g.NumNodes())
+	var links uintptr
+	for i := range g.NumNodes() {
+		links += uintptr(cap(g.Neighbors(i)))
+	}
+	return obs.ObjectBytes(g) + obs.AllocBytes(n*unsafe.Sizeof(topo.Point{})) +
+		obs.AllocBytes(n*unsafe.Sizeof([]topo.Link(nil))) + obs.AllocBytes(links*unsafe.Sizeof(topo.Link{}))
 }

@@ -1,8 +1,10 @@
 package scale
 
 import (
+	"reflect"
 	"testing"
 
+	"lrseluge/internal/obs"
 	"lrseluge/internal/sim"
 )
 
@@ -168,4 +170,34 @@ func BenchmarkScaleSetup(b *testing.B) {
 		setup += rep.SetupMS
 	}
 	b.ReportMetric(setup/float64(b.N), "setup-ms")
+}
+
+// TestRunReportsPeakMemTable checks Report.Memory against the same run
+// driven by hand: of the memory tables taken after every slice, Run must
+// keep the one with the largest total, which the wave's in-progress units
+// and queued events put before the last slice.
+func TestRunReportsPeakMemTable(t *testing.T) {
+	cfg := Config{Nodes: 300, ImageKB: 4, Seed: 3, Queue: sim.CalendarQueue, SliceEvery: 5 * sim.Second}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, _, err := build(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak, last []obs.MemRow
+	env.Drive(cfg.SliceEvery, func(sim.Time) {
+		last = env.MemTable()
+		if memTotal(last) > memTotal(peak) {
+			peak = last
+		}
+	})
+	if len(rep.Memory) != 9 || !reflect.DeepEqual(rep.Memory, peak) {
+		t.Fatalf("Report.Memory = %+v, want the peak table %+v", rep.Memory, peak)
+	}
+	if memTotal(last) >= memTotal(peak) {
+		t.Fatalf("last slice's table (%d B) is not below the peak (%d B): the selection goes untested", memTotal(last), memTotal(peak))
+	}
+	t.Logf("peak table %d B, last slice %d B", memTotal(peak), memTotal(last))
 }

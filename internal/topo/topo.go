@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 
-	"lrseluge/internal/obs"
 	"lrseluge/internal/xrand"
 )
 
@@ -42,25 +41,10 @@ type Link struct {
 type Graph struct {
 	pos       []Point
 	neighbors [][]Link
-	// links is the one array a range-built graph's neighbor lists are cut
-	// from; nil when each list has its own.
-	links []Link
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.pos) }
-
-// HeapBytes returns the heap bytes the graph holds (obs.AllocBytes over
-// struct sizes and counts): positions, neighbor lists and their links.
-func (g *Graph) HeapBytes() int64 {
-	b := obs.ObjectBytes(g) + obs.SliceBytes(g.pos) + obs.SliceBytes(g.neighbors) + obs.SliceBytes(g.links)
-	if g.links == nil {
-		for _, ns := range g.neighbors {
-			b += obs.SliceBytes(ns)
-		}
-	}
-	return b
-}
 
 // Position returns node i's coordinates.
 func (g *Graph) Position(i int) Point { return g.pos[i] }
@@ -288,7 +272,6 @@ func connectByRange(g *Graph, commRange float64) {
 
 	// Pass 2: the exact range test, then order the node's links by To.
 	all := make([]Link, offset[n])
-	g.links = all
 	for i := 0; i < n; i++ {
 		pi := g.pos[i]
 		links := all[offset[i]:offset[i]:offset[i+1]]

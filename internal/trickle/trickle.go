@@ -73,12 +73,6 @@ func New(eng *sim.Engine, rng *rand.Rand, cfg Config, transmit func()) (*Trickle
 	return t, nil
 }
 
-// HeapBytes returns the heap bytes the timer holds (obs.AllocBytes): the
-// struct and its two bound callbacks.
-func (t *Trickle) HeapBytes() int64 {
-	return obs.ObjectBytes(t) + 2*obs.MethodValueBytes
-}
-
 // Start begins operation at the minimum interval.
 func (t *Trickle) Start() {
 	if t.running {
