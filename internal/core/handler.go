@@ -397,7 +397,7 @@ func (h *Handler) Authentic(d *packet.Data) bool {
 		}
 		ot := h.sigCtx.Obs
 		ot.Start(obs.PhaseHashVerify)
-		ok := h.store.proofs.Verify(h.sig.Root, d.Payload, idx, d.Proof)
+		ok := merkle.Verify(h.sig.Root, d.Payload, idx, d.Proof)
 		ot.End(obs.PhaseHashVerify)
 		return ok
 	case u >= 2:

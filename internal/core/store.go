@@ -31,11 +31,6 @@ type Store struct {
 	// remembered body spares all but the first a hash. Each receiver still
 	// compares the image with the one its own chain expects.
 	hashes hashx.Memo
-	// proofs checks every handler's M0 packets the same way: one
-	// remembered (root, index, payload, proof) spares the other receivers
-	// of a broadcast the Merkle walk. Each receiver passes its own signed
-	// root, and only a byte-identical check shares a verdict.
-	proofs merkle.Memo
 }
 
 type unitKey struct {

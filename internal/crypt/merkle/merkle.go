@@ -8,9 +8,7 @@
 package merkle
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 
 	"lrseluge/internal/crypt/hashx"
 )
@@ -98,30 +96,3 @@ func Verify(root hashx.Image, block []byte, index int, proof []hashx.Image) bool
 // ProofSize returns the wire size in bytes of a proof for a tree of the given
 // depth.
 func ProofSize(depth int) int { return depth * hashx.Size }
-
-// Memo checks leaves like Verify and remembers its last check: the root,
-// index, block and proof, copied, with the verdict. It returns the
-// remembered verdict only for a check equal to it byte for byte; any other
-// is verified. A radio broadcast hands one packet to every receiver in
-// turn, so one entry turns their identical checks into one. Its zero value
-// is ready for use. It is not safe for concurrent use.
-type Memo struct {
-	set   bool
-	ok    bool
-	index int
-	root  hashx.Image
-	block []byte
-	proof []hashx.Image
-}
-
-// Verify reports what Verify(root, block, index, proof) reports.
-func (m *Memo) Verify(root hashx.Image, block []byte, index int, proof []hashx.Image) bool {
-	if m.set && m.index == index && m.root == root && bytes.Equal(m.block, block) && slices.Equal(m.proof, proof) {
-		return m.ok
-	}
-	m.ok = Verify(root, block, index, proof)
-	m.set, m.index, m.root = true, index, root
-	m.block = append(m.block[:0], block...)
-	m.proof = append(m.proof[:0], proof...)
-	return m.ok
-}

@@ -143,46 +143,3 @@ func TestDifferentTreesDifferentRoots(t *testing.T) {
 		t.Fatal("different leaf sets produced the same root")
 	}
 }
-
-// FuzzMemo checks Memo.Verify against plain Verify over a sequence of
-// checks that repeat, perturb and alternate one genuine leaf check: every
-// verdict must equal Verify's, whatever the memo remembers.
-func FuzzMemo(f *testing.F) {
-	blocks := make([][]byte, 8)
-	for i := range blocks {
-		blocks[i] = []byte{byte(i), byte(i * 3), byte(i * 7)}
-	}
-	tree, err := Build(blocks)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte{0, 0, 1, 0, 2, 0, 3, 0, 4, 0})
-	f.Add([]byte{5, 1, 5, 1, 0, 0, 2, 9, 2, 9})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		var m Memo
-		for i := 0; i+1 < len(ops); i += 2 {
-			idx := int(ops[i]) % len(blocks)
-			proof, err := tree.Proof(idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			root, block := tree.Root(), append([]byte(nil), blocks[idx]...)
-			switch ops[i+1] % 6 {
-			case 1:
-				block[int(ops[i+1])%len(block)] ^= 1
-			case 2:
-				proof = append([]hashx.Image(nil), proof...)
-				proof[int(ops[i+1])%len(proof)][0] ^= 1
-			case 3:
-				root[0] ^= 1
-			case 4:
-				idx = (idx + 1) % len(blocks)
-			case 5:
-				proof = proof[:len(proof)-1]
-			}
-			if got, want := m.Verify(root, block, idx, proof), Verify(root, block, idx, proof); got != want {
-				t.Fatalf("op %d: memo %v, Verify %v", i/2, got, want)
-			}
-		}
-	})
-}
