@@ -35,11 +35,18 @@ import (
 )
 
 type benchFile struct {
-	Queue        string         `json:"queue"`
-	ImageKB      int            `json:"image_kb"`
-	TargetDegree float64        `json:"target_degree"`
-	Seed         int64          `json:"seed"`
-	Rows         []scale.Report `json:"rows"`
+	Queue        string  `json:"queue"`
+	ImageKB      int     `json:"image_kb"`
+	TargetDegree float64 `json:"target_degree"`
+	Seed         int64   `json:"seed"`
+	Rows         []row   `json:"rows"`
+}
+
+// row is one run's report with its memory table: of the tables taken after
+// every slice (scale.Snapshot.MemTable), the one with the largest total.
+type row struct {
+	scale.Report
+	Memory []obs.MemRow `json:"memory,omitempty"`
 }
 
 func main() {
@@ -114,15 +121,17 @@ func main() {
 		if *obsOn {
 			cfg.Obs = obs.NewTimers()
 		}
-		// Each progress slice observes the heap peak (-obs-dir), prints a
-		// line (unless -q), then samples the runtime and publishes the
-		// sample to the live /progress board (-http); under -obs-dir the
-		// samples also go to the snapshot stream.
+		// Each progress slice takes the memory table, keeping the largest,
+		// observes the heap peak (-obs-dir), prints a line (unless -q),
+		// then samples the runtime and publishes the sample to the live
+		// /progress board (-http); under -obs-dir the samples also go to
+		// the snapshot stream.
 		var (
 			snapFile *os.File
 			sampler  *obs.Sampler
 			peak     *obs.HeapPeak
 			peakErr  error
+			memory   []obs.MemRow
 		)
 		if *obsDir != "" {
 			f, err := os.Create(filepath.Join(*obsDir, fmt.Sprintf("n%d.snapshots.jsonl", n)))
@@ -140,6 +149,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lrscale: n=%d queue=%s ...\n", n, queue)
 		}
 		cfg.Progress = func(s scale.Snapshot) {
+			if rows := s.MemTable(); obs.MemTotal(rows) > obs.MemTotal(memory) {
+				memory = rows
+			}
 			if peak != nil {
 				if err := peak.Observe(); err != nil && peakErr == nil {
 					peakErr = err
@@ -191,7 +203,7 @@ func main() {
 				n, rep.Completed, rep.Nodes, rep.SetupMS, rep.WallMS, rep.EventsPerSec, rep.BytesPerNode, rep.PeakRSSKB)
 		}
 		if !*quiet {
-			for _, r := range rep.Memory {
+			for _, r := range memory {
 				fmt.Fprintf(os.Stderr, "  memory %-10s %9.1f B/node\n", r.Component, r.BytesPerNode)
 			}
 		}
@@ -213,7 +225,7 @@ func main() {
 				}
 			}
 		}
-		bf.Rows = append(bf.Rows, rep)
+		bf.Rows = append(bf.Rows, row{Report: rep, Memory: memory})
 	}
 
 	if err := bench.WriteJSON(*out, bf); err != nil {

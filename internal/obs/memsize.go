@@ -65,3 +65,12 @@ type MemRow struct {
 	Bytes        int64   `json:"bytes"`
 	BytesPerNode float64 `json:"bytes_per_node"`
 }
+
+// MemTotal sums a memory table's bytes.
+func MemTotal(rows []MemRow) int64 {
+	var total int64
+	for _, r := range rows {
+		total += r.Bytes
+	}
+	return total
+}

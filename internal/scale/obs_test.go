@@ -144,7 +144,7 @@ func TestSamplerWiredIntoSlices(t *testing.T) {
 		t.Fatalf("%d progress snapshots, want one per slice: %d", len(got), len(want))
 	}
 	for i, g := range got {
-		g.WallElapsed = 0
+		g.WallElapsed, g.env = 0, nil
 		if g != want[i] {
 			t.Errorf("slice %d: snapshot %+v, engine reads %+v", i, g, want[i])
 		}

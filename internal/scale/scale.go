@@ -60,7 +60,8 @@ type Config struct {
 	SliceEvery sim.Time
 	// Progress, when non-nil, streams a snapshot after each slice, so
 	// 100k-node runs report liveness without accumulating per-slice state.
-	// Callers sample the runtime or publish live progress from it.
+	// Callers sample the runtime, take memory tables or publish live
+	// progress from it; the time it takes is left out of the wall figures.
 	Progress func(Snapshot)
 	// Obs, when non-nil, installs wall-time phase timers through the
 	// engine, radio, crypto and codec layers; Report.Obs carries the
@@ -80,9 +81,17 @@ type Snapshot struct {
 	// Pending is the number of live scheduled events.
 	Pending int
 	// WallElapsed is real time since the run loop started, less the time
-	// the memory tables took.
+	// spent in Progress.
 	WallElapsed time.Duration
+
+	env *experiment.Env
 }
+
+// MemTable returns the run's per-component memory table as it stands
+// (experiment.Env.MemTable): bytes and bytes per node from struct sizes and
+// counts, not sampling. It walks every node, so a caller pays for it only
+// when it asks.
+func (s Snapshot) MemTable() []obs.MemRow { return s.env.MemTable() }
 
 // Report is the outcome of one run.
 type Report struct {
@@ -108,8 +117,8 @@ type Report struct {
 	Events     uint64  `json:"events"`
 	// SetupMS is the wall time Run spends before its event loop: the
 	// topology, key material, the signed and encoded object and every
-	// node. WallMS covers the event loop alone, without the memory
-	// tables' time.
+	// node. WallMS covers the event loop alone, without the time spent
+	// in Progress.
 	SetupMS      float64 `json:"setup_ms"`
 	WallMS       int64   `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -125,10 +134,6 @@ type Report struct {
 	TraceHash string `json:"trace_hash,omitempty"`
 	// Obs is the wall-time attribution table when Config.Obs was set.
 	Obs *obs.Attribution `json:"obs,omitempty"`
-	// Memory is the per-component memory table (experiment.Env.MemTable),
-	// taken after every slice, at the slice where its total peaked: bytes
-	// and bytes per node from struct sizes and counts, not sampling.
-	Memory []obs.MemRow `json:"memory,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
@@ -164,29 +169,26 @@ func Run(cfg Config) (Report, error) {
 		traceHash = col.HashTx()
 	}
 
-	var memory []obs.MemRow
-	var memPeak int64
-	// acct is the wall time the memory tables took (~1% of the loop at
-	// n=100k); the wall figures leave it out.
-	var acct time.Duration
+	// away is the wall time spent in Progress, which the wall figures
+	// leave out: what a caller observes, such as a memory table (~1% of
+	// the loop at n=100k) or a forced GC, is not the run's cost.
+	var away time.Duration
 	start := time.Now()
 	env.Drive(cfg.SliceEvery, func(now sim.Time) {
-		t := time.Now()
-		if rows := env.MemTable(); memTotal(rows) > memPeak {
-			memory, memPeak = rows, memTotal(rows)
-		}
-		acct += time.Since(t)
 		if cfg.Progress != nil {
+			t := time.Now()
 			cfg.Progress(Snapshot{
 				Now:         now,
 				Completed:   col.Completions(),
 				Events:      eng.Events(),
 				Pending:     eng.Pending(),
-				WallElapsed: time.Since(start) - acct,
+				WallElapsed: t.Sub(start) - away,
+				env:         env,
 			})
+			away += time.Since(t)
 		}
 	})
-	wall := time.Since(start) - acct
+	wall := time.Since(start) - away
 
 	rep := Report{
 		Nodes:        cfg.Nodes,
@@ -203,7 +205,6 @@ func Run(cfg Config) (Report, error) {
 		BytesPerNode: float64(col.TotalBytes()) / float64(cfg.Nodes),
 		ImagesOK:     env.ImagesOK(),
 		PeakRSSKB:    peakRSSKB(),
-		Memory:       memory,
 	}
 	// An unreachable node never receives a packet, so it is always among
 	// the incomplete ones.
@@ -219,15 +220,6 @@ func Run(cfg Config) (Report, error) {
 		rep.Obs = &table
 	}
 	return rep, nil
-}
-
-// memTotal sums a memory table's bytes.
-func memTotal(rows []obs.MemRow) int64 {
-	var total int64
-	for _, r := range rows {
-		total += r.Bytes
-	}
-	return total
 }
 
 // build wires cfg's run: an LR-Seluge experiment.Scenario on a random-disk

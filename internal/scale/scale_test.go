@@ -3,6 +3,7 @@ package scale
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"lrseluge/internal/obs"
 	"lrseluge/internal/sim"
@@ -172,12 +173,20 @@ func BenchmarkScaleSetup(b *testing.B) {
 	b.ReportMetric(setup/float64(b.N), "setup-ms")
 }
 
-// TestRunReportsPeakMemTable checks Report.Memory against the same run
-// driven by hand: of the memory tables taken after every slice, Run must
-// keep the one with the largest total, which the wave's in-progress units
-// and queued events put before the last slice.
-func TestRunReportsPeakMemTable(t *testing.T) {
+// TestSnapshotMemTable checks the memory table each Progress snapshot
+// hands out against the same run driven by hand, slice by slice, and that
+// the time Progress takes, here a sleep per slice, stays out of the wall
+// figures.
+func TestSnapshotMemTable(t *testing.T) {
+	const nap = 20 * time.Millisecond
 	cfg := Config{Nodes: 300, ImageKB: 4, Seed: 3, Queue: sim.CalendarQueue, SliceEvery: 5 * sim.Second}
+	var got [][]obs.MemRow
+	var elapsed time.Duration
+	cfg.Progress = func(s Snapshot) {
+		got = append(got, s.MemTable())
+		elapsed = s.WallElapsed
+		time.Sleep(nap)
+	}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -186,18 +195,13 @@ func TestRunReportsPeakMemTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var peak, last []obs.MemRow
-	env.Drive(cfg.SliceEvery, func(sim.Time) {
-		last = env.MemTable()
-		if memTotal(last) > memTotal(peak) {
-			peak = last
-		}
-	})
-	if len(rep.Memory) != 9 || !reflect.DeepEqual(rep.Memory, peak) {
-		t.Fatalf("Report.Memory = %+v, want the peak table %+v", rep.Memory, peak)
+	var want [][]obs.MemRow
+	env.Drive(cfg.SliceEvery, func(sim.Time) { want = append(want, env.MemTable()) })
+	if len(got) < 2 || len(want[0]) != 9 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot tables %+v, want the env's %+v", got, want)
 	}
-	if memTotal(last) >= memTotal(peak) {
-		t.Fatalf("last slice's table (%d B) is not below the peak (%d B): the selection goes untested", memTotal(last), memTotal(peak))
+	slept := time.Duration(len(got)-1) * nap
+	if wall := time.Duration(rep.WallMS) * time.Millisecond; wall >= slept || elapsed >= slept {
+		t.Fatalf("wall %v, last snapshot's elapsed %v: not below the %v slept in Progress", wall, elapsed, slept)
 	}
-	t.Logf("peak table %d B, last slice %d B", memTotal(peak), memTotal(last))
 }
